@@ -118,6 +118,8 @@ def _parse_element_expr(p, text):
 def cmd_frame(args, limits):
     p = _load_presentation(args.file, args.truncate, limits)
     if args.sub == "leq":
+        if args.lhs is None or args.rhs is None:
+            raise ParseError("leq needs two element expressions")
         a = _parse_element_expr(p, args.lhs)
         b = _parse_element_expr(p, args.rhs)
         _emit({"lhs": str(a), "rhs": str(b), "leq": bool(a <= b)}, args)
@@ -140,20 +142,20 @@ def cmd_frame(args, limits):
         _emit(report, args)
         return EXIT_OK
 
-    frame, gen_map = frames.enumerate_frame(p, cap=limits.generator_cap)
     if args.sub == "elements":
-        edges = frame.as_poset().hasse_edges()
-        _emit({"count": len(frame.elements),
-               "hasse_edges": [[_meets_str(a), _meets_str(b)]
-                               for a, b in edges]}, args)
+        frame = frames.PresentedFrame(p, cap=limits.generator_cap)
+        elems, edges = frame.elements()
+        names = {e: _meets_str(frame.cideal(e)) for e in elems}
+        _emit({"count": len(elems),
+               "hasse_edges": [[names[a], names[b]] for a, b in edges]},
+              args)
         return EXIT_OK
     if args.sub == "points":
-        pts = frames.points(frame)
-        listing = [sorted(g for g in p.generators if gen_map[g] in pt)
-                   for pt in pts]
-        _emit({"count": len(pts), "points": listing}, args)
+        pts = frames.PresentedFrame(p, cap=limits.generator_cap).points()
+        _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
     if args.sub == "hausdorff":
+        frame, _ = frames.enumerate_frame(p, cap=limits.generator_cap)
         verdict, witness = frames.is_hausdorff(frame,
                                                cap=limits.coproduct_cap)
         payload = {"hausdorff": verdict}
@@ -183,10 +185,9 @@ def cmd_theory(args, limits):
                "presentation": presentations.presentation_text(p)}, args)
         return EXIT_OK
     if args.sub == "models":
-        ms = theories.models(ast, trunc, cap=limits.generator_cap)
-        frame, _ = frames.enumerate_frame(p, cap=limits.generator_cap)
-        _emit({"count": len(ms),
-               "models": [sorted(g for g, v in m.items() if v) for m in ms],
+        frame = frames.PresentedFrame(p, cap=limits.generator_cap)
+        ms = frame.points()
+        _emit({"count": len(ms), "models": ms,
                "frame_nontrivial": frame.bottom != frame.top}, args)
         return EXIT_OK
     raise ParseError(f"unknown theory subcommand {args.sub!r}")
@@ -244,7 +245,8 @@ def _enclosure_payload(enc, cover, args):
 def cmd_evt(args, limits):
     e = reals.parse_expr(args.expr)
     d = reals.parse_domain(args.domain)
-    budget = args.budget if args.budget else limits.bnb_node_budget
+    budget = (args.budget if args.budget is not None
+              else limits.bnb_node_budget)
     if args.sub == "max":
         eps = reals.parse_rat(args.eps)
         try:

@@ -9,6 +9,7 @@ outer cover of the maximizer set.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,27 +99,36 @@ def evt_maximize(e, d, eps, node_budget=None, keep_trace=True):
 
     # refine the surviving boxes to the cover's width bound
     delta = _rat_sqrt_upper(eps)
-    work = [item[3] for item in heap if -item[0] >= lower]
+    work = []  # heap of (lo, hi, seq, box): leftmost box first
+    seq = itertools.count()
+
+    def push(box):
+        heapq.heappush(work, (box.lo, box.hi, next(seq), box))
+
+    for item in heap:
+        if -item[0] >= lower:
+            push(item[3])
     survivors = []
     while work:
-        work.sort(key=lambda b: (b.lo, b.hi), reverse=True)
-        box = work.pop()
+        box = heapq.heappop(work)[3]
         if eval_interval(e, box).hi < lower:
             continue
         if box.width <= delta:
             survivors.append(box)
             continue
         if nodes >= node_budget:
+            rest = sorted((item[3] for item in work),
+                          key=lambda b: (b.lo, b.hi), reverse=True)
             raise BudgetExhausted(
                 f"node budget {node_budget} exhausted",
                 partial=(DedekindEnclosure(lower, upper, eps, nodes,
                                            tuple(trace)),
-                         MaximizerCover(tuple(survivors + work), delta)))
+                         MaximizerCover(tuple(survivors + rest), delta)))
         mid = box.midpoint()
         lower = max(lower, eval_point(e, mid))
         nodes += 1
-        work.append(RatInterval(box.lo, mid))
-        work.append(RatInterval(mid, box.hi))
+        push(RatInterval(box.lo, mid))
+        push(RatInterval(mid, box.hi))
     survivors = [b for b in survivors if eval_interval(e, b).hi >= lower]
     upper = min(upper, max(eval_interval(e, b).hi for b in survivors))
     if keep_trace:

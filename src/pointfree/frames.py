@@ -2,15 +2,16 @@
 open/closed sublocales, quotients, coproducts (tensor products) and the
 Hausdorff / overtness / compactness checks."""
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
-from .order import DistLattice, KFinSet, sort_key
-from .presentations import (CIdeal, cideal_key, meet_key, saturate,
-                            stabilize)
+from .order import (DistLattice, KFinSet, is_directed, prime_filters,
+                    sort_key)
+from .presentations import meet_key, saturate, stabilize
 
 
 class FiniteFrame(DistLattice):
@@ -38,105 +39,191 @@ def frame_from_order(elements, le, meet, join):
                        check_distributive=False)
 
 
-# --- enumeration of presented frames ----------------------------------------
+# --- the bitmask engine for presented frames ----------------------------------
 
-class _BitPresentation:
-    """Bitmask view of a stabilized presentation for fast saturation."""
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def __init__(self, p):
-        self.p = p
+
+class PresentedFrame:
+    """The frame of C-ideals of a presentation, each C-ideal a bitmask.
+
+    Bit i stands for the i-th formal meet in meet_key order, so ordering
+    masks by `key` is the sort_key order of the C-ideals they encode.  A
+    finite frame is D(J), the downsets of its join-primes J (Birkhoff), and
+    every C-ideal is a join of principal ones, so J lies among the
+    principal C-ideals: points, elements and Hasse edges are all read off
+    J without building the lattice or its tables.
+    """
+
+    def __init__(self, p, cap=None):
+        self.presentation = p = stabilize(p, cap=cap)
         self.meets = sorted(p.all_meets(), key=meet_key)
-        self.index = {m: i for i, m in enumerate(self.meets)}
-        n = len(self.meets)
-        self.down = [0] * n  # down-closure mask of each meet (its supersets)
-        for i, m in enumerate(self.meets):
-            mask = 0
-            for j, m2 in enumerate(self.meets):
-                if m <= m2:
-                    mask |= 1 << j
-            self.down[i] = mask
-        self.rules = []
-        for lhs, rhs in p.covers:
-            rmask = 0
+        index = {m: i for i, m in enumerate(self.meets)}
+        # down[i]: the formal meets below meet i, which are its supersets
+        self.down = [sum(1 << k for k, m2 in enumerate(self.meets) if m <= m2)
+                     for m in self.meets]
+        self._lhs, self._rhs, counts = [], [], []
+        self._occurs = [[] for _ in self.meets]  # rules with meet i on the right
+        start = 0
+        for r, (lhs, rhs) in enumerate(p.covers):
+            self._lhs.append(index[lhs])
+            self._rhs.append(sum(1 << index[t] for t in rhs))
+            counts.append(len(rhs))
             for t in rhs:
-                rmask |= 1 << self.index[t]
-            self.rules.append((self.index[lhs], rmask))
+                self._occurs[index[t]].append(r)
+            if not rhs:
+                start |= self.down[index[lhs]]
+        # counts[r]: right-side meets of rule r still outside the bottom
+        self.bottom = self._close(start, start, counts)
+        self._counts = counts
+        self.top = self.down[0]  # every formal meet lies below the top meet
+        self._principal = {m: self.saturate(self.down[i])
+                           for i, m in enumerate(self.meets)}
+        self._joins = {}  # union of two C-ideals -> their join
 
-    def saturate(self, mask):
-        members = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                members |= self.down[i]
-            m >>= 1
-            i += 1
-        changed = True
-        while changed:
-            changed = False
-            for li, rmask in self.rules:
-                if rmask & ~members == 0 and not (members >> li) & 1:
-                    members |= self.down[li]
-                    changed = True
+    def _close(self, members, new, counts):
+        """Counter-based Horn forward chaining (Dowling & Gallier): each
+        meet entering the ideal counts down the rules that have it on the
+        right, and a rule reaching zero adds its left side and all below."""
+        occurs, lhs, down = self._occurs, self._lhs, self.down
+        while new:
+            low = new & -new
+            new ^= low
+            for r in occurs[low.bit_length() - 1]:
+                counts[r] -= 1
+                if not counts[r]:
+                    add = down[lhs[r]] & ~members
+                    members |= add
+                    new |= add
         return members
 
-    def to_cideal(self, mask):
-        ms = frozenset(self.meets[i] for i in range(len(self.meets))
-                       if (mask >> i) & 1)
-        return CIdeal(self.p, ms)
+    def saturate(self, mask):
+        """Least C-ideal containing a downward closed mask, in time linear
+        in the stabilized rules."""
+        new = mask & ~self.bottom
+        return self._close(self.bottom | new, new, self._counts[:])
+
+    def join(self, a, b):
+        u = a | b
+        if u not in self._joins:
+            self._joins[u] = self.saturate(u)
+        return self._joins[u]
+
+    @staticmethod
+    def key(mask):
+        return (mask.bit_count(), tuple(_bits(mask)))
+
+    @staticmethod
+    def le(a, b):
+        return a & ~b == 0
+
+    def cideal(self, mask):
+        """The C-ideal of a mask, as the frozenset of its formal meets."""
+        return frozenset(self.meets[i] for i in _bits(mask))
+
+    @functools.cached_property
+    def join_primes(self):
+        """J in key order: the principal C-ideals j whose principal
+        C-ideals strictly below do not join up to j (a meet lies in j
+        exactly when its principal C-ideal does)."""
+        principal = list(self._principal.values())
+        primes = set()
+        for j in set(principal):
+            below = 0
+            for i in _bits(j):
+                if principal[i] != j:
+                    below |= principal[i]
+            if self.saturate(below) != j:
+                primes.add(j)
+        return sorted(primes, key=self.key)
+
+    def _strictly_below(self):
+        """For each k, the J-indices of the join-primes strictly below J[k]."""
+        js = self.join_primes
+        return [sum(1 << i for i, a in enumerate(js) if a != b and a & ~b == 0)
+                for b in js]
+
+    def elements(self):
+        """All elements in key order, one join per downset D of J, and the
+        Hasse edges ⋁D ⋖ ⋁(D ∪ {k}) for each k minimal in J minus D, sorted
+        by the keys of their ends."""
+        js = self.join_primes
+        below = self._strictly_below()
+        join_of = {0: self.bottom}
+        edges = []
+        stack = [0]
+        while stack:
+            d = stack.pop()
+            e = join_of[d]
+            for k, j in enumerate(js):
+                if not d >> k & 1 and below[k] & ~d == 0:
+                    d2 = d | 1 << k
+                    if d2 not in join_of:
+                        join_of[d2] = self.saturate(e | j)
+                        stack.append(d2)
+                    edges.append((e, join_of[d2]))
+        keys = {e: self.key(e) for e in join_of.values()}
+        edges.sort(key=lambda ab: (keys[ab[0]], keys[ab[1]]))
+        return sorted(keys, key=keys.get), edges
+
+    def points(self):
+        """Each point as the sorted list of generators it makes true.
+
+        The point of a join-prime j is its filter ↑j, and the points come
+        in the sort_key order of those filters: by |↑j| = |D(J minus ↓j)|,
+        then by j, the least member of its filter.  Each truth assignment
+        is checked against every stabilized rule (it must be a frame hom
+        to 2) before it is returned.
+        """
+        js = self.join_primes
+        below = self._strictly_below()
+        memo = {0: 1}
+
+        def count_downsets(s):
+            # k is maximal in s (J is in key order): a downset D of s omits
+            # k, or holds k and so all of s below k
+            if s not in memo:
+                k = s.bit_length() - 1
+                rest = s & ~(1 << k)
+                memo[s] = count_downsets(rest) + count_downsets(rest & ~below[k])
+            return memo[s]
+
+        everything = (1 << len(js)) - 1
+        out = []
+        for k in sorted(range(len(js)), key=lambda k: (
+                count_downsets(everything & ~(below[k] | 1 << k)),
+                self.key(js[k]))):
+            true = {g for g in self.presentation.generators
+                    if self.le(js[k], self._principal[frozenset([g])])}
+            holds = sum(1 << i for i, m in enumerate(self.meets) if m <= true)
+            if any(holds >> lhs & 1 and not holds & rhs
+                   for lhs, rhs in zip(self._lhs, self._rhs)):
+                raise PointfreeError("point violates a stabilized rule")
+            out.append(sorted(true))
+        return out
 
 
 def enumerate_frame(p, cap=None):
-    """The finite frame of all C-ideals of a stabilized presentation.
+    """The finite frame of all C-ideals of a presentation.
 
     Returns (frame, gen_map) where frame elements are frozensets of formal
     meets and gen_map sends each generator to its frame element.
     """
-    cap = cap if cap is not None else DEFAULT.generator_cap
-    if len(p.generators) > cap:
-        raise CapExceeded("generators", len(p.generators), cap)
-    p = stabilize(p, cap=cap)
-    bp = _BitPresentation(p)
-    bottom = bp.saturate(0)
-    principals = {bp.saturate(1 << i) for i in range(len(bp.meets))}
-    elems = {bottom} | principals
-    # every C-ideal is a join of principal ones; close under binary joins
-    frontier = sorted(elems)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in elems:
-                j = a | b
-                if j not in elems:
-                    j = bp.saturate(j)
-                    if j not in elems and j not in new:
-                        new.add(j)
-        elems |= new
-        frontier = sorted(new)
-    join_memo = {}
-
-    def join(x, y):
-        u = x | y
-        if u in elems_set:
-            return u
-        if u not in join_memo:
-            join_memo[u] = bp.saturate(u)
-        return join_memo[u]
-
-    elems_set = elems
-    masks = sorted(elems, key=lambda m: (bin(m).count("1"), m))
-    frame_masks = frame_from_order(
-        masks, lambda a, b: a & ~b == 0, lambda a, b: a & b, join)
-    # re-express with frozenset-of-meets elements for the public surface
-    conv = {m: bp.to_cideal(m).members for m in masks}
-    elems_pub = [conv[m] for m in frame_masks.elements]
-    leq = [(conv[a], conv[b]) for (a, b) in frame_masks._leq]
-    inv = {v: k for k, v in conv.items()}
-    frame = FiniteFrame(
-        elems_pub, leq,
-        meet=lambda a, b: conv[frame_masks.meet(inv[a], inv[b])],
-        join=lambda a, b: conv[frame_masks.join(inv[a], inv[b])],
-        check_distributive=False)
+    pf = PresentedFrame(p, cap=cap)
+    masks, _ = pf.elements()
+    elems = [pf.cideal(m) for m in masks]
+    mask_of = dict(zip(elems, masks))
+    elem_of = dict(zip(masks, elems))
+    frame = frame_from_order(
+        elems, lambda a, b: pf.le(mask_of[a], mask_of[b]),
+        lambda a, b: elem_of[mask_of[a] & mask_of[b]],
+        lambda a, b: elem_of[pf.join(mask_of[a], mask_of[b])])
+    p = pf.presentation
     gen_map = {g: saturate(p, [frozenset([g])]).members for g in p.generators}
     for g, member in gen_map.items():
         if member not in frame._index:
@@ -163,37 +250,10 @@ def frame_to_json_dict(frame, points_list=None):
 def points(f):
     """All completely prime filters, each returned as a frozenset of elements.
 
-    In a finite frame every such filter is the upset of a completely
-    join-prime element, so we enumerate join-prime elements and take their
-    upsets; the filter conditions are re-checked literally on the result.
+    In a finite frame these are the prime filters ↑j of the
+    join-irreducible elements j (see order.prime_filters).
     """
-    pts = []
-    for j in f.elements:
-        if j == f.bottom:
-            continue
-        strictly_below = [x for x in f.elements if f.le(x, j) and x != j]
-        if f.join_all(strictly_below) == j:
-            continue  # join-reducible
-        if any(f.le(j, f.join(a, b)) and not f.le(j, a) and not f.le(j, b)
-               for a in f.elements for b in f.elements):
-            continue  # irreducible but not prime (cannot happen: distributive)
-        filt = frozenset(x for x in f.elements if f.le(j, x))
-        pts.append(filt)
-    for filt in pts:
-        _check_point(f, filt)
-    return sorted(pts, key=sort_key)
-
-
-def _check_point(f, filt):
-    if f.top not in filt or f.bottom in filt:
-        raise PointfreeError("point fails top/bottom conditions")
-    for a in filt:
-        for b in f.elements:
-            if f.le(a, b) and b not in filt:
-                raise PointfreeError("point not upward closed")
-        for b in filt:
-            if f.meet(a, b) not in filt:
-                raise PointfreeError("point not meet closed")
+    return prime_filters(f)
 
 
 def point_hom(f, filt, two):
@@ -590,63 +650,38 @@ def is_compact_presentation(p, cap=None, scan_cap=None, samples=200):
     enumerated frame: exhaustively over all subsets for small frames, and on
     deterministic pseudo-random join-closed covers otherwise.
     """
-    p = stabilize(p, cap=cap)
     report = {"compact": True, "certificate": "all covers finitary"}
-    scan_cap = (scan_cap if scan_cap is not None
-                else DEFAULT.directed_scan_cap)
-    try:
-        frame, _ = enumerate_frame(p, cap=cap)
-    except CapExceeded:
-        report["verification"] = "skipped"
-        report["verified"] = False
-        return report
-    elems = frame.elements
+    frame = PresentedFrame(p, cap=cap)
+    elems, _ = frame.elements()
+
+    def join_all(s):
+        return functools.reduce(frame.join, s, frame.bottom)
+
     if 2 ** len(elems) <= 2 ** 12:
-        for n in range(1, len(elems) + 1):
-            for s in combinations(elems, n):
-                if _directed(frame, s) and frame.join_all(s) == frame.top:
-                    if frame.top not in s:
-                        report["compact"] = False
-                        report["verification"] = "exhaustive"
-                        report["verified"] = False
-                        return report
         report["verification"] = "exhaustive"
+        covers = (s for n in range(1, len(elems) + 1)
+                  for s in combinations(elems, n) if is_directed(frame, s))
     else:
-        rng = random.Random(0)
-        for _ in range(samples):
-            s = {e for e in elems if rng.random() < 0.5}
-            s = _directify(frame, s)
-            if frame.join_all(s) == frame.top and frame.top not in s:
-                report["compact"] = False
-                report["verification"] = "sampled"
-                report["verified"] = False
-                return report
         report["verification"] = "sampled"
-    report["verified"] = True
+        rng = random.Random(0)
+        covers = (_directify({e for e in elems if rng.random() < 0.5},
+                             frame.join)
+                  or {frame.bottom} for _ in range(samples))
+    report["verified"] = report["compact"] = not any(
+        join_all(s) == frame.top and frame.top not in s for s in covers)
     return report
 
 
-def _directed(f, s):
-    s = list(s)
-    if not s:
-        return False
-    return all(any(f.le(a, c) and f.le(b, c) for c in s)
-               for a in s for b in s)
-
-
-def _directify(f, s):
+def _directify(s, join):
     """Close a subset under binary joins (yielding a directed set with the
-    same join) without changing whether it covers top."""
-    out = set(s) or {f.bottom}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(out):
-            for b in list(out):
-                j = f.join(a, b)
-                if j not in out:
-                    out.add(j)
-                    changed = True
+    same join) without changing whether it covers top.  Grown one member
+    at a time: the joins with a new member x are x joined with the
+    closure so far, and a member already in the closure adds nothing."""
+    out = set()
+    for x in s:
+        if x not in out:
+            out |= {join(c, x) for c in out}
+            out.add(x)
     return out
 
 

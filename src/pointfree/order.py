@@ -73,10 +73,6 @@ class Poset:
     def le(self, a, b):
         return (a, b) in self.leq
 
-    def downset_of(self, seed):
-        """Downward closure of the given elements."""
-        return frozenset(b for b in self.elements for a in seed if self.le(b, a))
-
     def hasse_edges(self):
         """Covering pairs (a, b): a < b with nothing strictly between."""
         edges = []
@@ -95,18 +91,6 @@ class Poset:
             "elements": [str(e) for e in self.elements],
             "hasse_edges": [[str(a), str(b)] for a, b in self.hasse_edges()],
         }
-
-
-@dataclass(frozen=True)
-class DownSet:
-    carrier: Poset
-    members: frozenset
-
-    def __post_init__(self):
-        for a in self.members:
-            for b in self.carrier.elements:
-                if self.carrier.le(b, a) and b not in self.members:
-                    raise PointfreeError(f"not downward closed: {b} <= {a} missing")
 
 
 @dataclass(frozen=True)
@@ -308,16 +292,11 @@ class FreeJoinSemilattice:
 
 
 def join_irreducibles(l):
-    """Induced subposet of nonbottom elements j with j = a∨b ⟹ j ∈ {a, b}."""
-    irr = []
-    for j in l.elements:
-        if j == l.bottom:
-            continue
-        if all(j in (a, b)
-               for a in l.elements for b in l.elements
-               if l.join(a, b) == j):
-            irr.append(j)
-    return l.subposet(irr)
+    """Induced subposet of the nonbottom j that are not the join of the
+    elements strictly below them, which is j = a∨b ⟹ j ∈ {a, b}."""
+    return l.subposet(j for j in l.elements if j != l.bottom
+                      and l.join_all(x for x in l.elements
+                                     if x != j and l.le(x, j)) != j)
 
 
 def birkhoff_iso(l):
@@ -349,32 +328,12 @@ def birkhoff_iso(l):
 def prime_filters(l):
     """All prime filters: upward closed, 1 ∈ F, meet closed, 0 ∉ F, join-prime.
 
-    Each prime filter of a finite lattice is the upset of its least element,
-    so we scan upsets of single elements rather than all subsets.
+    A prime filter of a finite lattice is the upset of its least element,
+    which is join-prime; in a distributive lattice the join-prime elements
+    are exactly the join-irreducible ones.
     """
-    out = []
-    for a in l.elements:
-        f = frozenset(b for b in l.elements if l.le(a, b))
-        if _is_prime_filter(l, f):
-            out.append(f)
-    return sorted(set(out), key=sort_key)
-
-
-def _is_prime_filter(l, f):
-    if l.top not in f or l.bottom in f:
-        return False
-    for a in f:
-        for b in l.elements:
-            if l.le(a, b) and b not in f:
-                return False
-        for b in f:
-            if l.meet(a, b) not in f:
-                return False
-    for a in l.elements:
-        for b in l.elements:
-            if l.join(a, b) in f and a not in f and b not in f:
-                return False
-    return True
+    return sorted((frozenset(b for b in l.elements if l.le(j, b))
+                   for j in join_irreducibles(l).elements), key=sort_key)
 
 
 def ideal_completion(l, cap=None):

@@ -13,7 +13,7 @@ from itertools import product
 
 from .config import DEFAULT
 from .errors import CapExceeded, ParseError
-from .frames import enumerate_frame, points
+from .frames import PresentedFrame
 from .presentations import TOP_MEET, FramePresentation, stabilize
 
 
@@ -430,23 +430,8 @@ def _atom_gen(atom, env):
 def models(ast, trunc=None, cap=None):
     """Points of the compiled frame, read back as truth assignments."""
     p = compile_theory(ast, trunc=trunc, cap=cap)
-    frame, gen_map = enumerate_frame(p, cap=cap)
-    out = []
-    for pt in points(frame):
-        assignment = {g: gen_map[g] in pt for g in p.generators}
-        _check_model(p, assignment)
-        out.append(assignment)
-    return out
-
-
-def _check_model(p, assignment):
-    """Every instantiated rule must hold under the truth assignment."""
-    def holds(meet):
-        return all(assignment[g] for g in meet)
-
-    for lhs, rhs in p.covers:
-        if holds(lhs) and not any(holds(t) for t in rhs):
-            raise ParseError("point violates an instantiated axiom")
+    return [{g: g in true for g in p.generators}
+            for true in PresentedFrame(p, cap=cap).points()]
 
 
 # --- builtin theories ---------------------------------------------------------

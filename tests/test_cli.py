@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, and determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -63,6 +64,13 @@ def test_frame_hausdorff(capsys):
     code, payload, _ = run_json(capsys, "frame", "hausdorff",
                                 THY / "sierpinski.thy")
     assert code == 0 and payload["hausdorff"] is False
+
+
+def test_frame_leq_without_operands_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "frame", "leq", THY / "cantor1.pres")
+    assert code == 1 and "error:" in err and "Traceback" not in err
+    code, out, err = run(capsys, "frame", "leq", THY / "cantor1.pres", "z0")
+    assert code == 1 and "error:" in err
 
 
 def test_frame_overt(capsys):
@@ -176,6 +184,17 @@ def test_evt_budget_exhaustion_exit_code(capsys):
     assert "lower" in payload and "upper" in payload  # partial enclosure
 
 
+def test_evt_budget_zero_is_an_exhausted_budget(capsys):
+    code, payload, _ = run_json(capsys, "evt", "max", "--expr", "x*(1-x)",
+                                "--domain", "[0,1]", "--budget", "0")
+    assert code == 3 and payload["budget_exhausted"] is True
+    assert payload["nodes_expanded"] == 0
+    code, _, err = run(capsys, "evt", "locate", "--expr", "x*(1-x)",
+                       "--domain", "[0,1]", "--p", "1/4", "--q", "1/3",
+                       "--budget", "0")
+    assert code == 3 and "error:" in err
+
+
 # --- exit codes and error handling ----------------------------------------------
 
 def test_exit_code_parse_errors(capsys, tmp_path):
@@ -244,3 +263,26 @@ def test_byte_identical_json_across_processes(cmd):
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
     json.loads(a.stdout)  # well-formed
+
+
+# --- golden output -----------------------------------------------------------------
+
+# --json stdout and exit codes recorded from the code before the bitmask
+# frame engine: frame elements/points/compact and theory models on every
+# file in theories/ (with the README's truncations, plus cantor N=3), stone
+# spectrum/birkhoff, and evt max with a normal and two budget-exhausted
+# payloads; outputs over 8 kB are pinned by their sha256
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[" ".join(g["argv"]) for g in GOLDEN])
+def test_golden_json(capsys, case):
+    argv = [str(ROOT / a) if a.startswith("theories/") else a
+            for a in case["argv"]]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == case["exit"]
+    if "stdout" in case:
+        assert out == case["stdout"]
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
