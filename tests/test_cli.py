@@ -271,7 +271,11 @@ def test_byte_identical_json_across_processes(cmd):
 # frame engine: frame elements/points/compact and theory models on every
 # file in theories/ (with the README's truncations, plus cantor N=3), stone
 # spectrum/birkhoff, and evt max with a normal and two budget-exhausted
-# payloads; outputs over 8 kB are pinned by their sha256
+# payloads; outputs over 8 kB are pinned by their sha256.  frame hausdorff
+# (recorded from the coproduct-search code): true with its witness on
+# cantor1.pres, cantor.thy N=1 and surj.thy n=2,X=2 and n=1,X=2, false on
+# sierpinski.thy, and the coproduct-cap refusals (exit 2, stderr pinned too)
+# on free2.pres and cantor.thy N=2
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
@@ -280,9 +284,11 @@ GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 def test_golden_json(capsys, case):
     argv = [str(ROOT / a) if a.startswith("theories/") else a
             for a in case["argv"]]
-    code, out, _ = run(capsys, *argv, "--json")
+    code, out, err = run(capsys, *argv, "--json")
     assert code == case["exit"]
     if "stdout" in case:
         assert out == case["stdout"]
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+    if "stderr" in case:
+        assert err == case["stderr"]
