@@ -155,12 +155,15 @@ def cmd_frame(args, limits):
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
     if args.sub == "hausdorff":
-        frame, _ = frames.enumerate_frame(p, cap=limits.generator_cap)
-        verdict, witness = frames.is_hausdorff(frame,
-                                               cap=limits.coproduct_cap)
+        frame = frames.PresentedFrame(p, cap=limits.generator_cap)
+        elems, _ = frame.elements()
+        verdict, witness = frames.closed_diagonal(
+            elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
+            cap=limits.coproduct_cap)
         payload = {"hausdorff": verdict}
         if witness is not None:
-            payload["witness"] = sorted(f"{_meets_str(u)}*{_meets_str(v)}"
+            names = {e: _meets_str(frame.cideal(e)) for e in elems}
+            payload["witness"] = sorted(f"{names[u]}*{names[v]}"
                                         for (u, v) in witness)
         _emit(payload, args)
         return EXIT_OK

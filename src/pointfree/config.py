@@ -8,32 +8,38 @@ environment variable, or per call via keyword arguments.
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+
+from .errors import ParseError
 
 
 @dataclass(frozen=True)
 class Limits:
     poset_cap: int = 16          # max elements for downset / ideal enumeration
     generator_cap: int = 8       # max presentation generators
-    positivity_scan_cap: int = 12  # max frame size for the exhaustive subset scan
-    directed_scan_cap: int = 16  # max frame size for exhaustive directed-cover scan
     coproduct_cap: int = 16      # max |f| * |g| for tensor enumeration
     bnb_node_budget: int = 10**6  # branch-and-bound node budget
 
-    def override(self, **kwargs):
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self
-
 
 def load_limits():
-    """Limits from POINTFREE_CONFIG if set, otherwise the defaults."""
+    """Limits from POINTFREE_CONFIG if set, otherwise the defaults.  The
+    file must hold a JSON object whose keys are Limits fields and whose
+    values are integers."""
     path = os.environ.get("POINTFREE_CONFIG")
     if not path:
         return Limits()
     with open(path) as fh:
         data = json.load(fh)
-    allowed = {k: data[k] for k in Limits.__dataclass_fields__ if k in data}
-    return Limits(**allowed)
+    if not isinstance(data, dict):
+        raise ParseError("POINTFREE_CONFIG must hold a JSON object")
+    known = {f.name for f in fields(Limits)}
+    for name, value in data.items():
+        if name not in known:
+            raise ParseError(f"unknown config field {name!r}")
+        if type(value) is not int:
+            raise ParseError(f"config field {name!r} must be an integer, "
+                             f"not {json.dumps(value)}")
+    return Limits(**data)
 
 
 DEFAULT = Limits()

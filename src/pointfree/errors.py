@@ -22,6 +22,8 @@ class ParseError(PointfreeError):
         loc = ""
         if line is not None:
             loc = f" at line {line}" + (f", col {col}" if col is not None else "")
+        elif col is not None:
+            loc = f" at col {col}"
         super().__init__(message + loc)
         self.message = message
         self.line = line

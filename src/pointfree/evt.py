@@ -117,7 +117,8 @@ def evt_maximize(e, d, eps, node_budget=None, keep_trace=True):
             survivors.append(box)
             continue
         if nodes >= node_budget:
-            rest = sorted((item[3] for item in work),
+            # the box being refined is still live, so it stays in the cover
+            rest = sorted([box] + [item[3] for item in work],
                           key=lambda b: (b.lo, b.hi), reverse=True)
             raise BudgetExhausted(
                 f"node budget {node_budget} exhausted",

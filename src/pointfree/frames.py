@@ -5,12 +5,12 @@ Hausdorff / overtness / compactness checks."""
 import functools
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
-from .order import (DistLattice, KFinSet, is_directed, prime_filters,
-                    sort_key)
+from .order import (DistLattice, KFinSet, Poset, canon, enumerate_downsets,
+                    is_directed, join_irreducibles, prime_filters, sort_key)
 from .presentations import meet_key, saturate, stabilize
 
 
@@ -18,18 +18,9 @@ class FiniteFrame(DistLattice):
     """A finite distributive lattice viewed as a frame (all joins exist)."""
 
     def check_frame_distributivity(self):
-        """Exhaustive a ∧ ⋁B = ⋁(a ∧ B) over all subsets B. Desk scale only."""
-        elems = self.elements
-        if len(elems) > DEFAULT.positivity_scan_cap:
-            raise CapExceeded("frame", len(elems), DEFAULT.positivity_scan_cap)
-        for a in elems:
-            for n in range(len(elems) + 1):
-                for bs in combinations(elems, n):
-                    lhs = self.meet(a, self.join_all(bs))
-                    rhs = self.join_all(self.meet(a, b) for b in bs)
-                    if lhs != rhs:
-                        return False
-        return True
+        """a ∧ ⋁B = ⋁(a ∧ B) for all B: in a finite lattice every join is a
+        finite one, so this is binary distributivity."""
+        return self.distributivity_witness() is None
 
 
 def frame_from_order(elements, le, meet, join):
@@ -476,87 +467,41 @@ def preimage_congruence(h, c):
 
 # --- coproducts / tensor ------------------------------------------------------
 
-def _tensor_saturate(f, g, downset):
-    """Close a downset of f × g under the two join-stability conditions."""
-    d = set(downset)
-    # empty joins: bottom rows and columns are always present
-    d |= {(f.bottom, v) for v in g.elements}
-    d |= {(u, g.bottom) for u in f.elements}
-    changed = True
-    while changed:
-        changed = False
-        for (u, v) in list(d):
-            for (u2, v2) in list(d):
-                if v2 == v:
-                    cand = (f.join(u, u2), v)
-                    if cand not in d:
-                        d.add(cand)
-                        changed = True
-                if u2 == u:
-                    cand = (u, g.join(v, v2))
-                    if cand not in d:
-                        d.add(cand)
-                        changed = True
-        # downward closure
-        for (u, v) in list(d):
-            for u2 in f.elements:
-                for v2 in g.elements:
-                    if f.le(u2, u) and g.le(v2, v) and (u2, v2) not in d:
-                        d.add((u2, v2))
-                        changed = True
-    return frozenset(d)
-
-
 def coproduct(f, g, cap=None):
-    """Frame coproduct computed as the suplattice tensor product.
+    """Frame coproduct f ⊕ g ≅ D(J(f) × J(g)), the downsets of the product of
+    the join-irreducible posets (finite frames are spatial; Johnstone,
+    *Stone Spaces*).
 
-    Elements are the downsets of f × g closed under coordinatewise joins.
-    Returns (tensor, inj1, inj2, rect) with the two coproduct injections and
-    the basic-rectangle map rect(u, v) = u ⊕ v.
+    A downset D is stored as the suplattice-tensor element it stands for:
+    the downset of f × g of the pairs (u, v) with J↓u × J↓v ⊆ D, which holds
+    the ⊥ row and column.  Meets are intersections and joins the union of
+    the J-parts.  Returns (tensor, inj1, inj2, rect) with the two coproduct
+    injections and the basic-rectangle map rect(u, v) = u ⊕ v.
     """
     cap = cap if cap is not None else DEFAULT.coproduct_cap
     if len(f.elements) * len(g.elements) > cap:
         raise CapExceeded("coproduct carrier",
                           len(f.elements) * len(g.elements), cap)
-
-    def rect_downset(u, v):
-        return _tensor_saturate(f, g, {(u, v)})
-
-    rects = {}
-    for u in f.elements:
-        for v in g.elements:
-            rects[u, v] = rect_downset(u, v)
-    bottom = _tensor_saturate(f, g, set())
-    elems = {bottom} | set(rects.values())
-    frontier = sorted(elems, key=sort_key)
-    join_memo = {}
-
-    def join(a, b):
-        u = a | b
-        if u in elems:
-            return u
-        if u not in join_memo:
-            join_memo[u] = _tensor_saturate(f, g, u)
-        return join_memo[u]
-
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in elems:
-                j = join(a, b)
-                if j not in elems and j not in new:
-                    new.add(j)
-        elems |= new
-        frontier = sorted(new, key=sort_key)
-
-    tensor = frame_from_order(elems, lambda a, b: a <= b,
-                              lambda a, b: a & b, join)
-    inj1 = FrameHom(f, tensor, {u: rects[u, g.top] for u in f.elements})
-    inj2 = FrameHom(g, tensor, {v: rects[f.top, v] for v in g.elements})
+    jf, jg = join_irreducibles(f), join_irreducibles(g)
+    below_f = {u: [j for j in jf.elements if f.le(j, u)] for u in f.elements}
+    below_g = {v: [k for k in jg.elements if g.le(k, v)] for v in g.elements}
+    pairs = list(product(jf.elements, jg.elements))
+    jj = Poset(canon(pairs), frozenset(
+        (a, b) for a in pairs for b in pairs
+        if jf.le(a[0], b[0]) and jg.le(a[1], b[1])))
+    of_downset = {d: frozenset((u, v) for u in f.elements for v in g.elements
+                               if d.issuperset(product(below_f[u], below_g[v])))
+                  for d in enumerate_downsets(jj)}
+    jpairs = frozenset(pairs)
+    tensor = frame_from_order(of_downset.values(), lambda a, b: a <= b,
+                              lambda a, b: a & b,
+                              lambda a, b: of_downset[(a | b) & jpairs])
 
     def rect(u, v):
-        return rects[u, v]
+        return of_downset[frozenset(product(below_f[u], below_g[v]))]
 
+    inj1 = FrameHom(f, tensor, {u: rect(u, g.top) for u in f.elements})
+    inj2 = FrameHom(g, tensor, {v: rect(f.top, v) for v in g.elements})
     return tensor, inj1, inj2, rect
 
 
@@ -570,47 +515,51 @@ def diagonal_hom(f, cap=None):
     return tensor, FrameHom(tensor, f, mapping)
 
 
+def closed_diagonal(elements, join_primes, le, meet, bottom, cap=None):
+    """Whether the diagonal of f ⊕ f is closed, from the join-primes J of f.
+    Returns (verdict, witness or None).
+
+    A finite frame is the frame of opens of its T0 space of points J, which
+    is Hausdorff (and equally has an open diagonal) exactly when it is
+    discrete, that is when J is an antichain (Picado & Pultr, *Frames and
+    Locales*).  The one candidate witness is δ_*(⊥), the largest element
+    of f ⊕ f that the codiagonal sends to ⊥: the pairs (u, v) with
+    u ∧ v = ⊥.  It is a subset of f × f, so |f|² is held to the coproduct
+    cap.
+    """
+    cap = cap if cap is not None else DEFAULT.coproduct_cap
+    if len(elements) ** 2 > cap:
+        raise CapExceeded("coproduct carrier", len(elements) ** 2, cap)
+    if any(a != b and le(a, b) for a in join_primes for b in join_primes):
+        return False, None
+    return True, frozenset((u, v) for u in elements for v in elements
+                           if meet(u, v) == bottom)
+
+
 def is_hausdorff(f, cap=None):
-    """Search f ⊕ f for a closed-diagonal witness. Returns (bool, witness)."""
-    tensor, delta = diagonal_hom(f, cap=cap)
-    kernel = Congruence.from_map(tensor, delta)
-    for d in tensor.elements:
-        if closed_congruence(tensor, d).classes == kernel.classes:
-            return True, d
-    return False, None
+    """Closed diagonal: (verdict, witness or None), see closed_diagonal."""
+    return closed_diagonal(f.elements, join_irreducibles(f).elements, f.le,
+                           f.meet, f.bottom, cap=cap)
 
 
 def has_open_diagonal(f, cap=None):
-    tensor, delta = diagonal_hom(f, cap=cap)
-    kernel = Congruence.from_map(tensor, delta)
-    return any(open_congruence(tensor, d).classes == kernel.classes
-               for d in tensor.elements)
+    """A finite frame has an open diagonal exactly when it is Hausdorff."""
+    return is_hausdorff(f, cap=cap)[0]
 
 
 # --- positivity / compactness --------------------------------------------------
 
-def is_positive(f, u, scan_cap=None):
-    """u is positive when every cover of it is inhabited.
-
-    Checked literally by scanning all subsets when the frame is small; for
-    larger frames this is provably equivalent to u ≠ bottom, which is used
-    as the fallback.
-    """
+def is_positive(f, u):
+    """u is positive when every cover of it is inhabited.  Only the empty
+    cover can fail, and it covers exactly ⊥, so this is u ≠ ⊥."""
     if u not in f._index:
         raise PointfreeError(f"unknown element {u!r}")
-    scan_cap = scan_cap if scan_cap is not None else DEFAULT.positivity_scan_cap
-    if len(f.elements) <= scan_cap:
-        for n in range(len(f.elements) + 1):
-            for s in combinations(f.elements, n):
-                if f.le(u, f.join_all(s)) and not s:
-                    return False
-        return True
     return u != f.bottom
 
 
-def positivity_base(f, scan_cap=None):
+def positivity_base(f):
     """All positive elements; asserts every element is a join of them."""
-    base = [u for u in f.elements if is_positive(f, u, scan_cap=scan_cap)]
+    base = [u for u in f.elements if is_positive(f, u)]
     for u in f.elements:
         below = [b for b in base if f.le(b, u)]
         if f.join_all(below) != u:
@@ -641,14 +590,19 @@ def finite_subcover(f, s):
     raise NotACover("unreachable: greedy found a subcover")  # pragma: no cover
 
 
-def is_compact_presentation(p, cap=None, scan_cap=None, samples=200):
+EXHAUSTIVE_COVER_SCAN = 12  # frames up to this size scan every subset
+COVER_SAMPLES = 200         # seeded join-closed covers for larger frames
+
+
+def is_compact_presentation(p, cap=None):
     """Compactness certificate for a (finitary) presentation.
 
     Every cover rule here has a finite right side, which is the hypothesis
     guaranteeing compactness; the certificate records that.  A verification
     pass additionally checks directed-cover inaccessibility of top on the
-    enumerated frame: exhaustively over all subsets for small frames, and on
-    deterministic pseudo-random join-closed covers otherwise.
+    enumerated frame: exhaustively over all subsets for frames of at most
+    EXHAUSTIVE_COVER_SCAN elements, and on COVER_SAMPLES deterministic
+    pseudo-random join-closed covers otherwise.
     """
     report = {"compact": True, "certificate": "all covers finitary"}
     frame = PresentedFrame(p, cap=cap)
@@ -657,7 +611,7 @@ def is_compact_presentation(p, cap=None, scan_cap=None, samples=200):
     def join_all(s):
         return functools.reduce(frame.join, s, frame.bottom)
 
-    if 2 ** len(elems) <= 2 ** 12:
+    if len(elems) <= EXHAUSTIVE_COVER_SCAN:
         report["verification"] = "exhaustive"
         covers = (s for n in range(1, len(elems) + 1)
                   for s in combinations(elems, n) if is_directed(frame, s))
@@ -666,7 +620,7 @@ def is_compact_presentation(p, cap=None, scan_cap=None, samples=200):
         rng = random.Random(0)
         covers = (_directify({e for e in elems if rng.random() < 0.5},
                              frame.join)
-                  or {frame.bottom} for _ in range(samples))
+                  or {frame.bottom} for _ in range(COVER_SAMPLES))
     report["verified"] = report["compact"] = not any(
         join_all(s) == frame.top and frame.top not in s for s in covers)
     return report

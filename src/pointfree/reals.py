@@ -302,7 +302,17 @@ _EXPR_TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
+MAX_EXPR_DEPTH = 100  # deepest nesting and expression tree parse_expr admits
+
+
 class _ExprParser:
+    """Recursive descent; each method returns (node, depth of its tree).
+
+    Parentheses, function arguments and unary minus recurse, so their
+    nesting is bounded on the way down; operator chains such as x+x+...+x
+    are built in loops but make deep trees, which the evaluators walk
+    recursively, so tree depth is bounded as each node is built."""
+
     def __init__(self, text):
         self.toks = []
         for m in _EXPR_TOKEN.finditer(text):
@@ -313,6 +323,7 @@ class _ExprParser:
                 self.toks.append((m.lastgroup, m.group(), m.start() + 1))
         self.toks.append(("eof", "", len(text) + 1))
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -328,33 +339,49 @@ class _ExprParser:
             raise ParseError(f"expected {text!r}, found {s or 'end'!r}",
                              col=col)
 
+    @staticmethod
+    def deeper(depth, col):
+        if depth >= MAX_EXPR_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_EXPR_DEPTH} "
+                             f"levels", col=col)
+        return depth + 1
+
+    def nested(self, parse, col):
+        self.nesting = self.deeper(self.nesting, col)
+        out = parse()
+        self.nesting -= 1
+        return out
+
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.term())
-        return node
+            _, op, col = self.next()
+            rhs, d = self.term()
+            node, depth = BinOp(op, node, rhs), self.deeper(max(depth, d), col)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.peek()[1] == "*":
-            self.next()
-            node = BinOp("*", node, self.factor())
-        return node
+            col = self.next()[2]
+            rhs, d = self.factor()
+            node, depth = BinOp("*", node, rhs), self.deeper(max(depth, d), col)
+        return node, depth
 
     def factor(self):
         if self.peek()[1] == "-":
-            self.next()
-            return Neg(self.factor())
-        node = self.primary()
+            col = self.next()[2]
+            node, depth = self.nested(self.factor, col)
+            return Neg(node), self.deeper(depth, col)
+        node, depth = self.primary()
         while self.peek()[1] == "^":
-            self.next()
-            kind, s, col = self.next()
+            col = self.next()[2]
+            kind, s, k_col = self.next()
             if kind != "num" or "." in s:
                 raise ParseError("power exponent must be a natural number",
-                                 col=col)
-            node = Pow(node, int(s))
-        return node
+                                 col=k_col)
+            node, depth = Pow(node, int(s)), self.deeper(depth, col)
+        return node, depth
 
     def primary(self):
         kind, s, col = self.next()
@@ -370,35 +397,37 @@ class _ExprParser:
                                      col=c2)
                 if int(s2) == 0:
                     raise ParseError("zero denominator", col=c2)
-                return Const(Fraction(int(s), int(s2)))
-            return Const(parse_rat(s))
+                return Const(Fraction(int(s), int(s2))), 1
+            return Const(parse_rat(s)), 1
         if s == "(":
-            node = self.expr()
+            out = self.nested(self.expr, col)
             self.expect(")")
-            return node
+            return out
         if kind == "name":
             if s == "x":
-                return Var()
+                return Var(), 1
             if s in ("min", "max"):
                 self.expect("(")
-                a = self.expr()
+                a, da = self.nested(self.expr, col)
                 self.expect(",")
-                b = self.expr()
+                b, db = self.nested(self.expr, col)
                 self.expect(")")
-                return BinOp(s, a, b)
+                return BinOp(s, a, b), self.deeper(max(da, db), col)
             if s == "abs":
                 self.expect("(")
-                a = self.expr()
+                a, depth = self.nested(self.expr, col)
                 self.expect(")")
-                return Abs(a)
+                return Abs(a), self.deeper(depth, col)
             raise ParseError(f"unknown name {s!r} in expression", col=col)
         raise ParseError(f"unexpected token {s or 'end'!r} in expression",
                          col=col)
 
 
 def parse_expr(text):
+    """The expression tree of text; a ParseError with the column where the
+    nesting or the tree depth passes MAX_EXPR_DEPTH."""
     p = _ExprParser(text)
-    node = p.expr()
+    node, _ = p.expr()
     kind, s, col = p.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {s!r} in expression", col=col)

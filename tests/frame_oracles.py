@@ -1,11 +1,24 @@
-"""The frame algorithms the bitmask engine replaced, kept as independent
-oracles for it: pairwise join closure of the principal C-ideals, the
-literal join-irreducible-and-prime points scan with its filter checks,
-and Hasse edges from the enumerated frame's Poset.  They run on the
-frozenset C-ideals of `presentations.saturate`, not on bitmasks."""
+"""The frame algorithms that theorems replaced, kept as independent
+oracles for them.
 
-from pointfree.errors import PointfreeError
-from pointfree.frames import frame_from_order
+- For the bitmask engine: pairwise join closure of the principal
+  C-ideals, the literal join-irreducible-and-prime points scan with its
+  filter checks, and Hasse edges from the enumerated frame's Poset.  They
+  run on the frozenset C-ideals of `presentations.saturate`, not on
+  bitmasks.
+- For the join-prime coproduct and Hausdorff check: the suplattice-tensor
+  fixpoint with pairwise join closure, and the search of f ⊕ f for a
+  closed (open) diagonal witness by comparing congruences.
+- The literal subset scans behind positivity (u ≠ ⊥) and the frame law
+  (binary distributivity).
+"""
+
+from itertools import combinations
+
+from pointfree.config import DEFAULT
+from pointfree.errors import CapExceeded, PointfreeError
+from pointfree.frames import (Congruence, FrameHom, closed_congruence,
+                              frame_from_order, open_congruence)
 from pointfree.order import sort_key
 from pointfree.presentations import saturate, stabilize
 
@@ -68,3 +81,140 @@ def _check_point(f, filt):
         for b in filt:
             if f.meet(a, b) not in filt:
                 raise PointfreeError("point not meet closed")
+
+
+# --- coproduct and Hausdorff by search -------------------------------------------
+
+def _tensor_saturate(f, g, downset):
+    """Close a downset of f × g under the two join-stability conditions."""
+    d = set(downset)
+    # empty joins: bottom rows and columns are always present
+    d |= {(f.bottom, v) for v in g.elements}
+    d |= {(u, g.bottom) for u in f.elements}
+    changed = True
+    while changed:
+        changed = False
+        for (u, v) in list(d):
+            for (u2, v2) in list(d):
+                if v2 == v:
+                    cand = (f.join(u, u2), v)
+                    if cand not in d:
+                        d.add(cand)
+                        changed = True
+                if u2 == u:
+                    cand = (u, g.join(v, v2))
+                    if cand not in d:
+                        d.add(cand)
+                        changed = True
+        # downward closure
+        for (u, v) in list(d):
+            for u2 in f.elements:
+                for v2 in g.elements:
+                    if f.le(u2, u) and g.le(v2, v) and (u2, v2) not in d:
+                        d.add((u2, v2))
+                        changed = True
+    return frozenset(d)
+
+
+def coproduct(f, g, cap=None):
+    """Frame coproduct computed as the suplattice tensor product.
+
+    Elements are the downsets of f × g closed under coordinatewise joins.
+    Returns (tensor, inj1, inj2, rect) with the two coproduct injections and
+    the basic-rectangle map rect(u, v) = u ⊕ v.
+    """
+    cap = cap if cap is not None else DEFAULT.coproduct_cap
+    if len(f.elements) * len(g.elements) > cap:
+        raise CapExceeded("coproduct carrier",
+                          len(f.elements) * len(g.elements), cap)
+
+    def rect_downset(u, v):
+        return _tensor_saturate(f, g, {(u, v)})
+
+    rects = {}
+    for u in f.elements:
+        for v in g.elements:
+            rects[u, v] = rect_downset(u, v)
+    bottom = _tensor_saturate(f, g, set())
+    elems = {bottom} | set(rects.values())
+    frontier = sorted(elems, key=sort_key)
+    join_memo = {}
+
+    def join(a, b):
+        u = a | b
+        if u in elems:
+            return u
+        if u not in join_memo:
+            join_memo[u] = _tensor_saturate(f, g, u)
+        return join_memo[u]
+
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in elems:
+                j = join(a, b)
+                if j not in elems and j not in new:
+                    new.add(j)
+        elems |= new
+        frontier = sorted(new, key=sort_key)
+
+    tensor = frame_from_order(elems, lambda a, b: a <= b,
+                              lambda a, b: a & b, join)
+    inj1 = FrameHom(f, tensor, {u: rects[u, g.top] for u in f.elements})
+    inj2 = FrameHom(g, tensor, {v: rects[f.top, v] for v in g.elements})
+
+    def rect(u, v):
+        return rects[u, v]
+
+    return tensor, inj1, inj2, rect
+
+
+def diagonal_hom(f, cap=None):
+    """The codiagonal u ⊕ v ↦ u ∧ v from f ⊕ f to f."""
+    tensor, inj1, inj2, rect = coproduct(f, f, cap=cap)
+    mapping = {d: f.join_all(f.meet(u, v) for (u, v) in sorted(d, key=sort_key))
+               for d in tensor.elements}
+    return tensor, FrameHom(tensor, f, mapping)
+
+
+def is_hausdorff(f, cap=None):
+    """Search f ⊕ f for a closed-diagonal witness. Returns (bool, witness)."""
+    tensor, delta = diagonal_hom(f, cap=cap)
+    kernel = Congruence.from_map(tensor, delta)
+    for d in tensor.elements:
+        if closed_congruence(tensor, d).classes == kernel.classes:
+            return True, d
+    return False, None
+
+
+def has_open_diagonal(f, cap=None):
+    tensor, delta = diagonal_hom(f, cap=cap)
+    kernel = Congruence.from_map(tensor, delta)
+    return any(open_congruence(tensor, d).classes == kernel.classes
+               for d in tensor.elements)
+
+
+# --- subset scans ------------------------------------------------------------------
+
+def check_frame_distributivity(f):
+    """Exhaustive a ∧ ⋁B = ⋁(a ∧ B) over all subsets B."""
+    elems = f.elements
+    for a in elems:
+        for n in range(len(elems) + 1):
+            for bs in combinations(elems, n):
+                lhs = f.meet(a, f.join_all(bs))
+                rhs = f.join_all(f.meet(a, b) for b in bs)
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def is_positive(f, u):
+    """Every cover of u is inhabited, scanning all subsets as covers."""
+    if u not in f._index:
+        raise PointfreeError(f"unknown element {u!r}")
+    for n in range(len(f.elements) + 1):
+        for s in combinations(f.elements, n):
+            if f.le(u, f.join_all(s)) and not s:
+                return False
+    return True

@@ -228,6 +228,34 @@ def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("body, field", [
+    ({"generator_cap": "x"}, "generator_cap"),
+    ({"coproduct_cap": True}, "coproduct_cap"),
+    ({"poset_cap": 1.5}, "poset_cap"),
+    ({"generator_cap": 4, "bogus_cap": 4}, "bogus_cap"),
+    ({"positivity_scan_cap": 12}, "positivity_scan_cap"),
+    ({"directed_scan_cap": 16}, "directed_scan_cap"),
+    ([1, 2], "JSON object")])
+def test_config_rejects_bad_fields(capsys, tmp_path, monkeypatch, body, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
+    code, out, err = run(capsys, "frame", "points", THY / "cantor1.pres")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["(" * 2000 + "x" + ")" * 2000,
+                                  "+".join(["x"] * 5000)],
+                         ids=["nested", "chain"])
+def test_deep_expression_is_a_parse_error(capsys, expr):
+    code, out, err = run(capsys, "evt", "max", "--expr", expr,
+                         "--domain", "[0,1]")
+    assert code == 1 and out == ""
+    assert err.startswith("error: expression deeper than") and "col" in err
+
+
 def test_text_output_mentions_same_numbers(capsys):
     code, payload, _ = run_json(capsys, "evt", "max", "--expr", "x*(1-x)",
                                 "--domain", "[0,1]", "--eps", "1/100")

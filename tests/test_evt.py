@@ -24,6 +24,20 @@ CORPUS = [
 ]
 
 
+def test_exhausted_cover_keeps_the_box_being_refined():
+    """When the budget runs out during cover refinement, the box popped for
+    refinement is still live: every box of the full run's cover must lie
+    inside a box of the exhausted run's cover."""
+    e = parse_expr("max(x*(1-x), 1/4 - (x-1/4)^2)")
+    _, full = evt_maximize(e, UNIT, F(1, 10000))
+    with pytest.raises(BudgetExhausted) as err:
+        evt_maximize(e, UNIT, F(1, 10000), node_budget=237)
+    enc, partial = err.value.partial
+    assert enc.nodes_expanded == 237
+    for b in full.intervals:
+        assert any(p.lo <= b.lo and b.hi <= p.hi for p in partial.intervals)
+
+
 def test_rat_sqrt_upper_bounds():
     for q in [F(1, 1000000), F(2), F(9, 4), F(1, 3)]:
         u = _rat_sqrt_upper(q)

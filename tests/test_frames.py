@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import frame_oracles
 from conftest import cantor_presentation, free_presentation
 from pointfree.errors import CapExceeded, NotACover, PointfreeError
 from pointfree.frames import (Congruence, FrameHom, all_pairs_congruence,
@@ -47,6 +48,7 @@ def test_enumerate_frame_cap():
 def test_enumerated_frames_satisfy_frame_distributivity(small_frames):
     for name in ["free1", "free2", "cantor1", "chain3", "bool4"]:
         assert small_frames[name].check_frame_distributivity()
+        assert frame_oracles.check_frame_distributivity(small_frames[name])
 
 
 def test_generator_embedding_lands_in_frame():
@@ -328,7 +330,10 @@ def test_positivity_scan_agrees_with_nonbottom_shortcut(small_frames):
     for name in ["chain3", "bool4", "cantor1", "free2"]:
         f = small_frames[name]
         for u in f.elements:
+            assert frame_oracles.is_positive(f, u) == (u != f.bottom)
             assert is_positive(f, u) == (u != f.bottom)
+    with pytest.raises(PointfreeError):
+        is_positive(small_frames["bool4"], "nowhere")
 
 
 def test_positivity_base(small_frames):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointfree.errors import ParseError, PointfreeError
-from pointfree.reals import (ROPEN_BOTTOM, ROPEN_TOP, Domain, RatInterval,
-                             ROpen, domain_of, eval_interval, eval_point,
+from pointfree.reals import (MAX_EXPR_DEPTH, ROPEN_BOTTOM, ROPEN_TOP,
+                             Domain, RatInterval, ROpen, domain_of, eval_interval, eval_point,
                              interval, parse_domain, parse_expr, parse_rat,
                              rat_decimal, rat_str, ropen_join, ropen_meet)
 
@@ -117,6 +117,28 @@ def test_parse_expr_errors_carry_columns():
         parse_expr("x ^ y")  # exponent must be a natural number
     with pytest.raises(ParseError):
         parse_expr("sin(x)")
+
+
+def test_parse_expr_bounds_nesting_and_tree_depth():
+    """Deep input is refused with a column, not a RecursionError: nesting
+    is bounded on the way down, operator chains as their trees are built."""
+    deep = MAX_EXPR_DEPTH + 1
+    for src, col in [("(" * 2000 + "x" + ")" * 2000, deep),
+                     ("abs(" * 2000 + "x" + ")" * 2000, 4 * MAX_EXPR_DEPTH + 1),
+                     ("-" * 5000 + "x", deep),
+                     ("+".join(["x"] * 5000), 2 * MAX_EXPR_DEPTH),
+                     ("*".join(["x"] * 5000), 2 * MAX_EXPR_DEPTH),
+                     ("x" + "^1" * 5000, 2 * MAX_EXPR_DEPTH)]:
+        with pytest.raises(ParseError) as err:
+            parse_expr(src)
+        assert err.value.col == col
+        assert f"at col {col}" in str(err.value)
+    # the bound itself is admitted, and the evaluators walk such trees
+    for src in ["(" * MAX_EXPR_DEPTH + "x" + ")" * MAX_EXPR_DEPTH,
+                "+".join(["x"] * MAX_EXPR_DEPTH),
+                "max(x, " * (MAX_EXPR_DEPTH - 1) + "x" + ")" * (MAX_EXPR_DEPTH - 1)]:
+        e = parse_expr(src)
+        assert eval_interval(e, RatInterval(F(0), F(1))).hi >= eval_point(e, 1)
 
 
 def test_eval_point_examples():
