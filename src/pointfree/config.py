@@ -17,7 +17,7 @@ from .errors import ParseError
 class Limits:
     poset_cap: int = 16          # max elements for downset / ideal enumeration
     generator_cap: int = 8       # max presentation generators
-    coproduct_cap: int = 16      # max |f| * |g| for tensor enumeration
+    coproduct_cap: int = 16      # max |f| * |g| for a coproduct, |f|^2 for Hausdorff
     bnb_node_budget: int = 10**6  # branch-and-bound node budget
 
 
