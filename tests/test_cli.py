@@ -303,7 +303,10 @@ def test_byte_identical_json_across_processes(cmd):
 # (recorded from the coproduct-search code): true with its witness on
 # cantor1.pres, cantor.thy N=1 and surj.thy n=2,X=2 and n=1,X=2, false on
 # sierpinski.thy, and the coproduct-cap refusals (exit 2, stderr pinned too)
-# on free2.pres and cantor.thy N=2
+# on free2.pres and cantor.thy N=2.  frame leq and frame overt (recorded
+# from the rescanning saturate): bot, top and joins of meets, an unknown
+# generator with its stderr, and accepted and rejected certificates on
+# cantor1.pres, free2.pres, cantor.thy N=2 and N=3 and surj.thy n=2,X=2
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
