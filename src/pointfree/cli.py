@@ -52,12 +52,6 @@ def _fmt(value):
     return str(value)
 
 
-def _meets_str(members):
-    inner = ", ".join(presentations.meet_str(m)
-                      for m in sorted(members, key=presentations.meet_key))
-    return "{" + inner + "}"
-
-
 def _parse_truncation(text):
     out = {}
     if not text:
@@ -145,7 +139,8 @@ def cmd_frame(args, limits):
     if args.sub == "elements":
         frame = frames.PresentedFrame(p, cap=limits.generator_cap)
         elems, edges = frame.elements()
-        names = {e: _meets_str(frame.cideal(e)) for e in elems}
+        names = {e: str(presentations.CIdeal(p, frame.cideal(e)))
+                 for e in elems}
         _emit({"count": len(elems),
                "hasse_edges": [[names[a], names[b]] for a, b in edges]},
               args)
@@ -156,13 +151,16 @@ def cmd_frame(args, limits):
         return EXIT_OK
     if args.sub == "hausdorff":
         frame = frames.PresentedFrame(p, cap=limits.generator_cap)
+        # |f| = |D(J)|, counted before the elements are listed
+        frames.diagonal_cap(frame.count_downsets(), limits.coproduct_cap)
         elems, _ = frame.elements()
         verdict, witness = frames.closed_diagonal(
             elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
             cap=limits.coproduct_cap)
         payload = {"hausdorff": verdict}
         if witness is not None:
-            names = {e: _meets_str(frame.cideal(e)) for e in elems}
+            names = {e: str(presentations.CIdeal(p, frame.cideal(e)))
+                     for e in elems}
             payload["witness"] = sorted(f"{names[u]}*{names[v]}"
                                         for (u, v) in witness)
         _emit(payload, args)
@@ -200,9 +198,12 @@ def cmd_theory(args, limits):
 
 def cmd_stone(args, limits):
     with open(args.file) as fh:
-        lattice = order.parse_lattice_text(fh.read())
-    if len(lattice.elements) > limits.poset_cap:
-        raise CapExceeded("lattice", len(lattice.elements), limits.poset_cap)
+        text = fh.read()
+    # counted on the elements line, before the order and tables are built
+    size = len(set(order.read_poset_text(text)[0]))
+    if size > limits.poset_cap:
+        raise CapExceeded("lattice", size, limits.poset_cap)
+    lattice = order.parse_lattice_text(text)
     if args.sub == "spectrum":
         filters = order.prime_filters(lattice)
         _emit({"count": len(filters),
@@ -298,8 +299,20 @@ def cmd_evt(args, limits):
 
 # --- entry point ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as exit 2 means a cap
+        raise ParseError(message)
+
+
+def _non_negative(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="pointfree",
         description="Exact pointfree topology and certified maximization.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -307,7 +320,7 @@ def build_parser():
     def common(sp):
         sp.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
-        sp.add_argument("--decimal", type=int, metavar="K",
+        sp.add_argument("--decimal", type=_non_negative, metavar="K",
                         help="also print K-digit decimal approximations")
 
     fr = sub.add_parser("frame", help="inspect a presented frame")
@@ -345,7 +358,7 @@ def build_parser():
     ev.add_argument("--q", help="upper probe for locate")
     ev.add_argument("--trace", action="store_true",
                     help="include the monotone bound trace")
-    ev.add_argument("--probes", type=int, default=20,
+    ev.add_argument("--probes", type=_non_negative, default=20,
                     help="number of random probes for validate")
     ev.add_argument("--seed", type=int, default=0,
                     help="probe generator seed for validate")
@@ -356,8 +369,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         limits = load_limits()
         if args.command == "frame":
             return cmd_frame(args, limits)

@@ -11,7 +11,7 @@ from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
 from .order import (DistLattice, KFinSet, Poset, canon, enumerate_downsets,
                     is_directed, join_irreducibles, prime_filters, sort_key)
-from .presentations import meet_key, saturate, stabilize
+from .presentations import meet_key, set_bits, stabilize
 
 
 class FiniteFrame(DistLattice):
@@ -32,72 +32,23 @@ def frame_from_order(elements, le, meet, join):
 
 # --- the bitmask engine for presented frames ----------------------------------
 
-def _bits(mask):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class PresentedFrame:
-    """The frame of C-ideals of a presentation, each C-ideal a bitmask.
+    """The frame of C-ideals of a presentation, as masks of its HornClosure.
 
-    Bit i stands for the i-th formal meet in meet_key order, so ordering
-    masks by `key` is the sort_key order of the C-ideals they encode.  A
-    finite frame is D(J), the downsets of its join-primes J (Birkhoff), and
-    every C-ideal is a join of principal ones, so J lies among the
-    principal C-ideals: points, elements and Hasse edges are all read off
-    J without building the lattice or its tables.
+    Ordering masks by `key` is the sort_key order of the C-ideals they
+    encode.  A finite frame is D(J), the downsets of its join-primes J
+    (Birkhoff), and every C-ideal is a join of principal ones, so J lies
+    among the principal C-ideals: points, elements and Hasse edges are all
+    read off J without building the lattice or its tables.
     """
 
     def __init__(self, p, cap=None):
         self.presentation = p = stabilize(p, cap=cap)
-        self.meets = sorted(p.all_meets(), key=meet_key)
-        index = {m: i for i, m in enumerate(self.meets)}
-        # down[i]: the formal meets below meet i, which are its supersets
-        self.down = [sum(1 << k for k, m2 in enumerate(self.meets) if m <= m2)
-                     for m in self.meets]
-        self._lhs, self._rhs, counts = [], [], []
-        self._occurs = [[] for _ in self.meets]  # rules with meet i on the right
-        start = 0
-        for r, (lhs, rhs) in enumerate(p.covers):
-            self._lhs.append(index[lhs])
-            self._rhs.append(sum(1 << index[t] for t in rhs))
-            counts.append(len(rhs))
-            for t in rhs:
-                self._occurs[index[t]].append(r)
-            if not rhs:
-                start |= self.down[index[lhs]]
-        # counts[r]: right-side meets of rule r still outside the bottom
-        self.bottom = self._close(start, start, counts)
-        self._counts = counts
-        self.top = self.down[0]  # every formal meet lies below the top meet
-        self._principal = {m: self.saturate(self.down[i])
-                           for i, m in enumerate(self.meets)}
+        self.closure = h = p.closure
+        self.bottom, self.top = h.bottom, h.top
+        self.saturate, self.cideal = h.saturate, h.cideal
         self._joins = {}  # union of two C-ideals -> their join
-
-    def _close(self, members, new, counts):
-        """Counter-based Horn forward chaining (Dowling & Gallier): each
-        meet entering the ideal counts down the rules that have it on the
-        right, and a rule reaching zero adds its left side and all below."""
-        occurs, lhs, down = self._occurs, self._lhs, self.down
-        while new:
-            low = new & -new
-            new ^= low
-            for r in occurs[low.bit_length() - 1]:
-                counts[r] -= 1
-                if not counts[r]:
-                    add = down[lhs[r]] & ~members
-                    members |= add
-                    new |= add
-        return members
-
-    def saturate(self, mask):
-        """Least C-ideal containing a downward closed mask, in time linear
-        in the stabilized rules."""
-        new = mask & ~self.bottom
-        return self._close(self.bottom | new, new, self._counts[:])
+        self._downsets = {0: 1}  # J-index mask s -> |D(s)|
 
     def join(self, a, b):
         u = a | b
@@ -107,44 +58,62 @@ class PresentedFrame:
 
     @staticmethod
     def key(mask):
-        return (mask.bit_count(), tuple(_bits(mask)))
+        return (mask.bit_count(), tuple(set_bits(mask)))
 
     @staticmethod
     def le(a, b):
         return a & ~b == 0
 
-    def cideal(self, mask):
-        """The C-ideal of a mask, as the frozenset of its formal meets."""
-        return frozenset(self.meets[i] for i in _bits(mask))
+    @functools.cached_property
+    def principals(self):
+        """The principal C-ideal of each formal meet, in meet order."""
+        return [self.saturate(d) for d in self.closure.down]
+
+    def generator(self, g):
+        """The principal C-ideal of one generator."""
+        return self.principals[self.closure.index[frozenset([g])]]
 
     @functools.cached_property
     def join_primes(self):
         """J in key order: the principal C-ideals j whose principal
         C-ideals strictly below do not join up to j (a meet lies in j
         exactly when its principal C-ideal does)."""
-        principal = list(self._principal.values())
+        principal = self.principals
         primes = set()
         for j in set(principal):
             below = 0
-            for i in _bits(j):
+            for i in set_bits(j):
                 if principal[i] != j:
                     below |= principal[i]
             if self.saturate(below) != j:
                 primes.add(j)
         return sorted(primes, key=self.key)
 
-    def _strictly_below(self):
+    @functools.cached_property
+    def _below(self):
         """For each k, the J-indices of the join-primes strictly below J[k]."""
         js = self.join_primes
         return [sum(1 << i for i, a in enumerate(js) if a != b and a & ~b == 0)
                 for b in js]
 
+    def count_downsets(self, s=None):
+        """|D(S)| for the join-primes S with J-indices in the mask s, by
+        default all of J, whose downsets are the elements.  With k maximal
+        in s (J is in key order), a downset of S omits k, or holds k and so
+        all of S below k."""
+        s = (1 << len(self.join_primes)) - 1 if s is None else s
+        if s not in self._downsets:
+            k = s.bit_length() - 1
+            rest = s & ~(1 << k)
+            self._downsets[s] = (self.count_downsets(rest) +
+                                 self.count_downsets(rest & ~self._below[k]))
+        return self._downsets[s]
+
     def elements(self):
         """All elements in key order, one join per downset D of J, and the
         Hasse edges ⋁D ⋖ ⋁(D ∪ {k}) for each k minimal in J minus D, sorted
         by the keys of their ends."""
-        js = self.join_primes
-        below = self._strictly_below()
+        js, below = self.join_primes, self._below
         join_of = {0: self.bottom}
         edges = []
         stack = [0]
@@ -171,29 +140,17 @@ class PresentedFrame:
         is checked against every stabilized rule (it must be a frame hom
         to 2) before it is returned.
         """
-        js = self.join_primes
-        below = self._strictly_below()
-        memo = {0: 1}
-
-        def count_downsets(s):
-            # k is maximal in s (J is in key order): a downset D of s omits
-            # k, or holds k and so all of s below k
-            if s not in memo:
-                k = s.bit_length() - 1
-                rest = s & ~(1 << k)
-                memo[s] = count_downsets(rest) + count_downsets(rest & ~below[k])
-            return memo[s]
-
+        js, below, h = self.join_primes, self._below, self.closure
         everything = (1 << len(js)) - 1
         out = []
         for k in sorted(range(len(js)), key=lambda k: (
-                count_downsets(everything & ~(below[k] | 1 << k)),
+                self.count_downsets(everything & ~(below[k] | 1 << k)),
                 self.key(js[k]))):
             true = {g for g in self.presentation.generators
-                    if self.le(js[k], self._principal[frozenset([g])])}
-            holds = sum(1 << i for i, m in enumerate(self.meets) if m <= true)
+                    if self.le(js[k], self.generator(g))}
+            holds = sum(1 << i for i, m in enumerate(h.meets) if m <= true)
             if any(holds >> lhs & 1 and not holds & rhs
-                   for lhs, rhs in zip(self._lhs, self._rhs)):
+                   for lhs, rhs in zip(h.lhs, h.rhs)):
                 raise PointfreeError("point violates a stabilized rule")
             out.append(sorted(true))
         return out
@@ -214,11 +171,7 @@ def enumerate_frame(p, cap=None):
         elems, lambda a, b: pf.le(mask_of[a], mask_of[b]),
         lambda a, b: elem_of[mask_of[a] & mask_of[b]],
         lambda a, b: elem_of[pf.join(mask_of[a], mask_of[b])])
-    p = pf.presentation
-    gen_map = {g: saturate(p, [frozenset([g])]).members for g in p.generators}
-    for g, member in gen_map.items():
-        if member not in frame._index:
-            raise PointfreeError(f"generator image of {g} missing from frame")
+    gen_map = {g: elem_of[pf.generator(g)] for g in pf.presentation.generators}
     return frame, gen_map
 
 
@@ -515,6 +468,13 @@ def diagonal_hom(f, cap=None):
     return tensor, FrameHom(tensor, f, mapping)
 
 
+def diagonal_cap(size, cap):
+    """Refuse the closed-diagonal check on a frame of `size` elements when
+    the carrier f × f of its witness exceeds the coproduct cap."""
+    if size ** 2 > cap:
+        raise CapExceeded("coproduct carrier", size ** 2, cap)
+
+
 def closed_diagonal(elements, join_primes, le, meet, bottom, cap=None):
     """Whether the diagonal of f ⊕ f is closed, from the join-primes J of f.
     Returns (verdict, witness or None).
@@ -525,11 +485,10 @@ def closed_diagonal(elements, join_primes, le, meet, bottom, cap=None):
     Locales*).  The one candidate witness is δ_*(⊥), the largest element
     of f ⊕ f that the codiagonal sends to ⊥: the pairs (u, v) with
     u ∧ v = ⊥.  It is a subset of f × f, so |f|² is held to the coproduct
-    cap.
+    cap (diagonal_cap).
     """
-    cap = cap if cap is not None else DEFAULT.coproduct_cap
-    if len(elements) ** 2 > cap:
-        raise CapExceeded("coproduct carrier", len(elements) ** 2, cap)
+    diagonal_cap(len(elements),
+                 cap if cap is not None else DEFAULT.coproduct_cap)
     if any(a != b and le(a, b) for a in join_primes for b in join_primes):
         return False, None
     return True, frozenset((u, v) for u in elements for v in elements
@@ -558,36 +517,19 @@ def is_positive(f, u):
 
 
 def positivity_base(f):
-    """All positive elements; asserts every element is a join of them."""
-    base = [u for u in f.elements if is_positive(f, u)]
-    for u in f.elements:
-        below = [b for b in base if f.le(b, u)]
-        if f.join_all(below) != u:
-            raise PointfreeError(f"{u!r} is not a join of positive elements")
-    return base
+    """All positive elements.  Every element is the join of those below it:
+    itself if it is not ⊥, and the empty join if it is."""
+    return [u for u in f.elements if is_positive(f, u)]
 
 
 def finite_subcover(f, s):
-    """Minimal-cardinality subcover of a cover of top."""
+    """Minimal-cardinality subcover of a cover of top: the first subset,
+    by size, that covers top; s itself does, so the search stops by |s|."""
     s = sorted(set(s), key=sort_key)
     if f.join_all(s) != f.top:
         raise NotACover("subset does not cover top")
-    # greedy pass gives an upper bound for the exact search
-    greedy = []
-    current = f.bottom
-    remaining = list(s)
-    while current != f.top:
-        best = max(remaining,
-                   key=lambda x: len([e for e in f.elements
-                                      if f.le(e, f.join(current, x))]))
-        remaining.remove(best)
-        greedy.append(best)
-        current = f.join(current, best)
-    for k in range(1, len(greedy) + 1):
-        for combo in combinations(s, k):
-            if f.join_all(combo) == f.top:
-                return KFinSet(combo)
-    raise NotACover("unreachable: greedy found a subcover")  # pragma: no cover
+    return next(KFinSet(combo) for k in range(len(s) + 1)
+                for combo in combinations(s, k) if f.join_all(combo) == f.top)
 
 
 EXHAUSTIVE_COVER_SCAN = 12  # frames up to this size scan every subset
@@ -643,23 +585,15 @@ def _directify(s, join):
 
 def check_open_map(h):
     """Frobenius check for the left adjoint: h_!(h(b) ∧ a) = b ∧ h_!(a)."""
-    adj = {a: h.left_adjoint(a) for a in h.target.elements}
-    for a in h.target.elements:
-        for b in h.source.elements:
-            lhs = adj[h.target.meet(h(b), a)]
-            rhs = h.source.meet(b, adj[a])
-            if lhs != rhs:
-                return False
-    return True
+    return _frobenius(h, h.left_adjoint, h.target.meet, h.source.meet)
 
 
 def check_closed_map(h):
     """Frobenius check for the right adjoint: h_*(h(b) ∨ a) = b ∨ h_*(a)."""
-    adj = {a: h.right_adjoint(a) for a in h.target.elements}
-    for a in h.target.elements:
-        for b in h.source.elements:
-            lhs = adj[h.target.join(h(b), a)]
-            rhs = h.source.join(b, adj[a])
-            if lhs != rhs:
-                return False
-    return True
+    return _frobenius(h, h.right_adjoint, h.target.join, h.source.join)
+
+
+def _frobenius(h, adjoint, op_target, op_source):
+    adj = {a: adjoint(a) for a in h.target.elements}
+    return all(adj[op_target(h(b), a)] == op_source(b, adj[a])
+               for a in h.target.elements for b in h.source.elements)

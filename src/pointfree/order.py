@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .config import DEFAULT
-from .errors import CapExceeded, NotDistributive, PointfreeError
+from .errors import (CapExceeded, NotDistributive, ParseError,
+                     PointfreeError)
 
 
 def sort_key(x):
@@ -360,10 +361,8 @@ def ideal_completion(l, cap=None):
     return comp, principal
 
 
-def parse_poset_text(text):
-    """Line format: `elements: a b c` and `leq: a<b b<c`; the reflexive
-    transitive closure of the listed pairs is taken automatically."""
-    from .errors import ParseError
+def read_poset_text(text):
+    """(element names, listed pairs) of `elements: a b c` / `leq: a<b b<c`."""
     elements = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -387,8 +386,14 @@ def parse_poset_text(text):
                              line=lineno)
     if elements is None:
         raise ParseError("missing elements line")
+    return elements, pairs
+
+
+def parse_poset_text(text):
+    """A Poset from the line format, with the reflexive transitive closure
+    of the listed pairs."""
     try:
-        return Poset.from_relation(elements, pairs)
+        return Poset.from_relation(*read_poset_text(text))
     except PointfreeError as exc:
         raise ParseError(str(exc))
 

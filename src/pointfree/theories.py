@@ -10,6 +10,7 @@ frame presentation.
 import re
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .config import DEFAULT
 from .errors import CapExceeded, ParseError
@@ -390,14 +391,15 @@ def compile_theory(ast, trunc=None, cap=None):
     """Instantiate every schema over its finite index ranges and stabilize."""
     trunc = trunc or {}
     cap = cap if cap is not None else DEFAULT.generator_cap
-    gens = []
-    for f in ast.families:
-        ranges = [range(_resolve_bound(b, trunc)) for b in f.bounds]
-        gens.extend(generator_name(f.name, idx) for idx in product(*ranges))
+    bounds = [[_resolve_bound(b, trunc) for b in f.bounds]
+              for f in ast.families]
+    count = sum(prod(bs) for bs in bounds)  # checked before naming any
+    if count > cap:
+        raise CapExceeded("generators", count, cap)
+    gens = [generator_name(f.name, idx) for f, bs in zip(ast.families, bounds)
+            for idx in product(*map(range, bs))]
     if len(set(gens)) != len(gens):
         raise ParseError("instantiated generator names collide")
-    if len(gens) > cap:
-        raise CapExceeded("generators", len(gens), cap)
     covers = set()
     for ax in ast.axioms:
         ranges = [range(_resolve_bound(b, trunc)) for _, b in ax.binders]

@@ -1,9 +1,18 @@
 """Shared corpus builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from pointfree.order import DistLattice, Poset
 from pointfree.presentations import FramePresentation
+
+# `python -m pointfree.cli` in a subprocess imports the package from src/
+# too, as the tests do through the pytest pythonpath setting
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def chain(n):

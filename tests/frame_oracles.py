@@ -1,11 +1,13 @@
 """The frame algorithms that theorems replaced, kept as independent
 oracles for them.
 
+- For the Horn closure (`presentations.saturate`): the fixpoint that
+  down-closes the seed and rescans every stabilized rule until nothing
+  changes, on frozensets of formal meets.
 - For the bitmask engine: pairwise join closure of the principal
   C-ideals, the literal join-irreducible-and-prime points scan with its
   filter checks, and Hasse edges from the enumerated frame's Poset.  They
-  run on the frozenset C-ideals of `presentations.saturate`, not on
-  bitmasks.
+  run on the frozenset C-ideals of the fixpoint above, not on bitmasks.
 - For the join-prime coproduct and Hausdorff check: the suplattice-tensor
   fixpoint with pairwise join closure, and the search of f ⊕ f for a
   closed (open) diagonal witness by comparing congruences.
@@ -20,7 +22,38 @@ from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import (Congruence, FrameHom, closed_congruence,
                               frame_from_order, open_congruence)
 from pointfree.order import sort_key
-from pointfree.presentations import saturate, stabilize
+from pointfree.presentations import stabilize
+
+
+def down_close(p, meets):
+    """All formal meets below some of the given ones: their supersets."""
+    gens = p.generators
+    out = set()
+    frontier = list(meets)
+    while frontier:
+        m = frontier.pop()
+        if m in out:
+            continue
+        out.add(m)
+        for g in gens:
+            if g not in m:
+                frontier.append(m | {g})
+    return out
+
+
+def saturate(p, seed):
+    """Least C-ideal containing the given formal meets, as a frozenset:
+    down-close, then add the down-closed left side of every rule whose
+    right side lies inside, until no rule adds anything."""
+    members = down_close(p, seed)
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in p.covers:
+            if lhs not in members and rhs <= members:
+                members |= down_close(p, [lhs])
+                changed = True
+    return frozenset(members)
 
 
 def enumerate_frame(p):
@@ -34,11 +67,10 @@ def enumerate_frame(p):
         if u in elems:
             return u
         if u not in joins:
-            joins[u] = saturate(p, u).members
+            joins[u] = saturate(p, u)
         return joins[u]
 
-    elems = ({saturate(p, []).members}
-             | {saturate(p, [m]).members for m in p.all_meets()})
+    elems = {saturate(p, [])} | {saturate(p, [m]) for m in p.all_meets()}
     frontier = list(elems)
     while frontier:
         new = {join(a, b) for a in frontier for b in elems} - elems

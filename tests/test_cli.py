@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,63 @@ def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "frame", "elements", THY / "cantor.thy",
                        "--truncate", "N=3")
     assert code == 2
+
+
+def run_timed(capsys, *argv):
+    t0 = time.perf_counter()
+    out = run(capsys, *argv)
+    return out + (time.perf_counter() - t0,)
+
+
+# Each refusal below comes before the work it bounds: at the code before,
+# it came after 10 s (hausdorff), 38 s (stone) and 11 s (compile).
+def test_hausdorff_refuses_before_listing_the_elements(capsys):
+    code, out, err, secs = run_timed(capsys, "frame", "hausdorff",
+                                     THY / "cantor.thy", "--truncate", "N=4")
+    assert code == 2 and out == ""
+    assert err == ("error: coproduct carrier has size 4294967296, "
+                   "exceeding cap 16\n")
+    assert secs < 5
+
+
+def test_stone_refuses_a_large_lattice_before_building_it(capsys, tmp_path):
+    chain = tmp_path / "chain150.lat"
+    chain.write_text("elements: " + " ".join(f"c{i}" for i in range(150))
+                     + "\nleq: " + " ".join(f"c{i}<c{i + 1}"
+                                            for i in range(149)) + "\n")
+    code, out, err, secs = run_timed(capsys, "stone", "spectrum", chain)
+    assert code == 2 and out == ""
+    assert err == "error: lattice has size 150, exceeding cap 16\n"
+    assert secs < 5
+
+
+def test_compile_refuses_before_naming_the_generators(capsys):
+    code, out, err, secs = run_timed(capsys, "theory", "compile",
+                                     THY / "cantor.thy",
+                                     "--truncate", "N=3000000")
+    assert code == 2 and out == ""
+    assert err == "error: generators has size 6000000, exceeding cap 8\n"
+    assert secs < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["evt", "max", "--expr", "x", "--domain", "[0,1]", "--decimal", "-1"],
+    ["evt", "validate", "--expr", "x", "--domain", "[0,1]", "--probes", "-5"],
+    ["evt", "validate", "--expr", "x", "--domain", "[0,1]", "--probes", "x"],
+    ["frame", "bogus", str(THY / "cantor1.pres")],
+    []], ids=["decimal -1", "probes -5", "probes x", "frame bogus", "empty"])
+def test_bad_arguments_are_parse_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_help_still_exits_zero():
+    for argv in (["--help"], ["evt", "--help"]):
+        done = subprocess.run([sys.executable, "-m", "pointfree.cli"] + argv,
+                              capture_output=True, cwd=ROOT)
+        assert done.returncode == 0 and b"usage:" in done.stdout
 
 
 @pytest.mark.parametrize("body, field", [

@@ -1,5 +1,6 @@
-"""The bitmask frame engine against the algorithms it replaced
-(frame_oracles): elements, Hasse edges and points, in order."""
+"""The Horn closure and the bitmask frame engine against the algorithms
+they replaced (frame_oracles): saturation, elements, Hasse edges and
+points, in order."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +10,8 @@ from conftest import cantor_presentation, free_presentation
 from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import PresentedFrame, enumerate_frame, points
 from pointfree.order import sort_key
-from pointfree.presentations import FramePresentation, saturate, stabilize
+from pointfree.presentations import (FramePresentation, cideal_heyting,
+                                     saturate, stabilize)
 
 
 @st.composite
@@ -28,10 +30,27 @@ def presentations(draw):
 
 def oracle_listing(p, f):
     """Each oracle point as the sorted generators it contains."""
-    gen_map = {g: saturate(p, [frozenset([g])]).members
+    gen_map = {g: frame_oracles.saturate(p, [frozenset([g])])
                for g in p.generators}
     return [sorted(g for g in p.generators if gen_map[g] in pt)
             for pt in frame_oracles.points(f)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(), st.data())
+def test_saturate_matches_the_fixpoint_oracle(p, data):
+    p = stabilize(p)
+    meets = p.all_meets()
+    seeds = data.draw(st.lists(st.sets(st.sampled_from(meets), max_size=4),
+                               min_size=1, max_size=4))
+    for seed in seeds:
+        assert saturate(p, seed).members == frame_oracles.saturate(p, seed)
+    a, b = (saturate(p, seed) for seed in (seeds[0], seeds[-1]))
+    assert (a | b).members == frame_oracles.saturate(p, a.members | b.members)
+    # a → b is the largest c with c ∧ a ≤ b: {m | ↓m ∩ a ⊆ b}
+    assert cideal_heyting(a, b).members == {
+        m for m in meets
+        if frame_oracles.down_close(p, [m]) & a.members <= b.members}
 
 
 def check_against_oracles(p):

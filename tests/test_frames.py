@@ -339,6 +339,10 @@ def test_positivity_scan_agrees_with_nonbottom_shortcut(small_frames):
 def test_positivity_base(small_frames):
     f = small_frames["bool4"]
     assert set(positivity_base(f)) == {"a", "b", "1"}
+    for f in small_frames.values():  # each element joins the base below it
+        base = positivity_base(f)
+        assert all(f.join_all(b for b in base if f.le(b, u)) == u
+                   for u in f.elements)
 
 
 def test_finite_subcover_examples(small_frames):
@@ -348,6 +352,23 @@ def test_finite_subcover_examples(small_frames):
     assert finite_subcover(f, ["a", "b"]) == KFinSet(("a", "b"))
     with pytest.raises(NotACover):
         finite_subcover(f, ["a"])
+
+
+def test_finite_subcover_is_exact_and_empty_on_the_trivial_frame(
+        small_frames):
+    """A cover of top with no smaller one among the given elements; in the
+    one-element frame the empty set already covers top."""
+    for f in small_frames.values():
+        s = [u for u in f.elements if u not in (f.bottom, f.top)]
+        if f.join_all(s) != f.top:
+            continue
+        got = finite_subcover(f, s).canonical
+        assert f.join_all(got) == f.top
+        assert not any(f.join_all(c) == f.top
+                       for c in combinations(s, len(got) - 1))
+    one = frame_from_order(["1"], lambda a, b: True, lambda a, b: "1",
+                           lambda a, b: "1")
+    assert finite_subcover(one, ["1"]) == KFinSet(())
 
 
 def test_compactness_examples():
