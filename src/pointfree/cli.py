@@ -7,6 +7,7 @@ error, 2 desk-scale cap overflow, 3 search budget exhaustion.
 """
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -81,10 +82,9 @@ def _load_presentation(path, truncate, limits):
     if first in ("prop", "axiom"):
         ast = theories.parse_theory(text)
         return theories.compile_theory(ast, _parse_truncation(truncate),
-                                       cap=limits.generator_cap)
+                                       limits=limits)
     return presentations.stabilize(
-        presentations.parse_presentation_text(text),
-        cap=limits.generator_cap)
+        presentations.parse_presentation_text(text), limits=limits)
 
 
 def _parse_element_expr(p, text):
@@ -132,12 +132,12 @@ def cmd_frame(args, limits):
               args)
         return EXIT_OK
     if args.sub == "compact":
-        report = frames.is_compact_presentation(p, cap=limits.generator_cap)
+        report = frames.is_compact_presentation(p, limits=limits)
         _emit(report, args)
         return EXIT_OK
 
     if args.sub == "elements":
-        frame = frames.PresentedFrame(p, cap=limits.generator_cap)
+        frame = frames.PresentedFrame(p, limits=limits)
         elems, edges = frame.elements()
         names = {e: str(presentations.CIdeal(p, frame.cideal(e)))
                  for e in elems}
@@ -146,17 +146,17 @@ def cmd_frame(args, limits):
               args)
         return EXIT_OK
     if args.sub == "points":
-        pts = frames.PresentedFrame(p, cap=limits.generator_cap).points()
+        pts = frames.PresentedFrame(p, limits=limits).points()
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
     if args.sub == "hausdorff":
-        frame = frames.PresentedFrame(p, cap=limits.generator_cap)
+        frame = frames.PresentedFrame(p, limits=limits)
         # |f| = |D(J)|, counted before the elements are listed
-        frames.diagonal_cap(frame.count_downsets(), limits.coproduct_cap)
+        frames.diagonal_cap(frame.count_downsets(), limits)
         elems, _ = frame.elements()
         verdict, witness = frames.closed_diagonal(
             elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
-            cap=limits.coproduct_cap)
+            limits=limits)
         payload = {"hausdorff": verdict}
         if witness is not None:
             names = {e: str(presentations.CIdeal(p, frame.cideal(e)))
@@ -180,13 +180,13 @@ def cmd_theory(args, limits):
                "pretty": theories.pretty_print(ast)}, args)
         return EXIT_OK
     trunc = _parse_truncation(args.truncate)
-    p = theories.compile_theory(ast, trunc, cap=limits.generator_cap)
+    p = theories.compile_theory(ast, trunc, limits=limits)
     if args.sub == "compile":
         _emit({"generators": list(p.generators),
                "presentation": presentations.presentation_text(p)}, args)
         return EXIT_OK
     if args.sub == "models":
-        frame = frames.PresentedFrame(p, cap=limits.generator_cap)
+        frame = frames.PresentedFrame(p, limits=limits)
         ms = frame.points()
         _emit({"count": len(ms), "models": ms,
                "frame_nontrivial": frame.bottom != frame.top}, args)
@@ -198,12 +198,7 @@ def cmd_theory(args, limits):
 
 def cmd_stone(args, limits):
     with open(args.file) as fh:
-        text = fh.read()
-    # counted on the elements line, before the order and tables are built
-    size = len(set(order.read_poset_text(text)[0]))
-    if size > limits.poset_cap:
-        raise CapExceeded("lattice", size, limits.poset_cap)
-    lattice = order.parse_lattice_text(text)
+        lattice = order.parse_lattice_text(fh.read(), limits=limits)
     if args.sub == "spectrum":
         filters = order.prime_filters(lattice)
         _emit({"count": len(filters),
@@ -214,7 +209,8 @@ def cmd_stone(args, limits):
         _emit({"irreducibles": [str(e) for e in irr.elements],
                "irreducible_hasse": [[str(a), str(b)]
                                      for a, b in irr.hasse_edges()],
-               "downsets": len(order.enumerate_downsets(irr)),
+               # birkhoff_iso checked both round trips: |D(J)| = |L|
+               "downsets": len(lattice.elements),
                "isomorphism_verified": True}, args)
         return EXIT_OK
     raise ParseError(f"unknown stone subcommand {args.sub!r}")
@@ -249,12 +245,10 @@ def _enclosure_payload(enc, cover, args):
 def cmd_evt(args, limits):
     e = reals.parse_expr(args.expr)
     d = reals.parse_domain(args.domain)
-    budget = (args.budget if args.budget is not None
-              else limits.bnb_node_budget)
     if args.sub == "max":
         eps = reals.parse_rat(args.eps)
         try:
-            enc, cover = evtmod.evt_maximize(e, d, eps, node_budget=budget)
+            enc, cover = evtmod.evt_maximize(e, d, eps, limits=limits)
         except BudgetExhausted as exc:
             enc, cover = exc.partial
             payload = _enclosure_payload(enc, cover, args)
@@ -265,7 +259,7 @@ def cmd_evt(args, limits):
         return EXIT_OK
     if args.sub == "locate":
         p, q = reals.parse_rat(args.p), reals.parse_rat(args.q)
-        branch = evtmod.locate(e, d, p, q, max_budget=budget)
+        branch = evtmod.locate(e, d, p, q, limits=limits)
         if isinstance(branch, evtmod.LeftBranch):
             _emit({"branch": "left", "claim": f"{reals.rat_str(p)} < max",
                    "witness": _interval_pair(branch.witness),
@@ -278,7 +272,7 @@ def cmd_evt(args, limits):
         return EXIT_OK
     if args.sub == "validate":
         eps = reals.parse_rat(args.eps)
-        enc, cover = evtmod.evt_maximize(e, d, eps, node_budget=budget)
+        enc, cover = evtmod.evt_maximize(e, d, eps, limits=limits)
         rng = random.Random(args.seed)
         probes = []
         lo, hi = enc.lower - 1, enc.upper + 1
@@ -286,7 +280,7 @@ def cmd_evt(args, limits):
             a = lo + (hi - lo) * Fraction(rng.randrange(0, 1000), 1000)
             b = a + Fraction(rng.randrange(1, 1000), 1000)
             probes.append((a, b))
-        report = evtmod.cut_validate(enc, probes, e, d)
+        report = evtmod.cut_validate(enc, probes, e, d, limits=limits)
         _emit({"ok": report["ok"], "probes": report["probes"],
                "failures": [json.dumps(f, sort_keys=True)
                             for f in report["failures"]],
@@ -372,6 +366,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         limits = load_limits()
+        if getattr(args, "budget", None) is not None:
+            limits = dataclasses.replace(limits, bnb_node_budget=args.budget)
         if args.command == "frame":
             return cmd_frame(args, limits)
         if args.command == "theory":

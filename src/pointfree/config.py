@@ -3,7 +3,9 @@
 All enumerative operations in the package grow exponentially, so every
 module consults a single Limits record instead of hard-coding caps.  The
 defaults can be overridden by a JSON file named by the POINTFREE_CONFIG
-environment variable, or per call via keyword arguments.
+environment variable.  A function that enforces a cap or budget takes the
+whole record as its `limits` keyword (DEFAULT when omitted) and reads its
+own field.
 """
 
 import json

@@ -25,7 +25,7 @@ class DedekindEnclosure:
     upper: Fraction
     eps: Fraction
     nodes_expanded: int
-    trace: tuple  # ((lower_k, upper_k), ...) per expansion step, or ()
+    trace: tuple  # ((lower_k, upper_k), ...) per expansion step
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -55,13 +55,13 @@ def _push(heap, e, box, floor):
     return bounds
 
 
-def evt_maximize(e, d, eps, node_budget=None, keep_trace=True):
-    """Enclose max of e over d within eps; returns (enclosure, cover)."""
+def evt_maximize(e, d, eps, limits=DEFAULT):
+    """Enclose max of e over d within eps, expanding at most
+    bnb_node_budget nodes; returns (enclosure, cover)."""
     eps = Fraction(eps)
     if eps <= 0:
         raise PointfreeError("eps must be strictly positive")
-    node_budget = (node_budget if node_budget is not None
-                   else DEFAULT.bnb_node_budget)
+    node_budget = limits.bnb_node_budget
     heap = []
     lower = None
     for box in d.components:
@@ -70,7 +70,6 @@ def evt_maximize(e, d, eps, node_budget=None, keep_trace=True):
     for box in d.components:
         _push(heap, e, box, lower)
     nodes = 0
-    trace = []
 
     def upper_now():
         while heap and -heap[0][0] < lower:
@@ -78,8 +77,7 @@ def evt_maximize(e, d, eps, node_budget=None, keep_trace=True):
         return -heap[0][0] if heap else lower
 
     upper = upper_now()
-    if keep_trace:
-        trace.append((lower, upper))
+    trace = [(lower, upper)]
     while upper - lower > eps:
         if nodes >= node_budget:
             raise BudgetExhausted(
@@ -94,8 +92,7 @@ def evt_maximize(e, d, eps, node_budget=None, keep_trace=True):
         _push(heap, e, RatInterval(box.lo, mid), lower)
         _push(heap, e, RatInterval(mid, box.hi), lower)
         upper = upper_now()
-        if keep_trace:
-            trace.append((lower, upper))
+        trace.append((lower, upper))
 
     # refine the surviving boxes to the cover's width bound
     delta = _rat_sqrt_upper(eps)
@@ -132,8 +129,7 @@ def evt_maximize(e, d, eps, node_budget=None, keep_trace=True):
         push(RatInterval(mid, box.hi))
     survivors = [b for b in survivors if eval_interval(e, b).hi >= lower]
     upper = min(upper, max(eval_interval(e, b).hi for b in survivors))
-    if keep_trace:
-        trace.append((lower, upper))
+    trace.append((lower, upper))
     enc = DedekindEnclosure(lower, upper, eps, nodes, tuple(trace))
     cover = MaximizerCover(tuple(sorted(survivors,
                                         key=lambda b: (b.lo, b.hi))), delta)
@@ -218,21 +214,20 @@ class RightBranch:
     pieces: tuple
 
 
-def locate(e, d, p, q, initial_budget=1, max_budget=None):
+def locate(e, d, p, q, limits=DEFAULT):
     """Constructive locatedness: decide p < max or max < q with certificates.
 
     Alternates positivity searches against p and cover searches against the
-    midpoint q' = (p+q)/2 with doubling budgets.  Some branch must certify:
+    midpoint q' = (p+q)/2 with budgets doubling from 1 until they pass
+    bnb_node_budget.  Some branch must certify:
     if the maximum exceeds p a witness box eventually appears, and otherwise
     the maximum is below q', so a finite subdivision eventually certifies it.
     """
     p, q = Fraction(p), Fraction(q)
     if p >= q:
         raise PointfreeError("locate needs p < q")
-    max_budget = (max_budget if max_budget is not None
-                  else DEFAULT.bnb_node_budget)
     threshold = (p + q) / 2
-    budget = initial_budget
+    budget = 1
     while True:
         w = positive_witness(e, d, p, budget)
         if w is not None:
@@ -240,14 +235,15 @@ def locate(e, d, p, q, initial_budget=1, max_budget=None):
         c = cover_certificate(e, d, threshold, budget)
         if c is not None:
             return RightBranch(q, threshold, tuple(c))
-        if budget > max_budget:
-            raise BudgetExhausted(
-                f"locate budget {max_budget} exhausted for ({p}, {q})")
+        if budget > limits.bnb_node_budget:
+            raise BudgetExhausted(f"locate budget {limits.bnb_node_budget} "
+                                  f"exhausted for ({p}, {q})")
         budget *= 2
 
 
-def cut_validate(enc, probes, e, d):
-    """Cross-examine an enclosure with locate dichotomies.
+def cut_validate(enc, probes, e, d, limits=DEFAULT):
+    """Cross-examine an enclosure with locate dichotomies, each on the
+    bnb_node_budget of limits.
 
     For each probe (p, q) with p < q, the returned branch must be consistent
     with the enclosure: a left branch (p < max) requires p < upper, a right
@@ -261,7 +257,7 @@ def cut_validate(enc, probes, e, d):
         if p >= q:
             failures.append({"probe": k, "reason": "p >= q"})
             continue
-        branch = locate(e, d, p, q)
+        branch = locate(e, d, p, q, limits=limits)
         if isinstance(branch, LeftBranch):
             if eval_interval(e, branch.witness).lo <= p:
                 failures.append({"probe": k, "reason": "left certificate "

@@ -42,8 +42,8 @@ class PresentedFrame:
     read off J without building the lattice or its tables.
     """
 
-    def __init__(self, p, cap=None):
-        self.presentation = p = stabilize(p, cap=cap)
+    def __init__(self, p, limits=DEFAULT):
+        self.presentation = p = stabilize(p, limits=limits)
         self.closure = h = p.closure
         self.bottom, self.top = h.bottom, h.top
         self.saturate, self.cideal = h.saturate, h.cideal
@@ -156,13 +156,13 @@ class PresentedFrame:
         return out
 
 
-def enumerate_frame(p, cap=None):
+def enumerate_frame(p, limits=DEFAULT):
     """The finite frame of all C-ideals of a presentation.
 
     Returns (frame, gen_map) where frame elements are frozensets of formal
     meets and gen_map sends each generator to its frame element.
     """
-    pf = PresentedFrame(p, cap=cap)
+    pf = PresentedFrame(p, limits=limits)
     masks, _ = pf.elements()
     elems = [pf.cideal(m) for m in masks]
     mask_of = dict(zip(elems, masks))
@@ -420,7 +420,7 @@ def preimage_congruence(h, c):
 
 # --- coproducts / tensor ------------------------------------------------------
 
-def coproduct(f, g, cap=None):
+def coproduct(f, g, limits=DEFAULT):
     """Frame coproduct f ⊕ g ≅ D(J(f) × J(g)), the downsets of the product of
     the join-irreducible posets (finite frames are spatial; Johnstone,
     *Stone Spaces*).
@@ -431,10 +431,9 @@ def coproduct(f, g, cap=None):
     the J-parts.  Returns (tensor, inj1, inj2, rect) with the two coproduct
     injections and the basic-rectangle map rect(u, v) = u ⊕ v.
     """
-    cap = cap if cap is not None else DEFAULT.coproduct_cap
-    if len(f.elements) * len(g.elements) > cap:
-        raise CapExceeded("coproduct carrier",
-                          len(f.elements) * len(g.elements), cap)
+    size = len(f.elements) * len(g.elements)
+    if size > limits.coproduct_cap:
+        raise CapExceeded("coproduct carrier", size, limits.coproduct_cap)
     jf, jg = join_irreducibles(f), join_irreducibles(g)
     below_f = {u: [j for j in jf.elements if f.le(j, u)] for u in f.elements}
     below_g = {v: [k for k in jg.elements if g.le(k, v)] for v in g.elements}
@@ -460,22 +459,22 @@ def coproduct(f, g, cap=None):
 
 # --- Hausdorff ----------------------------------------------------------------
 
-def diagonal_hom(f, cap=None):
+def diagonal_hom(f, limits=DEFAULT):
     """The codiagonal u ⊕ v ↦ u ∧ v from f ⊕ f to f."""
-    tensor, inj1, inj2, rect = coproduct(f, f, cap=cap)
+    tensor, inj1, inj2, rect = coproduct(f, f, limits=limits)
     mapping = {d: f.join_all(f.meet(u, v) for (u, v) in sorted(d, key=sort_key))
                for d in tensor.elements}
     return tensor, FrameHom(tensor, f, mapping)
 
 
-def diagonal_cap(size, cap):
+def diagonal_cap(size, limits=DEFAULT):
     """Refuse the closed-diagonal check on a frame of `size` elements when
     the carrier f × f of its witness exceeds the coproduct cap."""
-    if size ** 2 > cap:
-        raise CapExceeded("coproduct carrier", size ** 2, cap)
+    if size ** 2 > limits.coproduct_cap:
+        raise CapExceeded("coproduct carrier", size ** 2, limits.coproduct_cap)
 
 
-def closed_diagonal(elements, join_primes, le, meet, bottom, cap=None):
+def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):
     """Whether the diagonal of f ⊕ f is closed, from the join-primes J of f.
     Returns (verdict, witness or None).
 
@@ -487,23 +486,22 @@ def closed_diagonal(elements, join_primes, le, meet, bottom, cap=None):
     u ∧ v = ⊥.  It is a subset of f × f, so |f|² is held to the coproduct
     cap (diagonal_cap).
     """
-    diagonal_cap(len(elements),
-                 cap if cap is not None else DEFAULT.coproduct_cap)
+    diagonal_cap(len(elements), limits)
     if any(a != b and le(a, b) for a in join_primes for b in join_primes):
         return False, None
     return True, frozenset((u, v) for u in elements for v in elements
                            if meet(u, v) == bottom)
 
 
-def is_hausdorff(f, cap=None):
+def is_hausdorff(f, limits=DEFAULT):
     """Closed diagonal: (verdict, witness or None), see closed_diagonal."""
     return closed_diagonal(f.elements, join_irreducibles(f).elements, f.le,
-                           f.meet, f.bottom, cap=cap)
+                           f.meet, f.bottom, limits=limits)
 
 
-def has_open_diagonal(f, cap=None):
+def has_open_diagonal(f, limits=DEFAULT):
     """A finite frame has an open diagonal exactly when it is Hausdorff."""
-    return is_hausdorff(f, cap=cap)[0]
+    return is_hausdorff(f, limits=limits)[0]
 
 
 # --- positivity / compactness --------------------------------------------------
@@ -536,7 +534,7 @@ EXHAUSTIVE_COVER_SCAN = 12  # frames up to this size scan every subset
 COVER_SAMPLES = 200         # seeded join-closed covers for larger frames
 
 
-def is_compact_presentation(p, cap=None):
+def is_compact_presentation(p, limits=DEFAULT):
     """Compactness certificate for a (finitary) presentation.
 
     Every cover rule here has a finite right side, which is the hypothesis
@@ -547,7 +545,7 @@ def is_compact_presentation(p, cap=None):
     pseudo-random join-closed covers otherwise.
     """
     report = {"compact": True, "certificate": "all covers finitary"}
-    frame = PresentedFrame(p, cap=cap)
+    frame = PresentedFrame(p, limits=limits)
     elems, _ = frame.elements()
 
     def join_all(s):

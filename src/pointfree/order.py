@@ -236,11 +236,10 @@ def enumerate_downsets(poset):
     return sorted(downs, key=sort_key)
 
 
-def downset_lattice(p, cap=None):
+def downset_lattice(p, limits=DEFAULT):
     """The lattice of downsets of p ordered by inclusion."""
-    cap = cap if cap is not None else DEFAULT.poset_cap
-    if len(p.elements) > cap:
-        raise CapExceeded("poset", len(p.elements), cap)
+    if len(p.elements) > limits.poset_cap:
+        raise CapExceeded("poset", len(p.elements), limits.poset_cap)
     downs = enumerate_downsets(p)
     leq = [(a, b) for a in downs for b in downs if a <= b]
     return DistLattice(downs, leq,
@@ -260,11 +259,10 @@ def kfin_join(lattice, s):
 class FreeJoinSemilattice:
     """P_fin(G) under union: the free join-semilattice on a finite set."""
 
-    def __init__(self, generators, cap=None):
-        cap = cap if cap is not None else DEFAULT.poset_cap
+    def __init__(self, generators, limits=DEFAULT):
         gens = canon(generators)
-        if len(gens) > cap:
-            raise CapExceeded("generator set", len(gens), cap)
+        if len(gens) > limits.poset_cap:
+            raise CapExceeded("generator set", len(gens), limits.poset_cap)
         self.generators = gens
         elems = [frozenset(c) for n in range(len(gens) + 1)
                  for c in combinations(gens, n)]
@@ -337,11 +335,10 @@ def prime_filters(l):
                    for j in join_irreducibles(l).elements), key=sort_key)
 
 
-def ideal_completion(l, cap=None):
+def ideal_completion(l, limits=DEFAULT):
     """Lattice of all ideals of l, plus the principal-ideal isomorphism."""
-    cap = cap if cap is not None else DEFAULT.poset_cap
-    if len(l.elements) > cap:
-        raise CapExceeded("lattice", len(l.elements), cap)
+    if len(l.elements) > limits.poset_cap:
+        raise CapExceeded("lattice", len(l.elements), limits.poset_cap)
     ideals = []
     for d in enumerate_downsets(l.as_poset()):
         if l.bottom not in d:
@@ -398,9 +395,13 @@ def parse_poset_text(text):
         raise ParseError(str(exc))
 
 
-def parse_lattice_text(text, check_distributive=True):
+def parse_lattice_text(text, check_distributive=True, limits=DEFAULT):
     """A DistLattice from the poset text format; meets and joins are computed
-    from the order and must exist uniquely."""
+    from the order and must exist uniquely.  The names on the elements line
+    are counted against poset_cap before the order and tables are built."""
+    size = len(set(read_poset_text(text)[0]))
+    if size > limits.poset_cap:
+        raise CapExceeded("lattice", size, limits.poset_cap)
     p = parse_poset_text(text)
     return DistLattice(p.elements, p.leq,
                        check_distributive=check_distributive)

@@ -68,12 +68,12 @@ class FramePresentation:
         return HornClosure(self)
 
 
-def stabilize(p, cap=None):
+def stabilize(p, limits=DEFAULT):
     """Meet-stabilize: close the rules under meeting both sides with every
     formal meet.  Idempotent; required by all C-ideal operations."""
-    cap = cap if cap is not None else DEFAULT.generator_cap
-    if len(p.generators) > cap:
-        raise CapExceeded("generators", len(p.generators), cap)
+    if len(p.generators) > limits.generator_cap:
+        raise CapExceeded("generators", len(p.generators),
+                          limits.generator_cap)
     if p.stabilized:
         return p
     rules = set(p.covers)

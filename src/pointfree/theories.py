@@ -387,15 +387,14 @@ def _resolve_bound(b, trunc):
     return n
 
 
-def compile_theory(ast, trunc=None, cap=None):
+def compile_theory(ast, trunc=None, limits=DEFAULT):
     """Instantiate every schema over its finite index ranges and stabilize."""
     trunc = trunc or {}
-    cap = cap if cap is not None else DEFAULT.generator_cap
     bounds = [[_resolve_bound(b, trunc) for b in f.bounds]
               for f in ast.families]
     count = sum(prod(bs) for bs in bounds)  # checked before naming any
-    if count > cap:
-        raise CapExceeded("generators", count, cap)
+    if count > limits.generator_cap:
+        raise CapExceeded("generators", count, limits.generator_cap)
     gens = [generator_name(f.name, idx) for f, bs in zip(ast.families, bounds)
             for idx in product(*map(range, bs))]
     if len(set(gens)) != len(gens):
@@ -418,7 +417,7 @@ def compile_theory(ast, trunc=None, cap=None):
                 rhs |= {frozenset(_atom_gen(a, jenv) for a in c)
                         for c in ax.rhs}
             covers.add((lhs, frozenset(rhs)))
-    return stabilize(FramePresentation.make(gens, covers), cap=cap)
+    return stabilize(FramePresentation.make(gens, covers), limits=limits)
 
 
 def _subst(i, env):
@@ -429,11 +428,11 @@ def _atom_gen(atom, env):
     return generator_name(atom.name, [_subst(i, env) for i in atom.indices])
 
 
-def models(ast, trunc=None, cap=None):
+def models(ast, trunc=None, limits=DEFAULT):
     """Points of the compiled frame, read back as truth assignments."""
-    p = compile_theory(ast, trunc=trunc, cap=cap)
+    p = compile_theory(ast, trunc=trunc, limits=limits)
     return [{g: g in true for g in p.generators}
-            for true in PresentedFrame(p, cap=cap).points()]
+            for true in PresentedFrame(p, limits=limits).points()]
 
 
 # --- builtin theories ---------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 from conftest import cantor_presentation, three_chain
 from test_order import all_posets
 
+from pointfree.config import Limits
 from pointfree.evt import cut_validate, evt_maximize
 from pointfree.frames import (closed_congruence, congruence_generate,
                               congruence_intersection, congruence_join,
@@ -153,7 +154,8 @@ def test_criterion_4_point_counts():
     assert len(models(builtin("sierpinski"))) == 2
     for n in (1, 2, 3):
         assert len(models(builtin("cantor"), trunc={"N": n})) == 2 ** n
-    assert len(models(builtin("stone", lattice=three_chain()), cap=16)) == 2
+    assert len(models(builtin("stone", lattice=three_chain()),
+                      limits=Limits(generator_cap=16))) == 2
     assert len(models(builtin("surjection", n=2, x=2))) == 2
     # with one input and two required outputs the theory is finitely
     # inconsistent: zero models, and the compiled frame collapses to a

@@ -220,13 +220,43 @@ def test_exit_code_cap_exceeded(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
-def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch):
+VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
+            "--eps", "1"]
+
+
+@pytest.mark.parametrize("field, value, argv, code, message", [
+    pytest.param("generator_cap", 4, ["frame", "elements", THY / "cantor.thy",
+                                      "--truncate", "N=3"], 2,
+                 "generators has size 6, exceeding cap 4\n",
+                 id="generator_cap"),
+    pytest.param("poset_cap", 2, ["stone", "spectrum", THY / "chain3.lat"], 2,
+                 "lattice has size 3, exceeding cap 2\n", id="poset_cap"),
+    pytest.param("coproduct_cap", 1, ["frame", "hausdorff",
+                                      THY / "cantor1.pres"], 2,
+                 "coproduct carrier has size 16, exceeding cap 1\n",
+                 id="coproduct_cap"),
+    pytest.param("bnb_node_budget", 1, VALIDATE, 3,
+                 "locate budget 1 exhausted for ", id="bnb_node_budget")])
+def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch, field,
+                                   value, argv, code, message):
+    """Every Limits field set in POINTFREE_CONFIG reaches the code that
+    enforces it."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"generator_cap": 4}))
+    cfg.write_text(json.dumps({field: value}))
     monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
-    code, _, err = run(capsys, "frame", "elements", THY / "cantor.thy",
-                       "--truncate", "N=3")
-    assert code == 2
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_validate_budget_bounds_every_probe(capsys):
+    """--budget bounds the locate run of each probe, not only the maximizer
+    (the same budget set in POINTFREE_CONFIG is a case above)."""
+    assert run(capsys, *VALIDATE)[0] == 0
+    code, out, err = run(capsys, *VALIDATE, "--budget", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: locate budget 1 exhausted for ")
+    assert err.count("\n") == 1
 
 
 def run_timed(capsys, *argv):

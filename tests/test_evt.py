@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pointfree.config import Limits
 from pointfree.errors import BudgetExhausted, PointfreeError
 from pointfree.evt import (DedekindEnclosure, LeftBranch, MaximizerCover,
                            RightBranch, _rat_sqrt_upper, cover_certificate,
@@ -31,7 +32,8 @@ def test_exhausted_cover_keeps_the_box_being_refined():
     e = parse_expr("max(x*(1-x), 1/4 - (x-1/4)^2)")
     _, full = evt_maximize(e, UNIT, F(1, 10000))
     with pytest.raises(BudgetExhausted) as err:
-        evt_maximize(e, UNIT, F(1, 10000), node_budget=237)
+        evt_maximize(e, UNIT, F(1, 10000),
+                     limits=Limits(bnb_node_budget=237))
     enc, partial = err.value.partial
     assert enc.nodes_expanded == 237
     for b in full.intervals:
@@ -115,7 +117,7 @@ def test_evt_rejects_bad_eps():
 def test_evt_budget_exhaustion_reports_partial_enclosure():
     with pytest.raises(BudgetExhausted) as err:
         evt_maximize(parse_expr("x*(1 - x)"), UNIT, F(1, 10 ** 6),
-                     node_budget=20)
+                     limits=Limits(bnb_node_budget=20))
     enc, cover = err.value.partial
     assert enc.lower <= F(1, 4) <= enc.upper
     assert enc.nodes_expanded <= 20
@@ -189,10 +191,10 @@ def test_locate_rejects_bad_interval():
 def test_locate_budget_exhaustion():
     # p equals the maximum: no witness ever clears p and no cover fits below
     # (p+q)/2 when q is close enough... here q generous so the right branch
-    # fires; instead force exhaustion with a tiny max_budget on a straddle
+    # fires; instead force exhaustion with a tiny budget on a straddle
     with pytest.raises(BudgetExhausted):
         locate(parse_expr("x*(1 - x)"), UNIT, F(1, 4) - F(1, 10 ** 9),
-               F(1, 4) + F(1, 10 ** 9), max_budget=4)
+               F(1, 4) + F(1, 10 ** 9), limits=Limits(bnb_node_budget=4))
 
 
 # --- validation -----------------------------------------------------------------------
@@ -224,3 +226,13 @@ def test_cut_validate_flags_bad_trace():
                             ((F(0), F(1)), (F(0), F(2))))
     report = cut_validate(enc, [], parse_expr("x"), UNIT)
     assert not report["trace_monotone"] and not report["ok"]
+
+
+def test_cut_validate_probes_keep_the_budget():
+    """Each probe's locate runs on the bnb_node_budget it is given."""
+    e = parse_expr("x*(1 - x)")
+    enc, _ = evt_maximize(e, UNIT, F(1))
+    probes = [(F(173, 400), F(949, 2000))]
+    assert cut_validate(enc, probes, e, UNIT)["ok"]
+    with pytest.raises(BudgetExhausted, match="locate budget 1 exhausted"):
+        cut_validate(enc, probes, e, UNIT, limits=Limits(bnb_node_budget=1))

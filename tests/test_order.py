@@ -1,11 +1,13 @@
 """Finite order theory: downsets, Birkhoff duality, prime filters, ideals."""
 
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
+from pointfree.config import DEFAULT
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
 from pointfree.order import (DistLattice, FreeJoinSemilattice, Ideal, KFinSet,
@@ -268,6 +270,18 @@ def test_parse_lattice_text_distributivity_check():
           "leq: 0<a 0<b 0<c a<1 b<1 c<1\n")
     with pytest.raises(NotDistributive):
         parse_lattice_text(m3)
+
+
+def test_parse_lattice_text_refuses_before_building():
+    """The elements line is counted against poset_cap before the O(n^4)
+    order and table build, which takes tens of seconds at 150 elements."""
+    chain150 = ("elements: " + " ".join(f"c{i}" for i in range(150))
+                + "\nleq: " + " ".join(f"c{i}<c{i + 1}" for i in range(149)))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        parse_lattice_text(chain150)
+    assert time.perf_counter() - start < 5
+    assert (err.value.size, err.value.cap) == (150, DEFAULT.poset_cap)
 
 
 def test_json_export_fields():

@@ -4,6 +4,7 @@ compilation to presentations, models, and the builtin theories."""
 import pytest
 
 from conftest import cantor_presentation, three_chain, boolean4
+from pointfree.config import Limits
 from pointfree.errors import CapExceeded, ParseError
 from pointfree.frames import FrameHom, enumerate_frame
 from pointfree.order import prime_filters
@@ -136,7 +137,7 @@ def test_generator_name_collision_detected():
     src = ("prop p[i][v] for i<11, v<2;\n"
            "prop p1_1;\n")
     with pytest.raises(ParseError) as err:
-        compile_theory(parse_theory(src), cap=32)
+        compile_theory(parse_theory(src), limits=Limits(generator_cap=32))
     assert "collide" in str(err.value)
 
 
@@ -233,7 +234,7 @@ def test_stone_prop_name_sanitizes():
 def test_builtin_stone_models_are_prime_filters(make):
     lat = make()
     ast = builtin("stone", lattice=lat)
-    ms = models(ast, cap=16)
+    ms = models(ast, limits=Limits(generator_cap=16))
     got = {frozenset(e for e in lat.elements if m[stone_prop_name(e)])
            for m in ms}
     assert got == set(prime_filters(lat))
