@@ -1,6 +1,7 @@
-"""Finite frames: enumeration of presented frames, points, congruences,
-open/closed sublocales, quotients, coproducts (tensor products) and the
-Hausdorff / overtness / compactness checks."""
+"""Finite frames: enumeration of presented frames, points, congruences as
+subsets of the join-irreducibles (open/closed sublocales, quotients),
+coproducts (tensor products) and the Hausdorff / overtness / compactness
+checks."""
 
 import functools
 import random
@@ -10,7 +11,7 @@ from itertools import combinations, product
 from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
 from .order import (DistLattice, KFinSet, Poset, canon, enumerate_downsets,
-                    is_directed, join_irreducibles, prime_filters, sort_key)
+                    is_directed, prime_filters, sort_key)
 from .presentations import meet_key, set_bits, stabilize
 
 
@@ -217,120 +218,118 @@ def two_element_frame():
 
 @dataclass(frozen=True)
 class Congruence:
+    """θ_S for a set S ⊆ J of join-irreducibles: u θ_S v ⇔ ↓u ∩ S = ↓v ∩ S,
+    whose sublocale is D(S).  S ↦ θ_S is an isomorphism from 2^J onto the
+    Boolean algebra of congruences of a finite frame (Grätzer, *Lattice
+    Theory: Foundation*; Picado & Pultr, *Frames and Locales*), so S is the
+    whole congruence: intersection is S₁ ∪ S₂ and join is S₁ ∩ S₂."""
+
     frame: FiniteFrame
-    classes: tuple  # sorted tuple of frozensets partitioning the elements
+    kept: frozenset  # S ⊆ J
 
     def __post_init__(self):
-        seen = set()
-        for cls in self.classes:
-            seen |= cls
-        if seen != set(self.frame.elements):
-            raise PointfreeError("classes do not partition the frame")
+        if not self.kept <= self.frame.lower_covers.keys():
+            raise PointfreeError("kept elements must be join-irreducible")
 
     @classmethod
     def from_partition(cls, frame, classes):
-        return cls(frame, tuple(sorted((frozenset(c) for c in classes),
-                                       key=sort_key)))
+        label = {u: i for i, c in enumerate(classes) for u in c}
+        if set(label) != set(frame.elements):
+            raise PointfreeError("classes do not partition the frame")
+        return cls.from_map(frame, label.__getitem__)
 
     @classmethod
     def from_map(cls, frame, fn):
-        buckets = {}
-        for u in frame.elements:
-            buckets.setdefault(fn(u), set()).add(u)
-        return cls.from_partition(frame, buckets.values())
+        """The kernel of fn, which must be a congruence: θ_S keeps exactly
+        the j that fn separates from their lower cover j⁻."""
+        val = {u: fn(u) for u in frame.elements}
+        c = cls(frame, frozenset(j for j, lower in frame.lower_covers.items()
+                                 if val[j] != val[lower]))
+        fibres = {(v, c.trace(u)) for u, v in val.items()}
+        if not len(fibres) == len(set(val.values())) == len(c.classes):
+            raise PointfreeError("not a congruence: its kernel is no θ_S")
+        return c
+
+    def trace(self, u):
+        """↓u ∩ S, which names u's class."""
+        return self.kept & _j_below(self.frame, u)
+
+    @property
+    def classes(self):
+        """Sorted by size, then by element positions (sort_key order)."""
+        elems, buckets = self.frame.elements, {}
+        for i, u in enumerate(elems):
+            buckets.setdefault(self.trace(u), []).append(i)
+        return tuple(frozenset(elems[i] for i in c) for c in
+                     sorted(buckets.values(), key=lambda c: (len(c), c)))
 
     def class_of(self, u):
-        for c in self.classes:
-            if u in c:
-                return c
-        raise PointfreeError(f"unknown element {u!r}")
+        t = self.trace(u)
+        return frozenset(v for v in self.frame.elements if self.trace(v) == t)
 
     def related(self, u, v):
-        return v in self.class_of(u)
+        return self.trace(u) == self.trace(v)
 
     def largest(self, u):
-        """Largest element of u's class (exists for frame congruences)."""
-        c = self.class_of(u)
-        top = self.frame.join_all(sorted(c, key=sort_key))
-        if top not in c:
-            raise PointfreeError("class has no largest element")
-        return top
+        """Largest element of u's class: ⋁ of the j with ↓j ∩ S ⊆ ↓u ∩ S."""
+        t = self.trace(u)
+        return self.frame.join_all(j for j in self.frame.lower_covers
+                                   if self.trace(j) <= t)
 
     def is_identity(self):
-        return all(len(c) == 1 for c in self.classes)
+        return self.kept == self.frame.lower_covers.keys()
 
     def is_all_pairs(self):
-        return len(self.classes) == 1
+        return not self.kept
 
     def witness_pairs(self):
-        """Enough related pairs to regenerate the congruence."""
-        pairs = []
-        for c in self.classes:
-            members = sorted(c, key=sort_key)
-            pairs.extend(zip(members, members[1:]))
-        return pairs
+        """Pairs that generate the congruence: (j⁻, j) for each j not kept."""
+        return [(lower, j) for j, lower in self.frame.lower_covers.items()
+                if j not in self.kept]
+
+
+def _j_below(f, u):
+    """J ∩ ↓u."""
+    if u not in f._index:
+        raise PointfreeError(f"unknown element {u!r}")
+    return frozenset(j for j in f.lower_covers if f.le(j, u))
 
 
 def identity_congruence(f):
-    return Congruence.from_partition(f, [{u} for u in f.elements])
+    return Congruence(f, frozenset(f.lower_covers))
 
 
 def all_pairs_congruence(f):
-    return Congruence.from_partition(f, [set(f.elements)])
+    return Congruence(f, frozenset())
 
 
 def congruence_generate(f, pairs):
-    """Least congruence containing the pairs: equivalence closure that is
-    also closed under meeting and joining both sides with any element."""
-    parent = {u: u for u in f.elements}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    work = list(pairs)
-    while work:
-        u, v = work.pop()
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if sort_key(rv) < sort_key(ru):
-            ru, rv = rv, ru
-        parent[rv] = ru
-        for w in f.elements:
-            work.append((f.meet(u, w), f.meet(v, w)))
-            work.append((f.join(u, w), f.join(v, w)))
-    buckets = {}
-    for u in f.elements:
-        buckets.setdefault(find(u), set()).add(u)
-    return Congruence.from_partition(f, buckets.values())
+    """Least congruence with u θ v for each pair: S = {j : j ≤ u ⇔ j ≤ v},
+    J minus the symmetric difference of J ∩ ↓u and J ∩ ↓v for every pair."""
+    return Congruence(f, frozenset(f.lower_covers).difference(
+        *(_j_below(f, u) ^ _j_below(f, v) for u, v in pairs)))
 
 
 def open_congruence(f, a):
-    """Kernel of u ↦ u ∧ a (the open sublocale at a)."""
-    return Congruence.from_map(f, lambda u: f.meet(u, a))
+    """Kernel of u ↦ u ∧ a (the open sublocale at a): S = J ∩ ↓a."""
+    return Congruence(f, _j_below(f, a))
 
 
 def closed_congruence(f, a):
-    """Kernel of u ↦ u ∨ a (the closed sublocale at a)."""
-    return Congruence.from_map(f, lambda u: f.join(u, a))
+    """Kernel of u ↦ u ∨ a (the closed sublocale at a): S = J minus ↓a."""
+    return Congruence(f, frozenset(f.lower_covers) - _j_below(f, a))
 
 
 def congruence_intersection(c1, c2):
     if c1.frame is not c2.frame:
         raise PointfreeError("congruences live on different frames")
-    f = c1.frame
-    return Congruence.from_map(
-        f, lambda u: (frozenset(c1.class_of(u)), frozenset(c2.class_of(u))))
+    return Congruence(c1.frame, c1.kept | c2.kept)
 
 
 def congruence_join(c1, c2):
     if c1.frame is not c2.frame:
         raise PointfreeError("congruences live on different frames")
-    return congruence_generate(c1.frame,
-                               c1.witness_pairs() + c2.witness_pairs())
+    return Congruence(c1.frame, c1.kept & c2.kept)
 
 
 def is_complementary(c1, c2):
@@ -339,18 +338,12 @@ def is_complementary(c1, c2):
 
 
 def quotient(f, c):
-    """Quotient frame on the largest class representatives, plus the hom."""
-    reps = sorted({c.largest(u) for u in f.elements}, key=sort_key)
+    """Quotient frame on the largest class representatives, plus the hom.
+    They are a nucleus's fixed points, so they keep f's order and meets."""
     rep_of = {u: c.largest(u) for u in f.elements}
-
-    def le(a, b):
-        return rep_of[f.join(a, b)] == b
-
-    q = frame_from_order(reps, le,
-                         lambda a, b: rep_of[f.meet(a, b)],
+    q = frame_from_order(set(rep_of.values()), f.le, f.meet,
                          lambda a, b: rep_of[f.join(a, b)])
-    hom = FrameHom(f, q, rep_of)
-    return q, hom
+    return q, FrameHom(f, q, rep_of)
 
 
 @dataclass(frozen=True)
@@ -407,7 +400,7 @@ def image_congruence(h, c):
     direction: h plays f*, so the image of a sublocale travels this way)."""
     if c.frame is not h.target:
         raise PointfreeError("congruence must live on the hom's target")
-    return Congruence.from_map(h.source, lambda u: frozenset(c.class_of(h(u))))
+    return Congruence.from_map(h.source, lambda u: c.trace(h(u)))
 
 
 def preimage_congruence(h, c):
@@ -434,13 +427,12 @@ def coproduct(f, g, limits=DEFAULT):
     size = len(f.elements) * len(g.elements)
     if size > limits.coproduct_cap:
         raise CapExceeded("coproduct carrier", size, limits.coproduct_cap)
-    jf, jg = join_irreducibles(f), join_irreducibles(g)
-    below_f = {u: [j for j in jf.elements if f.le(j, u)] for u in f.elements}
-    below_g = {v: [k for k in jg.elements if g.le(k, v)] for v in g.elements}
-    pairs = list(product(jf.elements, jg.elements))
-    jj = Poset(canon(pairs), frozenset(
-        (a, b) for a in pairs for b in pairs
-        if jf.le(a[0], b[0]) and jg.le(a[1], b[1])))
+    jf, jg = f.lower_covers, g.lower_covers
+    below_f = {u: [j for j in jf if f.le(j, u)] for u in f.elements}
+    below_g = {v: [k for k in jg if g.le(k, v)] for v in g.elements}
+    pairs = list(product(jf, jg))
+    jj = Poset(canon(pairs), frozenset((a, b) for a in pairs for b in pairs
+                                       if f.le(a[0], b[0]) and g.le(a[1], b[1])))
     of_downset = {d: frozenset((u, v) for u in f.elements for v in g.elements
                                if d.issuperset(product(below_f[u], below_g[v])))
                   for d in enumerate_downsets(jj)}
@@ -495,8 +487,8 @@ def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):
 
 def is_hausdorff(f, limits=DEFAULT):
     """Closed diagonal: (verdict, witness or None), see closed_diagonal."""
-    return closed_diagonal(f.elements, join_irreducibles(f).elements, f.le,
-                           f.meet, f.bottom, limits=limits)
+    return closed_diagonal(f.elements, f.lower_covers, f.le, f.meet,
+                           f.bottom, limits=limits)
 
 
 def has_open_diagonal(f, limits=DEFAULT):

@@ -6,6 +6,7 @@ immutable and enumerated exhaustively under the desk-scale caps in
 :mod:`pointfree.config`.
 """
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -164,6 +165,15 @@ class DistLattice:
     def le(self, a, b):
         return (a, b) in self._leq
 
+    @functools.cached_property
+    def lower_covers(self):
+        """J in element order, each j mapped to its unique lower cover
+        j⁻ = ⋁{x < j}: the j with j⁻ ≠ j, which rules out ⊥."""
+        below = {j: self.join_all(x for x in self.elements
+                                  if x != j and self.le(x, j))
+                 for j in self.elements}
+        return {j: lower for j, lower in below.items() if lower != j}
+
     def meet(self, a, b):
         return self.meet_table[a, b]
 
@@ -293,9 +303,7 @@ class FreeJoinSemilattice:
 def join_irreducibles(l):
     """Induced subposet of the nonbottom j that are not the join of the
     elements strictly below them, which is j = a∨b ⟹ j ∈ {a, b}."""
-    return l.subposet(j for j in l.elements if j != l.bottom
-                      and l.join_all(x for x in l.elements
-                                     if x != j and l.le(x, j)) != j)
+    return l.subposet(l.lower_covers)
 
 
 def birkhoff_iso(l):
@@ -332,7 +340,7 @@ def prime_filters(l):
     are exactly the join-irreducible ones.
     """
     return sorted((frozenset(b for b in l.elements if l.le(j, b))
-                   for j in join_irreducibles(l).elements), key=sort_key)
+                   for j in l.lower_covers), key=sort_key)
 
 
 def ideal_completion(l, limits=DEFAULT):

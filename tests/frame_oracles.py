@@ -8,19 +8,26 @@ oracles for them.
   C-ideals, the literal join-irreducible-and-prime points scan with its
   filter checks, and Hasse edges from the enumerated frame's Poset.  They
   run on the frozenset C-ideals of the fixpoint above, not on bitmasks.
+- For the congruences as subsets S of J (`frames.Congruence`): the
+  partition of all elements into classes, checked to cover the frame;
+  generation by union-find closed under meeting and joining both sides
+  with every element; open and closed congruences, intersection, image
+  and quotient as kernels of maps; join and preimage by generation.
+  None of it reads the frame's join-irreducibles.
 - For the join-prime coproduct and Hausdorff check: the suplattice-tensor
   fixpoint with pairwise join closure, and the search of f ⊕ f for a
-  closed (open) diagonal witness by comparing congruences.
+  closed (open) diagonal witness by comparing the partition congruences
+  above.
 - The literal subset scans behind positivity (u ≠ ⊥) and the frame law
   (binary distributivity).
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from pointfree.config import DEFAULT
 from pointfree.errors import CapExceeded, PointfreeError
-from pointfree.frames import (Congruence, FrameHom, closed_congruence,
-                              frame_from_order, open_congruence)
+from pointfree.frames import FiniteFrame, FrameHom, frame_from_order
 from pointfree.order import sort_key
 from pointfree.presentations import stabilize
 
@@ -113,6 +120,139 @@ def _check_point(f, filt):
         for b in filt:
             if f.meet(a, b) not in filt:
                 raise PointfreeError("point not meet closed")
+
+
+# --- congruences as partitions ----------------------------------------------------
+
+@dataclass(frozen=True)
+class Congruence:
+    frame: FiniteFrame
+    classes: tuple  # sorted tuple of frozensets partitioning the elements
+
+    def __post_init__(self):
+        seen = set()
+        for cls in self.classes:
+            seen |= cls
+        if seen != set(self.frame.elements):
+            raise PointfreeError("classes do not partition the frame")
+
+    @classmethod
+    def from_partition(cls, frame, classes):
+        return cls(frame, tuple(sorted((frozenset(c) for c in classes),
+                                       key=sort_key)))
+
+    @classmethod
+    def from_map(cls, frame, fn):
+        buckets = {}
+        for u in frame.elements:
+            buckets.setdefault(fn(u), set()).add(u)
+        return cls.from_partition(frame, buckets.values())
+
+    def class_of(self, u):
+        for c in self.classes:
+            if u in c:
+                return c
+        raise PointfreeError(f"unknown element {u!r}")
+
+    def largest(self, u):
+        """Largest element of u's class (exists for frame congruences)."""
+        c = self.class_of(u)
+        top = self.frame.join_all(sorted(c, key=sort_key))
+        if top not in c:
+            raise PointfreeError("class has no largest element")
+        return top
+
+    def is_identity(self):
+        return all(len(c) == 1 for c in self.classes)
+
+    def is_all_pairs(self):
+        return len(self.classes) == 1
+
+    def witness_pairs(self):
+        """Enough related pairs to regenerate the congruence."""
+        pairs = []
+        for c in self.classes:
+            members = sorted(c, key=sort_key)
+            pairs.extend(zip(members, members[1:]))
+        return pairs
+
+
+def congruence_generate(f, pairs):
+    """Least congruence containing the pairs: equivalence closure that is
+    also closed under meeting and joining both sides with any element."""
+    parent = {u: u for u in f.elements}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    work = list(pairs)
+    while work:
+        u, v = work.pop()
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        if sort_key(rv) < sort_key(ru):
+            ru, rv = rv, ru
+        parent[rv] = ru
+        for w in f.elements:
+            work.append((f.meet(u, w), f.meet(v, w)))
+            work.append((f.join(u, w), f.join(v, w)))
+    buckets = {}
+    for u in f.elements:
+        buckets.setdefault(find(u), set()).add(u)
+    return Congruence.from_partition(f, buckets.values())
+
+
+def open_congruence(f, a):
+    """Kernel of u ↦ u ∧ a."""
+    return Congruence.from_map(f, lambda u: f.meet(u, a))
+
+
+def closed_congruence(f, a):
+    """Kernel of u ↦ u ∨ a."""
+    return Congruence.from_map(f, lambda u: f.join(u, a))
+
+
+def congruence_intersection(c1, c2):
+    return Congruence.from_map(
+        c1.frame, lambda u: (c1.class_of(u), c2.class_of(u)))
+
+
+def congruence_join(c1, c2):
+    return congruence_generate(c1.frame,
+                               c1.witness_pairs() + c2.witness_pairs())
+
+
+def is_complementary(c1, c2):
+    return (congruence_intersection(c1, c2).is_identity()
+            and congruence_join(c1, c2).is_all_pairs())
+
+
+def quotient(f, c):
+    """Quotient frame on the largest class representatives, plus the hom."""
+    rep_of = {u: c.largest(u) for u in f.elements}
+
+    def le(a, b):
+        return rep_of[f.join(a, b)] == b
+
+    q = frame_from_order(set(rep_of.values()), le,
+                         lambda a, b: rep_of[f.meet(a, b)],
+                         lambda a, b: rep_of[f.join(a, b)])
+    return q, FrameHom(f, q, rep_of)
+
+
+def image_congruence(h, c):
+    """Kernel of u ↦ the class of h(u), on h's source."""
+    return Congruence.from_map(h.source, lambda u: c.class_of(h(u)))
+
+
+def preimage_congruence(h, c):
+    """Generated on h's target by the images of c's related pairs."""
+    return congruence_generate(h.target,
+                               [(h(u), h(v)) for u, v in c.witness_pairs()])
 
 
 # --- coproduct and Hausdorff by search -------------------------------------------

@@ -235,22 +235,53 @@ def test_image_preimage_examples(small_frames):
 
 
 def test_image_preimage_adjunction(small_frames):
-    """preimage(c) finer-or-equal d  iff  c finer-or-equal image(d)."""
+    """preimage(c) finer-or-equal d  iff  c finer-or-equal image(d), along
+    the quotient hom of every open and closed congruence, for every open
+    and closed congruence c on the source and d on the target."""
+    def refines(classes1, classes2):
+        return all(any(cls <= cls2 for cls2 in classes2) for cls in classes1)
+
+    def opens_and_closeds(f):
+        return [make(f, a) for a in f.elements
+                for make in (open_congruence, closed_congruence)]
+
+    for f in small_frames.values():
+        congs_src = opens_and_closeds(f)
+        src_classes = [c.classes for c in congs_src]
+        for by in congs_src:
+            q, hom = quotient(f, by)
+            tgt = [(d.classes, image_congruence(hom, d).classes)
+                   for d in opens_and_closeds(q)]
+            for c, c_classes in zip(congs_src, src_classes):
+                pre = preimage_congruence(hom, c).classes
+                for d_classes, image in tgt:
+                    assert refines(pre, d_classes) == \
+                        refines(c_classes, image)
+
+
+def test_partition_that_is_no_congruence_is_refused(small_frames):
     f = small_frames["chain3"]
-    q, hom = quotient(f, open_congruence(f, "m"))
+    with pytest.raises(PointfreeError, match="not a congruence"):
+        Congruence.from_partition(f, [{"0", "1"}, {"m"}])
+    with pytest.raises(PointfreeError, match="not a congruence"):
+        Congruence.from_map(f, lambda u: u == "m")
+    with pytest.raises(PointfreeError, match="do not partition"):
+        Congruence.from_partition(f, [{"0", "1"}])
+    c = Congruence.from_partition(f, [{"0", "m"}, {"1"}])
+    assert c.classes == closed_congruence(f, "m").classes
 
-    def refines(c1, c2):
-        return all(any(cls <= cls2 for cls2 in c2.classes)
-                   for cls in c1.classes)
 
-    congs_src = [identity_congruence(f), all_pairs_congruence(f)] + \
-        [closed_congruence(f, a) for a in f.elements]
-    congs_tgt = [identity_congruence(q), all_pairs_congruence(q)] + \
-        [open_congruence(q, a) for a in q.elements]
-    for c in congs_src:
-        for d in congs_tgt:
-            assert refines(preimage_congruence(hom, c), d) == \
-                refines(c, image_congruence(hom, d))
+def test_unknown_elements_are_refused_by_related_and_class_of(small_frames):
+    f = small_frames["chain3"]
+    c = open_congruence(f, "m")
+    for call in (lambda: c.related("0", "x"), lambda: c.related("x", "0"),
+                 lambda: c.class_of("x"), lambda: c.largest("x"),
+                 lambda: congruence_generate(f, [("0", "x")]),
+                 lambda: open_congruence(f, "x"),
+                 lambda: closed_congruence(f, "x")):
+        with pytest.raises(PointfreeError, match="unknown element 'x'"):
+            call()
+    assert c.related("m", "1") and not c.related("0", "m")
 
 
 # --- coproducts ----------------------------------------------------------------------
