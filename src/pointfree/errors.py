@@ -8,8 +8,9 @@ class PointfreeError(Exception):
 class CapExceeded(PointfreeError):
     """An enumeration would exceed the configured desk-scale cap."""
 
-    def __init__(self, what, size, cap):
-        super().__init__(f"{what} has size {size}, exceeding cap {cap}")
+    def __init__(self, what, size, cap, field=None):
+        hint = "" if field is None else f" ({field})"
+        super().__init__(f"{what} has size {size}, exceeding cap {cap}{hint}")
         self.what = what
         self.size = size
         self.cap = cap

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT
-from .errors import BudgetExhausted, PointfreeError
-from .reals import RatInterval, eval_interval, eval_point
+from .errors import BudgetExhausted, CapExceeded, PointfreeError
+from .reals import RatInterval, degree, eval_interval, eval_point
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,15 @@ def _rat_sqrt_upper(q):
     return Fraction(math.isqrt(n) + 1, q.denominator)
 
 
+def _check_degree(e, limits):
+    """Refuse an expression whose syntactic degree passes degree_cap: its
+    exact values grow in bit size with the degree."""
+    deg = degree(e)
+    if deg > limits.degree_cap:
+        raise CapExceeded("expression degree", deg, limits.degree_cap,
+                          field="degree_cap")
+
+
 def _push(heap, e, box, floor):
     """Evaluate a box and add it to the live heap unless provably below
     the current lower bound."""
@@ -61,6 +70,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     eps = Fraction(eps)
     if eps <= 0:
         raise PointfreeError("eps must be strictly positive")
+    _check_degree(e, limits)
     node_budget = limits.bnb_node_budget
     heap = []
     lower = None
@@ -218,27 +228,28 @@ def locate(e, d, p, q, limits=DEFAULT):
     """Constructive locatedness: decide p < max or max < q with certificates.
 
     Alternates positivity searches against p and cover searches against the
-    midpoint q' = (p+q)/2 with budgets doubling from 1 until they pass
-    bnb_node_budget.  Some branch must certify:
+    midpoint q' = (p+q)/2 with budgets doubling from 1, the last round
+    capped at bnb_node_budget; a budget below 1 refuses before any
+    search.  Some branch must certify:
     if the maximum exceeds p a witness box eventually appears, and otherwise
     the maximum is below q', so a finite subdivision eventually certifies it.
     """
     p, q = Fraction(p), Fraction(q)
     if p >= q:
         raise PointfreeError("locate needs p < q")
+    _check_degree(e, limits)
     threshold = (p + q) / 2
-    budget = 1
-    while True:
+    limit = limits.bnb_node_budget
+    budget = 0
+    while budget < limit:
+        budget = min(2 * budget or 1, limit)
         w = positive_witness(e, d, p, budget)
         if w is not None:
             return LeftBranch(p, w, eval_interval(e, w).lo)
         c = cover_certificate(e, d, threshold, budget)
         if c is not None:
             return RightBranch(q, threshold, tuple(c))
-        if budget > limits.bnb_node_budget:
-            raise BudgetExhausted(f"locate budget {limits.bnb_node_budget} "
-                                  f"exhausted for ({p}, {q})")
-        budget *= 2
+    raise BudgetExhausted(f"locate budget {limit} exhausted for ({p}, {q})")
 
 
 def cut_validate(enc, probes, e, d, limits=DEFAULT):
@@ -250,6 +261,7 @@ def cut_validate(enc, probes, e, d, limits=DEFAULT):
     branch (max < q) requires lower < q.  Also re-checks every certificate
     and the monotonicity of the recorded bound trace.
     """
+    _check_degree(e, limits)
     probes = list(probes)
     failures = []
     for k, (p, q) in enumerate(probes):

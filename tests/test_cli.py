@@ -236,7 +236,10 @@ VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
                  "coproduct carrier has size 16, exceeding cap 1\n",
                  id="coproduct_cap"),
     pytest.param("bnb_node_budget", 1, VALIDATE, 3,
-                 "locate budget 1 exhausted for ", id="bnb_node_budget")])
+                 "locate budget 1 exhausted for ", id="bnb_node_budget"),
+    pytest.param("degree_cap", 1, VALIDATE, 2,
+                 "expression degree has size 2, exceeding cap 1 "
+                 "(degree_cap)\n", id="degree_cap")])
 def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch, field,
                                    value, argv, code, message):
     """Every Limits field set in POINTFREE_CONFIG reaches the code that
@@ -294,6 +297,17 @@ def test_compile_refuses_before_naming_the_generators(capsys):
     assert code == 2 and out == ""
     assert err == "error: generators has size 6000000, exceeding cap 8\n"
     assert secs < 5
+
+
+@pytest.mark.parametrize("sub", [["max"], ["validate"],
+                                 ["locate", "--p", "1", "--q", "2"]])
+def test_evt_refuses_a_huge_degree_before_evaluating(capsys, sub):
+    code, out, err, secs = run_timed(capsys, "evt", *sub, "--expr",
+                                     "x^999999", "--domain", "[0,3]")
+    assert code == 2 and out == ""
+    assert err == ("error: expression degree has size 999999, exceeding "
+                   "cap 64 (degree_cap)\n")
+    assert secs < 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,9 +399,11 @@ def test_byte_identical_json_across_processes(cmd):
 
 # --json stdout and exit codes recorded from the code before the bitmask
 # frame engine: frame elements/points/compact and theory models on every
-# file in theories/ (with the README's truncations, plus cantor N=3), stone
-# spectrum/birkhoff, and evt max with a normal and two budget-exhausted
-# payloads; outputs over 8 kB are pinned by their sha256.  frame hausdorff
+# file in theories/ (with the README's truncations, plus cantor N=3), and
+# stone spectrum/birkhoff; outputs over 8 kB are pinned by their sha256.
+# evt max (re-recorded from the centered-form enclosures, same argv; the
+# budgets of 237 and 20 now finish), plus a budget of 6 that runs out in
+# the search and one of 17 that runs out in cover refinement.  frame hausdorff
 # (recorded from the coproduct-search code): true with its witness on
 # cantor1.pres, cantor.thy N=1 and surj.thy n=2,X=2 and n=1,X=2, false on
 # sierpinski.thy, and the coproduct-cap refusals (exit 2, stderr pinned too)

@@ -5,14 +5,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pointfree import evt
 from pointfree.config import Limits
-from pointfree.errors import BudgetExhausted, PointfreeError
+from pointfree.errors import BudgetExhausted, CapExceeded, PointfreeError
 from pointfree.evt import (DedekindEnclosure, LeftBranch, MaximizerCover,
                            RightBranch, _rat_sqrt_upper, cover_certificate,
                            cut_validate, evt_maximize, locate,
                            positive_witness)
-from pointfree.reals import domain_of, eval_interval, eval_point, parse_expr
+from pointfree.reals import (degree, domain_of, eval_interval, eval_point,
+                             parse_expr)
 
 UNIT = domain_of((0, 1))
 
@@ -25,17 +28,26 @@ CORPUS = [
 ]
 
 
+def search_nodes(enc):
+    """Nodes the search spent before cover refinement: the trace holds the
+    initial bounds, one entry per search node and the final bounds."""
+    return len(enc.trace) - 2
+
+
 def test_exhausted_cover_keeps_the_box_being_refined():
     """When the budget runs out during cover refinement, the box popped for
     refinement is still live: every box of the full run's cover must lie
     inside a box of the exhausted run's cover."""
     e = parse_expr("max(x*(1-x), 1/4 - (x-1/4)^2)")
-    _, full = evt_maximize(e, UNIT, F(1, 10000))
+    done, full = evt_maximize(e, UNIT, F(1, 10000))
+    budget = search_nodes(done) + 1  # one refinement split, then exhausted
+    assert done.nodes_expanded > budget
     with pytest.raises(BudgetExhausted) as err:
         evt_maximize(e, UNIT, F(1, 10000),
-                     limits=Limits(bnb_node_budget=237))
+                     limits=Limits(bnb_node_budget=budget))
     enc, partial = err.value.partial
-    assert enc.nodes_expanded == 237
+    assert enc.nodes_expanded == budget
+    assert enc.upper - enc.lower <= enc.eps  # the search had finished
     for b in full.intervals:
         assert any(p.lo <= b.lo and b.hi <= p.hi for p in partial.intervals)
 
@@ -61,6 +73,78 @@ def test_evt_tight_tolerance_parabola():
     enc, cover = evt_maximize(parse_expr("x*(1 - x)"), UNIT, F(1, 10 ** 6))
     assert enc.lower <= F(1, 4) <= enc.upper
     assert enc.upper - enc.lower <= F(1, 10 ** 6)
+
+
+def test_evt_centered_form_keeps_the_parabola_small():
+    """The naive form needs 68,099 nodes here (the dependency problem);
+    the centered form's O(width^2) overestimate needs a few dozen."""
+    enc, cover = evt_maximize(parse_expr("x*(1 - x)"), UNIT, F(1, 10 ** 9))
+    assert enc.lower <= F(1, 4) <= enc.upper
+    assert enc.nodes_expanded <= 100
+    assert any(b.lo <= F(1, 2) <= b.hi for b in cover.intervals)
+
+
+# --- a corpus with closed-form maximizers ------------------------------------------
+
+def rat(lo, hi, den):
+    return st.integers(lo * den, hi * den).map(lambda n: F(n, den))
+
+
+def poly_text(coeffs):
+    """c0 + c1*x + c2*x*x + ..., powers as repeated x so the naive form
+    meets the dependency problem."""
+    return " + ".join(f"({c})" + "".join("*x" for _ in range(k))
+                      for k, c in enumerate(coeffs))
+
+
+def quadratic(a, v, top):
+    """Coefficients of top - a (x - v)^2."""
+    return [top - a * v * v, 2 * a * v, -a]
+
+
+@st.composite
+def peaked(draw):
+    """(text, domain, argmax, max) for a quadratic, a cubic or the max of
+    two quadratics with distinct peaks, on a domain around the argmax."""
+    kind = draw(st.sampled_from(["quad", "cubic", "twopeak"]))
+    left, right = draw(rat(0, 1, 8)) + F(1, 8), draw(rat(0, 1, 8)) + F(1, 8)
+    v, top = draw(rat(-1, 1, 16)), draw(rat(-2, 2, 8))
+    a = draw(rat(1, 3, 4))
+    if kind == "quad":
+        return poly_text(quadratic(a, v, top)), domain_of(
+            (v - left, v + right)), v, top
+    if kind == "cubic":
+        # f' = -a (x - s)(x - v), s < v: local min at s, maximum at v on
+        # [s, v + right], where f falls on both sides of v
+        s = v - draw(rat(0, 1, 8)) - F(1, 8)
+        f = [0, -a * s * v, a * (s + v) / 2, -a / 3]
+        f[0] = top - sum(c * v ** k for k, c in enumerate(f))
+        return poly_text(f), domain_of((s, v + right)), v, top
+    w = v + draw(rat(0, 1, 8)) + F(1, 4)
+    low = top - draw(st.sampled_from([F(1, 10), F(1, 100), F(1, 1000)]))
+    b = draw(rat(1, 3, 4))
+    peaks = [(v, top), (w, low)]
+    if draw(st.booleans()):
+        peaks = [(v, low), (w, top)]
+    (v1, t1), (v2, t2) = peaks
+    text = (f"max({poly_text(quadratic(a, v1, t1))}, "
+            f"{poly_text(quadratic(b, v2, t2))})")
+    argmax = v1 if t1 > t2 else v2
+    return text, domain_of((v - left, w + right)), argmax, max(t1, t2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(peaked(), st.sampled_from([F(1, 10 ** 3), F(1, 10 ** 5)]))
+def test_evt_cover_holds_the_exact_argmax(case, eps):
+    src, d, argmax, true_max = case
+    e = parse_expr(src)
+    assert eval_point(e, argmax) == true_max
+    enc, cover = evt_maximize(e, d, eps)
+    assert enc.lower <= true_max <= enc.upper
+    assert enc.upper - enc.lower <= eps
+    assert any(b.lo <= argmax <= b.hi for b in cover.intervals)
+    for (lo1, hi1), (lo2, hi2) in zip(enc.trace, enc.trace[1:]):
+        assert lo1 <= lo2 and hi2 <= hi1 and lo2 <= hi2
 
 
 def test_evt_lower_bounds_are_witnessed():
@@ -115,13 +199,18 @@ def test_evt_rejects_bad_eps():
 
 
 def test_evt_budget_exhaustion_reports_partial_enclosure():
+    e = parse_expr("x*(1 - x)")
+    done, _ = evt_maximize(e, UNIT, F(1, 10 ** 6))
+    budget = search_nodes(done) // 2  # runs out inside the search
     with pytest.raises(BudgetExhausted) as err:
-        evt_maximize(parse_expr("x*(1 - x)"), UNIT, F(1, 10 ** 6),
-                     limits=Limits(bnb_node_budget=20))
+        evt_maximize(e, UNIT, F(1, 10 ** 6),
+                     limits=Limits(bnb_node_budget=budget))
     enc, cover = err.value.partial
     assert enc.lower <= F(1, 4) <= enc.upper
-    assert enc.nodes_expanded <= 20
+    assert enc.upper - enc.lower > enc.eps
+    assert enc.nodes_expanded == budget
     assert isinstance(cover, MaximizerCover)
+    assert any(b.lo <= F(1, 2) <= b.hi for b in cover.intervals)
 
 
 def test_evt_trace_is_monotone_and_nested():
@@ -188,6 +277,63 @@ def test_locate_rejects_bad_interval():
         locate(parse_expr("x"), UNIT, F(1), F(1))
 
 
+@pytest.mark.parametrize("limit", [1, 2, 5, 12])
+def test_locate_rounds_keep_within_the_budget(monkeypatch, limit):
+    """No round of locate searches on more than bnb_node_budget splits,
+    and the last round uses all of it."""
+    budgets = []
+
+    def recording(search):
+        def run(e, d, q, budget):
+            budgets.append(budget)
+            return search(e, d, q, budget)
+        return run
+
+    monkeypatch.setattr(evt, "positive_witness",
+                        recording(evt.positive_witness))
+    monkeypatch.setattr(evt, "cover_certificate",
+                        recording(evt.cover_certificate))
+    with pytest.raises(BudgetExhausted, match=f"locate budget {limit} "):
+        locate(parse_expr("x*(1 - x)"), UNIT, F(1, 4) - F(1, 10 ** 9),
+               F(1, 4) + F(1, 10 ** 9), limits=Limits(bnb_node_budget=limit))
+    assert max(budgets) == budgets[-1] == limit
+
+
+def test_locate_budget_zero_refuses_before_searching(monkeypatch):
+    def searched(*args):
+        raise AssertionError("searched on a zero budget")
+
+    monkeypatch.setattr(evt, "positive_witness", searched)
+    monkeypatch.setattr(evt, "cover_certificate", searched)
+    with pytest.raises(BudgetExhausted, match="locate budget 0 exhausted"):
+        locate(parse_expr("x*(1 - x)"), UNIT, F(1, 5), F(1, 3),
+               limits=Limits(bnb_node_budget=0))
+
+
+@pytest.mark.parametrize("run", [
+    lambda e, lim: evt_maximize(e, UNIT, F(1, 1000), limits=lim),
+    lambda e, lim: locate(e, UNIT, F(0), F(1), limits=lim),
+    lambda e, lim: cut_validate(DedekindEnclosure(F(0), F(1), F(1), 0, ()),
+                                [(F(0), F(1))], e, UNIT, limits=lim)],
+    ids=["evt_maximize", "locate", "cut_validate"])
+def test_degree_cap_refuses_before_evaluating(monkeypatch, run):
+    def evaluated(*args):
+        raise AssertionError("evaluated past the degree cap")
+
+    monkeypatch.setattr(evt, "eval_point", evaluated)
+    monkeypatch.setattr(evt, "eval_interval", evaluated)
+    with pytest.raises(CapExceeded, match=r"expression degree has size 12, "
+                       r"exceeding cap 11 \(degree_cap\)"):
+        run(parse_expr("(x^2 + 1)^3 * x^6"), Limits(degree_cap=11))
+
+
+def test_degree_is_syntactic():
+    for src, deg in [("2/3", 0), ("x", 1), ("-x + 1", 1), ("x*x*x", 3),
+                     ("(x^2 + 1)^3 * x^6", 12), ("abs(x^3) - min(x, x^4)", 4),
+                     ("max(x^2, 1)^5", 10), ("x^0", 0)]:
+        assert degree(parse_expr(src)) == deg
+
+
 def test_locate_budget_exhaustion():
     # p equals the maximum: no witness ever clears p and no cover fits below
     # (p+q)/2 when q is close enough... here q generous so the right branch
@@ -232,7 +378,12 @@ def test_cut_validate_probes_keep_the_budget():
     """Each probe's locate runs on the bnb_node_budget it is given."""
     e = parse_expr("x*(1 - x)")
     enc, _ = evt_maximize(e, UNIT, F(1))
-    probes = [(F(173, 400), F(949, 2000))]
+    # a probe straddling the maximum closely, so one split certifies neither
+    # branch
+    p, q = enc.lower - F(1, 10 ** 4), enc.lower + F(1, 10 ** 4)
+    assert positive_witness(e, UNIT, p, 1) is None
+    assert cover_certificate(e, UNIT, (p + q) / 2, 1) is None
+    probes = [(p, q)]
     assert cut_validate(enc, probes, e, UNIT)["ok"]
     with pytest.raises(BudgetExhausted, match="locate budget 1 exhausted"):
         cut_validate(enc, probes, e, UNIT, limits=Limits(bnb_node_budget=1))

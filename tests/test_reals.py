@@ -5,11 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interval_oracles import naive_enclosure
 from pointfree.errors import ParseError, PointfreeError
-from pointfree.reals import (MAX_EXPR_DEPTH, ROPEN_BOTTOM, ROPEN_TOP,
-                             Domain, RatInterval, ROpen, domain_of, eval_interval, eval_point,
+from pointfree.reals import (MAX_EXPR_DEPTH, ROPEN_BOTTOM, ROPEN_TOP, Abs,
+                             BinOp, Const, Domain, Neg, Pow, RatInterval,
+                             ROpen, Var, domain_of, eval_interval, eval_point,
                              interval, parse_domain, parse_expr, parse_rat,
-                             rat_decimal, rat_str, ropen_join, ropen_meet)
+                             rat_decimal, rat_str, ropen_join, ropen_meet,
+                             x_uses)
 
 
 # --- rationals -------------------------------------------------------------------
@@ -187,6 +190,91 @@ def test_enclosure_monotone_under_box_inclusion(src):
     for lo, hi in [(F(-1), F(0)), (F(0), F(1)), (F(1, 4), F(3, 4))]:
         inner = eval_interval(e, interval(lo, hi))
         assert outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def test_centered_form_overestimates_by_the_width_squared():
+    """x*(1-x) uses x twice: the naive form overshoots the maximum 1/4 on
+    [1/2 - w, 1/2 + w] by w + w^2, the centered form by exactly 2w^2."""
+    e = parse_expr("x*(1 - x)")
+    for k in range(1, 12):
+        w = F(1, 2 ** k)
+        box = interval(F(1, 2) - w, F(1, 2) + w)
+        assert eval_interval(e, box).hi == F(1, 4) + 2 * w * w
+        assert naive_enclosure(e, box.lo, box.hi)[1] == F(1, 4) + w + w * w
+
+
+@pytest.mark.parametrize("src, x", [("abs(x) - x", -1), ("max(x, -x) + x", 1),
+                                    ("min(x, -x) - x", 1),
+                                    ("abs(x*x - 1/4) - x*x", 1)])
+def test_kinks_take_the_hull_of_the_branch_slopes(src, x):
+    """Where the branches meet inside the box, a slope from one branch
+    alone would cancel against the other term and miss the far end."""
+    e = parse_expr(src)
+    out = eval_interval(e, interval(-1, 1))
+    assert out.lo <= eval_point(e, x) <= out.hi
+    assert out.lo <= eval_point(e, 0) <= out.hi
+
+
+def test_single_use_expressions_get_the_exact_range():
+    for src, box, out in [("1 - (x - 1/2)^2", interval(0, 1), (F(3, 4), 1)),
+                          ("abs(2*x - 1) + 3", interval(0, 1), (3, 4)),
+                          ("max(x^3, 1/8)", interval(-1, 1), (F(1, 8), 1))]:
+        e = parse_expr(src)
+        assert x_uses(e) == 1
+        assert eval_interval(e, box) == interval(*out)
+
+
+# --- random expressions against the naive oracle -------------------------------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+UNIT_STEP = st.fractions(min_value=0, max_value=1, max_denominator=16)
+
+
+def exprs():
+    """Expression trees over every node kind."""
+    leaves = st.one_of(st.just(Var()), SMALL.map(Const))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Neg), sub.map(Abs),
+        st.builds(Pow, sub, st.integers(0, 4)),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "min", "max"]),
+                  sub, sub)), max_leaves=10)
+
+
+def boxes():
+    return st.builds(lambda lo, w: interval(lo, lo + w), SMALL,
+                     st.fractions(min_value=0, max_value=3,
+                                  max_denominator=8))
+
+
+def inside(box, t):
+    return box.lo + (box.hi - box.lo) * t
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs(), boxes(), st.lists(UNIT_STEP, min_size=1, max_size=6))
+def test_enclosure_contains_the_values_and_refines_the_naive_form(e, box, ts):
+    out = eval_interval(e, box)
+    naive_lo, naive_hi = naive_enclosure(e, box.lo, box.hi)
+    assert naive_lo <= out.lo and out.hi <= naive_hi
+    for t in [F(0), F(1)] + ts:
+        assert out.lo <= eval_point(e, inside(box, t)) <= out.hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs(), SMALL)
+def test_enclosure_is_exact_on_point_boxes(e, x):
+    v = eval_point(e, x)
+    assert eval_interval(e, interval(x, x)) == interval(v, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs(), boxes(), UNIT_STEP, UNIT_STEP)
+def test_enclosure_is_inclusion_isotone(e, box, s, t):
+    """A sub-box gets an enclosure inside its box's: the midpoint
+    mean-value form is isotone when its derivative enclosure is."""
+    sub = interval(*sorted((inside(box, s), inside(box, t))))
+    outer, inner = eval_interval(e, box), eval_interval(e, sub)
+    assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def test_eval_interval_requires_finite_box():
