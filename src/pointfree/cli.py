@@ -356,7 +356,7 @@ def build_parser():
                     help="number of random probes for validate")
     ev.add_argument("--seed", type=int, default=0,
                     help="probe generator seed for validate")
-    ev.add_argument("--budget", type=int,
+    ev.add_argument("--budget", type=_non_negative,
                     help="node budget override")
     common(ev)
     return top

@@ -27,7 +27,7 @@ class Limits:
 def load_limits():
     """Limits from POINTFREE_CONFIG if set, otherwise the defaults.  The
     file must hold a JSON object whose keys are Limits fields and whose
-    values are integers."""
+    values are non-negative integers."""
     path = os.environ.get("POINTFREE_CONFIG")
     if not path:
         return Limits()
@@ -39,9 +39,9 @@ def load_limits():
     for name, value in data.items():
         if name not in known:
             raise ParseError(f"unknown config field {name!r}")
-        if type(value) is not int:
-            raise ParseError(f"config field {name!r} must be an integer, "
-                             f"not {json.dumps(value)}")
+        if type(value) is not int or value < 0:
+            raise ParseError(f"config field {name!r} must be a non-negative "
+                             f"integer, not {json.dumps(value)}")
     return Limits(**data)
 
 

@@ -72,6 +72,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
         raise PointfreeError("eps must be strictly positive")
     _check_degree(e, limits)
     node_budget = limits.bnb_node_budget
+    delta = _rat_sqrt_upper(eps)  # the cover's width bound
     heap = []
     lower = None
     for box in d.components:
@@ -94,7 +95,8 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
                 f"node budget {node_budget} exhausted",
                 partial=(DedekindEnclosure(lower, upper, eps, nodes,
                                            tuple(trace)),
-                         _cover(heap, lower, eps)))
+                         _cover([item[3] for item in heap
+                                 if -item[0] >= lower], delta)))
         _, _, _, box, _ = heapq.heappop(heap)
         mid = box.midpoint()
         lower = max(lower, eval_point(e, mid))
@@ -105,7 +107,6 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
         trace.append((lower, upper))
 
     # refine the surviving boxes to the cover's width bound
-    delta = _rat_sqrt_upper(eps)
     work = []  # heap of (lo, hi, seq, box): leftmost box first
     seq = itertools.count()
 
@@ -125,13 +126,12 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
             continue
         if nodes >= node_budget:
             # the box being refined is still live, so it stays in the cover
-            rest = sorted([box] + [item[3] for item in work],
-                          key=lambda b: (b.lo, b.hi), reverse=True)
             raise BudgetExhausted(
                 f"node budget {node_budget} exhausted",
                 partial=(DedekindEnclosure(lower, upper, eps, nodes,
                                            tuple(trace)),
-                         MaximizerCover(tuple(survivors + rest), delta)))
+                         _cover(survivors + [box] +
+                                [item[3] for item in work], delta)))
         mid = box.midpoint()
         lower = max(lower, eval_point(e, mid))
         nodes += 1
@@ -141,15 +141,13 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     upper = min(upper, max(eval_interval(e, b).hi for b in survivors))
     trace.append((lower, upper))
     enc = DedekindEnclosure(lower, upper, eps, nodes, tuple(trace))
-    cover = MaximizerCover(tuple(sorted(survivors,
-                                        key=lambda b: (b.lo, b.hi))), delta)
-    return enc, cover
+    return enc, _cover(survivors, delta)
 
 
-def _cover(heap, lower, eps):
-    boxes = sorted((item[3] for item in heap if -item[0] >= lower),
-                   key=lambda b: (b.lo, b.hi))
-    return MaximizerCover(tuple(boxes), _rat_sqrt_upper(eps))
+def _cover(boxes, delta):
+    """A MaximizerCover with its boxes sorted by (lo, hi)."""
+    return MaximizerCover(tuple(sorted(boxes, key=lambda b: (b.lo, b.hi))),
+                          delta)
 
 
 # --- one-sided certificates -----------------------------------------------------

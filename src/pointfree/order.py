@@ -344,26 +344,18 @@ def prime_filters(l):
 
 
 def ideal_completion(l, limits=DEFAULT):
-    """Lattice of all ideals of l, plus the principal-ideal isomorphism."""
+    """Lattice of all ideals of l, plus the principal-ideal isomorphism.
+    An ideal of a finite lattice holds the join of its finitely many
+    members, so it is the principal ideal of that join."""
     if len(l.elements) > limits.poset_cap:
         raise CapExceeded("lattice", len(l.elements), limits.poset_cap)
-    ideals = []
-    for d in enumerate_downsets(l.as_poset()):
-        if l.bottom not in d:
-            continue
-        if all(l.join(a, b) in d for a in d for b in d):
-            ideals.append(d)
-    ideals = sorted(ideals, key=sort_key)
-    leq = [(a, b) for a in ideals for b in ideals if a <= b]
-    comp = DistLattice(ideals, leq, check_distributive=False)
 
     def principal(a):
         return frozenset(b for b in l.elements if l.le(b, a))
 
-    image = {principal(a) for a in l.elements}
-    if image != set(ideals):
-        raise PointfreeError("principal-ideal map is not onto the ideal lattice")
-    return comp, principal
+    ideals = sorted({principal(a) for a in l.elements}, key=sort_key)
+    leq = [(a, b) for a in ideals for b in ideals if a <= b]
+    return DistLattice(ideals, leq, check_distributive=False), principal
 
 
 def read_poset_text(text):
@@ -414,14 +406,3 @@ def parse_lattice_text(text, check_distributive=True, limits=DEFAULT):
     return DistLattice(p.elements, p.leq,
                        check_distributive=check_distributive)
 
-
-def is_directed(l, s):
-    """Inhabited and every pair in s has an upper bound in s."""
-    s = list(s)
-    if not s:
-        return False
-    for a in s:
-        for b in s:
-            if not any(l.le(a, c) and l.le(b, c) for c in s):
-                return False
-    return True

@@ -20,15 +20,19 @@ oracles for them.
   above.
 - The literal subset scans behind positivity (u ≠ ⊥) and the frame law
   (binary distributivity).
+- For compactness and the ideal completion, which hold because a finite
+  directed set holds its own join: the directed-cover scan for top, and
+  the scan of all downsets for the join-closed ones.
 """
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from pointfree.config import DEFAULT
 from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import FiniteFrame, FrameHom, frame_from_order
-from pointfree.order import sort_key
+from pointfree.order import enumerate_downsets, sort_key
 from pointfree.presentations import stabilize
 
 
@@ -390,3 +394,63 @@ def is_positive(f, u):
             if f.le(u, f.join_all(s)) and not s:
                 return False
     return True
+
+
+# --- directed covers and ideals -----------------------------------------------
+
+EXHAUSTIVE_COVER_SCAN = 12  # frames up to this size scan every subset
+COVER_SAMPLES = 200         # seeded join-closed covers for larger frames
+
+
+def is_directed(l, s):
+    """Inhabited and every pair in s has an upper bound in s."""
+    s = list(s)
+    if not s:
+        return False
+    for a in s:
+        for b in s:
+            if not any(l.le(a, c) and l.le(b, c) for c in s):
+                return False
+    return True
+
+
+def compact_by_directed_covers(f):
+    """No directed set joins to top without holding it: every subset for
+    frames of at most EXHAUSTIVE_COVER_SCAN elements, otherwise
+    COVER_SAMPLES seeded random subsets closed under binary joins (which
+    makes them directed without changing their join)."""
+    if len(f.elements) <= EXHAUSTIVE_COVER_SCAN:
+        covers = (s for n in range(1, len(f.elements) + 1)
+                  for s in combinations(f.elements, n) if is_directed(f, s))
+    else:
+        rng = random.Random(0)
+        covers = (_directify({u for u in f.elements if rng.random() < 0.5},
+                             f.join) or {f.bottom}
+                  for _ in range(COVER_SAMPLES))
+    return not any(f.join_all(s) == f.top and f.top not in s for s in covers)
+
+
+def _directify(s, join):
+    """Close a subset under binary joins, one member at a time: the joins
+    with a new member x are x joined with the closure so far."""
+    out = set()
+    for x in s:
+        if x not in out:
+            out |= {join(c, x) for c in out}
+            out.add(x)
+    return out
+
+
+def ideal_completion(l):
+    """The downsets of l that hold bottom and are closed under binary
+    joins, sorted by sort_key, after checking that the principal ideals
+    are exactly these."""
+    ideals = sorted((d for d in enumerate_downsets(l.as_poset())
+                     if l.bottom in d
+                     and all(l.join(a, b) in d for a in d for b in d)),
+                    key=sort_key)
+    principals = {frozenset(b for b in l.elements if l.le(b, a))
+                  for a in l.elements}
+    if principals != set(ideals):
+        raise PointfreeError("principal-ideal map is not onto the ideals")
+    return ideals

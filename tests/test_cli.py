@@ -314,8 +314,12 @@ def test_evt_refuses_a_huge_degree_before_evaluating(capsys, sub):
     ["evt", "max", "--expr", "x", "--domain", "[0,1]", "--decimal", "-1"],
     ["evt", "validate", "--expr", "x", "--domain", "[0,1]", "--probes", "-5"],
     ["evt", "validate", "--expr", "x", "--domain", "[0,1]", "--probes", "x"],
+    ["evt", "max", "--expr", "x", "--domain", "[0,1]", "--budget", "-5"],
+    ["evt", "locate", "--expr", "x", "--domain", "[0,1]", "--p", "0",
+     "--q", "2", "--budget", "-5"],
     ["frame", "bogus", str(THY / "cantor1.pres")],
-    []], ids=["decimal -1", "probes -5", "probes x", "frame bogus", "empty"])
+    []], ids=["decimal -1", "probes -5", "probes x", "max budget -5",
+              "locate budget -5", "frame bogus", "empty"])
 def test_bad_arguments_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -330,6 +334,17 @@ def test_help_still_exits_zero():
         assert done.returncode == 0 and b"usage:" in done.stdout
 
 
+def test_compact_answers_cantor_n4_without_listing_it():
+    """Cantor N=4 has 65,536 elements; compactness is certified from the
+    presentation, so the whole process stays well inside the timeout."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pointfree.cli", "frame", "compact",
+         str(THY / "cantor.thy"), "--truncate", "N=4", "--json"],
+        capture_output=True, cwd=ROOT, timeout=2)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["compact"] is True
+
+
 @pytest.mark.parametrize("body, field", [
     ({"generator_cap": "x"}, "generator_cap"),
     ({"coproduct_cap": True}, "coproduct_cap"),
@@ -337,7 +352,10 @@ def test_help_still_exits_zero():
     ({"generator_cap": 4, "bogus_cap": 4}, "bogus_cap"),
     ({"positivity_scan_cap": 12}, "positivity_scan_cap"),
     ({"directed_scan_cap": 16}, "directed_scan_cap"),
-    ([1, 2], "JSON object")])
+    ([1, 2], "JSON object"),
+    ({"generator_cap": -1}, "generator_cap"),
+    ({"bnb_node_budget": -3}, "bnb_node_budget"),
+    ({"degree_cap": 64, "poset_cap": -16}, "poset_cap")])
 def test_config_rejects_bad_fields(capsys, tmp_path, monkeypatch, body, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(body))
@@ -398,12 +416,15 @@ def test_byte_identical_json_across_processes(cmd):
 # --- golden output -----------------------------------------------------------------
 
 # --json stdout and exit codes recorded from the code before the bitmask
-# frame engine: frame elements/points/compact and theory models on every
-# file in theories/ (with the README's truncations, plus cantor N=3), and
-# stone spectrum/birkhoff; outputs over 8 kB are pinned by their sha256.
-# evt max (re-recorded from the centered-form enclosures, same argv; the
-# budgets of 237 and 20 now finish), plus a budget of 6 that runs out in
-# the search and one of 17 that runs out in cover refinement.  frame hausdorff
+# frame engine: frame elements/points and theory models on every file in
+# theories/ (with the README's truncations, plus cantor N=3), and stone
+# spectrum/birkhoff; outputs over 8 kB are pinned by their sha256.  frame
+# compact on the same inputs plus cantor N=4 (recorded from the theorem
+# certificate, which lists no elements).  evt max (re-recorded from the
+# centered-form enclosures, same argv; the budgets of 237 and 20 now
+# finish), plus a budget of 6 that runs out in the search, one of 17 that
+# runs out in cover refinement (recorded with its cover sorted) and a
+# budget of -5 (a usage error, stderr pinned).  frame hausdorff
 # (recorded from the coproduct-search code): true with its witness on
 # cantor1.pres, cantor.thy N=1 and surj.thy n=2,X=2 and n=1,X=2, false on
 # sierpinski.thy, and the coproduct-cap refusals (exit 2, stderr pinned too)

@@ -52,6 +52,34 @@ def test_exhausted_cover_keeps_the_box_being_refined():
         assert any(p.lo <= b.lo and b.hi <= p.hi for p in partial.intervals)
 
 
+def is_sorted_cover(cover):
+    keys = [(b.lo, b.hi) for b in cover.intervals]
+    return keys == sorted(keys)
+
+
+@pytest.mark.parametrize("src, eps", [
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", F(1, 100)),
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", F(1, 10000)),
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", F(1, 10 ** 6)),
+    ("min(x, 1 - x)", F(1, 10000))])
+def test_every_cover_is_sorted(src, eps):
+    """Finished runs, and runs that exhaust their budget in the search or
+    in cover refinement, all return their boxes sorted by (lo, hi)."""
+    e = parse_expr(src)
+    done, full = evt_maximize(e, UNIT, eps)
+    assert is_sorted_cover(full)
+    searched = search_nodes(done)
+    budgets = {searched // 2: False,
+               **{b: True for b in range(searched + 1, done.nodes_expanded)}}
+    assert set(budgets.values()) == {False, True}  # both places are reached
+    for budget, refining in budgets.items():
+        with pytest.raises(BudgetExhausted) as err:
+            evt_maximize(e, UNIT, eps, limits=Limits(bnb_node_budget=budget))
+        enc, partial = err.value.partial
+        assert (enc.upper - enc.lower <= enc.eps) == refining
+        assert is_sorted_cover(partial)
+
+
 def test_rat_sqrt_upper_bounds():
     for q in [F(1, 1000000), F(2), F(9, 4), F(1, 3)]:
         u = _rat_sqrt_upper(q)

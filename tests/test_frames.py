@@ -4,9 +4,12 @@ Hausdorff, positivity, compactness, and open/closed maps."""
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 import frame_oracles
 from conftest import cantor_presentation, free_presentation
+from pointfree import frames
+from test_congruences import presentations
 from pointfree.errors import CapExceeded, NotACover, PointfreeError
 from pointfree.frames import (Congruence, FrameHom, all_pairs_congruence,
                               check_closed_map, check_open_map,
@@ -402,15 +405,52 @@ def test_finite_subcover_is_exact_and_empty_on_the_trivial_frame(
     assert finite_subcover(one, ["1"]) == KFinSet(())
 
 
+COMPACT = {"certificate": "finite frame: every directed cover of top "
+                          "contains top", "compact": True, "verified": True}
+
+
 def test_compactness_examples():
-    for n in (1, 2):
-        report = is_compact_presentation(cantor_presentation(n))
-        assert report["compact"] and report["verified"]
-    report = is_compact_presentation(free_presentation(2))
-    assert report["compact"] and report["verification"] == "exhaustive"
     collapsed = FramePresentation.make(["g"], [((), [])])  # top <= bot
-    report = is_compact_presentation(collapsed)
-    assert report["compact"] and report["verified"]
+    for p in [cantor_presentation(1), cantor_presentation(2),
+              free_presentation(2), collapsed]:
+        assert is_compact_presentation(p) == COMPACT
+
+
+# each small frame as a presentation of it: chain3 is the Sierpiński
+# frame, free on one generator, and bool4 is the two-point discrete one
+SMALL_PRESENTATIONS = {
+    "free1": free_presentation(1), "free2": free_presentation(2),
+    "cantor1": cantor_presentation(1), "cantor2": cantor_presentation(2),
+    "chain3": free_presentation(1), "bool4": cantor_presentation(1)}
+
+
+def test_directed_cover_scan_agrees_with_compactness(small_frames):
+    for name, p in SMALL_PRESENTATIONS.items():
+        f = small_frames[name]
+        assert len(frame_oracles.enumerate_frame(p).elements) == \
+            len(f.elements)
+        assert frame_oracles.compact_by_directed_covers(f) == \
+            is_compact_presentation(p)["compact"]
+
+
+@settings(deadline=None)
+@given(presentations())
+def test_directed_cover_scan_agrees_on_random_presentations(p):
+    f = frame_oracles.enumerate_frame(p)
+    assert frame_oracles.compact_by_directed_covers(f) == \
+        is_compact_presentation(p)["compact"]
+
+
+def test_compactness_lists_no_elements(monkeypatch):
+    """The certificate comes from the theorem: no PresentedFrame is built,
+    and generator_cap still refuses before anything else."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PresentedFrame was built")
+
+    monkeypatch.setattr(frames, "PresentedFrame", refuse)
+    assert is_compact_presentation(cantor_presentation(4)) == COMPACT
+    with pytest.raises(CapExceeded):
+        is_compact_presentation(free_presentation(9))
 
 
 # --- open / closed maps ---------------------------------------------------------------------

@@ -2,20 +2,25 @@
 
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
+from frame_oracles import ideal_completion as ideals_by_downset_scan
+from frame_oracles import is_directed
 from pointfree.config import DEFAULT
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
 from pointfree.order import (DistLattice, FreeJoinSemilattice, Ideal, KFinSet,
                              Poset, birkhoff_iso, downset_lattice,
                              enumerate_downsets, ideal_completion,
-                             is_directed, join_irreducibles, kfin_join,
+                             join_irreducibles, kfin_join,
                              parse_lattice_text, parse_poset_text,
                              prime_filters)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def antichain(n):
@@ -237,6 +242,46 @@ def test_ideal_completion_examples():
     comp4, principal4 = ideal_completion(boolean4())
     assert len(comp4.elements) == 4
     assert {principal4(a) for a in boolean4().elements} == set(comp4.elements)
+
+
+@st.composite
+def downset_lattices(draw):
+    """D(P) for a random poset P on at most 4 elements: a random relation
+    from lower to higher indices, closed reflexively and transitively."""
+    names = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
+                  if pairs else st.just([]))
+    return downset_lattice(Poset.from_relation(names, chosen))
+
+
+def assert_principal_ideals_are_all_ideals(l):
+    comp, principal = ideal_completion(l)
+    assert list(comp.elements) == ideals_by_downset_scan(l)
+    assert comp._leq == frozenset((a, b) for a in comp.elements
+                                  for b in comp.elements if a <= b)
+    for a in l.elements:  # the principal-ideal map is an order isomorphism
+        for b in l.elements:
+            assert l.le(a, b) == comp.le(principal(a), principal(b))
+
+
+@given(downset_lattices())
+def test_ideal_completion_equals_the_downset_scan(l):
+    assert_principal_ideals_are_all_ideals(l)
+
+
+def test_ideal_completion_of_m3_equals_the_downset_scan():
+    p = m3_diamond_poset()
+    assert_principal_ideals_are_all_ideals(
+        DistLattice(p.elements, p.leq, check_distributive=False))
+    m3 = parse_lattice_text((ROOT / "theories" / "m3.lat").read_text(),
+                            check_distributive=False)
+    assert_principal_ideals_are_all_ideals(m3)
+
+
+def test_ideal_completion_cap():
+    with pytest.raises(CapExceeded):
+        ideal_completion(chain(17))
 
 
 def test_is_directed_examples():
