@@ -524,9 +524,9 @@ def finite_subcover(f, s):
 def is_compact_presentation(p, limits=DEFAULT):
     """Compactness certificate for a presentation: top is inaccessible by
     directed joins.  Its frame is finite, and a finite directed set holds
-    its own join (an upper bound of all its members, found pairwise), so
-    a directed cover of top contains top.  The presentation is stabilized,
-    which applies generator_cap; no element is listed."""
+    an upper bound of all its members (taking bounds pairwise), which is
+    its join; so a directed cover of top contains top.  The presentation
+    is stabilized, which applies generator_cap; no element is listed."""
     stabilize(p, limits=limits)
     return {"certificate": "finite frame: every directed cover of top "
                            "contains top",

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 
 import frame_oracles
 from conftest import cantor_presentation, free_presentation
-from pointfree import frames
 from test_congruences import presentations
+from pointfree import frames
 from pointfree.errors import CapExceeded, NotACover, PointfreeError
 from pointfree.frames import (Congruence, FrameHom, all_pairs_congruence,
                               check_closed_map, check_open_map,

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
-from frame_oracles import ideal_completion as ideals_by_downset_scan
-from frame_oracles import is_directed
+from frame_oracles import (ideal_completion as ideals_by_downset_scan,
+                           is_directed)
 from pointfree.config import DEFAULT
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
