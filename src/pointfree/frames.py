@@ -9,8 +9,8 @@ from itertools import combinations, product
 
 from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
-from .order import (DistLattice, KFinSet, Poset, canon, enumerate_downsets,
-                    prime_filters, sort_key)
+from .order import (DistLattice, KFinSet, Poset, canon, count_downsets,
+                    enumerate_downsets, prime_filters, sort_key)
 from .presentations import meet_key, set_bits, stabilize
 
 
@@ -98,16 +98,9 @@ class PresentedFrame:
 
     def count_downsets(self, s=None):
         """|D(S)| for the join-primes S with J-indices in the mask s, by
-        default all of J, whose downsets are the elements.  With k maximal
-        in s (J is in key order), a downset of S omits k, or holds k and so
-        all of S below k."""
+        default all of J, whose downsets are the elements."""
         s = (1 << len(self.join_primes)) - 1 if s is None else s
-        if s not in self._downsets:
-            k = s.bit_length() - 1
-            rest = s & ~(1 << k)
-            self._downsets[s] = (self.count_downsets(rest) +
-                                 self.count_downsets(rest & ~self._below[k]))
-        return self._downsets[s]
+        return count_downsets(self._below, s, self._downsets)
 
     def elements(self):
         """All elements in key order, one join per downset D of J, and the
@@ -251,7 +244,7 @@ class Congruence:
 
     def trace(self, u):
         """↓u ∩ S, which names u's class."""
-        return self.kept & _j_below(self.frame, u)
+        return self.kept & self.frame.j_below[u]
 
     @property
     def classes(self):
@@ -287,13 +280,6 @@ class Congruence:
                 if j not in self.kept]
 
 
-def _j_below(f, u):
-    """J ∩ ↓u."""
-    if u not in f._index:
-        raise PointfreeError(f"unknown element {u!r}")
-    return frozenset(j for j in f.lower_covers if f.le(j, u))
-
-
 def identity_congruence(f):
     return Congruence(f, frozenset(f.lower_covers))
 
@@ -306,17 +292,17 @@ def congruence_generate(f, pairs):
     """Least congruence with u θ v for each pair: S = {j : j ≤ u ⇔ j ≤ v},
     J minus the symmetric difference of J ∩ ↓u and J ∩ ↓v for every pair."""
     return Congruence(f, frozenset(f.lower_covers).difference(
-        *(_j_below(f, u) ^ _j_below(f, v) for u, v in pairs)))
+        *(f.j_below[u] ^ f.j_below[v] for u, v in pairs)))
 
 
 def open_congruence(f, a):
     """Kernel of u ↦ u ∧ a (the open sublocale at a): S = J ∩ ↓a."""
-    return Congruence(f, _j_below(f, a))
+    return Congruence(f, f.j_below[a])
 
 
 def closed_congruence(f, a):
     """Kernel of u ↦ u ∨ a (the closed sublocale at a): S = J minus ↓a."""
-    return Congruence(f, frozenset(f.lower_covers) - _j_below(f, a))
+    return Congruence(f, frozenset(f.lower_covers) - f.j_below[a])
 
 
 def congruence_intersection(c1, c2):
@@ -347,26 +333,28 @@ def quotient(f, c):
 
 @dataclass(frozen=True)
 class FrameHom:
-    """A function between finite frames preserving top, meets and all joins."""
+    """A function between finite frames preserving top, meets and all joins:
+    h(⊤) = ⊤, h(⊥) = ⊥, h(u) = ⋁ h(J ∩ ↓u) and h(j ∧ k) = h(j) ∧ h(k) on J,
+    as each j is join-prime and the target distributive."""
 
     source: FiniteFrame
     target: FiniteFrame
     mapping: dict
 
     def __post_init__(self):
-        h = self.mapping
-        if set(h) != set(self.source.elements):
+        h, f, t = self.mapping, self.source, self.target
+        if set(h) != set(f.elements):
             raise PointfreeError("hom not defined on the whole source")
-        if h[self.source.top] != self.target.top:
+        if h[f.top] != t.top:
             raise PointfreeError("hom does not preserve top")
-        if h[self.source.bottom] != self.target.bottom:
+        if h[f.bottom] != t.bottom:
             raise PointfreeError("hom does not preserve bottom (empty join)")
-        for a in self.source.elements:
-            for b in self.source.elements:
-                if h[self.source.meet(a, b)] != self.target.meet(h[a], h[b]):
-                    raise PointfreeError("hom does not preserve binary meets")
-                if h[self.source.join(a, b)] != self.target.join(h[a], h[b]):
-                    raise PointfreeError("hom does not preserve binary joins")
+        if any(h[u] != t.join_all(h[j] for j in js)
+               for u, js in f.j_below.items()):
+            raise PointfreeError("hom does not preserve binary joins")
+        if any(h[f.meet(j, k)] != t.meet(h[j], h[k])
+               for j in f.lower_covers for k in f.lower_covers):
+            raise PointfreeError("hom does not preserve binary meets")
 
     def __call__(self, u):
         return self.mapping[u]
@@ -426,22 +414,28 @@ def coproduct(f, g, limits=DEFAULT):
     size = len(f.elements) * len(g.elements)
     if size > limits.coproduct_cap:
         raise CapExceeded("coproduct carrier", size, limits.coproduct_cap)
-    jf, jg = f.lower_covers, g.lower_covers
-    below_f = {u: [j for j in jf if f.le(j, u)] for u in f.elements}
-    below_g = {v: [k for k in jg if g.le(k, v)] for v in g.elements}
+    # J sorted by |J ∩ ↓j|: the pairs then run along a linear extension
+    jf, jg = (sorted(h.lower_covers, key=lambda j: len(h.j_below[j]))
+              for h in (f, g))
     pairs = list(product(jf, jg))
-    jj = Poset(canon(pairs), frozenset((a, b) for a in pairs for b in pairs
-                                       if f.le(a[0], b[0]) and g.le(a[1], b[1])))
+    leq = frozenset((a, b) for a in pairs for b in pairs
+                    if f.le(a[0], b[0]) and g.le(a[1], b[1]))
+    count = count_downsets([sum(1 << i for i, a in enumerate(pairs)
+                                if a != b and (a, b) in leq) for b in pairs],
+                           (1 << len(pairs)) - 1, {0: 1})
+    if count > limits.coproduct_cap:
+        raise CapExceeded("coproduct", count, limits.coproduct_cap)
     of_downset = {d: frozenset((u, v) for u in f.elements for v in g.elements
-                               if d.issuperset(product(below_f[u], below_g[v])))
-                  for d in enumerate_downsets(jj)}
+                               if d.issuperset(product(f.j_below[u],
+                                                       g.j_below[v])))
+                  for d in enumerate_downsets(Poset(canon(pairs), leq))}
     jpairs = frozenset(pairs)
     tensor = frame_from_order(of_downset.values(), lambda a, b: a <= b,
                               lambda a, b: a & b,
                               lambda a, b: of_downset[(a | b) & jpairs])
 
     def rect(u, v):
-        return of_downset[frozenset(product(below_f[u], below_g[v]))]
+        return of_downset[frozenset(product(f.j_below[u], g.j_below[v]))]
 
     inj1 = FrameHom(f, tensor, {u: rect(u, g.top) for u in f.elements})
     inj2 = FrameHom(g, tensor, {v: rect(f.top, v) for v in g.elements})
@@ -499,10 +493,8 @@ def has_open_diagonal(f, limits=DEFAULT):
 
 def is_positive(f, u):
     """u is positive when every cover of it is inhabited.  Only the empty
-    cover can fail, and it covers exactly ⊥, so this is u ≠ ⊥."""
-    if u not in f._index:
-        raise PointfreeError(f"unknown element {u!r}")
-    return u != f.bottom
+    cover can fail, and it covers exactly ⊥, so this is J ∩ ↓u ≠ ∅."""
+    return bool(f.j_below[u])
 
 
 def positivity_base(f):

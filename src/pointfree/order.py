@@ -116,6 +116,11 @@ class KFinSet:
         return hash(self.canonical)
 
 
+class _ElementMap(dict):
+    def __missing__(self, u):
+        raise PointfreeError(f"unknown element {u!r}")
+
+
 class DistLattice:
     """Finite bounded distributive lattice with explicit meet/join tables."""
 
@@ -174,6 +179,13 @@ class DistLattice:
                  for j in self.elements}
         return {j: lower for j, lower in below.items() if lower != j}
 
+    @functools.cached_property
+    def j_below(self):
+        """u ↦ J ∩ ↓u; an unknown u raises PointfreeError."""
+        return _ElementMap(
+            {u: frozenset(j for j in self.lower_covers if self.le(j, u))
+             for u in self.elements})
+
     def meet(self, a, b):
         return self.meet_table[a, b]
 
@@ -193,14 +205,16 @@ class DistLattice:
         return out
 
     def distributivity_witness(self):
-        """A triple violating a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None."""
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    lhs = self.meet(a, self.join(b, c))
-                    rhs = self.join(self.meet(a, b), self.meet(a, c))
-                    if lhs != rhs:
-                        return (a, b, c)
+        """A triple violating a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None.  The
+        lattice is distributive iff every j in J is join-prime (then u ↦ J ∩ ↓u
+        embeds it in 2^J).  r joins up the x with j ≰ x; if j ≤ r ∨ x, then
+        j ∧ r and j ∧ x lie below j's lower cover, so (j, r, x) fails."""
+        for j in self.lower_covers:
+            r = self.bottom
+            for x in (x for x in self.elements if not self.le(j, x)):
+                if self.le(j, self.join(r, x)):
+                    return (j, r, x)
+                r = self.join(r, x)
         return None
 
     def as_poset(self):
@@ -244,6 +258,18 @@ def enumerate_downsets(poset):
     # the loop above yields all unions of principal downsets plus the empty
     # set, which is exactly the downset lattice
     return sorted(downs, key=sort_key)
+
+
+def count_downsets(below, s, memo):
+    """|D(S)| for the poset elements indexed by the bits of s along a linear
+    extension, below[k] masking those strictly below k, memo from {0: 1}: a
+    downset omits the top k of s, or holds it and all of S below it."""
+    if s not in memo:
+        k = s.bit_length() - 1
+        rest = s & ~(1 << k)
+        memo[s] = (count_downsets(below, rest, memo) +
+                   count_downsets(below, rest & ~below[k], memo))
+    return memo[s]
 
 
 def downset_lattice(p, limits=DEFAULT):
@@ -307,39 +333,21 @@ def join_irreducibles(l):
 
 
 def birkhoff_iso(l):
-    """Mutually inverse maps between l and the downsets of its irreducibles.
-
-    Returns (irr_poset, to_downset, from_downset); raises NotDistributive
-    with a witness triple when the composites fail to be identities.
-    """
+    """Mutually inverse maps between l and the downsets of its irreducibles:
+    (irr_poset, to_downset, from_downset), or NotDistributive with a witness
+    triple.  Every j is then join-prime, so a = ⋁(J ∩ ↓a) and J ∩ ↓⋁D = D
+    for each downset D of J (Birkhoff)."""
     w = l.distributivity_witness()
     if w is not None:
         raise NotDistributive(w)
-    irr = join_irreducibles(l)
-
-    def to_downset(a):
-        return frozenset(j for j in irr.elements if l.le(j, a))
-
-    def from_downset(d):
-        return l.join_all(sorted(d, key=sort_key))
-
-    for a in l.elements:
-        if from_downset(to_downset(a)) != a:
-            raise PointfreeError(f"round trip failed at {a}")
-    for d in enumerate_downsets(irr):
-        if to_downset(from_downset(d)) != d:
-            raise PointfreeError(f"round trip failed at downset {set(d)}")
-    return irr, to_downset, from_downset
+    return join_irreducibles(l), l.j_below.__getitem__, l.join_all
 
 
 def prime_filters(l):
-    """All prime filters: upward closed, 1 ∈ F, meet closed, 0 ∉ F, join-prime.
-
-    A prime filter of a finite lattice is the upset of its least element,
-    which is join-prime; in a distributive lattice the join-prime elements
-    are exactly the join-irreducible ones.
-    """
-    return sorted((frozenset(b for b in l.elements if l.le(j, b))
+    """All prime filters.  A prime filter of a finite lattice is the upset
+    of its least element, which is join-prime; in a distributive lattice
+    the join-prime elements are exactly the join-irreducible ones."""
+    return sorted((frozenset(b for b, js in l.j_below.items() if j in js)
                    for j in l.lower_covers), key=sort_key)
 
 

@@ -29,7 +29,7 @@ def meet_str(m):
 
 
 def cideal_key(members):
-    return (len(members), tuple(sorted(members, key=meet_key)))
+    return (len(members), tuple(sorted(map(meet_key, members))))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ oracles for them.
 - For compactness and the ideal completion, which hold because a finite
   directed set holds its own join: the directed-cover scan for top, and
   the scan of all downsets for the join-closed ones.
+- For the join-prime certificate of distributivity, Birkhoff's theorem and
+  the homomorphism check on J (`DistLattice.distributivity_witness`,
+  `order.birkhoff_iso`, `frames.FrameHom`): the triple scan of the
+  distributive law, both Birkhoff round trips, and the check of meets and
+  joins on all n² pairs.
 """
 
 import random
@@ -454,3 +459,37 @@ def ideal_completion(l):
     if principals != set(ideals):
         raise PointfreeError("principal-ideal map is not onto the ideals")
     return ideals
+
+
+# --- distributivity, Birkhoff and homomorphisms by scan ----------------------------
+
+def distributivity_witness(l):
+    """The first triple, in element order, violating
+    a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None: O(n³)."""
+    for a in l.elements:
+        for b in l.elements:
+            for c in l.elements:
+                if (l.meet(a, l.join(b, c))
+                        != l.join(l.meet(a, b), l.meet(a, c))):
+                    return (a, b, c)
+    return None
+
+
+def birkhoff_round_trips(l, irr, to_downset, from_downset):
+    """Both composites are identities: on every element of l, and on
+    every downset of the irreducibles."""
+    return (all(from_downset(to_downset(a)) == a for a in l.elements)
+            and all(to_downset(from_downset(d)) == d
+                    for d in enumerate_downsets(irr)))
+
+
+def is_frame_hom(source, target, mapping):
+    """Defined on the whole source, keeps top and bottom, and keeps the
+    meet and the join of every pair of elements: O(n²)."""
+    h = mapping
+    return (set(h) == set(source.elements)
+            and h[source.top] == target.top
+            and h[source.bottom] == target.bottom
+            and all(h[source.meet(a, b)] == target.meet(h[a], h[b])
+                    and h[source.join(a, b)] == target.join(h[a], h[b])
+                    for a in source.elements for b in source.elements))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -392,6 +393,7 @@ DETERMINISM_CMDS = [
     ["frame", "points", str(THY / "cantor.thy"), "--truncate", "N=2"],
     ["frame", "hausdorff", str(THY / "cantor1.pres")],
     ["theory", "models", str(THY / "surj.thy"), "--truncate", "n=2,X=2"],
+    ["theory", "compile", str(THY / "cantor.thy"), "--truncate", "N=2"],
     ["stone", "spectrum", str(THY / "bool4.lat")],
     ["evt", "max", "--expr", "max(abs(x), 1 - x^2)", "--domain", "[-1,2]",
      "--eps", "1/1000", "--trace"],
@@ -403,11 +405,14 @@ DETERMINISM_CMDS = [
 @pytest.mark.parametrize("cmd", DETERMINISM_CMDS,
                          ids=[" ".join(c[:2]) for c in DETERMINISM_CMDS])
 def test_byte_identical_json_across_processes(cmd):
-    def once():
+    """Two processes with different string-hash seeds, so that no output
+    may follow the iteration order of a set of strings."""
+    def once(seed):
         return subprocess.run(
             [sys.executable, "-m", "pointfree.cli"] + cmd + ["--json"],
-            capture_output=True, cwd=ROOT)
-    a, b = once(), once()
+            capture_output=True, cwd=ROOT,
+            env={**os.environ, "PYTHONHASHSEED": seed})
+    a, b = once("1"), once("2")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
     json.loads(a.stdout)  # well-formed

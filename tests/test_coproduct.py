@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import frame_oracles
-from conftest import (boolean4, cantor_presentation, free_presentation,
-                      m3_diamond_poset, three_chain)
+from conftest import (boolean4, cantor_presentation, chain,
+                      free_presentation, m3_diamond_poset, three_chain)
 from pointfree.cli import main
-from pointfree.config import DEFAULT
+from pointfree.config import DEFAULT, Limits
 from pointfree.errors import CapExceeded
 from pointfree.frames import (FiniteFrame, PresentedFrame, closed_diagonal,
                               coproduct, enumerate_frame, frame_from_order,
@@ -75,6 +75,24 @@ def test_hausdorff_keeps_the_carrier_cap():
     assert (err.value.size, err.value.cap) == (36, DEFAULT.coproduct_cap)
     with pytest.raises(CapExceeded):
         has_open_diagonal(f)
+
+
+def test_coproduct_cap_bounds_the_tensor():
+    """cantor N=2 is the 16-element Boolean frame on 4 atoms: |f|·|f| = 256
+    is within the raised cap, and f ⊕ f, D of the 16-pair antichain
+    J × J, is refused from its count before any downset is listed.  At the
+    default cap, the 4-chain with itself (|f|·|f| = 16) is the one pair of
+    frames with |J| ≤ 4 whose coproduct is larger: C(6, 3) = 20."""
+    f = enumerate_frame(cantor_presentation(2))[0]
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        coproduct(f, f, limits=Limits(coproduct_cap=256))
+    assert time.perf_counter() - start < 1
+    assert (err.value.size, err.value.cap) == (2 ** 16, 256)
+    c4 = _as_frame(chain(4))
+    with pytest.raises(CapExceeded) as err:
+        coproduct(c4, c4)
+    assert (err.value.size, err.value.cap) == (20, DEFAULT.coproduct_cap)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Finite frames: enumeration, points, congruences, quotients, coproducts,
 Hausdorff, positivity, compactness, and open/closed maps."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -482,6 +483,55 @@ def test_frame_hom_validation_rejects_non_homs(small_frames):
         # monotone but join-breaking: collapse everything except top
         FrameHom(small_frames["bool4"], two,
                  {"0": "0", "a": "0", "b": "0", "1": "1"})
+
+
+def _homs(frames):
+    """Point, identity and quotient homs of each frame, and the coproduct
+    injections of each pair within coproduct_cap."""
+    two = two_element_frame()
+    for f in frames.values():
+        yield identity_hom(f)
+        yield from (point_hom(f, pt, two) for pt in points(f))
+        for a in f.elements:
+            for c in (open_congruence(f, a), closed_congruence(f, a)):
+                yield quotient(f, c)[1]
+    for f in frames.values():
+        for g in frames.values():
+            try:
+                yield from coproduct(f, g)[1:3]
+            except CapExceeded:
+                pass
+
+
+def test_frame_hom_check_on_j_matches_the_pairwise_check(small_frames):
+    """Both checks accept every hom, and agree on each hom with one value
+    reassigned and with two values swapped, at random."""
+    rng = random.Random(0)
+
+    def accepted(h, mapping):
+        try:
+            FrameHom(h.source, h.target, mapping)
+        except PointfreeError:
+            verdict = False
+        else:
+            verdict = True
+        assert verdict == frame_oracles.is_frame_hom(h.source, h.target,
+                                                     mapping)
+        return verdict
+
+    refused = 0
+    for h in _homs(small_frames):
+        assert accepted(h, h.mapping)
+        elems, values = h.source.elements, h.target.elements
+        for _ in range(4):
+            m = dict(h.mapping)
+            m[rng.choice(elems)] = rng.choice(values)
+            refused += not accepted(h, m)
+            u, v = rng.sample(elems, 2) if len(elems) > 1 else elems * 2
+            m = dict(h.mapping)
+            m[u], m[v] = m[v], m[u]
+            refused += not accepted(h, m)
+    assert refused > 100
 
 
 def test_adjoints_satisfy_adjunctions(small_frames):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
-from frame_oracles import (ideal_completion as ideals_by_downset_scan,
+from frame_oracles import (birkhoff_round_trips,
+                           distributivity_witness as triple_scan,
+                           ideal_completion as ideals_by_downset_scan,
                            is_directed)
 from pointfree.config import DEFAULT
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
@@ -93,6 +95,37 @@ def all_posets(names):
 def test_downset_lattice_always_distributive():
     for p in all_posets(["a", "b", "c"]):
         assert downset_lattice(p).distributivity_witness() is None
+
+
+def small_lattices():
+    """Every lattice with at most 5 elements: the one-element lattice, and
+    a bottom 0 and top 1 around each poset from all_posets on at most 3
+    elements that makes a lattice (every labelling of the middle)."""
+    out = [chain(1)]
+    for n in range(4):
+        for p in all_posets([f"x{i}" for i in range(n)]):
+            elems = ["0", *p.elements, "1"]
+            leq = (set(p.leq) | {("0", e) for e in elems}
+                   | {(e, "1") for e in elems})
+            try:
+                out.append(DistLattice(elems, leq, check_distributive=False))
+            except PointfreeError:  # some pair has no unique meet or join
+                pass
+    return out
+
+
+def test_join_prime_distributivity_matches_the_triple_scan():
+    refused = 0
+    for l in small_lattices():
+        w = l.distributivity_witness()
+        assert (w is None) == (triple_scan(l) is None)
+        if w is None:
+            assert birkhoff_round_trips(l, *birkhoff_iso(l))
+            continue
+        a, b, c = w
+        assert l.meet(a, l.join(b, c)) != l.join(l.meet(a, b), l.meet(a, c))
+        refused += 1
+    assert refused == 7  # M3 and the six labellings of N5
 
 
 # --- Kuratowski-finite joins ------------------------------------------------------
