@@ -8,6 +8,7 @@ error, 2 desk-scale cap overflow, 3 search budget exhaustion.
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -305,7 +306,10 @@ def _non_negative(text):
     return int(text)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace each call and leaves the parser as it was."""
     top = _Parser(
         prog="pointfree",
         description="Exact pointfree topology and certified maximization.")

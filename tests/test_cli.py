@@ -263,6 +263,22 @@ def test_validate_budget_bounds_every_probe(capsys):
     assert err.count("\n") == 1
 
 
+def test_successive_calls_share_no_parser_state(capsys):
+    """The parser is built once per process; each call still starts from
+    the defaults: a budget or --json given once is not kept."""
+    maximize = ["evt", "max", "--expr", "x*(1-x)", "--domain", "[0,1]"]
+    fresh = run(capsys, *maximize)
+    assert fresh[0] == 0
+    assert run(capsys, *maximize, "--budget", "5")[0] == 3
+    assert run(capsys, *maximize) == fresh
+    points = ["frame", "points", THY / "cantor1.pres"]
+    text = run(capsys, *points)
+    assert run_json(capsys, *points)[1] == {"count": 2,
+                                            "points": [["u0"], ["z0"]]}
+    assert run(capsys, *points) == text
+    assert text[1].startswith("count: 2\n")
+
+
 def run_timed(capsys, *argv):
     t0 = time.perf_counter()
     out = run(capsys, *argv)
