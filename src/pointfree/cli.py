@@ -70,8 +70,9 @@ def _parse_truncation(text):
 
 
 def _load_presentation(path, truncate, limits):
-    """A stabilized presentation from either a presentation file or a
-    theory file (detected from the first directive)."""
+    """The presentation, not stabilized, of either a presentation file or a
+    theory file (detected from the first directive), within
+    generator_cap."""
     with open(path) as fh:
         text = fh.read()
     first = ""
@@ -82,10 +83,11 @@ def _load_presentation(path, truncate, limits):
             break
     if first in ("prop", "axiom"):
         ast = theories.parse_theory(text)
-        return theories.compile_theory(ast, _parse_truncation(truncate),
-                                       limits=limits)
-    return presentations.stabilize(
-        presentations.parse_presentation_text(text), limits=limits)
+        return theories.instantiate(ast, _parse_truncation(truncate),
+                                    limits=limits)
+    p = presentations.parse_presentation_text(text)
+    presentations.check_generator_cap(p, limits)
+    return p
 
 
 def _parse_element_expr(p, text):
@@ -112,6 +114,8 @@ def _parse_element_expr(p, text):
 
 def cmd_frame(args, limits):
     p = _load_presentation(args.file, args.truncate, limits)
+    if args.sub in ("leq", "overt"):  # the C-ideal API saturates
+        p = presentations.stabilize(p, limits=limits)
     if args.sub == "leq":
         if args.lhs is None or args.rhs is None:
             raise ParseError("leq needs two element expressions")
@@ -181,16 +185,18 @@ def cmd_theory(args, limits):
                "pretty": theories.pretty_print(ast)}, args)
         return EXIT_OK
     trunc = _parse_truncation(args.truncate)
-    p = theories.compile_theory(ast, trunc, limits=limits)
     if args.sub == "compile":
+        p = theories.compile_theory(ast, trunc, limits=limits)
         _emit({"generators": list(p.generators),
                "presentation": presentations.presentation_text(p)}, args)
         return EXIT_OK
     if args.sub == "models":
-        frame = frames.PresentedFrame(p, limits=limits)
-        ms = frame.points()
+        ms = frames.PresentedFrame(theories.instantiate(ast, trunc,
+                                                        limits=limits),
+                                   limits=limits).points()
+        # a finite frame is spatial: it is nontrivial when it has a point
         _emit({"count": len(ms), "models": ms,
-               "frame_nontrivial": frame.bottom != frame.top}, args)
+               "frame_nontrivial": bool(ms)}, args)
         return EXIT_OK
     raise ParseError(f"unknown theory subcommand {args.sub!r}")
 

@@ -11,7 +11,8 @@ from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
 from .order import (DistLattice, KFinSet, Poset, canon, count_downsets,
                     enumerate_downsets, prime_filters, sort_key)
-from .presentations import meet_key, set_bits, stabilize
+from .presentations import (check_generator_cap, meet_key, set_bits,
+                            stabilize)
 
 
 class FiniteFrame(DistLattice):
@@ -32,23 +33,102 @@ def frame_from_order(elements, le, meet, join):
 
 # --- the bitmask engine for presented frames ----------------------------------
 
+def _cover_masks(p, bit):
+    """Each cover as (left side, right-side meets), over generator bits."""
+    def meet(m):
+        return sum(bit[g] for g in m)
+    return [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in p.covers]
+
+
+def _breaks(rules, true, false):
+    """Whether some rule has its left side true and every right-side meet
+    holding a false generator, so no model extends (true, false)."""
+    return any(lhs & ~true == 0 and all(t & false for t in rhs)
+               for lhs, rhs in rules)
+
+
+def find_models(p):
+    """Every model of the covers of p, as a mask over its sorted generators:
+    a set P of generators such that each cover whose left side lies in P
+    has a right-side meet inside P (Vickers, *Topology via Logic*).
+
+    Backtracking assigns the generators in order.  Setting generator i can
+    only break the rules with i on the left (i true) or in a right-side
+    meet (i false), so only those are checked.  A model of the covers is a
+    model of their meet-stabilization, so the covers need not be stabilized.
+    """
+    gens = sorted(p.generators)
+    rules = _cover_masks(p, {g: 1 << i for i, g in enumerate(gens)})
+    if _breaks(rules, 0, 0):
+        return []
+    on_true = [[r for r in rules if r[0] >> i & 1] for i in range(len(gens))]
+    on_false = [[r for r in rules if any(t >> i & 1 for t in r[1])]
+                for i in range(len(gens))]
+    out, stack = [], [(0, 0, 0)]
+    while stack:
+        i, true, false = stack.pop()
+        if i == len(gens):
+            out.append(true)
+            continue
+        b = 1 << i
+        if not _breaks(on_false[i], true, false | b):
+            stack.append((i + 1, true, false | b))
+        if not _breaks(on_true[i], true | b, false):
+            stack.append((i + 1, true | b, false))
+    return out
+
+
+def _key_cmp(a, b):
+    """The sort_key order of two C-ideal masks: by size, then the mask
+    holding the lowest bit where they differ first, which is the order of
+    their sorted member indices."""
+    if a == b:
+        return 0
+    if a.bit_count() != b.bit_count():
+        return a.bit_count() - b.bit_count()
+    diff = a ^ b
+    return -1 if a & diff & -diff else 1
+
+
 class PresentedFrame:
-    """The frame of C-ideals of a presentation, as masks of its HornClosure.
+    """The frame of C-ideals of a presentation, as bitmasks over its 2^g
+    formal meets in meet_key order.
 
     Ordering masks by `key` is the sort_key order of the C-ideals they
-    encode.  A finite frame is D(J), the downsets of its join-primes J
-    (Birkhoff), and every C-ideal is a join of principal ones, so J lies
-    among the principal C-ideals: points, elements and Hasse edges are all
-    read off J without building the lattice or its tables.
+    encode.  A finite frame is spatial and is D(J), the downsets of its
+    join-primes J (Birkhoff), so J comes from the models of the covers, one
+    join-prime per model: points and the order of J need no saturation.
+    The Horn closure of the stabilized presentation is built only for
+    elements, meets and joins.
     """
 
+    key = staticmethod(functools.cmp_to_key(_key_cmp))
+
     def __init__(self, p, limits=DEFAULT):
-        self.presentation = p = stabilize(p, limits=limits)
-        self.closure = h = p.closure
-        self.bottom, self.top = h.bottom, h.top
-        self.saturate, self.cideal = h.saturate, h.cideal
+        check_generator_cap(p, limits)
+        self.presentation = p
+        self.limits = limits
         self._joins = {}  # union of two C-ideals -> their join
         self._downsets = {0: 1}  # J-index mask s -> |D(s)|
+
+    @functools.cached_property
+    def closure(self):
+        """The HornClosure of the meet-stabilized presentation."""
+        return stabilize(self.presentation, limits=self.limits).closure
+
+    @property
+    def bottom(self):
+        return self.closure.bottom
+
+    @property
+    def top(self):
+        return self.closure.top
+
+    def saturate(self, mask):
+        return self.closure.saturate(mask)
+
+    def cideal(self, mask):
+        return self.closure.cideal(mask)
 
     def join(self, a, b):
         u = a | b
@@ -57,44 +137,69 @@ class PresentedFrame:
         return self._joins[u]
 
     @staticmethod
-    def key(mask):
-        return (mask.bit_count(), tuple(set_bits(mask)))
-
-    @staticmethod
     def le(a, b):
         return a & ~b == 0
 
-    @functools.cached_property
-    def principals(self):
-        """The principal C-ideal of each formal meet, in meet order."""
-        return [self.saturate(d) for d in self.closure.down]
-
     def generator(self, g):
         """The principal C-ideal of one generator."""
-        return self.principals[self.closure.index[frozenset([g])]]
+        return self.saturate(self.closure.mask([frozenset([g])]))
 
     @functools.cached_property
+    def _models(self):
+        """(models, J), both in the key order of the join-primes."""
+        ms = find_models(self.presentation)
+        js = self._join_primes_of(ms)
+        order = sorted(range(len(ms)), key=lambda k: self.key(js[k]))
+        return [ms[k] for k in order], [js[k] for k in order]
+
+    @property
+    def models(self):
+        """Every model (find_models), as a mask over the sorted generators."""
+        return self._models[0]
+
+    @property
     def join_primes(self):
-        """J in key order: the principal C-ideals j whose principal
-        C-ideals strictly below do not join up to j (a meet lies in j
-        exactly when its principal C-ideal does)."""
-        principal = self.principals
-        primes = set()
-        for j in set(principal):
-            below = 0
-            for i in set_bits(j):
-                if principal[i] != j:
-                    below |= principal[i]
-            if self.saturate(below) != j:
-                primes.add(j)
-        return sorted(primes, key=self.key)
+        """J in key order: the join-prime j_P of each model P, the formal
+        meets m such that every model holding m holds P.  j_P ≤ j_Q exactly
+        when Q ⊆ P."""
+        return self._models[1]
+
+    def _join_primes_of(self, ms):
+        """j_P for each model P, read off masks of formal meets: m lies
+        outside j_P when some model Q holds m and misses a generator of P.
+        With W[i] the meets held by a model missing generator i,
+        j_P = full minus the union of W[i] over i in P."""
+        g = len(self.presentation.generators)
+        holding = [0] * g  # holding[i]: the formal meets holding generator i
+        meets = (c for n in range(g + 1) for c in combinations(range(g), n))
+        for k, m in enumerate(meets):
+            for i in m:
+                holding[i] |= 1 << k
+        full = (1 << 2 ** g) - 1
+        missed = [0] * g  # W[i]
+        for q in ms:
+            held = full  # the formal meets q holds: those inside q
+            for i in range(g):
+                if not q >> i & 1:
+                    held &= ~holding[i]
+            for i in range(g):
+                if not q >> i & 1:
+                    missed[i] |= held
+        out = []
+        for q in ms:
+            outside = 0
+            for i in set_bits(q):
+                outside |= missed[i]
+            out.append(full & ~outside)
+        return out
 
     @functools.cached_property
     def _below(self):
-        """For each k, the J-indices of the join-primes strictly below J[k]."""
-        js = self.join_primes
-        return [sum(1 << i for i, a in enumerate(js) if a != b and a & ~b == 0)
-                for b in js]
+        """For each k, the J-indices of the join-primes strictly below J[k]:
+        j_P < j_Q when Q is a proper subset of P."""
+        ms = self.models
+        return [sum(1 << i for i, p in enumerate(ms) if p != q and q & ~p == 0)
+                for q in ms]
 
     def count_downsets(self, s=None):
         """|D(S)| for the join-primes S with J-indices in the mask s, by
@@ -107,6 +212,7 @@ class PresentedFrame:
         Hasse edges ⋁D ⋖ ⋁(D ∪ {k}) for each k minimal in J minus D, sorted
         by the keys of their ends."""
         js, below = self.join_primes, self._below
+        saturate = self.closure.saturate
         join_of = {0: self.bottom}
         edges = []
         stack = [0]
@@ -117,7 +223,7 @@ class PresentedFrame:
                 if not d >> k & 1 and below[k] & ~d == 0:
                     d2 = d | 1 << k
                     if d2 not in join_of:
-                        join_of[d2] = self.saturate(e | j)
+                        join_of[d2] = saturate(e | j)
                         stack.append(d2)
                     edges.append((e, join_of[d2]))
         keys = {e: self.key(e) for e in join_of.values()}
@@ -125,27 +231,24 @@ class PresentedFrame:
         return sorted(keys, key=keys.get), edges
 
     def points(self):
-        """Each point as the sorted list of generators it makes true.
+        """Each point as the sorted list of generators of its model.
 
         The point of a join-prime j is its filter ↑j, and the points come
         in the sort_key order of those filters: by |↑j| = |D(J minus ↓j)|,
-        then by j, the least member of its filter.  Each truth assignment
-        is checked against every stabilized rule (it must be a frame hom
-        to 2) before it is returned.
+        then by j, the least member of its filter.  Each model is checked
+        against every cover before it is returned.
         """
-        js, below, h = self.join_primes, self._below, self.closure
-        everything = (1 << len(js)) - 1
+        ms, below = self.models, self._below
+        gens = sorted(self.presentation.generators)
+        rules = _cover_masks(self.presentation,
+                             {g: 1 << i for i, g in enumerate(gens)})
+        everything = (1 << len(ms)) - 1
         out = []
-        for k in sorted(range(len(js)), key=lambda k: (
-                self.count_downsets(everything & ~(below[k] | 1 << k)),
-                self.key(js[k]))):
-            true = {g for g in self.presentation.generators
-                    if self.le(js[k], self.generator(g))}
-            holds = sum(1 << i for i, m in enumerate(h.meets) if m <= true)
-            if any(holds >> lhs & 1 and not holds & rhs
-                   for lhs, rhs in zip(h.lhs, h.rhs)):
-                raise PointfreeError("point violates a stabilized rule")
-            out.append(sorted(true))
+        for k in sorted(range(len(ms)), key=lambda k: (
+                self.count_downsets(everything & ~(below[k] | 1 << k)), k)):
+            if _breaks(rules, ms[k], ~ms[k]):
+                raise PointfreeError("point violates a cover")
+            out.append([g for i, g in enumerate(gens) if ms[k] >> i & 1])
         return out
 
 
@@ -517,9 +620,9 @@ def is_compact_presentation(p, limits=DEFAULT):
     """Compactness certificate for a presentation: top is inaccessible by
     directed joins.  Its frame is finite, and a finite directed set holds
     an upper bound of all its members (taking bounds pairwise), which is
-    its join; so a directed cover of top contains top.  The presentation
-    is stabilized, which applies generator_cap; no element is listed."""
-    stabilize(p, limits=limits)
+    its join; so a directed cover of top contains top.  Only generator_cap
+    is checked; nothing is stabilized and no element is listed."""
+    check_generator_cap(p, limits)
     return {"certificate": "finite frame: every directed cover of top "
                            "contains top",
             "compact": True, "verified": True}

@@ -68,12 +68,18 @@ class FramePresentation:
         return HornClosure(self)
 
 
-def stabilize(p, limits=DEFAULT):
-    """Meet-stabilize: close the rules under meeting both sides with every
-    formal meet.  Idempotent; required by all C-ideal operations."""
+def check_generator_cap(p, limits=DEFAULT):
+    """Refuse a presentation with more than generator_cap generators: its
+    C-ideals are masks over 2^g formal meets."""
     if len(p.generators) > limits.generator_cap:
         raise CapExceeded("generators", len(p.generators),
                           limits.generator_cap)
+
+
+def stabilize(p, limits=DEFAULT):
+    """Meet-stabilize: close the rules under meeting both sides with every
+    formal meet.  Idempotent; required by all C-ideal operations."""
+    check_generator_cap(p, limits)
     if p.stabilized:
         return p
     rules = set(p.covers)

@@ -387,8 +387,10 @@ def _resolve_bound(b, trunc):
     return n
 
 
-def compile_theory(ast, trunc=None, limits=DEFAULT):
-    """Instantiate every schema over its finite index ranges and stabilize."""
+def instantiate(ast, trunc=None, limits=DEFAULT):
+    """The presentation of every schema over its finite index ranges, not
+    stabilized.  The generators are counted against generator_cap before
+    any is named."""
     trunc = trunc or {}
     bounds = [[_resolve_bound(b, trunc) for b in f.bounds]
               for f in ast.families]
@@ -417,7 +419,12 @@ def compile_theory(ast, trunc=None, limits=DEFAULT):
                 rhs |= {frozenset(_atom_gen(a, jenv) for a in c)
                         for c in ax.rhs}
             covers.add((lhs, frozenset(rhs)))
-    return stabilize(FramePresentation.make(gens, covers), limits=limits)
+    return FramePresentation.make(gens, covers)
+
+
+def compile_theory(ast, trunc=None, limits=DEFAULT):
+    """Instantiate every schema over its finite index ranges and stabilize."""
+    return stabilize(instantiate(ast, trunc, limits=limits), limits=limits)
 
 
 def _subst(i, env):
@@ -429,8 +436,9 @@ def _atom_gen(atom, env):
 
 
 def models(ast, trunc=None, limits=DEFAULT):
-    """Points of the compiled frame, read back as truth assignments."""
-    p = compile_theory(ast, trunc=trunc, limits=limits)
+    """Points of the compiled frame, read back as truth assignments: the
+    models of the instantiated covers, which need no stabilizing."""
+    p = instantiate(ast, trunc=trunc, limits=limits)
     return [{g: g in true for g in p.generators}
             for true in PresentedFrame(p, limits=limits).points()]
 

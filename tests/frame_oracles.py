@@ -1,6 +1,10 @@
 """The frame algorithms that theorems replaced, kept as independent
 oracles for them.
 
+- For the join-primes J of the bitmask engine, which come from a search
+  for models (`frames.find_models`): the scan of all 2^g principal
+  C-ideals of the stabilized presentation for those that the principals
+  strictly below do not join up to, with the points read off it.
 - For the Horn closure (`presentations.saturate`): the fixpoint that
   down-closes the seed and rescans every stabilized rule until nothing
   changes, on frozensets of formal meets.
@@ -37,8 +41,51 @@ from itertools import combinations
 from pointfree.config import DEFAULT
 from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import FiniteFrame, FrameHom, frame_from_order
-from pointfree.order import enumerate_downsets, sort_key
-from pointfree.presentations import stabilize
+from pointfree.order import count_downsets, enumerate_downsets, sort_key
+from pointfree.presentations import set_bits, stabilize
+
+
+def principal_scan(p):
+    """(J, points, nontrivial) of a presentation from its principal
+    C-ideals: J in key order, each point as its sorted true generators in
+    the order of PresentedFrame.points, and whether bottom ≠ top.
+
+    Every C-ideal is a join of principal ones, so J lies among them: a
+    principal j is join-prime when the principals strictly below it do not
+    join up to j.  The point of j makes g true when j lies below the
+    principal C-ideal of g, and is checked against every stabilized rule.
+    """
+    p = stabilize(p)
+    h = p.closure
+    principal = [h.saturate(d) for d in h.down]
+    primes = set()
+    for j in set(principal):
+        below = 0
+        for i in set_bits(j):
+            if principal[i] != j:
+                below |= principal[i]
+        if h.saturate(below) != j:
+            primes.add(j)
+
+    def key(mask):
+        return (mask.bit_count(), tuple(set_bits(mask)))
+
+    js = sorted(primes, key=key)
+    below = [sum(1 << i for i, a in enumerate(js) if a != b and a & ~b == 0)
+             for b in js]
+    everything, memo = (1 << len(js)) - 1, {0: 1}
+    pts = []
+    for k in sorted(range(len(js)), key=lambda k: (
+            count_downsets(below, everything & ~(below[k] | 1 << k), memo),
+            key(js[k]))):
+        true = {g for g in p.generators
+                if js[k] & ~principal[h.index[frozenset([g])]] == 0}
+        holds = sum(1 << i for i, m in enumerate(h.meets) if m <= true)
+        if any(holds >> lhs & 1 and not holds & rhs
+               for lhs, rhs in zip(h.lhs, h.rhs)):
+            raise PointfreeError("point violates a stabilized rule")
+        pts.append(sorted(true))
+    return js, pts, h.bottom != h.top
 
 
 def down_close(p, meets):

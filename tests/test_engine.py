@@ -1,17 +1,33 @@
 """The Horn closure and the bitmask frame engine against the algorithms
-they replaced (frame_oracles): saturation, elements, Hasse edges and
-points, in order."""
+they replaced (frame_oracles): saturation, the join-primes from the model
+search, elements, Hasse edges and points, in order."""
+
+import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import frame_oracles
 from conftest import cantor_presentation, free_presentation
+from pointfree import frames
+from pointfree.cli import main
 from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import PresentedFrame, enumerate_frame, points
 from pointfree.order import sort_key
 from pointfree.presentations import (FramePresentation, cideal_heyting,
-                                     saturate, stabilize)
+                                     saturate, set_bits, stabilize)
+from test_cli import THY
+
+EXAMPLES = [free_presentation(1), free_presentation(3), cantor_presentation(1),
+            cantor_presentation(2), cantor_presentation(3),
+            cantor_presentation(4),
+            FramePresentation.make(["a"], [({"a"}, [])])]
+EXAMPLE_IDS = ["free1", "free3", "cantor1", "cantor2", "cantor3", "cantor4",
+               "trivial"]
 
 
 @st.composite
@@ -51,6 +67,95 @@ def test_saturate_matches_the_fixpoint_oracle(p, data):
     assert cideal_heyting(a, b).members == {
         m for m in meets
         if frame_oracles.down_close(p, [m]) & a.members <= b.members}
+
+
+def check_search_against_principal_scan(p):
+    """J masks, point order and nontriviality from the model search, on
+    the covers as given and stabilized, against the principal scan."""
+    js, pts, nontrivial = frame_oracles.principal_scan(p)
+    for q in (p, stabilize(p)):
+        engine = PresentedFrame(q)
+        assert engine.join_primes == js
+        assert engine.points() == pts
+        assert bool(pts) == nontrivial == (engine.bottom != engine.top)
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations())
+def test_model_search_matches_the_principal_scan(p):
+    check_search_against_principal_scan(p)
+
+
+@pytest.mark.parametrize("p", EXAMPLES, ids=EXAMPLE_IDS)
+def test_model_search_matches_the_principal_scan_on_examples(p):
+    check_search_against_principal_scan(p)
+
+
+def test_model_search_reads_the_covers_as_given():
+    """A model of the covers is one of their meet-stabilization, so the
+    search finds the same models either way.  Cantor N=2 has four, over
+    the sorted generators u0, u1, z0, z1: one of u_i, z_i for each i."""
+    p = cantor_presentation(2)
+    assert sorted(frames.find_models(p)) == \
+        sorted(frames.find_models(stabilize(p))) == [0b0011, 0b0110,
+                                                     0b1001, 0b1100]
+    # top <= bot has no model, and neither has a cover by nothing
+    assert frames.find_models(FramePresentation.make(["a"],
+                                                     [(set(), [])])) == []
+
+
+def test_key_orders_masks_as_their_sorted_members():
+    masks = [0, 1, 2, 3, 5, 6, 9, 12, 0b1011, 0b1101, 0b0111, 1 << 300,
+             (1 << 300) | 1, (1 << 300) | 2]
+    assert sorted(masks, key=PresentedFrame.key) == sorted(
+        masks, key=lambda m: (m.bit_count(),
+                              tuple(set_bits(m))))
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "models", THY / "cantor.thy", "--truncate", "N=2"],
+    ["theory", "models", THY / "surj.thy", "--truncate", "n=2,X=2"],
+    ["frame", "points", THY / "cantor1.pres"],
+    ["frame", "points", THY / "cantor.thy", "--truncate", "N=3"]],
+    ids=["models cantor", "models surj", "points pres", "points thy"])
+def test_points_neither_stabilize_nor_saturate(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("points stabilized or built a closure")
+
+    monkeypatch.setattr(frames, "stabilize", refuse)
+    monkeypatch.setattr("pointfree.presentations.stabilize", refuse)
+    monkeypatch.setattr("pointfree.presentations.HornClosure", refuse)
+    assert main([str(a) for a in argv] + ["--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cantor_six_models_in_a_fresh_process(tmp_path):
+    """Cantor N=6 at generator_cap 12: 12 generators, 4,096 formal meets
+    and 64 models (5.3 s for the whole process with the principal scan)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"generator_cap": 12}')
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pointfree.cli", "theory", "models",
+         str(THY / "cantor.thy"), "--truncate", "N=6", "--json"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "POINTFREE_CONFIG": str(cfg)})
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith('{"count": 64, "frame_nontrivial": true')
+
+
+def test_cantor_six_models_in_process(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"generator_cap": 12}')
+    monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
+    argv = ["theory", "models", str(THY / "cantor.thy"), "--truncate", "N=6",
+            "--json"]
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 0.1
+    ms = json.loads(capsys.readouterr().out)["models"]
+    assert len(ms) == 64 and ms[0] == ["u0", "u1", "u2", "u3", "u4", "u5"]
 
 
 def check_against_oracles(p):
@@ -102,10 +207,13 @@ def test_engine_cap():
         PresentedFrame(free_presentation(9))
 
 
-def test_engine_rejects_a_point_that_breaks_a_rule():
-    """The certificate check on points: top is not join-prime in cantor
-    N=1 (top = z0 ∨ u0), and its truth assignment breaks top ≤ z0 ∨ u0."""
+def test_engine_rejects_a_point_that_breaks_a_rule(monkeypatch):
+    """The certificate check on points: a search that also returned the
+    empty set on cantor N=1 (u0 and z0 both false) would break
+    top ≤ z0 ∨ u0, and the check refuses it."""
+    search = frames.find_models
+    monkeypatch.setattr(frames, "find_models", lambda p: search(p) + [0])
     engine = PresentedFrame(cantor_presentation(1))
-    engine.join_primes.append(engine.top)
-    with pytest.raises(PointfreeError):
+    assert len(engine.join_primes) == 3
+    with pytest.raises(PointfreeError, match="point violates a cover"):
         engine.points()
