@@ -133,10 +133,11 @@ class DistLattice:
             raise PointfreeError("duplicate lattice elements")
         self.meet_table = {}
         self.join_table = {}
+        meet = meet or self._bound_from_masks(lower=True)
+        join = join or self._bound_from_masks(lower=False)
         for a in self.elements:
             for b in self.elements:
-                m = meet(a, b) if meet else self._bound(a, b, lower=True)
-                j = join(a, b) if join else self._bound(a, b, lower=False)
+                m, j = meet(a, b), join(a, b)
                 if m not in self._index or j not in self._index:
                     raise PointfreeError("meet/join landed outside the lattice")
                 self.meet_table[a, b] = m
@@ -154,18 +155,29 @@ class DistLattice:
             if w is not None:
                 raise NotDistributive(w)
 
-    def _bound(self, a, b, lower):
-        if lower:
-            cands = [c for c in self.elements if self.le(c, a) and self.le(c, b)]
-            best = [c for c in cands if all(self.le(d, c) for d in cands)]
-            kind = "meet"
-        else:
-            cands = [c for c in self.elements if self.le(a, c) and self.le(b, c)]
-            best = [c for c in cands if all(self.le(c, d) for d in cands)]
-            kind = "join"
-        if len(best) != 1:
-            raise PointfreeError(f"{kind} of {a} and {b} does not exist uniquely")
-        return best[0]
+    def _bound_from_masks(self, lower):
+        """Meet (or join) read off the order: ↓(a ∧ b) = ↓a ∩ ↓b, so the
+        meet is the element whose down-set mask is the intersection, and
+        there is none when the common lower bounds have no greatest one.
+        Joins use up-set masks the same way."""
+        index = self._index
+        masks = dict.fromkeys(self.elements, 0)
+        for a, b in self._leq:
+            if a in index and b in index:
+                if lower:
+                    masks[b] |= 1 << index[a]
+                else:
+                    masks[a] |= 1 << index[b]
+        by_mask = {m: e for e, m in masks.items()}
+        kind = "meet" if lower else "join"
+
+        def bound(a, b):
+            c = by_mask.get(masks[a] & masks[b])
+            if c is None:
+                raise PointfreeError(
+                    f"{kind} of {a} and {b} does not exist uniquely")
+            return c
+        return bound
 
     def le(self, a, b):
         return (a, b) in self._leq

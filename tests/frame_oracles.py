@@ -27,6 +27,10 @@ oracles for them.
 - For compactness and the ideal completion, which hold because a finite
   directed set holds its own join: the directed-cover scan for top, and
   the scan of all downsets for the join-closed ones.
+- For the meet and join tables that `DistLattice` reads off down-set and
+  up-set masks when it is given only an order: the scan of the common
+  lower (upper) bounds for one above (below) all the others, O(n) order
+  lookups per candidate.
 - For the join-prime certificate of distributivity, Birkhoff's theorem and
   the homomorphism check on J (`DistLattice.distributivity_witness`,
   `order.birkhoff_iso`, `frames.FrameHom`): the triple scan of the
@@ -506,6 +510,42 @@ def ideal_completion(l):
     if principals != set(ideals):
         raise PointfreeError("principal-ideal map is not onto the ideals")
     return ideals
+
+
+# --- lattice tables from an order by scan ---------------------------------------
+
+def bound(elements, le, a, b, lower):
+    """The meet (lower) or join of a and b in the order le: the common
+    bounds, and among them the one comparable above (below) all others."""
+    if lower:
+        cands = [c for c in elements if le(c, a) and le(c, b)]
+        best = [c for c in cands if all(le(d, c) for d in cands)]
+        kind = "meet"
+    else:
+        cands = [c for c in elements if le(a, c) and le(b, c)]
+        best = [c for c in cands if all(le(c, d) for d in cands)]
+        kind = "join"
+    if len(best) != 1:
+        raise PointfreeError(f"{kind} of {a} and {b} does not exist uniquely")
+    return best[0]
+
+
+def lattice_tables(elements, leq):
+    """(meet table, join table) over all pairs in element order, meet
+    before join for each pair, or the PointfreeError of the first pair
+    whose meet or join does not exist."""
+    def le(x, y):
+        return (x, y) in leq
+
+    meets, joins = {}, {}
+    try:
+        for a in elements:
+            for b in elements:
+                meets[a, b] = bound(elements, le, a, b, lower=True)
+                joins[a, b] = bound(elements, le, a, b, lower=False)
+    except PointfreeError as exc:
+        return exc
+    return meets, joins
 
 
 # --- distributivity, Birkhoff and homomorphisms by scan ----------------------------

@@ -5,13 +5,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
 from frame_oracles import (birkhoff_round_trips,
                            distributivity_witness as triple_scan,
                            ideal_completion as ideals_by_downset_scan,
-                           is_directed)
+                           is_directed, lattice_tables)
 from pointfree.config import DEFAULT
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
@@ -112,6 +112,43 @@ def small_lattices():
             except PointfreeError:  # some pair has no unique meet or join
                 pass
     return out
+
+
+BOUNDED_POSETS = [p for n in range(5)
+                  for p in all_posets([f"x{i}" for i in range(n)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BOUNDED_POSETS), st.randoms(use_true_random=False))
+def test_tables_from_masks_match_the_bound_scan(p, rng):
+    """Meets and joins read off down-set and up-set masks against the scan
+    of common bounds, on ⊥ and ⊤ around every poset on at most 4 elements
+    (non-lattices included), listed in a random order: equal tables, or
+    the same first pair refused with the same message."""
+    elems = ["0", *p.elements, "1"]
+    rng.shuffle(elems)
+    leq = (set(p.leq) | {("0", e) for e in elems} | {(e, "1") for e in elems})
+    want = lattice_tables(elems, leq)
+    try:
+        l = DistLattice(elems, leq, check_distributive=False)
+    except PointfreeError as exc:
+        assert isinstance(want, PointfreeError) and str(exc) == str(want)
+        return
+    assert (l.meet_table, l.join_table) == want
+
+
+def test_tables_from_masks_refuse_the_first_pair():
+    """Two maximal lower bounds: a, b < c, d has no meet of c and d and no
+    join of a and b; the pair loop reaches (a, b) first."""
+    elems = ["0", "a", "b", "c", "d", "1"]
+    leq = ({(x, x) for x in elems} | {("0", x) for x in elems}
+           | {(x, "1") for x in elems}
+           | {(x, y) for x in "ab" for y in "cd"})
+    with pytest.raises(PointfreeError,
+                       match="^join of a and b does not exist uniquely$"):
+        DistLattice(elems, leq, check_distributive=False)
+    assert str(lattice_tables(elems, leq)) == \
+        "join of a and b does not exist uniquely"
 
 
 def test_join_prime_distributivity_matches_the_triple_scan():
