@@ -22,6 +22,7 @@ class Limits:
     coproduct_cap: int = 16      # max |f| * |g| and |f ⊕ g| for coproducts, |f|^2 for Hausdorff
     bnb_node_budget: int = 10**6  # branch-and-bound node budget
     degree_cap: int = 64         # max syntactic degree of an evt expression
+    axiom_instance_cap: int = 65536  # max axiom instances a theory compiles to
 
 
 def load_limits():

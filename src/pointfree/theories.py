@@ -390,7 +390,9 @@ def _resolve_bound(b, trunc):
 def instantiate(ast, trunc=None, limits=DEFAULT):
     """The presentation of every schema over its finite index ranges, not
     stabilized.  The generators are counted against generator_cap before
-    any is named."""
+    any is named, and the instances against axiom_instance_cap before any
+    is built: each axiom has one per value of its `for` binders, and each
+    of those joins one right side per value of its `some` binders."""
     trunc = trunc or {}
     bounds = [[_resolve_bound(b, trunc) for b in f.bounds]
               for f in ast.families]
@@ -401,11 +403,17 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
             for idx in product(*map(range, bs))]
     if len(set(gens)) != len(gens):
         raise ParseError("instantiated generator names collide")
+    spans = [([range(_resolve_bound(b, trunc)) for _, b in ax.binders],
+              [range(_resolve_bound(b, trunc)) for _, b in ax.joins])
+             for ax in ast.axioms]
+    instances = sum(prod(map(len, rs)) * prod(map(len, js))
+                    for rs, js in spans)
+    if instances > limits.axiom_instance_cap:
+        raise CapExceeded("axiom instances", instances,
+                          limits.axiom_instance_cap, field="axiom_instance_cap")
     covers = set()
-    for ax in ast.axioms:
-        ranges = [range(_resolve_bound(b, trunc)) for _, b in ax.binders]
+    for ax, (ranges, jranges) in zip(ast.axioms, spans):
         names = [v for v, _ in ax.binders]
-        jranges = [range(_resolve_bound(b, trunc)) for _, b in ax.joins]
         jnames = [v for v, _ in ax.joins]
         for values in product(*ranges):
             env = dict(zip(names, values))

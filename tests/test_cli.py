@@ -240,7 +240,12 @@ VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
                  "locate budget 1 exhausted for ", id="bnb_node_budget"),
     pytest.param("degree_cap", 1, VALIDATE, 2,
                  "expression degree has size 2, exceeding cap 1 "
-                 "(degree_cap)\n", id="degree_cap")])
+                 "(degree_cap)\n", id="degree_cap"),
+    pytest.param("axiom_instance_cap", 2, ["theory", "models",
+                                           THY / "repeat.thy",
+                                           "--truncate", "N=3"], 2,
+                 "axiom instances has size 3, exceeding cap 2 "
+                 "(axiom_instance_cap)\n", id="axiom_instance_cap")])
 def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch, field,
                                    value, argv, code, message):
     """Every Limits field set in POINTFREE_CONFIG reaches the code that
@@ -314,6 +319,21 @@ def test_compile_refuses_before_naming_the_generators(capsys):
     assert code == 2 and out == ""
     assert err == "error: generators has size 6000000, exceeding cap 8\n"
     assert secs < 5
+
+
+@pytest.mark.parametrize("sub", ["models", "compile"])
+def test_theory_refuses_axiom_instances_before_building_them(sub):
+    """axiom a |- a for i<N with N = 3·10^6: the parent compiled all three
+    million instances before it answered."""
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pointfree.cli", "theory", sub,
+         str(THY / "repeat.thy"), "--truncate", "N=3000000"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60)
+    assert time.perf_counter() - t0 < 1
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: axiom instances has size 3000000, "
+                           "exceeding cap 65536 (axiom_instance_cap)\n")
 
 
 @pytest.mark.parametrize("sub", [["max"], ["validate"],

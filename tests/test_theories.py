@@ -151,6 +151,18 @@ def test_compile_generator_cap():
         compile_theory(parse_theory(CANTOR_SRC), trunc={"N": 9})
 
 
+def test_axiom_instance_cap_counts_for_and_some_binders():
+    """surj n=2, X=2: functionality has 2·2·2 instances (the side
+    condition is not counted), totality 2 with 2 right sides each and
+    surjectivity the same, 16 in all."""
+    ast = parse_theory(SURJ_SRC)
+    trunc = {"n": 2, "X": 2}
+    assert models(ast, trunc, limits=Limits(axiom_instance_cap=16))
+    with pytest.raises(CapExceeded, match="^axiom instances has size 16, "
+                       "exceeding cap 15 \\(axiom_instance_cap\\)$"):
+        compile_theory(ast, trunc, limits=Limits(axiom_instance_cap=15))
+
+
 def test_compile_side_conditions_filter_instances():
     p = compile_theory(parse_theory(SURJ_SRC), trunc={"n": 1, "X": 2})
     # functionality fires only for v != w, in both orders
