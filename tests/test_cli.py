@@ -474,7 +474,9 @@ def test_byte_identical_json_across_processes(cmd):
 # generator with its stderr, and accepted and rejected certificates on
 # cantor1.pres, free2.pres, cantor.thy N=2 and N=3 and surj.thy n=2,X=2.
 # theory compile on cantor.thy N=2, surj.thy n=2,X=2 and sierpinski.thy
-# (recorded once its rule order stopped following string hashing)
+# (recorded once its rule order stopped following string hashing).  theory
+# models on repeat.thy at N=3000000, refused by axiom_instance_cap (exit 2,
+# stderr pinned; recorded once the cap was added).
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
