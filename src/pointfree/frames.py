@@ -33,11 +33,15 @@ def frame_from_order(elements, le, meet, join):
 
 # --- the bitmask engine for presented frames ----------------------------------
 
-def _cover_masks(p, bit):
-    """Each cover as (left side, right-side meets), over generator bits."""
+def _cover_masks(p):
+    """The sorted generators, and each cover as (left side, right-side
+    meets) over their bits."""
+    gens = sorted(p.generators)
+    bit = {g: 1 << i for i, g in enumerate(gens)}
+
     def meet(m):
         return sum(bit[g] for g in m)
-    return [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in p.covers]
+    return gens, [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in p.covers]
 
 
 def _breaks(rules, true, false):
@@ -57,8 +61,7 @@ def find_models(p):
     meet (i false), so only those are checked.  A model of the covers is a
     model of their meet-stabilization, so the covers need not be stabilized.
     """
-    gens = sorted(p.generators)
-    rules = _cover_masks(p, {g: 1 << i for i, g in enumerate(gens)})
+    gens, rules = _cover_masks(p)
     if _breaks(rules, 0, 0):
         return []
     on_true = [[r for r in rules if r[0] >> i & 1] for i in range(len(gens))]
@@ -146,16 +149,12 @@ class PresentedFrame:
 
     @functools.cached_property
     def _models(self):
-        """(models, J), both in the key order of the join-primes."""
+        """Every model (find_models) and its join-prime, both lists in the
+        key order of the join-primes."""
         ms = find_models(self.presentation)
         js = self._join_primes_of(ms)
         order = sorted(range(len(ms)), key=lambda k: self.key(js[k]))
         return [ms[k] for k in order], [js[k] for k in order]
-
-    @property
-    def models(self):
-        """Every model (find_models), as a mask over the sorted generators."""
-        return self._models[0]
 
     @property
     def join_primes(self):
@@ -178,13 +177,12 @@ class PresentedFrame:
         full = (1 << 2 ** g) - 1
         missed = [0] * g  # W[i]
         for q in ms:
+            absent = [i for i in range(g) if not q >> i & 1]
             held = full  # the formal meets q holds: those inside q
-            for i in range(g):
-                if not q >> i & 1:
-                    held &= ~holding[i]
-            for i in range(g):
-                if not q >> i & 1:
-                    missed[i] |= held
+            for i in absent:
+                held &= ~holding[i]
+            for i in absent:
+                missed[i] |= held
         out = []
         for q in ms:
             outside = 0
@@ -197,7 +195,7 @@ class PresentedFrame:
     def _below(self):
         """For each k, the J-indices of the join-primes strictly below J[k]:
         j_P < j_Q when Q is a proper subset of P."""
-        ms = self.models
+        ms = self._models[0]
         return [sum(1 << i for i, p in enumerate(ms) if p != q and q & ~p == 0)
                 for q in ms]
 
@@ -238,10 +236,8 @@ class PresentedFrame:
         then by j, the least member of its filter.  Each model is checked
         against every cover before it is returned.
         """
-        ms, below = self.models, self._below
-        gens = sorted(self.presentation.generators)
-        rules = _cover_masks(self.presentation,
-                             {g: 1 << i for i, g in enumerate(gens)})
+        ms, below = self._models[0], self._below
+        gens, rules = _cover_masks(self.presentation)
         everything = (1 << len(ms)) - 1
         out = []
         for k in sorted(range(len(ms)), key=lambda k: (
