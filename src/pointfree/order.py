@@ -163,11 +163,10 @@ class DistLattice:
         index = self._index
         masks = dict.fromkeys(self.elements, 0)
         for a, b in self._leq:
-            if a in index and b in index:
-                if lower:
-                    masks[b] |= 1 << index[a]
-                else:
-                    masks[a] |= 1 << index[b]
+            if lower:
+                masks[b] |= 1 << index[a]
+            else:
+                masks[a] |= 1 << index[b]
         by_mask = {m: e for e, m in masks.items()}
         kind = "meet" if lower else "join"
 
