@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +21,8 @@ from pointfree.frames import PresentedFrame, enumerate_frame, points
 from pointfree.order import sort_key
 from pointfree.presentations import (FramePresentation, cideal_heyting,
                                      saturate, set_bits, stabilize)
-from test_cli import THY
+
+THY = Path(__file__).resolve().parents[1] / "theories"
 
 EXAMPLES = [free_presentation(1), free_presentation(3), cantor_presentation(1),
             cantor_presentation(2), cantor_presentation(3),
@@ -99,7 +101,7 @@ def test_model_search_reads_the_covers_as_given():
     assert sorted(frames.find_models(p)) == \
         sorted(frames.find_models(stabilize(p))) == [0b0011, 0b0110,
                                                      0b1001, 0b1100]
-    # top <= bot has no model, and neither has a cover by nothing
+    # top covered by nothing (top <= bot) has no model
     assert frames.find_models(FramePresentation.make(["a"],
                                                      [(set(), [])])) == []
 
@@ -108,8 +110,7 @@ def test_key_orders_masks_as_their_sorted_members():
     masks = [0, 1, 2, 3, 5, 6, 9, 12, 0b1011, 0b1101, 0b0111, 1 << 300,
              (1 << 300) | 1, (1 << 300) | 2]
     assert sorted(masks, key=PresentedFrame.key) == sorted(
-        masks, key=lambda m: (m.bit_count(),
-                              tuple(set_bits(m))))
+        masks, key=lambda m: (m.bit_count(), tuple(set_bits(m))))
 
 
 @pytest.mark.parametrize("argv", [
