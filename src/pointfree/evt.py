@@ -6,6 +6,9 @@ every reported lower bound comes with an actual witness input; the upper
 bound is the largest interval-evaluation bound over the live boxes.  The
 result is a two-sided rational enclosure of the maximum together with an
 outer cover of the maximizer set.
+
+Each entry point compiles its expression once (`reals.compile_expr`) and
+hands the compiled form to every evaluation and helper below it.
 """
 
 import heapq
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from .config import DEFAULT
 from .errors import BudgetExhausted, CapExceeded, PointfreeError
-from .reals import RatInterval, degree, eval_interval, eval_point
+from .reals import RatInterval, compile_expr, eval_interval, eval_point
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,10 @@ def _rat_sqrt_upper(q):
     return Fraction(math.isqrt(n) + 1, q.denominator)
 
 
-def _check_degree(e, limits):
-    """Refuse an expression whose syntactic degree passes degree_cap: its
-    exact values grow in bit size with the degree."""
-    deg = degree(e)
+def _check_degree(c, limits):
+    """Refuse a compiled expression whose syntactic degree passes
+    degree_cap: its exact values grow in bit size with the degree."""
+    deg = c.degree
     if deg > limits.degree_cap:
         raise CapExceeded("expression degree", deg, limits.degree_cap,
                           field="degree_cap")
@@ -70,6 +73,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     eps = Fraction(eps)
     if eps <= 0:
         raise PointfreeError("eps must be strictly positive")
+    e = compile_expr(e)
     _check_degree(e, limits)
     node_budget = limits.bnb_node_budget
     delta = _rat_sqrt_upper(eps)  # the cover's width bound
@@ -162,6 +166,7 @@ def positive_witness(e, d, q, budget):
     q = Fraction(q)
     if budget < 1:
         raise PointfreeError("budget must be at least 1")
+    e = compile_expr(e)
     heap = []
     for box in d.components:
         bounds = _push(heap, e, box, q)  # floor q: boxes with hi < q useless
@@ -187,6 +192,7 @@ def cover_certificate(e, d, q, budget):
     q = Fraction(q)
     if budget < 1:
         raise PointfreeError("budget must be at least 1")
+    e = compile_expr(e)
     stack = list(reversed(d.components))
     pieces = []
     splits = 0
@@ -235,6 +241,7 @@ def locate(e, d, p, q, limits=DEFAULT):
     p, q = Fraction(p), Fraction(q)
     if p >= q:
         raise PointfreeError("locate needs p < q")
+    e = compile_expr(e)
     _check_degree(e, limits)
     threshold = (p + q) / 2
     limit = limits.bnb_node_budget
@@ -259,6 +266,7 @@ def cut_validate(enc, probes, e, d, limits=DEFAULT):
     branch (max < q) requires lower < q.  Also re-checks every certificate
     and the monotonicity of the recorded bound trace.
     """
+    e = compile_expr(e)
     _check_degree(e, limits)
     probes = list(probes)
     failures = []

@@ -6,10 +6,14 @@ mean-value (centered) form, whose overestimate shrinks with the square of
 the box width.  The result is a sound enclosure of the range, and it is
 inclusion-isotone: a sub-box never gets a wider bound than its box.
 
-Everything is computed in arbitrary-precision rationals; there is no
-floating point anywhere in this module.
+An expression is compiled once into a flat program that evaluates on
+arbitrary-precision integer numerators over a tracked denominator, and only
+the results become Fractions; there is no floating point anywhere in this
+module.
 """
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,61 +236,124 @@ class Neg:
         return f"(-{self.a})"
 
 
+# --- compiled evaluation ------------------------------------------------------
+#
+# An expression is flattened once into a post-order program.  On a box
+# [a/D, b/D], D the least common denominator of its ends, a node of
+# syntactic degree d has values N/(K*D^d) with integer numerators N, and
+# derivative bounds over K*D^max(d-1, 0); K is a positive integer fixed at
+# compile time by the denominators of the constants.  + - min max bring
+# their arguments to that common denominator by multiplying with
+# (K/K_a)*D^(d-d_a), and * and ^ multiply numerators, so every comparison
+# is between integers.  A subtree of degree 0 is constant: its derivative
+# is [0, 0], so its scale factor is never needed for one.  Only the root
+# is normalised to a Fraction.
+
+_X, _C, _NEG, _ABS, _POW, _MUL, _ADD, _SUB, _MIN, _MAX = range(10)
+_BINOPS = {"*": _MUL, "+": _ADD, "-": _SUB, "min": _MIN, "max": _MAX}
+
+
+def _flatten(e, out):
+    """Append e's nodes to out in post-order as (opcode, argument,
+    degree); return (degree, occurrences of x)."""
+    if isinstance(e, Var):
+        out.append((_X, None, 1))
+        return 1, 1
+    if isinstance(e, Const):
+        out.append((_C, e.value, 0))
+        return 0, 0
+    if isinstance(e, BinOp):
+        op = _BINOPS.get(e.op)
+        if op is None:
+            raise PointfreeError(f"unknown operator {e.op!r}")
+        da, ua = _flatten(e.a, out)
+        db, ub = _flatten(e.b, out)
+        d = da + db if op == _MUL else max(da, db)
+        out.append((op, None, d))
+        return d, ua + ub
+    d, uses = _flatten(e.a, out)
+    if isinstance(e, Pow):
+        out.append((_POW, e.k, e.k * d))
+        return e.k * d, uses
+    out.append((_NEG if isinstance(e, Neg) else _ABS, None, d))
+    return d, uses
+
+
+class CompiledExpr:
+    """An expression flattened once for repeated exact evaluation.
+
+    `degree` (deg(a^k) = k deg a, deg(a*b) = deg a + deg b, and + - min
+    max abs take the larger degree of their arguments) and `x_uses` (the
+    occurrences of x) are read off when it is compiled.  The integer
+    program is built at the first evaluation: its factor K grows as K^k
+    under ^k, so a caller can refuse on the degree before paying for it."""
+
+    def __init__(self, e):
+        self.expr = e
+        self._nodes = []
+        self.degree, self.x_uses = _flatten(e, self._nodes)
+
+    def __str__(self):
+        return str(self.expr)
+
+    @functools.cached_property
+    def program(self):
+        """(instructions, K of the root, highest power of D used).  An
+        instruction is (opcode, argument, K/K_a, d - d_a, K/K_b, d - d_b);
+        the scales are set for + - min max only."""
+        code, ks = [], []  # ks: (degree, K) of each value on the stack
+        top = self.degree
+        for op, arg, d in self._nodes:
+            ins = (op, arg, 1, 0, 1, 0)
+            if op == _X:
+                k = 1
+            elif op == _C:
+                k = arg.denominator
+                ins = (op, arg.numerator, 1, 0, 1, 0)
+            elif op == _POW:
+                k = ks.pop()[1] ** arg
+            elif op == _NEG or op == _ABS:
+                k = ks.pop()[1]
+            else:
+                (db, kb), (da, ka) = ks.pop(), ks.pop()
+                if op == _MUL:
+                    k = ka * kb
+                else:
+                    k = math.lcm(ka, kb)
+                    ins = (op, None, k // ka, d - da, k // kb, d - db)
+                    top = max(top, d - da, d - db)
+            ks.append((d, k))
+            code.append(ins)
+        return tuple(code), ks[0][1], top
+
+
+def compile_expr(e):
+    """The compiled form of an expression tree; a compiled form as is."""
+    return e if isinstance(e, CompiledExpr) else CompiledExpr(e)
+
+
+def _powers(base, top):
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
 def eval_point(e, x):
-    """Exact value of the expression at a rational point."""
-    return _peval(e, Fraction(x))
-
-
-def _peval(e, x):
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Neg):
-        return -_peval(e.a, x)
-    if isinstance(e, Abs):
-        return abs(_peval(e.a, x))
-    if isinstance(e, Pow):
-        return _peval(e.a, x) ** e.k
-    a, b = _peval(e.a, x), _peval(e.b, x)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    return min(a, b) if e.op == "min" else max(a, b)
-
-
-def x_uses(e):
-    """Number of occurrences of x in the expression."""
-    if isinstance(e, Var):
-        return 1
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, BinOp):
-        return x_uses(e.a) + x_uses(e.b)
-    return x_uses(e.a)
-
-
-def degree(e):
-    """Syntactic degree: deg(a^k) = k deg a, deg(a*b) = deg a + deg b, and
-    + - min max abs take the larger degree of their arguments."""
-    if isinstance(e, Var):
-        return 1
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Pow):
-        return e.k * degree(e.a)
-    if isinstance(e, BinOp):
-        a, b = degree(e.a), degree(e.b)
-        return a + b if e.op == "*" else max(a, b)
-    return degree(e.a)
+    """Exact value of the expression (a tree or its compiled form) at a
+    rational point."""
+    c = compile_expr(e)
+    x = Fraction(x)
+    code, k, top = c.program
+    pw = _powers(x.denominator, top)
+    return Fraction(_naive(code, x.numerator, x.numerator, pw)[0],
+                    k * pw[c.degree])
 
 
 def eval_interval(e, box):
-    """Sound enclosure of the expression's range over a finite closed box;
-    exact (width 0) on point boxes.
+    """Sound enclosure of the range of the expression (a tree or its
+    compiled form) over a finite closed box; exact (width 0) on point
+    boxes.
 
     The naive interval form intersected with the centered form
     [F(m) - r|F'(X)|, F(m) + r|F'(X)|], m the midpoint and r the
@@ -303,16 +370,23 @@ def eval_interval(e, box):
     F'(X) are isotone, and a sub-box keeps a branch its box keeps."""
     if not box.finite:
         raise PointfreeError("interval evaluation needs a finite box")
+    c = compile_expr(e)
     lo, hi = box.lo, box.hi
-    if lo == hi or x_uses(e) <= 1:
-        return RatInterval(*_ieval(e, lo, hi))
-    vl, vh, dl, dh = _cform(e, lo, hi)
-    spread = (hi - lo) / 2 * max(-dl, dh)
-    mid = eval_point(e, (lo + hi) / 2)
-    return RatInterval(max(vl, mid - spread), min(vh, mid + spread))
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
+    code, k, top = c.program
+    dlo, dhi = lo.denominator, hi.denominator
+    den = math.lcm(dlo, dhi)
+    a, b = lo.numerator * (den // dlo), hi.numerator * (den // dhi)
+    pw = _powers(den, top)
+    scale = k * pw[c.degree]  # the root's values are numerators over this
+    if a == b or c.x_uses <= 1:
+        vl, vh = _naive(code, a, b, pw)
+        return RatInterval(Fraction(vl, scale), Fraction(vh, scale))
+    vl, vh, dl, dh = _centered(code, a, b, pw)
+    # r|F'(X)| = (b - a)/(2 den) * max(-dl, dh)/(k den^(d-1)); F' = 0 if d = 0
+    spread = Fraction((b - a) * max(-dl, dh), 2 * scale)
+    mid = eval_point(c, (lo + hi) / 2)
+    return RatInterval(max(Fraction(vl, scale), mid - spread),
+                       min(Fraction(vh, scale), mid + spread))
 
 
 def _mul(al, ah, bl, bh):
@@ -331,96 +405,115 @@ def _scale(c, lo, hi):
 
 def _pow(a, b, k):
     if k == 0:
-        return _ONE, _ONE
+        return 1, 1
     if k % 2 == 1 or a >= 0:
         return a ** k, b ** k
     if b <= 0:
         return b ** k, a ** k
-    return _ZERO, max(-a, b) ** k
+    return 0, max(-a, b) ** k
 
 
-def _ieval(e, lo, hi):
-    if isinstance(e, Var):
-        return lo, hi
-    if isinstance(e, Const):
-        return e.value, e.value
-    if isinstance(e, Neg):
-        a, b = _ieval(e.a, lo, hi)
-        return -b, -a
-    if isinstance(e, Abs):
-        a, b = _ieval(e.a, lo, hi)
-        if a >= 0:
-            return a, b
-        if b <= 0:
-            return -b, -a
-        return _ZERO, max(-a, b)
-    if isinstance(e, Pow):
-        a, b = _ieval(e.a, lo, hi)
-        return _pow(a, b, e.k)
-    al, ah = _ieval(e.a, lo, hi)
-    bl, bh = _ieval(e.b, lo, hi)
-    if e.op == "+":
-        return al + bl, ah + bh
-    if e.op == "-":
-        return al - bh, ah - bl
-    if e.op == "*":
-        return _mul(al, ah, bl, bh)
-    if e.op == "min":
-        return min(al, bl), min(ah, bh)
-    if e.op == "max":
-        return max(al, bl), max(ah, bh)
-    raise PointfreeError(f"unknown operator {e.op!r}")  # pragma: no cover
+def _naive(code, a, b, pw):
+    """Numerators (lo, hi) of the naive interval form at the root, on the
+    box [a, b] over D, pw the powers of D."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg, ka, ea, kb, eb in code:
+        if op == _X:
+            push((a, b))
+        elif op == _C:
+            push((arg, arg))
+        elif op >= _ADD:
+            (bl, bh), (al, ah) = pop(), pop()
+            fa, fb = ka * pw[ea], kb * pw[eb]
+            al, ah, bl, bh = al * fa, ah * fa, bl * fb, bh * fb
+            if op == _ADD:
+                push((al + bl, ah + bh))
+            elif op == _SUB:
+                push((al - bh, ah - bl))
+            elif op == _MIN:
+                push((min(al, bl), min(ah, bh)))
+            else:
+                push((max(al, bl), max(ah, bh)))
+        elif op == _MUL:
+            (bl, bh), (al, ah) = pop(), pop()
+            push(_mul(al, ah, bl, bh))
+        elif op == _POW:
+            push(_pow(*pop(), arg))
+        elif op == _NEG:
+            l, h = pop()
+            push((-h, -l))
+        else:  # abs
+            l, h = pop()
+            if l >= 0:
+                push((l, h))
+            elif h <= 0:
+                push((-h, -l))
+            else:
+                push((0, max(-l, h)))
+    return stack[0]
 
 
-def _cform(e, lo, hi):
-    """(value lo, value hi, derivative lo, derivative hi) over [lo, hi]:
-    the naive enclosure of e and an enclosure of its Clarke gradient."""
-    if isinstance(e, Var):
-        return lo, hi, _ONE, _ONE
-    if isinstance(e, Const):
-        return e.value, e.value, _ZERO, _ZERO
-    if isinstance(e, Neg):
-        a, b, da, db = _cform(e.a, lo, hi)
-        return -b, -a, -db, -da
-    if isinstance(e, Abs):
-        a, b, da, db = _cform(e.a, lo, hi)
-        if a >= 0:
-            return a, b, da, db
-        if b <= 0:
-            return -b, -a, -db, -da
-        slope = max(-da, db)
-        return _ZERO, max(-a, b), -slope, slope
-    if isinstance(e, Pow):
-        if e.k == 0:
-            return _ONE, _ONE, _ZERO, _ZERO
-        a, b, da, db = _cform(e.a, lo, hi)
-        pl, ph = _pow(a, b, e.k - 1)
-        return (*_pow(a, b, e.k), *_mul(e.k * pl, e.k * ph, da, db))
-    al, ah, dal, dah = _cform(e.a, lo, hi)
-    bl, bh, dbl, dbh = _cform(e.b, lo, hi)
-    if e.op == "+":
-        return al + bl, ah + bh, dal + dbl, dah + dbh
-    if e.op == "-":
-        return al - bh, ah - bl, dal - dbh, dah - dbl
-    if e.op == "*":
-        l1, h1 = _mul(dal, dah, bl, bh)
-        l2, h2 = _mul(al, ah, dbl, dbh)
-        return (*_mul(al, ah, bl, bh), l1 + l2, h1 + h2)
-    if e.op == "min":
-        vl, vh = min(al, bl), min(ah, bh)
-        if ah <= bl:
-            return vl, vh, dal, dah
-        if bh <= al:
-            return vl, vh, dbl, dbh
-    elif e.op == "max":
-        vl, vh = max(al, bl), max(ah, bh)
-        if al >= bh:
-            return vl, vh, dal, dah
-        if bl >= ah:
-            return vl, vh, dbl, dbh
-    else:  # pragma: no cover
-        raise PointfreeError(f"unknown operator {e.op!r}")
-    return vl, vh, min(dal, dbl), max(dah, dbh)
+def _centered(code, a, b, pw):
+    """Numerators (value lo, value hi, derivative lo, derivative hi) at the
+    root: the naive enclosure and an enclosure of its Clarke gradient."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg, ka, ea, kb, eb in code:
+        if op == _X:
+            push((a, b, 1, 1))
+        elif op == _C:
+            push((arg, arg, 0, 0))
+        elif op >= _ADD:
+            (bl, bh, dbl, dbh), (al, ah, dal, dah) = pop(), pop()
+            fa, fb = ka * pw[ea], kb * pw[eb]
+            al, ah, dal, dah = al * fa, ah * fa, dal * fa, dah * fa
+            bl, bh, dbl, dbh = bl * fb, bh * fb, dbl * fb, dbh * fb
+            if op == _ADD:
+                push((al + bl, ah + bh, dal + dbl, dah + dbh))
+            elif op == _SUB:
+                push((al - bh, ah - bl, dal - dbh, dah - dbl))
+            elif op == _MIN:
+                vl, vh = min(al, bl), min(ah, bh)
+                if ah <= bl:
+                    push((vl, vh, dal, dah))
+                elif bh <= al:
+                    push((vl, vh, dbl, dbh))
+                else:
+                    push((vl, vh, min(dal, dbl), max(dah, dbh)))
+            else:
+                vl, vh = max(al, bl), max(ah, bh)
+                if al >= bh:
+                    push((vl, vh, dal, dah))
+                elif bl >= ah:
+                    push((vl, vh, dbl, dbh))
+                else:
+                    push((vl, vh, min(dal, dbl), max(dah, dbh)))
+        elif op == _MUL:
+            (bl, bh, dbl, dbh), (al, ah, dal, dah) = pop(), pop()
+            l1, h1 = _mul(dal, dah, bl, bh)
+            l2, h2 = _mul(al, ah, dbl, dbh)
+            push((*_mul(al, ah, bl, bh), l1 + l2, h1 + h2))
+        elif op == _POW:
+            l, h, dl, dh = pop()
+            if arg == 0:
+                push((1, 1, 0, 0))
+            else:
+                pl, ph = _pow(l, h, arg - 1)
+                push((*_pow(l, h, arg), *_mul(arg * pl, arg * ph, dl, dh)))
+        elif op == _NEG:
+            l, h, dl, dh = pop()
+            push((-h, -l, -dh, -dl))
+        else:  # abs
+            l, h, dl, dh = pop()
+            if l >= 0:
+                push((l, h, dl, dh))
+            elif h <= 0:
+                push((-h, -l, -dh, -dl))
+            else:
+                slope = max(-dl, dh)
+                push((0, max(-l, h), -slope, slope))
+    return stack[0]
 
 
 # --- expression parser --------------------------------------------------------
@@ -442,7 +535,7 @@ class _ExprParser:
 
     Parentheses, function arguments and unary minus recurse, so their
     nesting is bounded on the way down; operator chains such as x+x+...+x
-    are built in loops but make deep trees, which the evaluators walk
+    are built in loops but make deep trees, which the compile pass walks
     recursively, so tree depth is bounded as each node is built."""
 
     def __init__(self, text):

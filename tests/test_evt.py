@@ -2,6 +2,7 @@
 the locatedness dichotomy, and enclosure cross-examination."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,8 +15,8 @@ from pointfree.evt import (DedekindEnclosure, LeftBranch, MaximizerCover,
                            RightBranch, _rat_sqrt_upper, cover_certificate,
                            cut_validate, evt_maximize, locate,
                            positive_witness)
-from pointfree.reals import (degree, domain_of, eval_interval, eval_point,
-                             parse_expr)
+from pointfree.reals import (compile_expr, domain_of, eval_interval,
+                             eval_point, parse_expr)
 
 UNIT = domain_of((0, 1))
 
@@ -355,11 +356,20 @@ def test_degree_cap_refuses_before_evaluating(monkeypatch, run):
         run(parse_expr("(x^2 + 1)^3 * x^6"), Limits(degree_cap=11))
 
 
+def test_degree_cap_refuses_before_building_the_kernel():
+    """The kernel's constant factor for (x/3)^(10^7) is 3^(10^7), seconds
+    to compute: the degree refusal comes first."""
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="degree_cap"):
+        evt_maximize(parse_expr("(x*(1/3))^10000000"), UNIT, F(1, 1000))
+    assert time.perf_counter() - start < 1
+
+
 def test_degree_is_syntactic():
     for src, deg in [("2/3", 0), ("x", 1), ("-x + 1", 1), ("x*x*x", 3),
                      ("(x^2 + 1)^3 * x^6", 12), ("abs(x^3) - min(x, x^4)", 4),
                      ("max(x^2, 1)^5", 10), ("x^0", 0)]:
-        assert degree(parse_expr(src)) == deg
+        assert compile_expr(parse_expr(src)).degree == deg
 
 
 def test_locate_budget_exhaustion():

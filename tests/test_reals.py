@@ -5,14 +5,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interval_oracles import naive_enclosure
+from interval_oracles import centered_enclosure, naive_enclosure, point_value
 from pointfree.errors import ParseError, PointfreeError
 from pointfree.reals import (MAX_EXPR_DEPTH, ROPEN_BOTTOM, ROPEN_TOP, Abs,
                              BinOp, Const, Domain, Neg, Pow, RatInterval,
-                             ROpen, Var, domain_of, eval_interval, eval_point,
-                             interval, parse_domain, parse_expr, parse_rat,
-                             rat_decimal, rat_str, ropen_join, ropen_meet,
-                             x_uses)
+                             ROpen, Var, compile_expr, domain_of,
+                             eval_interval, eval_point, interval, parse_domain,
+                             parse_expr, parse_rat, rat_decimal, rat_str,
+                             ropen_join, ropen_meet)
 
 
 # --- rationals -------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_single_use_expressions_get_the_exact_range():
                           ("abs(2*x - 1) + 3", interval(0, 1), (3, 4)),
                           ("max(x^3, 1/8)", interval(-1, 1), (F(1, 8), 1))]:
         e = parse_expr(src)
-        assert x_uses(e) == 1
+        assert compile_expr(e).x_uses == 1
         assert eval_interval(e, box) == interval(*out)
 
 
@@ -275,6 +275,72 @@ def test_enclosure_is_inclusion_isotone(e, box, s, t):
     sub = interval(*sorted((inside(box, s), inside(box, t))))
     outer, inner = eval_interval(e, box), eval_interval(e, sub)
     assert outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+# --- the compiled kernel against the Fraction evaluator --------------------------
+
+ODD_CONSTS = st.fractions(min_value=-3, max_value=3, max_denominator=21)
+KINKS = st.fractions(min_value=-2, max_value=2, max_denominator=9)
+
+
+def kernel_boxes():
+    """Point boxes, and boxes whose ends have unrelated denominators, such
+    as [1/3, 5/7]."""
+    widths = st.fractions(min_value=F(1, 21), max_value=2, max_denominator=21)
+    return st.one_of(KINKS.map(lambda x: interval(x, x)),
+                     st.builds(lambda lo, w: interval(lo, lo + w), KINKS,
+                               widths))
+
+
+def kernel_exprs():
+    """Trees over + - * ^ min max abs neg with non-dyadic constants of
+    either sign and exponents 0-3.  Some leaves are c*(x - r), r drawn like
+    the box ends, so the branches of abs, min and max over them cross
+    inside the boxes."""
+    kinked = st.builds(lambda c, r: BinOp("*", Const(c),
+                                          BinOp("-", Var(), Const(r))),
+                       ODD_CONSTS.filter(bool), KINKS)
+    leaves = st.one_of(st.just(Var()), ODD_CONSTS.map(Const), kinked)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Neg), sub.map(Abs), st.builds(Pow, sub, st.integers(0, 3)),
+        *(st.builds(BinOp, st.just(op), sub, sub)
+          for op in ["+", "-", "*", "min", "max"])), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_exprs(), kernel_boxes())
+def test_kernel_equals_the_fraction_evaluator(e, box):
+    """Equal endpoints, as Fractions, on the box, its halves and its middle
+    half, and equal values at its ends and midpoint."""
+    c = compile_expr(e)
+    lo, mid, hi = box.lo, box.midpoint(), box.hi
+    for sub in [box, interval(lo, mid), interval(mid, hi),
+                interval((lo + mid) / 2, (mid + hi) / 2)]:
+        out = eval_interval(c, sub)
+        assert type(out.lo) is F and type(out.hi) is F
+        assert (out.lo, out.hi) == centered_enclosure(e, sub.lo, sub.hi)
+    for x in (lo, mid, hi):
+        v = eval_point(c, x)
+        assert type(v) is F and v == point_value(e, x)
+    assert eval_interval(e, box) == eval_interval(c, box)  # compiled on the fly
+
+
+def test_kernel_on_mixed_denominators_and_zero_powers():
+    box = interval(F(1, 3), F(5, 7))
+    for src in ["x*(1 - x)", "(2/3*x - 1/5)^3 - x^0*x", "(x - x)^0 + x*x",
+                "min(x - 1/2, 1/2 - x)*x", "abs(x - 1/2)*x - 3/7",
+                "max(x^2, 3/10)*(-5/3) + x", "min(x, 1 - x) - x",
+                "max(x, 1 - x) + x", "abs(x - 1/2) - x"]:
+        e = parse_expr(src)
+        out = eval_interval(e, box)
+        assert (out.lo, out.hi) == centered_enclosure(e, box.lo, box.hi)
+        assert eval_point(e, F(4, 9)) == point_value(e, F(4, 9))
+
+
+def test_compile_reads_degree_and_uses():
+    c = compile_expr(parse_expr("(x*(1/3))^10000000 + x"))
+    assert (c.degree, c.x_uses) == (10 ** 7, 2)
+    assert compile_expr(c) is c
 
 
 def test_eval_interval_requires_finite_box():
