@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import evt as evtmod
 from . import frames, order, presentations, reals, theories
-from .config import load_limits
+from .config import load_limits, read_input
 from .errors import (BudgetExhausted, CapExceeded, NotDistributive,
                      ParseError, PointfreeError)
 
@@ -73,8 +73,7 @@ def _load_presentation(path, truncate, limits):
     """The presentation, not stabilized, of either a presentation file or a
     theory file (detected from the first directive), within
     generator_cap."""
-    with open(path) as fh:
-        text = fh.read()
+    text = read_input(path)
     first = ""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -176,8 +175,7 @@ def cmd_frame(args, limits):
 # --- theory -------------------------------------------------------------------
 
 def cmd_theory(args, limits):
-    with open(args.file) as fh:
-        ast = theories.parse_theory(fh.read())
+    ast = theories.parse_theory(read_input(args.file))
     if args.sub == "parse":
         _emit({"families": [f"{f.name}({', '.join(map(str, f.bounds))})"
                             for f in ast.families],
@@ -204,8 +202,7 @@ def cmd_theory(args, limits):
 # --- stone --------------------------------------------------------------------
 
 def cmd_stone(args, limits):
-    with open(args.file) as fh:
-        lattice = order.parse_lattice_text(fh.read(), limits=limits)
+    lattice = order.parse_lattice_text(read_input(args.file), limits=limits)
     if args.sub == "spectrum":
         filters = order.prime_filters(lattice)
         _emit({"count": len(filters),

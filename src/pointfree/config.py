@@ -25,6 +25,18 @@ class Limits:
     axiom_instance_cap: int = 65536  # max axiom instances a theory compiles to
 
 
+def read_input(path):
+    """The text of an input file; a ParseError when its bytes are not
+    UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}")
+
+
 def load_limits():
     """Limits from POINTFREE_CONFIG if set, otherwise the defaults.  The
     file must hold a JSON object whose keys are Limits fields and whose
@@ -32,8 +44,7 @@ def load_limits():
     path = os.environ.get("POINTFREE_CONFIG")
     if not path:
         return Limits()
-    with open(path) as fh:
-        data = json.load(fh)
+    data = json.loads(read_input(path))
     if not isinstance(data, dict):
         raise ParseError("POINTFREE_CONFIG must hold a JSON object")
     known = {f.name for f in fields(Limits)}

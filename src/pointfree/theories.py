@@ -403,26 +403,25 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
             for idx in product(*map(range, bs))]
     if len(set(gens)) != len(gens):
         raise ParseError("instantiated generator names collide")
-    spans = [([range(_resolve_bound(b, trunc)) for _, b in ax.binders],
-              [range(_resolve_bound(b, trunc)) for _, b in ax.joins])
+    spans = [([_resolve_bound(b, trunc) for _, b in ax.binders],
+              [_resolve_bound(b, trunc) for _, b in ax.joins])
              for ax in ast.axioms]
-    instances = sum(prod(map(len, rs)) * prod(map(len, js))
-                    for rs, js in spans)
+    instances = sum(prod(ns) * prod(js) for ns, js in spans)
     if instances > limits.axiom_instance_cap:
         raise CapExceeded("axiom instances", instances,
                           limits.axiom_instance_cap, field="axiom_instance_cap")
     covers = set()
-    for ax, (ranges, jranges) in zip(ast.axioms, spans):
+    for ax, (ns, js) in zip(ast.axioms, spans):
         names = [v for v, _ in ax.binders]
         jnames = [v for v, _ in ax.joins]
-        for values in product(*ranges):
+        for values in product(*map(range, ns)):
             env = dict(zip(names, values))
             if not all(_CMP[op](_subst(a, env), _subst(b, env))
                        for a, op, b in ax.conds):
                 continue
             lhs = frozenset(_atom_gen(a, env) for a in ax.lhs) or TOP_MEET
             rhs = set()
-            for jvalues in product(*jranges):
+            for jvalues in product(*map(range, js)):
                 jenv = dict(env, **dict(zip(jnames, jvalues)))
                 rhs |= {frozenset(_atom_gen(a, jenv) for a in c)
                         for c in ax.rhs}

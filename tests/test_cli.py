@@ -382,6 +382,39 @@ def test_compact_answers_cantor_n4_without_listing_it():
     assert json.loads(done.stdout)["compact"] is True
 
 
+def test_theory_refuses_a_some_bound_past_any_range(capsys, tmp_path):
+    """A 20-digit `some` bound: counting the instances with len(range(...))
+    overflowed instead of reaching the cap."""
+    thy = tmp_path / "big.thy"
+    thy.write_text("prop a; axiom a |- some i<99999999999999999999. a;")
+    code, out, err, secs = run_timed(capsys, "theory", "models", thy)
+    assert code == 2 and out == ""
+    assert err == ("error: axiom instances has size 99999999999999999999, "
+                   "exceeding cap 65536 (axiom_instance_cap)\n")
+    assert secs < 1
+
+
+@pytest.mark.parametrize("argv", [["frame", "points"], ["theory", "models"],
+                                  ["stone", "spectrum"]])
+def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.pres"
+    bad.write_bytes(b"\x00\xff\xfe")
+    code, out, err = run(capsys, *argv, bad)
+    assert code == 1 and out == ""
+    assert err == (f"error: {bad} is not UTF-8 text: invalid start byte at "
+                   f"byte 1\n")
+
+
+def test_config_that_is_not_utf8_is_a_parse_error(capsys, tmp_path,
+                                                  monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"degree_cap": 3}\xff')
+    monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
+    code, out, err = run(capsys, "frame", "points", THY / "cantor1.pres")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {cfg} is not UTF-8 text")
+
+
 @pytest.mark.parametrize("body, field", [
     ({"generator_cap": "x"}, "generator_cap"),
     ({"coproduct_cap": True}, "coproduct_cap"),
