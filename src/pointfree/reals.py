@@ -245,9 +245,9 @@ class Neg:
 # compile time by the denominators of the constants.  + - min max bring
 # their arguments to that common denominator by multiplying with
 # (K/K_a)*D^(d-d_a), and * and ^ multiply numerators, so every comparison
-# is between integers.  A subtree of degree 0 is constant: its derivative
-# is [0, 0], so its scale factor is never needed for one.  Only the root
-# is normalised to a Fraction.
+# is between integers.  The same factor rescales an argument's derivative
+# bounds, which is exact when d_a >= 1; an argument of degree 0 is constant
+# and its derivative is [0, 0].  Only the root is normalised to a Fraction.
 
 _X, _C, _NEG, _ABS, _POW, _MUL, _ADD, _SUB, _MIN, _MAX = range(10)
 _BINOPS = {"*": _MUL, "+": _ADD, "-": _SUB, "min": _MIN, "max": _MAX}
@@ -289,12 +289,8 @@ class CompiledExpr:
     under ^k, so a caller can refuse on the degree before paying for it."""
 
     def __init__(self, e):
-        self.expr = e
         self._nodes = []
         self.degree, self.x_uses = _flatten(e, self._nodes)
-
-    def __str__(self):
-        return str(self.expr)
 
     @functools.cached_property
     def program(self):
