@@ -271,6 +271,12 @@ def _flatten(e, out):
         d = da + db if op == _MUL else max(da, db)
         out.append((op, None, d))
         return d, ua + ub
+    if isinstance(e, Pow) and e.k == 0:
+        # a^0 is the constant 1 whatever a is; a's nodes are counted but
+        # not kept, so no node's degree passes the root's
+        _, uses = _flatten(e.a, [])
+        out.append((_C, Fraction(1), 0))
+        return 0, uses
     d, uses = _flatten(e.a, out)
     if isinstance(e, Pow):
         out.append((_POW, e.k, e.k * d))
@@ -294,11 +300,11 @@ class CompiledExpr:
 
     @functools.cached_property
     def program(self):
-        """(instructions, K of the root, highest power of D used).  An
-        instruction is (opcode, argument, K/K_a, d - d_a, K/K_b, d - d_b);
-        the scales are set for + - min max only."""
+        """(instructions, K of the root).  An instruction is (opcode,
+        argument, K/K_a, d - d_a, K/K_b, d - d_b); the scales are set for
+        + - min max only.  With ^0 compiled to a constant, no operator
+        lowers the degree, so every d - d_a is at most the root's degree."""
         code, ks = [], []  # ks: (degree, K) of each value on the stack
-        top = self.degree
         for op, arg, d in self._nodes:
             ins = (op, arg, 1, 0, 1, 0)
             if op == _X:
@@ -317,10 +323,9 @@ class CompiledExpr:
                 else:
                     k = math.lcm(ka, kb)
                     ins = (op, None, k // ka, d - da, k // kb, d - db)
-                    top = max(top, d - da, d - db)
             ks.append((d, k))
             code.append(ins)
-        return tuple(code), ks[0][1], top
+        return tuple(code), ks[0][1]
 
 
 def compile_expr(e):
@@ -340,8 +345,8 @@ def eval_point(e, x):
     rational point."""
     c = compile_expr(e)
     x = Fraction(x)
-    code, k, top = c.program
-    pw = _powers(x.denominator, top)
+    code, k = c.program
+    pw = _powers(x.denominator, c.degree)
     return Fraction(_naive(code, x.numerator, x.numerator, pw)[0],
                     k * pw[c.degree])
 
@@ -368,11 +373,11 @@ def eval_interval(e, box):
         raise PointfreeError("interval evaluation needs a finite box")
     c = compile_expr(e)
     lo, hi = box.lo, box.hi
-    code, k, top = c.program
+    code, k = c.program
     dlo, dhi = lo.denominator, hi.denominator
     den = math.lcm(dlo, dhi)
     a, b = lo.numerator * (den // dlo), hi.numerator * (den // dhi)
-    pw = _powers(den, top)
+    pw = _powers(den, c.degree)
     scale = k * pw[c.degree]  # the root's values are numerators over this
     if a == b or c.x_uses <= 1:
         vl, vh = _naive(code, a, b, pw)
@@ -491,12 +496,9 @@ def _centered(code, a, b, pw):
             l2, h2 = _mul(al, ah, dbl, dbh)
             push((*_mul(al, ah, bl, bh), l1 + l2, h1 + h2))
         elif op == _POW:
-            l, h, dl, dh = pop()
-            if arg == 0:
-                push((1, 1, 0, 0))
-            else:
-                pl, ph = _pow(l, h, arg - 1)
-                push((*_pow(l, h, arg), *_mul(arg * pl, arg * ph, dl, dh)))
+            l, h, dl, dh = pop()  # arg >= 1: a^0 compiles to a constant
+            pl, ph = _pow(l, h, arg - 1)
+            push((*_pow(l, h, arg), *_mul(arg * pl, arg * ph, dl, dh)))
         elif op == _NEG:
             l, h, dl, dh = pop()
             push((-h, -l, -dh, -dl))

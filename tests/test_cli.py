@@ -347,6 +347,17 @@ def test_evt_refuses_a_huge_degree_before_evaluating(capsys, sub):
     assert secs < 1
 
 
+def test_evt_answers_a_zeroth_power_of_a_huge_degree_at_once(capsys):
+    """(x^300000 + x)^0 is 1 and has degree 0; the kernel drops its base,
+    so no evaluation builds the powers of D up to the base's degree."""
+    t0 = time.perf_counter()
+    code, payload, err = run_json(capsys, "evt", "max", "--expr",
+                                  "(x^300000 + x)^0", "--domain", "[0,1]")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and err == ""
+    assert (payload["lower"], payload["upper"]) == ("1", "1")
+
+
 @pytest.mark.parametrize("argv", [
     ["evt", "max", "--expr", "x", "--domain", "[0,1]", "--decimal", "-1"],
     ["evt", "validate", "--expr", "x", "--domain", "[0,1]", "--probes", "-5"],
