@@ -113,8 +113,6 @@ def _parse_element_expr(p, text):
 
 def cmd_frame(args, limits):
     p = _load_presentation(args.file, args.truncate, limits)
-    if args.sub in ("leq", "overt"):  # the C-ideal API saturates
-        p = presentations.stabilize(p, limits=limits)
     if args.sub == "leq":
         if args.lhs is None or args.rhs is None:
             raise ParseError("leq needs two element expressions")
@@ -130,7 +128,9 @@ def cmd_frame(args, limits):
             part = part.strip()
             meets.append(presentations.TOP_MEET if part == "top"
                          else frozenset(n.strip() for n in part.split("&")))
-        verdict = presentations.check_positivity_certificate(p, meets)
+        # the certificate is stated on the stabilized covers
+        verdict = presentations.check_positivity_certificate(
+            presentations.stabilize(p, limits=limits), meets)
         _emit({"certificate_accepted": verdict,
                "candidates": sorted(presentations.meet_str(m) for m in meets)},
               args)
@@ -140,21 +140,19 @@ def cmd_frame(args, limits):
         _emit(report, args)
         return EXIT_OK
 
+    frame = frames.PresentedFrame(p, limits=limits)
     if args.sub == "elements":
-        frame = frames.PresentedFrame(p, limits=limits)
         elems, edges = frame.elements()
-        names = {e: str(presentations.CIdeal(p, frame.cideal(e)))
-                 for e in elems}
+        names = {e: frame.name(e) for e in elems}
         _emit({"count": len(elems),
                "hasse_edges": [[names[a], names[b]] for a, b in edges]},
               args)
         return EXIT_OK
     if args.sub == "points":
-        pts = frames.PresentedFrame(p, limits=limits).points()
+        pts = frame.points()
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
     if args.sub == "hausdorff":
-        frame = frames.PresentedFrame(p, limits=limits)
         # |f| = |D(J)|, counted before the elements are listed
         frames.diagonal_cap(frame.count_downsets(), limits)
         elems, _ = frame.elements()
@@ -163,10 +161,8 @@ def cmd_frame(args, limits):
             limits=limits)
         payload = {"hausdorff": verdict}
         if witness is not None:
-            names = {e: str(presentations.CIdeal(p, frame.cideal(e)))
-                     for e in elems}
-            payload["witness"] = sorted(f"{names[u]}*{names[v]}"
-                                        for (u, v) in witness)
+            payload["witness"] = sorted(
+                f"{frame.name(u)}*{frame.name(v)}" for (u, v) in witness)
         _emit(payload, args)
         return EXIT_OK
     raise ParseError(f"unknown frame subcommand {args.sub!r}")

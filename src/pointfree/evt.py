@@ -49,12 +49,14 @@ def _rat_sqrt_upper(q):
 
 
 def _check_degree(c, limits):
-    """Refuse a compiled expression whose syntactic degree passes
-    degree_cap: its exact values grow in bit size with the degree."""
-    deg = c.degree
-    if deg > limits.degree_cap:
-        raise CapExceeded("expression degree", deg, limits.degree_cap,
-                          field="degree_cap")
+    """Refuse a compiled expression whose syntactic degree, or the exponent
+    on a constant in it, passes degree_cap: its exact values grow in bit
+    size with both.  Nothing has been raised to a power yet."""
+    for what, size in (("expression degree", c.degree),
+                       ("constant power", c.constant_power)):
+        if size > limits.degree_cap:
+            raise CapExceeded(what, size, limits.degree_cap,
+                              field="degree_cap")
 
 
 def _push(heap, e, box, floor):

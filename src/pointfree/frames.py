@@ -11,8 +11,9 @@ from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
 from .order import (DistLattice, KFinSet, Poset, canon, count_downsets,
                     enumerate_downsets, prime_filters, sort_key)
-from .presentations import (check_generator_cap, meet_key, set_bits,
-                            stabilize)
+from .presentations import (ModelSets, _breaks, _cover_masks,
+                            check_generator_cap, find_models, meet_key,
+                            set_bits)
 
 
 class FiniteFrame(DistLattice):
@@ -33,200 +34,102 @@ def frame_from_order(elements, le, meet, join):
 
 # --- the bitmask engine for presented frames ----------------------------------
 
-def _cover_masks(p):
-    """The sorted generators, and each cover as (left side, right-side
-    meets) over their bits."""
-    gens = sorted(p.generators)
-    bit = {g: 1 << i for i, g in enumerate(gens)}
-
-    def meet(m):
-        return sum(bit[g] for g in m)
-    return gens, [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in p.covers]
+_SWAP = str.maketrans("01", "10")
 
 
-def _breaks(rules, true, false):
-    """Whether some rule has its left side true and every right-side meet
-    holding a false generator, so no model extends (true, false)."""
-    return any(lhs & ~true == 0 and all(t & false for t in rhs)
-               for lhs, rhs in rules)
+def _key(mask):
+    """The sort_key order of C-ideal masks: by size, then the mask holding
+    the lowest bit where two differ first (their bit strings read from the
+    lowest bit, 0 and 1 swapped; of one size, neither is a prefix)."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP)
 
 
-def find_models(p):
-    """Every model of the covers of p, as a mask over its sorted generators:
-    a set P of generators such that each cover whose left side lies in P
-    has a right-side meet inside P (Vickers, *Topology via Logic*).
+class PresentedFrame(ModelSets):
+    """The frame of C-ideals of a presentation as D(J), the downsets of its
+    join-primes J (Birkhoff), an element being a mask over J in key order.
 
-    Backtracking assigns the generators in order.  Setting generator i can
-    only break the rules with i on the left (i true) or in a right-side
-    meet (i false), so only those are checked.  A model of the covers is a
-    model of their meet-stabilization, so the covers need not be stabilized.
-    """
-    gens, rules = _cover_masks(p)
-    if _breaks(rules, 0, 0):
-        return []
-    on_true = [[r for r in rules if r[0] >> i & 1] for i in range(len(gens))]
-    on_false = [[r for r in rules if any(t >> i & 1 for t in r[1])]
-                for i in range(len(gens))]
-    out, stack = [], [(0, 0, 0)]
-    while stack:
-        i, true, false = stack.pop()
-        if i == len(gens):
-            out.append(true)
-            continue
-        b = 1 << i
-        if not _breaks(on_false[i], true, false | b):
-            stack.append((i + 1, true, false | b))
-        if not _breaks(on_true[i], true | b, false):
-            stack.append((i + 1, true | b, false))
-    return out
-
-
-def _key_cmp(a, b):
-    """The sort_key order of two C-ideal masks: by size, then the mask
-    holding the lowest bit where they differ first, which is the order of
-    their sorted member indices."""
-    if a == b:
-        return 0
-    if a.bit_count() != b.bit_count():
-        return a.bit_count() - b.bit_count()
-    diff = a ^ b
-    return -1 if a & diff & -diff else 1
-
-
-class PresentedFrame:
-    """The frame of C-ideals of a presentation, as bitmasks over its 2^g
-    formal meets in meet_key order.
-
-    Ordering masks by `key` is the sort_key order of the C-ideals they
-    encode.  A finite frame is spatial and is D(J), the downsets of its
-    join-primes J (Birkhoff), so J comes from the models of the covers, one
-    join-prime per model: points and the order of J need no saturation.
-    The Horn closure of the stabilized presentation is built only for
-    elements, meets and joins.
+    Each model P of the covers gives the join-prime j_P, the formal meets m
+    such that every model holding m holds P, and j_P ≤ j_Q exactly when
+    Q ⊆ P.  So a downset of J is an up-set of models (ModelSets, over the
+    models in J order), and meet, join and order are AND, OR and
+    inclusion.  C-ideal masks are built only to order elements (`key`)
+    and to name them.
     """
 
-    key = staticmethod(functools.cmp_to_key(_key_cmp))
+    key = staticmethod(_key)
 
     def __init__(self, p, limits=DEFAULT):
         check_generator_cap(p, limits)
-        self.presentation = p
-        self.limits = limits
-        self._joins = {}  # union of two C-ideals -> their join
+        found = ModelSets(p, find_models(p))
+        held = [found.held(k) for k in range(len(found.models))]
+        # missed[i]: the meets held by a model missing generator i, so
+        # j_P is the meets outside missed[i] for every i in P
+        missed = [functools.reduce(int.__or__, (h for h, q in zip(
+            held, found.models) if not q >> i & 1), 0)
+            for i in range(len(found.generators))]
+        js = [found.full & ~functools.reduce(int.__or__, map(
+            missed.__getitem__, set_bits(q)), 0) for q in found.models]
+        order = sorted(range(len(js)), key=lambda k: _key(js[k]))
+        super().__init__(p, [found.models[k] for k in order])
+        self.presentation, self.limits = p, limits
+        self._masks = {self.up(n): js[k] for n, k in enumerate(order)}
         self._downsets = {0: 1}  # J-index mask s -> |D(s)|
-
-    @functools.cached_property
-    def closure(self):
-        """The HornClosure of the meet-stabilized presentation."""
-        return stabilize(self.presentation, limits=self.limits).closure
-
-    @property
-    def bottom(self):
-        return self.closure.bottom
-
-    @property
-    def top(self):
-        return self.closure.top
-
-    def saturate(self, mask):
-        return self.closure.saturate(mask)
-
-    def cideal(self, mask):
-        return self.closure.cideal(mask)
-
-    def join(self, a, b):
-        u = a | b
-        if u not in self._joins:
-            self._joins[u] = self.saturate(u)
-        return self._joins[u]
+        # below[k]: the J-indices strictly below J[k], j_P < j_Q when Q is
+        # a proper subset of P: the models containing model k, less k
+        self._below = [self.up(k) & ~(1 << k) for k in range(len(order))]
 
     @staticmethod
     def le(a, b):
         return a & ~b == 0
 
-    def generator(self, g):
-        """The principal C-ideal of one generator."""
-        return self.saturate(self.closure.mask([frozenset([g])]))
-
-    @functools.cached_property
-    def _models(self):
-        """Every model (find_models) and its join-prime, both lists in the
-        key order of the join-primes."""
-        ms = find_models(self.presentation)
-        js = self._join_primes_of(ms)
-        order = sorted(range(len(ms)), key=lambda k: self.key(js[k]))
-        return [ms[k] for k in order], [js[k] for k in order]
+    def mask(self, u):
+        """The C-ideal of element u as a mask, kept once built."""
+        if u not in self._masks:
+            self._masks[u] = super().mask(u)
+        return self._masks[u]
 
     @property
     def join_primes(self):
-        """J in key order: the join-prime j_P of each model P, the formal
-        meets m such that every model holding m holds P.  j_P ≤ j_Q exactly
-        when Q ⊆ P."""
-        return self._models[1]
-
-    def _join_primes_of(self, ms):
-        """j_P for each model P, read off masks of formal meets: m lies
-        outside j_P when some model Q holds m and misses a generator of P.
-        With W[i] the meets held by a model missing generator i,
-        j_P = full minus the union of W[i] over i in P."""
-        g = len(self.presentation.generators)
-        holding = [0] * g  # holding[i]: the formal meets holding generator i
-        meets = (c for n in range(g + 1) for c in combinations(range(g), n))
-        for k, m in enumerate(meets):
-            for i in m:
-                holding[i] |= 1 << k
-        full = (1 << 2 ** g) - 1
-        missed = [0] * g  # W[i]
-        for q in ms:
-            absent = [i for i in range(g) if not q >> i & 1]
-            held = full  # the formal meets q holds: those inside q
-            for i in absent:
-                held &= ~holding[i]
-            for i in absent:
-                missed[i] |= held
-        out = []
-        for q in ms:
-            outside = 0
-            for i in set_bits(q):
-                outside |= missed[i]
-            out.append(full & ~outside)
-        return out
-
-    @functools.cached_property
-    def _below(self):
-        """For each k, the J-indices of the join-primes strictly below J[k]:
-        j_P < j_Q when Q is a proper subset of P."""
-        ms = self._models[0]
-        return [sum(1 << i for i, p in enumerate(ms) if p != q and q & ~p == 0)
-                for q in ms]
+        """J in key order, each j_P as its element."""
+        return [self.up(k) for k in range(len(self.models))]
 
     def count_downsets(self, s=None):
         """|D(S)| for the join-primes S with J-indices in the mask s, by
         default all of J, whose downsets are the elements."""
-        s = (1 << len(self.join_primes)) - 1 if s is None else s
-        return count_downsets(self._below, s, self._downsets)
+        s = self.top if s is None else s
+        return count_downsets(self._below, s, self._downsets, self.limits)
 
     def elements(self):
-        """All elements in key order, one join per downset D of J, and the
-        Hasse edges ⋁D ⋖ ⋁(D ∪ {k}) for each k minimal in J minus D, sorted
-        by the keys of their ends."""
-        js, below = self.join_primes, self._below
-        saturate = self.closure.saturate
-        join_of = {0: self.bottom}
+        """All elements in key order, and the Hasse edges u ⋖ v sorted by
+        the keys of their ends, once |D(J)| is within element_cap.
+
+        Listed from the top down: dropping from v a model k none of whose
+        proper submodels is in v leaves the element u below it, and the
+        C-ideal of u is that of v less the formal meets inside model k."""
+        count = self.count_downsets()
+        if count > self.limits.element_cap:
+            raise CapExceeded("frame elements", count,
+                              self.limits.element_cap, field="element_cap")
+        held = [self.held(k) for k in range(len(self.models))]
+        above = [sum(1 << k for k, b in enumerate(self._below) if b >> i & 1)
+                 for i in range(len(held))]  # J-indices strictly above i
+        masks = {self.top: self.full}
         edges = []
-        stack = [0]
+        stack = [self.top]
         while stack:
-            d = stack.pop()
-            e = join_of[d]
-            for k, j in enumerate(js):
-                if not d >> k & 1 and below[k] & ~d == 0:
-                    d2 = d | 1 << k
-                    if d2 not in join_of:
-                        join_of[d2] = saturate(e | j)
-                        stack.append(d2)
-                    edges.append((e, join_of[d2]))
-        keys = {e: self.key(e) for e in join_of.values()}
-        edges.sort(key=lambda ab: (keys[ab[0]], keys[ab[1]]))
-        return sorted(keys, key=keys.get), edges
+            v = stack.pop()
+            for k in set_bits(v):
+                if not above[k] & v:
+                    u = v & ~(1 << k)
+                    if u not in masks:
+                        masks[u] = masks[v] & ~held[k]
+                        stack.append(u)
+                    edges.append((u, v))
+        self._masks.update(masks)
+        elems = sorted(masks, key=lambda e: _key(masks[e]))
+        rank = {e: r for r, e in enumerate(elems)}
+        edges.sort(key=lambda uv: (rank[uv[0]], rank[uv[1]]))
+        return elems, edges
 
     def points(self):
         """Each point as the sorted list of generators of its model.
@@ -236,12 +139,11 @@ class PresentedFrame:
         then by j, the least member of its filter.  Each model is checked
         against every cover before it is returned.
         """
-        ms, below = self._models[0], self._below
+        ms, below = self.models, self._below
         gens, rules = _cover_masks(self.presentation)
-        everything = (1 << len(ms)) - 1
         out = []
         for k in sorted(range(len(ms)), key=lambda k: (
-                self.count_downsets(everything & ~(below[k] | 1 << k)), k)):
+                self.count_downsets(self.top & ~(below[k] | 1 << k)), k)):
             if _breaks(rules, ms[k], ~ms[k]):
                 raise PointfreeError("point violates a cover")
             out.append([g for i, g in enumerate(gens) if ms[k] >> i & 1])
@@ -256,14 +158,13 @@ def enumerate_frame(p, limits=DEFAULT):
     """
     pf = PresentedFrame(p, limits=limits)
     masks, _ = pf.elements()
-    elems = [pf.cideal(m) for m in masks]
-    mask_of = dict(zip(elems, masks))
-    elem_of = dict(zip(masks, elems))
+    elem_of = {u: pf.members(u) for u in masks}
+    mask_of = {e: u for u, e in elem_of.items()}
     frame = frame_from_order(
-        elems, lambda a, b: pf.le(mask_of[a], mask_of[b]),
+        elem_of.values(), lambda a, b: pf.le(mask_of[a], mask_of[b]),
         lambda a, b: elem_of[mask_of[a] & mask_of[b]],
-        lambda a, b: elem_of[pf.join(mask_of[a], mask_of[b])])
-    gen_map = {g: elem_of[pf.generator(g)] for g in pf.presentation.generators}
+        lambda a, b: elem_of[mask_of[a] | mask_of[b]])
+    gen_map = {g: elem_of[pf.holds[pf.bit[g]]] for g in pf.generators}
     return frame, gen_map
 
 
@@ -521,7 +422,7 @@ def coproduct(f, g, limits=DEFAULT):
                     if f.le(a[0], b[0]) and g.le(a[1], b[1]))
     count = count_downsets([sum(1 << i for i, a in enumerate(pairs)
                                 if a != b and (a, b) in leq) for b in pairs],
-                           (1 << len(pairs)) - 1, {0: 1})
+                           (1 << len(pairs)) - 1, {0: 1}, limits)
     if count > limits.coproduct_cap:
         raise CapExceeded("coproduct", count, limits.coproduct_cap)
     of_downset = {d: frozenset((u, v) for u in f.elements for v in g.elements

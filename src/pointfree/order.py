@@ -271,15 +271,27 @@ def enumerate_downsets(poset):
     return sorted(downs, key=sort_key)
 
 
-def count_downsets(below, s, memo):
+def count_downsets(below, s, memo, limits=DEFAULT):
     """|D(S)| for the poset elements indexed by the bits of s along a linear
     extension, below[k] masking those strictly below k, memo from {0: 1}: a
-    downset omits the top k of s, or holds it and all of S below it."""
-    if s not in memo:
-        k = s.bit_length() - 1
-        rest = s & ~(1 << k)
-        memo[s] = (count_downsets(below, rest, memo) +
-                   count_downsets(below, rest & ~below[k], memo))
+    downset omits the top k of s, or holds it and all of S below it.  The
+    sub-counts are found on a stack, and as many as element_cap are kept:
+    an antichain of n has 2^n downsets but n sub-counts."""
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        if t in memo:
+            continue
+        k = t.bit_length() - 1
+        a = t & ~(1 << k)
+        b = a & ~below[k]
+        if a in memo and b in memo:
+            memo[t] = memo[a] + memo[b]
+            if len(memo) > limits.element_cap:
+                raise CapExceeded("down-set sub-counts", len(memo),
+                                  limits.element_cap, field="element_cap")
+        else:
+            stack += (t, a, b)
     return memo[s]
 
 

@@ -2,16 +2,17 @@
 
 A presentation consists of generator names and cover rules c <= \\/T where
 c is a formal meet (a subset of the generators; the empty subset is the top
-formal meet) and T is a finite set of formal meets.  After meet-stabilizing
-the rules, the elements of the presented frame are exactly the saturated
-downsets of formal meets (C-ideals), on which order, meet, join and Heyting
-implication are all decidable.  They are computed on one engine,
-HornClosure, built once per stabilized presentation.
+formal meet) and T is a finite set of formal meets.  The elements of the
+presented frame are the saturated downsets of formal meets (C-ideals).  A
+finite frame is spatial, so they are computed on the models of the covers
+(ModelSets): an element is the up-set U of models where it holds, and its
+C-ideal is {m : every model of m lies in U}.  Order, meet, join and Heyting
+implication are then inclusion, intersection, union and an up-set interior.
 """
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .config import DEFAULT
 from .errors import CapExceeded, MixedPresentations, ParseError
@@ -60,12 +61,9 @@ class FramePresentation:
                 for c in combinations(gs, n)]
 
     @functools.cached_property
-    def closure(self):
-        """The HornClosure of this stabilized presentation, built once."""
-        if not self.stabilized:
-            raise ParseError(
-                "presentation must be stabilized before saturation")
-        return HornClosure(self)
+    def model_sets(self):
+        """The ModelSets of this presentation, built once."""
+        return ModelSets(self)
 
 
 def check_generator_cap(p, limits=DEFAULT):
@@ -78,7 +76,8 @@ def check_generator_cap(p, limits=DEFAULT):
 
 def stabilize(p, limits=DEFAULT):
     """Meet-stabilize: close the rules under meeting both sides with every
-    formal meet.  Idempotent; required by all C-ideal operations."""
+    formal meet.  Idempotent.  Positivity certificates are stated on the
+    stabilized rules; nothing else needs them, as the models are the same."""
     check_generator_cap(p, limits)
     if p.stabilized:
         return p
@@ -89,40 +88,6 @@ def stabilize(p, limits=DEFAULT):
     return FramePresentation(p.generators, frozenset(rules), stabilized=True)
 
 
-@dataclass(frozen=True)
-class CIdeal:
-    """One element of a presented frame: a saturated downset of formal meets.
-
-    Downward closed means closed under adding generators to a meet; saturated
-    means every stabilized cover whose right side lies inside also has its
-    left side inside.
-    """
-
-    presentation: FramePresentation
-    members: frozenset
-
-    def __le__(self, other):
-        _same(self, other)
-        return self.members <= other.members
-
-    def __and__(self, other):
-        _same(self, other)
-        return CIdeal(self.presentation, self.members & other.members)
-
-    def __or__(self, other):
-        _same(self, other)
-        return saturate(self.presentation, self.members | other.members)
-
-    def __str__(self):
-        return "{" + ", ".join(meet_str(m) for m in
-                               sorted(self.members, key=meet_key)) + "}"
-
-
-def _same(a, b):
-    if a.presentation is not b.presentation and a.presentation != b.presentation:
-        raise MixedPresentations("C-ideals come from different presentations")
-
-
 def set_bits(mask):
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -131,89 +96,200 @@ def set_bits(mask):
         mask ^= low
 
 
-class HornClosure:
-    """The C-ideal closure of a stabilized presentation, on bitmasks: bit i
-    stands for the i-th formal meet in meet_key order.  A C-ideal is a
-    downset closed under the Horn clauses "all of rhs inside => lhs inside"
-    of the rules, so the least one above a downset is found by counter-based
-    forward chaining (Dowling & Gallier, 1984), linear in the rules."""
+# --- models -------------------------------------------------------------------
 
-    def __init__(self, p):
-        self.meets = p.all_meets()
-        self.index = index = {m: i for i, m in enumerate(self.meets)}
-        holding = {g: sum(1 << i for i, m in enumerate(self.meets) if g in m)
-                   for g in p.generators}
-        # down[i]: the formal meets below meet i, which are its supersets
-        self.down = down = [functools.reduce(int.__and__, map(holding.get, m),
-                                             (1 << len(self.meets)) - 1)
-                            for m in self.meets]
-        # lhs[r], rhs[r]: the left meet and the right-side mask of rule r
-        self.lhs, self.rhs, counts = [], [], []
-        # occurs[i]: the rules with meet i on the right
-        self._occurs = [[] for _ in self.meets]
-        start = 0
-        for r, (lhs, rhs) in enumerate(p.covers):
-            right = 0
-            for t in rhs:
-                right |= 1 << index[t]
-                self._occurs[index[t]].append(r)
-            self.lhs.append(index[lhs])
-            self.rhs.append(right)
-            counts.append(len(rhs))
-            if not rhs:
-                start |= down[index[lhs]]
-        # counts[r]: right-side meets of rule r still outside the bottom
-        self.bottom = self._close(start, start, counts)
-        self._counts = counts
-        self.top = down[0]  # every formal meet lies below the top meet
+def _cover_masks(p):
+    """The sorted generators, and each cover as (left side, right-side
+    meets) over their bits."""
+    gens = sorted(p.generators)
+    bit = {g: 1 << i for i, g in enumerate(gens)}
 
-    def _close(self, members, new, counts):
-        """Each meet entering the ideal counts down the rules that have it
-        on the right, and a rule reaching zero adds its left side and all
-        below."""
-        occurs, lhs, down = self._occurs, self.lhs, self.down
-        while new:
-            low = new & -new
-            new ^= low
-            for r in occurs[low.bit_length() - 1]:
-                counts[r] -= 1
-                if not counts[r]:
-                    add = down[lhs[r]] & ~members
-                    members |= add
-                    new |= add
-        return members
+    def meet(m):
+        return sum(bit[g] for g in m)
+    return gens, [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in p.covers]
 
-    def saturate(self, mask):
-        """Least C-ideal containing a downward closed mask."""
-        new = mask & ~self.bottom
-        return self._close(self.bottom | new, new, self._counts[:])
 
-    def mask(self, meets):
-        """The downward closed mask of some formal meets."""
+def _breaks(rules, true, false):
+    """Whether some rule has its left side true and every right-side meet
+    holding a false generator, so no model extends (true, false)."""
+    return any(lhs & ~true == 0 and all(t & false for t in rhs)
+               for lhs, rhs in rules)
+
+
+@functools.lru_cache(maxsize=8)
+def _meet_table(g):
+    """For g generators, the mask of the formal meets (in meet_key order)
+    that contain each generator, and each meet as a mask of generators."""
+    meets = tuple(sum(1 << i for i in c) for n in range(g + 1)
+                  for c in combinations(range(g), n))
+    return tuple(int("".join(str(m >> i & 1) for m in reversed(meets)), 2)
+                 for i in range(g)), meets
+
+
+def find_models(p):
+    """Every model of the covers of p, as a mask over its sorted generators:
+    a set P of generators such that each cover whose left side lies in P
+    has a right-side meet inside P (Vickers, *Topology via Logic*).
+
+    All 2^g truth assignments are checked at once, one bit each, the
+    assignment making the generators of the k-th formal meet true at bit
+    k: a meet holds where all its generators do, and a cover where its
+    left side fails or a right-side meet holds.  A model of the covers is
+    a model of their meet-stabilization, so the covers need not be
+    stabilized.
+    """
+    gens, rules = _cover_masks(p)
+    containing, meets = _meet_table(len(gens))
+    ok = every = (1 << len(meets)) - 1
+
+    def holds(m):
+        return functools.reduce(int.__and__, map(containing.__getitem__,
+                                                 set_bits(m)), every)
+
+    for lhs, rhs in rules:
+        right = 0
+        for t in rhs:
+            right |= holds(t)
+        ok &= right | ~holds(lhs)
+    return [meets[k] for k in set_bits(ok)]
+
+
+class ModelSets:
+    """The frame of a presentation on its models: a finite frame is
+    spatial, so u ≤ v exactly when every model of u is a model of v.
+
+    An element is an up-set of models (under inclusion), a mask over their
+    list.  models(m) of a formal meet is the AND of its generators' masks
+    `holds`, and models(join of meets) the OR of those.  The C-ideal of an
+    up-set U is {m : models(m) ⊆ U}, a mask over the formal meets in
+    meet_key order: the meets outside it lie inside a model outside U.
+    """
+
+    bottom = 0
+
+    def __init__(self, p, models=None):
+        self.generators = gens = sorted(p.generators)
+        self.bit = {g: i for i, g in enumerate(gens)}
+        self.models = find_models(p) if models is None else models
+        self.top = (1 << len(self.models)) - 1
+        # holds[i]: the models holding generator i
+        self.holds = [sum(1 << k for k, q in enumerate(self.models)
+                          if q >> i & 1) for i in range(len(gens))]
+        self.full = (1 << (1 << len(gens))) - 1  # every formal meet
+
+    def of_meets(self, meets):
+        """The up-set of models of the join of some formal meets."""
         out = 0
         for m in meets:
-            if m not in self.index:
-                raise ParseError(f"unknown formal meet {meet_str(m)!r}")
-            out |= self.down[self.index[m]]
+            held = self.top
+            for g in m:
+                if g not in self.bit:
+                    raise ParseError(f"unknown formal meet {meet_str(m)!r}")
+                held &= self.holds[self.bit[g]]
+            out |= held
         return out
 
-    def cideal(self, mask):
-        """The formal meets of a mask, as a frozenset."""
-        return frozenset(self.meets[i] for i in set_bits(mask))
+    def up(self, k):
+        """The models containing model k: the up-set of its join-prime."""
+        return functools.reduce(int.__and__, map(
+            self.holds.__getitem__, set_bits(self.models[k])), self.top)
+
+    def held(self, k):
+        """The formal meets inside model k, as a mask in meet_key order."""
+        containing, _ = _meet_table(len(self.generators))
+        return self.full & ~functools.reduce(int.__or__, (
+            c for i, c in enumerate(containing)
+            if not self.models[k] >> i & 1), 0)
+
+    def mask(self, models):
+        """The C-ideal of an up-set of models, as a mask."""
+        return self.full & ~functools.reduce(int.__or__, map(
+            self.held, set_bits(self.top & ~models)), 0)
+
+    @functools.cached_property
+    def meets(self):
+        """Every formal meet in meet_key order, one per bit of a mask."""
+        return [frozenset(c) for n in range(len(self.generators) + 1)
+                for c in combinations(self.generators, n)]
+
+    @functools.cached_property
+    def names(self):
+        return [" & ".join(c) or "top" for n in range(len(self.generators) + 1)
+                for c in combinations(self.generators, n)]
+
+    def members(self, models):
+        """The formal meets of the C-ideal of an up-set, as a frozenset."""
+        return frozenset(compress(self.meets, _flags(self.mask(models))))
+
+    def name(self, models):
+        """The C-ideal of an up-set, its members in meet_key order."""
+        return "{" + ", ".join(compress(self.names,
+                                        _flags(self.mask(models)))) + "}"
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask):
+    """The bits of mask, lowest first, as bytes 0 and 1."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+@dataclass(frozen=True)
+class CIdeal:
+    """One element of a presented frame: a saturated downset of formal meets.
+
+    Downward closed means closed under adding generators to a meet; saturated
+    means every stabilized cover whose right side lies inside also has its
+    left side inside.  It is held as the up-set of the models where it
+    holds (ModelSets).
+    """
+
+    presentation: FramePresentation
+    models: int
+
+    @property
+    def mask(self):
+        """The members as a mask over the formal meets in meet_key order."""
+        return self.presentation.model_sets.mask(self.models)
+
+    @property
+    def members(self):
+        return self.presentation.model_sets.members(self.models)
+
+    def __le__(self, other):
+        _same(self, other)
+        return self.models & ~other.models == 0
+
+    def __and__(self, other):
+        _same(self, other)
+        return CIdeal(self.presentation, self.models & other.models)
+
+    def __or__(self, other):
+        _same(self, other)
+        return CIdeal(self.presentation, self.models | other.models)
+
+    def __str__(self):
+        return self.presentation.model_sets.name(self.models)
+
+
+def _same(a, b):
+    if a.presentation is not b.presentation and a.presentation != b.presentation:
+        raise MixedPresentations("C-ideals come from different presentations")
 
 
 def saturate(p, seed):
-    """Least C-ideal containing the given formal meets (a closure operator)."""
-    h = p.closure
-    return CIdeal(p, h.cideal(h.saturate(h.mask(seed))))
+    """Least C-ideal containing the given formal meets (a closure operator):
+    the meets all of whose models hold one of them."""
+    return CIdeal(p, p.model_sets.of_meets(seed))
 
 
 def cideal_bottom(p):
-    return saturate(p, [])
+    return CIdeal(p, 0)
 
 
 def cideal_top(p):
-    return saturate(p, [TOP_MEET])
+    return CIdeal(p, p.model_sets.top)
 
 
 def cideal_join(s):
@@ -222,16 +298,17 @@ def cideal_join(s):
         raise MixedPresentations("empty join needs an explicit presentation")
     for c in s:
         _same(s[0], c)
-    return saturate(s[0].presentation, [m for c in s for m in c.members])
+    return CIdeal(s[0].presentation,
+                  functools.reduce(int.__or__, (c.models for c in s)))
 
 
 def cideal_heyting(a, b):
-    """Heyting implication {g | ↓g ∩ a ⊆ b}; satisfies the meet adjunction."""
+    """Heyting implication, the largest c with c ∧ a ≤ b: the models P
+    such that every model above P holding a holds b."""
     _same(a, b)
-    h = a.presentation.closure
-    outside = h.mask(a.members) & ~h.mask(b.members)
-    return CIdeal(a.presentation, frozenset(
-        m for m, down in zip(h.meets, h.down) if not down & outside))
+    sem, bad = a.presentation.model_sets, a.models & ~b.models
+    return CIdeal(a.presentation, sum(1 << k for k in range(len(sem.models))
+                                      if not sem.up(k) & bad))
 
 
 def generator_image(p, name):
@@ -245,13 +322,18 @@ def check_positivity_certificate(p, positives):
     """Verify a set of candidate positive formal meets for overtness.
 
     Conditions: (i) upward closed in the formal-meet order (dropping
-    generators from a positive meet stays positive); (ii) every cover with a
-    positive left side has a positive right member; (iii) every formal meet
-    outside the set saturates to bottom.
+    generators from a positive meet stays positive); (ii) every stabilized
+    cover with a positive left side has a positive right member; (iii) every
+    formal meet outside the set saturates to bottom, that is, is held by no
+    model.  Given (i), (iii) holds when every model, as the meet of its
+    generators, is a candidate: a meet held by a model lies inside it.
     """
-    h = p.closure  # the presentation must be stabilized
+    if not p.stabilized:
+        raise ParseError("presentation must be stabilized before a "
+                         "positivity check")
     positives = {frozenset(m) for m in positives}
-    if not positives <= h.index.keys():
+    gens = set(p.generators)
+    if not all(m <= gens for m in positives):
         raise ParseError("candidate set mentions unknown formal meets")
     # (i) upward closed: formal-meet order is reverse inclusion, so it is
     # enough that dropping any one generator stays positive
@@ -260,9 +342,10 @@ def check_positivity_certificate(p, positives):
     # (ii) positive left sides need an inhabited positive right side
     if any(lhs in positives and not rhs & positives for lhs, rhs in p.covers):
         return False
-    # (iii) non-candidates must be bottom: all below them lies in it
-    return all(not h.down[i] & ~h.bottom
-               for m, i in h.index.items() if m not in positives)
+    # (iii) every model's own meet is positive
+    sem = p.model_sets
+    return all(frozenset(sem.generators[i] for i in set_bits(q)) in positives
+               for q in sem.models)
 
 
 # --- text format ------------------------------------------------------------

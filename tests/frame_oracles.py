@@ -5,9 +5,12 @@ oracles for them.
   for models (`frames.find_models`): the scan of all 2^g principal
   C-ideals of the stabilized presentation for those that the principals
   strictly below do not join up to, with the points read off it.
-- For the Horn closure (`presentations.saturate`): the fixpoint that
-  down-closes the seed and rescans every stabilized rule until nothing
-  changes, on frozensets of formal meets.
+- For the model-set C-ideals (`presentations.saturate`, joins, Heyting
+  implication, bottom, top, order and the positivity certificate): the
+  Horn closure of the stabilized presentation (`HornClosure`), which
+  `presentations` used before it read C-ideals off the models, and below
+  it the fixpoint that down-closes the seed and rescans every stabilized
+  rule until nothing changes, on frozensets of formal meets.
 - For the bitmask engine: pairwise join closure of the principal
   C-ideals, the literal join-irreducible-and-prime points scan with its
   filter checks, and Hasse edges from the enumerated frame's Poset.  They
@@ -38,15 +41,108 @@ oracles for them.
   joins on all n² pairs.
 """
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations
 
 from pointfree.config import DEFAULT
-from pointfree.errors import CapExceeded, PointfreeError
+from pointfree.errors import CapExceeded, ParseError, PointfreeError
 from pointfree.frames import FiniteFrame, FrameHom, frame_from_order
 from pointfree.order import count_downsets, enumerate_downsets, sort_key
-from pointfree.presentations import set_bits, stabilize
+from pointfree.presentations import meet_str, set_bits, stabilize
+
+
+def closure(p):
+    """The HornClosure of a stabilized presentation."""
+    if not p.stabilized:
+        raise ParseError("presentation must be stabilized before saturation")
+    return HornClosure(p)
+
+
+class HornClosure:
+    """The C-ideal closure of a stabilized presentation, on bitmasks: bit i
+    stands for the i-th formal meet in meet_key order.  A C-ideal is a
+    downset closed under the Horn clauses "all of rhs inside => lhs inside"
+    of the rules, so the least one above a downset is found by counter-based
+    forward chaining (Dowling & Gallier, 1984), linear in the rules."""
+
+    def __init__(self, p):
+        self.meets = p.all_meets()
+        self.index = index = {m: i for i, m in enumerate(self.meets)}
+        holding = {g: sum(1 << i for i, m in enumerate(self.meets) if g in m)
+                   for g in p.generators}
+        # down[i]: the formal meets below meet i, which are its supersets
+        self.down = down = [functools.reduce(int.__and__, map(holding.get, m),
+                                             (1 << len(self.meets)) - 1)
+                            for m in self.meets]
+        # lhs[r], rhs[r]: the left meet and the right-side mask of rule r
+        self.lhs, self.rhs, counts = [], [], []
+        # occurs[i]: the rules with meet i on the right
+        self._occurs = [[] for _ in self.meets]
+        start = 0
+        for r, (lhs, rhs) in enumerate(p.covers):
+            right = 0
+            for t in rhs:
+                right |= 1 << index[t]
+                self._occurs[index[t]].append(r)
+            self.lhs.append(index[lhs])
+            self.rhs.append(right)
+            counts.append(len(rhs))
+            if not rhs:
+                start |= down[index[lhs]]
+        # counts[r]: right-side meets of rule r still outside the bottom
+        self.bottom = self._close(start, start, counts)
+        self._counts = counts
+        self.top = down[0]  # every formal meet lies below the top meet
+
+    def _close(self, members, new, counts):
+        """Each meet entering the ideal counts down the rules that have it
+        on the right, and a rule reaching zero adds its left side and all
+        below."""
+        occurs, lhs, down = self._occurs, self.lhs, self.down
+        while new:
+            low = new & -new
+            new ^= low
+            for r in occurs[low.bit_length() - 1]:
+                counts[r] -= 1
+                if not counts[r]:
+                    add = down[lhs[r]] & ~members
+                    members |= add
+                    new |= add
+        return members
+
+    def saturate(self, mask):
+        """Least C-ideal containing a downward closed mask."""
+        new = mask & ~self.bottom
+        return self._close(self.bottom | new, new, self._counts[:])
+
+    def mask(self, meets):
+        """The downward closed mask of some formal meets."""
+        out = 0
+        for m in meets:
+            if m not in self.index:
+                raise ParseError(f"unknown formal meet {meet_str(m)!r}")
+            out |= self.down[self.index[m]]
+        return out
+
+    def cideal(self, mask):
+        """The formal meets of a mask, as a frozenset."""
+        return frozenset(self.meets[i] for i in set_bits(mask))
+
+
+def check_positivity_certificate(p, positives):
+    """The positivity certificate on the Horn closure: (i) and (ii) as in
+    `presentations`, and (iii) every formal meet outside the candidates
+    has its whole down-set in bottom."""
+    h = closure(p)
+    positives = {frozenset(m) for m in positives}
+    if any(m - {g} not in positives for m in positives for g in m):
+        return False
+    if any(lhs in positives and not rhs & positives for lhs, rhs in p.covers):
+        return False
+    return all(not h.down[i] & ~h.bottom
+               for m, i in h.index.items() if m not in positives)
 
 
 def principal_scan(p):
@@ -60,7 +156,7 @@ def principal_scan(p):
     principal C-ideal of g, and is checked against every stabilized rule.
     """
     p = stabilize(p)
-    h = p.closure
+    h = closure(p)
     principal = [h.saturate(d) for d in h.down]
     primes = set()
     for j in set(principal):

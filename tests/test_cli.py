@@ -245,7 +245,11 @@ VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
                                            THY / "repeat.thy",
                                            "--truncate", "N=3"], 2,
                  "axiom instances has size 3, exceeding cap 2 "
-                 "(axiom_instance_cap)\n", id="axiom_instance_cap")])
+                 "(axiom_instance_cap)\n", id="axiom_instance_cap"),
+    pytest.param("element_cap", 3, ["frame", "elements",
+                                    THY / "cantor1.pres"], 2,
+                 "frame elements has size 4, exceeding cap 3 "
+                 "(element_cap)\n", id="element_cap")])
 def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch, field,
                                    value, argv, code, message):
     """Every Limits field set in POINTFREE_CONFIG reaches the code that
@@ -356,6 +360,59 @@ def test_evt_answers_a_zeroth_power_of_a_huge_degree_at_once(capsys):
     assert time.perf_counter() - t0 < 1
     assert code == 0 and err == ""
     assert (payload["lower"], payload["upper"]) == ("1", "1")
+
+
+@pytest.mark.parametrize("expr, power", [("(1/3)^10000*x", 10000),
+                                         ("(1/3)^3000000*x", 3000000),
+                                         ("((1/3)^64)^64*x", 4096)])
+def test_evt_refuses_a_huge_constant_power_before_computing_it(capsys, expr,
+                                                               power):
+    """A constant power has degree 0.  (1/3)^10000 passed degree_cap and
+    its 4,771-digit bound broke Python's int-to-str limit (a traceback);
+    with ^3000000 the power alone took about a second."""
+    code, out, err, secs = run_timed(capsys, "evt", "max", "--expr", expr,
+                                     "--domain", "[0,1]", "--eps", "1/1000")
+    assert code == 2 and out == ""
+    assert err == (f"error: constant power has size {power}, exceeding cap "
+                   "64 (degree_cap)\n")
+    assert secs < 1
+
+
+def free_presentation_file(tmp_path, n):
+    path = tmp_path / f"free{n}.pres"
+    path.write_text("gen " + " ".join(f"g{i}" for i in range(n)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("sub, n", [("hausdorff", 10), ("points", 7),
+                                    ("elements", 7)])
+def test_dedekind_counts_are_refused_at_once(tmp_path, sub, n):
+    """J of a free presentation is 2^n under inclusion and |D(J)| is a
+    Dedekind number.  Counting it recursed once per element of J (a
+    RecursionError at n = 10) and ran past 10 s at n = 7; the count now
+    stops when its sub-counts pass element_cap."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"generator_cap": 10}')
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pointfree.cli", "frame", sub,
+         str(free_presentation_file(tmp_path, n))],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+        env={**os.environ, "POINTFREE_CONFIG": str(cfg)})
+    assert time.perf_counter() - t0 < 1
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: down-set sub-counts has size 4097, "
+                           "exceeding cap 4096 (element_cap)\n")
+
+
+def test_elements_refuses_cantor_n4_before_listing_it(capsys):
+    """65,536 elements: the listing ran past 10 s (and out of memory)."""
+    code, out, err, secs = run_timed(capsys, "frame", "elements",
+                                     THY / "cantor.thy", "--truncate", "N=4")
+    assert code == 2 and out == ""
+    assert err == ("error: frame elements has size 65536, exceeding cap "
+                   "4096 (element_cap)\n")
+    assert secs < 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -124,7 +124,7 @@ def test_hausdorff_matches_the_witness_search_on_random_presentations(p):
     assert m_verdict == verdict
     assert (m_witness is None) == (witness is None)
     if witness is not None:
-        assert {(engine.cideal(u), engine.cideal(v))
+        assert {(engine.members(u), engine.members(v))
                 for u, v in m_witness} == witness
 
 

@@ -1,7 +1,9 @@
-"""The Horn closure and the bitmask frame engine against the algorithms
-they replaced (frame_oracles): saturation, the join-primes from the model
-search, elements, Hasse edges and points, in order."""
+"""The model-set C-ideals and the bitmask frame engine against the
+algorithms they replaced (frame_oracles): saturation and the C-ideal
+algebra against the Horn closure, the join-primes from the model search,
+elements, Hasse edges and points, in order."""
 
+import functools
 import json
 import os
 import subprocess
@@ -14,13 +16,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import frame_oracles
 from conftest import cantor_presentation, free_presentation
+import pointfree
 from pointfree import frames
 from pointfree.cli import main
 from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import PresentedFrame, enumerate_frame, points
 from pointfree.order import sort_key
-from pointfree.presentations import (FramePresentation, cideal_heyting,
-                                     saturate, set_bits, stabilize)
+from pointfree.presentations import (FramePresentation,
+                                     check_positivity_certificate,
+                                     cideal_bottom, cideal_heyting,
+                                     cideal_join, cideal_top, generator_image,
+                                     meet_key, meet_str, saturate, set_bits,
+                                     stabilize)
 
 THY = Path(__file__).resolve().parents[1] / "theories"
 
@@ -71,13 +78,53 @@ def test_saturate_matches_the_fixpoint_oracle(p, data):
         if frame_oracles.down_close(p, [m]) & a.members <= b.members}
 
 
+@settings(max_examples=100, deadline=None)
+@given(presentations(), st.data())
+def test_model_sets_match_the_horn_closure(p, data):
+    """Saturation, joins, meets, Heyting implication, generator images,
+    bottom, top, order, names and positivity verdicts on model sets, on the
+    covers as given and stabilized, against the Horn closure of the
+    stabilized presentation."""
+    q = stabilize(p)
+    h = frame_oracles.closure(q)
+    seeds = data.draw(st.lists(st.sets(st.sampled_from(h.meets), max_size=4),
+                               min_size=2, max_size=4))
+    want = [h.saturate(h.mask(seed)) for seed in seeds]
+    for r in (p, q):
+        cs = [saturate(r, seed) for seed in seeds]
+        assert [c.mask for c in cs] == want
+        assert cideal_bottom(r).mask == h.bottom
+        assert cideal_top(r).mask == h.top
+        for g in r.generators:
+            assert generator_image(r, g).mask == \
+                h.saturate(h.mask([frozenset([g])]))
+        assert cideal_join(cs).mask == \
+            h.saturate(functools.reduce(int.__or__, want))
+        a, b = cs[0], cs[-1]
+        wa, wb = want[0], want[-1]
+        assert (a | b).mask == h.saturate(wa | wb)
+        assert (a & b).mask == wa & wb
+        assert (a <= b) == (wa & ~wb == 0)
+        # a → b is {m | ↓m ∩ a ⊆ b}
+        assert cideal_heyting(a, b).mask == sum(
+            1 << i for i, down in enumerate(h.down) if not down & wa & ~wb)
+        assert str(a) == "{" + ", ".join(
+            meet_str(m) for m in sorted(h.cideal(wa), key=meet_key)) + "}"
+    # the positive meets, those outside bottom, and mutants of them
+    positive = {m for m, down in zip(h.meets, h.down) if down & ~h.bottom}
+    flips = data.draw(st.sets(st.sampled_from(h.meets), max_size=2))
+    for cand in (positive, positive ^ flips, set(h.meets)):
+        assert check_positivity_certificate(q, cand) == \
+            frame_oracles.check_positivity_certificate(q, cand)
+
+
 def check_search_against_principal_scan(p):
     """J masks, point order and nontriviality from the model search, on
     the covers as given and stabilized, against the principal scan."""
     js, pts, nontrivial = frame_oracles.principal_scan(p)
     for q in (p, stabilize(p)):
         engine = PresentedFrame(q)
-        assert engine.join_primes == js
+        assert [engine.mask(j) for j in engine.join_primes] == js
         assert engine.points() == pts
         assert bool(pts) == nontrivial == (engine.bottom != engine.top)
 
@@ -117,15 +164,30 @@ def test_key_orders_masks_as_their_sorted_members():
     ["theory", "models", THY / "cantor.thy", "--truncate", "N=2"],
     ["theory", "models", THY / "surj.thy", "--truncate", "n=2,X=2"],
     ["frame", "points", THY / "cantor1.pres"],
-    ["frame", "points", THY / "cantor.thy", "--truncate", "N=3"]],
-    ids=["models cantor", "models surj", "points pres", "points thy"])
+    ["frame", "points", THY / "cantor.thy", "--truncate", "N=3"],
+    ["frame", "leq", THY / "cantor.thy", "z0 | u1", "z0 & z1 | u1",
+     "--truncate", "N=2"],
+    ["frame", "leq", THY / "free2.pres", "bot", "top"],
+    ["frame", "elements", THY / "cantor.thy", "--truncate", "N=3"],
+    ["frame", "elements", THY / "surj.thy", "--truncate", "n=2,X=2"],
+    ["frame", "hausdorff", THY / "cantor1.pres"],
+    ["frame", "hausdorff", THY / "sierpinski.thy"]],
+    ids=["models cantor", "models surj", "points pres", "points thy",
+         "leq thy", "leq pres", "elements thy", "elements surj",
+         "hausdorff pres", "hausdorff thy"])
 def test_points_neither_stabilize_nor_saturate(argv, monkeypatch, capsys):
+    """No frame path but `overt` (whose certificate is stated on the
+    stabilized covers) stabilizes or builds a Horn closure."""
     def refuse(*args, **kwargs):
-        raise AssertionError("points stabilized or built a closure")
+        raise AssertionError("stabilized or built a closure")
 
-    monkeypatch.setattr(frames, "stabilize", refuse)
-    monkeypatch.setattr("pointfree.presentations.stabilize", refuse)
-    monkeypatch.setattr("pointfree.presentations.HornClosure", refuse)
+    stabilize_fn = pointfree.presentations.stabilize
+    for mod in (pointfree.presentations, frames, pointfree.cli,
+                pointfree.theories):
+        for name, value in list(vars(mod).items()):
+            if value is stabilize_fn:
+                monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(frame_oracles.HornClosure, "__init__", refuse)
     assert main([str(a) for a in argv] + ["--json"]) == 0
     assert capsys.readouterr().err == ""
 
@@ -164,9 +226,9 @@ def check_against_oracles(p):
     engine = PresentedFrame(p)
     oracle = frame_oracles.enumerate_frame(p)
     elems, edges = engine.elements()
-    assert [engine.cideal(e) for e in elems] == \
+    assert [engine.members(e) for e in elems] == \
         sorted(oracle.elements, key=sort_key)
-    assert [(engine.cideal(a), engine.cideal(b)) for a, b in edges] == \
+    assert [(engine.members(a), engine.members(b)) for a, b in edges] == \
         frame_oracles.hasse_edges(oracle)
     assert engine.points() == oracle_listing(p, oracle)
     assert (engine.bottom != engine.top) == (oracle.bottom != oracle.top)

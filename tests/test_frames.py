@@ -49,6 +49,13 @@ def test_enumerate_frame_cap():
         enumerate_frame(free_presentation(9))
 
 
+def test_enumerate_frame_refuses_past_element_cap():
+    """Cantor N=4 has 65,536 elements, counted before any is listed."""
+    with pytest.raises(CapExceeded, match=r"frame elements has size 65536, "
+                                          r"exceeding cap 4096 "):
+        enumerate_frame(cantor_presentation(4))
+
+
 def test_enumerated_frames_satisfy_frame_distributivity(small_frames):
     for name in ["free1", "free2", "cantor1", "chain3", "bool4"]:
         assert small_frames[name].check_frame_distributivity()

@@ -12,11 +12,12 @@ from frame_oracles import (birkhoff_round_trips,
                            distributivity_witness as triple_scan,
                            ideal_completion as ideals_by_downset_scan,
                            is_directed, lattice_tables)
-from pointfree.config import DEFAULT
+from pointfree.config import DEFAULT, Limits
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
 from pointfree.order import (DistLattice, FreeJoinSemilattice, Ideal, KFinSet,
-                             Poset, birkhoff_iso, downset_lattice,
+                             Poset, birkhoff_iso, count_downsets,
+                             downset_lattice,
                              enumerate_downsets, ideal_completion,
                              join_irreducibles, kfin_join,
                              parse_lattice_text, parse_poset_text,
@@ -74,6 +75,47 @@ def test_downset_lattice_two_chain():
 def test_downset_lattice_cap():
     with pytest.raises(CapExceeded):
         downset_lattice(antichain(17))
+
+
+def below_masks(p):
+    """below[k] of count_downsets: the elements strictly below element k,
+    the elements sorted by how many lie below them, a linear extension."""
+    elems = sorted(p.elements, key=lambda b: sum(p.le(a, b)
+                                                 for a in p.elements))
+    return [sum(1 << i for i, a in enumerate(elems)
+                if a != b and p.le(a, b)) for b in elems]
+
+
+@pytest.mark.parametrize("p", [antichain(0), antichain(3), two_chain_poset(),
+                               m3_diamond_poset()],
+                         ids=["empty", "antichain3", "chain2", "diamond"])
+def test_count_downsets_matches_the_enumeration(p):
+    count = count_downsets(below_masks(p), (1 << len(p.elements)) - 1, {0: 1})
+    assert count == len(enumerate_downsets(p))
+
+
+def test_count_downsets_runs_without_recursion():
+    """A chain of 5,000 has 5,001 downsets and an antichain of 5,000 has
+    2^5,000, each counted from one sub-count per element; one recursion
+    per element passed the interpreter's limit."""
+    n = 5000
+    chain_below = [(1 << k) - 1 for k in range(n)]
+    limits = Limits(element_cap=n + 1)
+    assert count_downsets(chain_below, (1 << n) - 1, {0: 1}, limits) == n + 1
+    assert count_downsets([0] * n, (1 << n) - 1, {0: 1}, limits) == 2 ** n
+
+
+def test_count_downsets_refuses_past_element_cap():
+    """The 2^7 subsets of seven generators under inclusion: a Dedekind
+    count, whose sub-counts pass any desk-scale cap."""
+    n = 1 << 7
+    below = [sum(1 << i for i in range(n) if i != k and i & k == i)
+             for k in range(n)]
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"exceeding cap 4096 "
+                                          r"\(element_cap\)"):
+        count_downsets(below, (1 << n) - 1, {0: 1})
+    assert time.perf_counter() - start < 1
 
 
 def all_posets(names):

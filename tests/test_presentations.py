@@ -18,7 +18,8 @@ from pointfree.presentations import (TOP_MEET, CIdeal, FramePresentation,
 
 
 def all_cideals(p):
-    """Brute force: every downset of formal meets that is saturated."""
+    """Brute force: every downset of formal meets that is saturated, each
+    checked to be the C-ideal that saturating it gives."""
     meets = p.all_meets()
     out = []
     for n in range(len(meets) + 1):
@@ -28,7 +29,9 @@ def all_cideals(p):
                 continue
             if any(lhs not in d and rhs <= d for lhs, rhs in p.covers):
                 continue
-            out.append(CIdeal(p, d))
+            c = saturate(p, d)
+            assert isinstance(c, CIdeal) and c.members == d
+            out.append(c)
     return out
 
 
@@ -86,9 +89,17 @@ def test_saturate_free_downward_closure_only():
     assert got.members == {frozenset(["g0"]), frozenset(["g0", "g1"])}
 
 
-def test_saturate_requires_stabilized():
+def test_saturate_reads_the_covers_as_given():
+    """A model of the covers is one of their meet-stabilization, so
+    saturation needs no stabilizing; the positivity certificate, stated on
+    the stabilized covers, still does."""
+    p = cantor_presentation(1)
+    q = stabilize(p)
+    for seed in ([], [frozenset(["z0"])],
+                 [frozenset(["z0"]), frozenset(["u0"])]):
+        assert saturate(p, seed).members == saturate(q, seed).members
     with pytest.raises(ParseError):
-        saturate(cantor_presentation(1), [])
+        check_positivity_certificate(p, [TOP_MEET])
 
 
 def random_presentations():
