@@ -89,12 +89,12 @@ def _load_presentation(path, truncate, limits):
     return p
 
 
-def _parse_element_expr(p, text):
+def _parse_element_expr(p, text, limits):
     """Expressions over generators: joins (`|`) of formal meets (`&`),
     plus `bot` and `top`."""
     text = text.strip()
     if text == "bot":
-        return presentations.cideal_bottom(p)
+        return presentations.cideal_bottom(p, limits)
     parts = [part.strip() for part in text.split("|")]
     meets = []
     for part in parts:
@@ -106,7 +106,7 @@ def _parse_element_expr(p, text):
             if n not in p.generators:
                 raise ParseError(f"unknown generator {n!r}")
         meets.append(frozenset(names))
-    return presentations.saturate(p, meets)
+    return presentations.saturate(p, meets, limits)
 
 
 # --- frame --------------------------------------------------------------------
@@ -116,8 +116,8 @@ def cmd_frame(args, limits):
     if args.sub == "leq":
         if args.lhs is None or args.rhs is None:
             raise ParseError("leq needs two element expressions")
-        a = _parse_element_expr(p, args.lhs)
-        b = _parse_element_expr(p, args.rhs)
+        a = _parse_element_expr(p, args.lhs, limits)
+        b = _parse_element_expr(p, args.rhs, limits)
         _emit({"lhs": str(a), "rhs": str(b), "leq": bool(a <= b)}, args)
         return EXIT_OK
     if args.sub == "overt":

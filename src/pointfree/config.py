@@ -23,7 +23,8 @@ class Limits:
     bnb_node_budget: int = 10**6  # branch-and-bound node budget
     degree_cap: int = 64         # max syntactic degree of an evt expression
     axiom_instance_cap: int = 65536  # max axiom instances a theory compiles to
-    element_cap: int = 4096      # max frame elements listed, and sub-counts stored counting them
+    element_cap: int = 4096      # max frame elements listed, and sub-counts with one top per count
+    constant_bit_cap: int = 4096  # max bits in the constants of an evt expression, counted through + - * ^
 
 
 def read_input(path):

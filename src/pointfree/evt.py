@@ -48,15 +48,15 @@ def _rat_sqrt_upper(q):
     return Fraction(math.isqrt(n) + 1, q.denominator)
 
 
-def _check_degree(c, limits):
-    """Refuse a compiled expression whose syntactic degree, or the exponent
-    on a constant in it, passes degree_cap: its exact values grow in bit
-    size with both.  Nothing has been raised to a power yet."""
-    for what, size in (("expression degree", c.degree),
-                       ("constant power", c.constant_power)):
-        if size > limits.degree_cap:
-            raise CapExceeded(what, size, limits.degree_cap,
-                              field="degree_cap")
+def _check_size(c, limits):
+    """Refuse a compiled expression past degree_cap or constant_bit_cap
+    before any power is computed: its values grow in bit size with both."""
+    for what, size, field in (
+            ("expression degree", c.degree, "degree_cap"),
+            ("constant bits", c.constant_bits, "constant_bit_cap")):
+        if size > getattr(limits, field):
+            raise CapExceeded(what, size, getattr(limits, field),
+                              field=field)
 
 
 def _push(heap, e, box, floor):
@@ -76,7 +76,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     if eps <= 0:
         raise PointfreeError("eps must be strictly positive")
     e = compile_expr(e)
-    _check_degree(e, limits)
+    _check_size(e, limits)
     node_budget = limits.bnb_node_budget
     delta = _rat_sqrt_upper(eps)  # the cover's width bound
     heap = []
@@ -244,7 +244,7 @@ def locate(e, d, p, q, limits=DEFAULT):
     if p >= q:
         raise PointfreeError("locate needs p < q")
     e = compile_expr(e)
-    _check_degree(e, limits)
+    _check_size(e, limits)
     threshold = (p + q) / 2
     limit = limits.bnb_node_budget
     budget = 0
@@ -269,7 +269,7 @@ def cut_validate(enc, probes, e, d, limits=DEFAULT):
     and the monotonicity of the recorded bound trace.
     """
     e = compile_expr(e)
-    _check_degree(e, limits)
+    _check_size(e, limits)
     probes = list(probes)
     failures = []
     for k, (p, q) in enumerate(probes):

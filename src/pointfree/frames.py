@@ -11,7 +11,7 @@ from .config import DEFAULT
 from .errors import CapExceeded, NotACover, PointfreeError
 from .order import (DistLattice, KFinSet, Poset, canon, count_downsets,
                     enumerate_downsets, prime_filters, sort_key)
-from .presentations import (ModelSets, _breaks, _cover_masks,
+from .presentations import (ModelSets, _breaks, _cover_masks, _inside,
                             check_generator_cap, find_models, meet_key,
                             set_bits)
 
@@ -60,18 +60,18 @@ class PresentedFrame(ModelSets):
 
     def __init__(self, p, limits=DEFAULT):
         check_generator_cap(p, limits)
-        found = ModelSets(p, find_models(p))
-        held = [found.held(k) for k in range(len(found.models))]
+        models, g = find_models(p), len(p.generators)
+        held = [_inside(q, g) for q in models]
         # missed[i]: the meets held by a model missing generator i, so
         # j_P is the meets outside missed[i] for every i in P
         missed = [functools.reduce(int.__or__, (h for h, q in zip(
-            held, found.models) if not q >> i & 1), 0)
-            for i in range(len(found.generators))]
-        js = [found.full & ~functools.reduce(int.__or__, map(
-            missed.__getitem__, set_bits(q)), 0) for q in found.models]
+            held, models) if not q >> i & 1), 0) for i in range(g)]
+        full = (1 << (1 << g)) - 1
+        js = [full & ~functools.reduce(int.__or__, map(
+            missed.__getitem__, set_bits(q)), 0) for q in models]
         order = sorted(range(len(js)), key=lambda k: _key(js[k]))
-        super().__init__(p, [found.models[k] for k in order])
-        self.presentation, self.limits = p, limits
+        super().__init__(p, [models[k] for k in order])
+        self.limits = limits
         self._masks = {self.up(n): js[k] for n, k in enumerate(order)}
         self._downsets = {0: 1}  # J-index mask s -> |D(s)|
         # below[k]: the J-indices strictly below J[k], j_P < j_Q when Q is
@@ -110,7 +110,7 @@ class PresentedFrame(ModelSets):
         if count > self.limits.element_cap:
             raise CapExceeded("frame elements", count,
                               self.limits.element_cap, field="element_cap")
-        held = [self.held(k) for k in range(len(self.models))]
+        held = [_inside(q, len(self.generators)) for q in self.models]
         above = [sum(1 << k for k, b in enumerate(self._below) if b >> i & 1)
                  for i in range(len(held))]  # J-indices strictly above i
         masks = {self.top: self.full}
@@ -141,9 +141,11 @@ class PresentedFrame(ModelSets):
         """
         ms, below = self.models, self._below
         gens, rules = _cover_masks(self.presentation)
+        # from the top of J down: the larger counts reuse the smaller ones
+        size = {k: self.count_downsets(self.top & ~(below[k] | 1 << k))
+                for k in reversed(range(len(ms)))}
         out = []
-        for k in sorted(range(len(ms)), key=lambda k: (
-                self.count_downsets(self.top & ~(below[k] | 1 << k)), k)):
+        for k in sorted(size, key=lambda k: (size[k], k)):
             if _breaks(rules, ms[k], ~ms[k]):
                 raise PointfreeError("point violates a cover")
             out.append([g for i, g in enumerate(gens) if ms[k] >> i & 1])
@@ -422,7 +424,8 @@ def coproduct(f, g, limits=DEFAULT):
                     if f.le(a[0], b[0]) and g.le(a[1], b[1]))
     count = count_downsets([sum(1 << i for i, a in enumerate(pairs)
                                 if a != b and (a, b) in leq) for b in pairs],
-                           (1 << len(pairs)) - 1, {0: 1}, limits)
+                           (1 << len(pairs)) - 1, {0: 1}, limits,
+                           "coproduct_cap")
     if count > limits.coproduct_cap:
         raise CapExceeded("coproduct", count, limits.coproduct_cap)
     of_downset = {d: frozenset((u, v) for u in f.elements for v in g.elements

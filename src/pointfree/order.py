@@ -271,12 +271,15 @@ def enumerate_downsets(poset):
     return sorted(downs, key=sort_key)
 
 
-def count_downsets(below, s, memo, limits=DEFAULT):
+def count_downsets(below, s, memo, limits=DEFAULT, field="element_cap"):
     """|D(S)| for the poset elements indexed by the bits of s along a linear
     extension, below[k] masking those strictly below k, memo from {0: 1}: a
     downset omits the top k of s, or holds it and all of S below it.  The
-    sub-counts are found on a stack, and as many as element_cap are kept:
-    an antichain of n has 2^n downsets but n sub-counts."""
+    sub-counts are found on a stack.  A sub-mask with top element h is the
+    part of S up to h less a downset of it, so more than the cap `field`
+    of them show |D(S)| past it, and the count stops there."""
+    cap = getattr(limits, field)
+    added = [0] * s.bit_length()  # sub-counts this count adds, by top
     stack = [s]
     while stack:
         t = stack.pop()
@@ -287,9 +290,10 @@ def count_downsets(below, s, memo, limits=DEFAULT):
         b = a & ~below[k]
         if a in memo and b in memo:
             memo[t] = memo[a] + memo[b]
-            if len(memo) > limits.element_cap:
-                raise CapExceeded("down-set sub-counts", len(memo),
-                                  limits.element_cap, field="element_cap")
+            added[k] += 1
+            if added[k] > cap:
+                raise CapExceeded("down-set sub-counts with one top",
+                                  added[k], cap, field=field)
         else:
             stack += (t, a, b)
     return memo[s]

@@ -57,8 +57,8 @@ class FramePresentation:
     def all_meets(self):
         """Every formal meet, in meet_key order."""
         gs = sorted(self.generators)
-        return [frozenset(c) for n in range(len(gs) + 1)
-                for c in combinations(gs, n)]
+        return [frozenset(gs[i] for i in set_bits(m))
+                for m in _meet_table(len(gs))[1]]
 
     @functools.cached_property
     def model_sets(self):
@@ -72,6 +72,14 @@ def check_generator_cap(p, limits=DEFAULT):
     if len(p.generators) > limits.generator_cap:
         raise CapExceeded("generators", len(p.generators),
                           limits.generator_cap)
+
+
+def _model_sets(p, limits):
+    """p.model_sets, once p is within generator_cap: stabilize checked a
+    stabilized p against the limits it was given."""
+    if not p.stabilized:
+        check_generator_cap(p, limits)
+    return p.model_sets
 
 
 def stabilize(p, limits=DEFAULT):
@@ -154,6 +162,14 @@ def find_models(p):
     return [meets[k] for k in set_bits(ok)]
 
 
+def _inside(q, g):
+    """The formal meets inside model q of g generators, as a mask in
+    meet_key order."""
+    containing, meets = _meet_table(g)
+    return (1 << len(meets)) - 1 & ~functools.reduce(int.__or__, (
+        c for i, c in enumerate(containing) if not q >> i & 1), 0)
+
+
 class ModelSets:
     """The frame of a presentation on its models: a finite frame is
     spatial, so u ≤ v exactly when every model of u is a model of v.
@@ -168,6 +184,7 @@ class ModelSets:
     bottom = 0
 
     def __init__(self, p, models=None):
+        self.presentation = p
         self.generators = gens = sorted(p.generators)
         self.bit = {g: i for i, g in enumerate(gens)}
         self.models = find_models(p) if models is None else models
@@ -194,28 +211,20 @@ class ModelSets:
         return functools.reduce(int.__and__, map(
             self.holds.__getitem__, set_bits(self.models[k])), self.top)
 
-    def held(self, k):
-        """The formal meets inside model k, as a mask in meet_key order."""
-        containing, _ = _meet_table(len(self.generators))
-        return self.full & ~functools.reduce(int.__or__, (
-            c for i, c in enumerate(containing)
-            if not self.models[k] >> i & 1), 0)
-
     def mask(self, models):
         """The C-ideal of an up-set of models, as a mask."""
-        return self.full & ~functools.reduce(int.__or__, map(
-            self.held, set_bits(self.top & ~models)), 0)
+        g, ms = len(self.generators), self.models
+        return self.full & ~functools.reduce(int.__or__, (
+            _inside(ms[k], g) for k in set_bits(self.top & ~models)), 0)
 
     @functools.cached_property
     def meets(self):
         """Every formal meet in meet_key order, one per bit of a mask."""
-        return [frozenset(c) for n in range(len(self.generators) + 1)
-                for c in combinations(self.generators, n)]
+        return self.presentation.all_meets()
 
     @functools.cached_property
     def names(self):
-        return [" & ".join(c) or "top" for n in range(len(self.generators) + 1)
-                for c in combinations(self.generators, n)]
+        return list(map(meet_str, self.meets))
 
     def members(self, models):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
@@ -278,18 +287,19 @@ def _same(a, b):
         raise MixedPresentations("C-ideals come from different presentations")
 
 
-def saturate(p, seed):
+def saturate(p, seed, limits=DEFAULT):
     """Least C-ideal containing the given formal meets (a closure operator):
     the meets all of whose models hold one of them."""
-    return CIdeal(p, p.model_sets.of_meets(seed))
+    return CIdeal(p, _model_sets(p, limits).of_meets(seed))
 
 
-def cideal_bottom(p):
+def cideal_bottom(p, limits=DEFAULT):
+    _model_sets(p, limits)
     return CIdeal(p, 0)
 
 
-def cideal_top(p):
-    return CIdeal(p, p.model_sets.top)
+def cideal_top(p, limits=DEFAULT):
+    return CIdeal(p, _model_sets(p, limits).top)
 
 
 def cideal_join(s):
@@ -311,11 +321,11 @@ def cideal_heyting(a, b):
                                       if not sem.up(k) & bad))
 
 
-def generator_image(p, name):
+def generator_image(p, name, limits=DEFAULT):
     """The frame element corresponding to one generator."""
     if name not in p.generators:
         raise ParseError(f"unknown generator {name!r}")
-    return saturate(p, [frozenset([name])])
+    return saturate(p, [frozenset([name])], limits)
 
 
 def check_positivity_certificate(p, positives):

@@ -255,35 +255,37 @@ _BINOPS = {"*": _MUL, "+": _ADD, "-": _SUB, "min": _MIN, "max": _MAX}
 
 def _flatten(e, out):
     """Append e's nodes to out in post-order as (opcode, argument,
-    degree); return (degree, occurrences of x, largest exponent on a
-    constant, nested powers multiplying)."""
+    degree); return (degree, occurrences of x, constant bits)."""
     if isinstance(e, Var):
         out.append((_X, None, 1))
         return 1, 1, 0
     if isinstance(e, Const):
-        out.append((_C, e.value, 0))
-        return 0, 0, 0
+        q = e.value
+        out.append((_C, q, 0))
+        return 0, 0, q.numerator.bit_length() + q.denominator.bit_length()
     if isinstance(e, BinOp):
         op = _BINOPS.get(e.op)
         if op is None:
             raise PointfreeError(f"unknown operator {e.op!r}")
-        da, ua, pa = _flatten(e.a, out)
-        db, ub, pb = _flatten(e.b, out)
+        da, ua, ba = _flatten(e.a, out)
+        db, ub, bb = _flatten(e.b, out)
         d = da + db if op == _MUL else max(da, db)
         out.append((op, None, d))
-        return d, ua + ub, max(pa, pb)
+        bits = (ba + bb if op == _MUL else ba + bb + 1 if op in (_ADD, _SUB)
+                else max(ba, bb))
+        return d, ua + ub, bits
     if isinstance(e, Pow) and e.k == 0:
         # a^0 is the constant 1 whatever a is; a's nodes are counted but
         # not kept, so no node's degree passes the root's
         _, uses, _ = _flatten(e.a, [])
         out.append((_C, Fraction(1), 0))
-        return 0, uses, 0
-    d, uses, power = _flatten(e.a, out)
+        return 0, uses, 2
+    d, uses, bits = _flatten(e.a, out)
     if isinstance(e, Pow):
         out.append((_POW, e.k, e.k * d))
-        return e.k * d, uses, power if d else e.k * max(power, 1)
+        return e.k * d, uses, e.k * bits
     out.append((_NEG if isinstance(e, Neg) else _ABS, None, d))
-    return d, uses, power
+    return d, uses, bits
 
 
 class CompiledExpr:
@@ -291,14 +293,15 @@ class CompiledExpr:
 
     `degree` (deg(a^k) = k deg a, deg(a*b) = deg a + deg b, and + - min
     max abs take the larger degree of their arguments), `x_uses` (the
-    occurrences of x) and `constant_power` are read off when it is
-    compiled.  The integer program is built at the first evaluation: its
-    factor K grows as K^k under ^k, so a caller can refuse on the degree
-    and the constant power before paying for it."""
+    occurrences of x) and `constant_bits` (the same rules with the bits of
+    a constant, x none, a*b and one more for a±b summing) are read off when
+    it is compiled.  The integer program is built at the first evaluation:
+    its factor K grows as K^k under ^k, so a caller can refuse on the
+    degree and the constant bits before paying for it."""
 
     def __init__(self, e):
         self._nodes = []
-        self.degree, self.x_uses, self.constant_power = _flatten(
+        self.degree, self.x_uses, self.constant_bits = _flatten(
             e, self._nodes)
 
     @functools.cached_property

@@ -249,7 +249,10 @@ VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
     pytest.param("element_cap", 3, ["frame", "elements",
                                     THY / "cantor1.pres"], 2,
                  "frame elements has size 4, exceeding cap 3 "
-                 "(element_cap)\n", id="element_cap")])
+                 "(element_cap)\n", id="element_cap"),
+    pytest.param("constant_bit_cap", 2, VALIDATE, 2,
+                 "constant bits has size 3, exceeding cap 2 "
+                 "(constant_bit_cap)\n", id="constant_bit_cap")])
 def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch, field,
                                    value, argv, code, message):
     """Every Limits field set in POINTFREE_CONFIG reaches the code that
@@ -362,19 +365,33 @@ def test_evt_answers_a_zeroth_power_of_a_huge_degree_at_once(capsys):
     assert (payload["lower"], payload["upper"]) == ("1", "1")
 
 
-@pytest.mark.parametrize("expr, power", [("(1/3)^10000*x", 10000),
-                                         ("(1/3)^3000000*x", 3000000),
-                                         ("((1/3)^64)^64*x", 4096)])
-def test_evt_refuses_a_huge_constant_power_before_computing_it(capsys, expr,
-                                                               power):
+def balanced_product(factor, depth):
+    if depth == 0:
+        return factor
+    half = balanced_product(factor, depth - 1)
+    return f"({half})*({half})"
+
+
+@pytest.mark.parametrize("expr, bits", [
+    ("(1/3)^10000*x", 30000),
+    ("(1/3)^3000000*x", 9000000),
+    ("((1/3)^64)^64*x", 12288),
+    (balanced_product("(1/3)^64", 8) + "*x", 49152),
+    ("(x + 1/" + "7" * 80 + ")^64", 17152)],
+    ids=["power", "huge power", "nested powers", "balanced product",
+         "long literal"])
+def test_evt_refuses_huge_constants_before_computing_them(capsys, expr,
+                                                          bits):
     """A constant power has degree 0.  (1/3)^10000 passed degree_cap and
     its 4,771-digit bound broke Python's int-to-str limit (a traceback);
-    with ^3000000 the power alone took about a second."""
+    with ^3000000 the power alone took about a second.  256 factors
+    (1/3)^64, multiplied in a tree of depth 8, or an 80-digit literal
+    under ^64 broke the same limit with every exponent at most 64."""
     code, out, err, secs = run_timed(capsys, "evt", "max", "--expr", expr,
                                      "--domain", "[0,1]", "--eps", "1/1000")
     assert code == 2 and out == ""
-    assert err == (f"error: constant power has size {power}, exceeding cap "
-                   "64 (degree_cap)\n")
+    assert err == (f"error: constant bits has size {bits}, exceeding cap "
+                   "4096 (constant_bit_cap)\n")
     assert secs < 1
 
 
@@ -390,7 +407,7 @@ def test_dedekind_counts_are_refused_at_once(tmp_path, sub, n):
     """J of a free presentation is 2^n under inclusion and |D(J)| is a
     Dedekind number.  Counting it recursed once per element of J (a
     RecursionError at n = 10) and ran past 10 s at n = 7; the count now
-    stops when its sub-counts pass element_cap."""
+    stops when its sub-counts with one top pass element_cap."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"generator_cap": 10}')
     t0 = time.perf_counter()
@@ -401,8 +418,35 @@ def test_dedekind_counts_are_refused_at_once(tmp_path, sub, n):
         env={**os.environ, "POINTFREE_CONFIG": str(cfg)})
     assert time.perf_counter() - t0 < 1
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr == ("error: down-set sub-counts has size 4097, "
-                           "exceeding cap 4096 (element_cap)\n")
+    assert done.stderr == ("error: down-set sub-counts with one top has "
+                           "size 4097, exceeding cap 4096 (element_cap)\n")
+
+
+@pytest.mark.parametrize("argv, config, sha256", [
+    (["frame", "points", "free6.pres"], {},
+     "15e7eb4420a53146e5c720336cbc2fe818c0cef133c2a0685b06682f88f2ea1c"),
+    (["frame", "points", THY / "cantor.thy", "--truncate", "N=7"],
+     {"generator_cap": 14},
+     "670008c5930467d2535c7367427154edf2e0e32629eec1f961a8a2e42f5e3c90"),
+    (["theory", "models", THY / "cantor.thy", "--truncate", "N=7"],
+     {"generator_cap": 14},
+     "aa2d53216b9dc86e0aa119e6aa002a1dbbf439dcfcd8c3000f6f08046f777d49")],
+    ids=["free6 points", "cantor7 points", "cantor7 models"])
+def test_large_point_orders_are_still_counted(capsys, tmp_path, monkeypatch,
+                                              argv, config, sha256):
+    """The point order counts |D(J minus ↓j)| for every join-prime j: 64
+    counts for six free generators, 359,979 sub-counts in all but at most
+    1,658 with one top in one count, and 128 antichain counts for cantor
+    N=7.  Both answer as they did before the count was bounded (--json
+    output recorded from the code before)."""
+    free_presentation_file(tmp_path, 6)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_elements_refuses_cantor_n4_before_listing_it(capsys):

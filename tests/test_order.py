@@ -1,6 +1,7 @@
 """Finite order theory: downsets, Birkhoff duality, prime filters, ideals."""
 
 import time
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -97,10 +98,11 @@ def test_count_downsets_matches_the_enumeration(p):
 def test_count_downsets_runs_without_recursion():
     """A chain of 5,000 has 5,001 downsets and an antichain of 5,000 has
     2^5,000, each counted from one sub-count per element; one recursion
-    per element passed the interpreter's limit."""
+    per element passed the interpreter's limit.  One sub-count per top is
+    within any cap."""
     n = 5000
     chain_below = [(1 << k) - 1 for k in range(n)]
-    limits = Limits(element_cap=n + 1)
+    limits = Limits(element_cap=1)
     assert count_downsets(chain_below, (1 << n) - 1, {0: 1}, limits) == n + 1
     assert count_downsets([0] * n, (1 << n) - 1, {0: 1}, limits) == 2 ** n
 
@@ -112,10 +114,24 @@ def test_count_downsets_refuses_past_element_cap():
     below = [sum(1 << i for i in range(n) if i != k and i & k == i)
              for k in range(n)]
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match=r"exceeding cap 4096 "
-                                          r"\(element_cap\)"):
+    with pytest.raises(CapExceeded, match=r"^down-set sub-counts with one "
+                                          r"top has size 4097, exceeding "
+                                          r"cap 4096 \(element_cap\)$"):
         count_downsets(below, (1 << n) - 1, {0: 1})
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_count_downsets_stores_at_most_the_count_per_top(n):
+    """The bound count_downsets refuses by: on every poset of at most four
+    elements, one count stores at most |D(S)| sub-counts with one top
+    element, so a count within the cap is never refused."""
+    for p in all_posets([f"x{i}" for i in range(n)]):
+        memo, count = {0: 1}, len(enumerate_downsets(p))
+        assert count_downsets(below_masks(p), (1 << n) - 1, memo,
+                              Limits(element_cap=count)) == count
+        tops = Counter(t.bit_length() for t in memo if t)
+        assert max(tops.values(), default=0) <= count
 
 
 def all_posets(names):

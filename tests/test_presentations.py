@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cantor_presentation, free_presentation
+from pointfree.config import Limits
 from pointfree.errors import CapExceeded, MixedPresentations, ParseError
 from pointfree.presentations import (TOP_MEET, CIdeal, FramePresentation,
                                      check_positivity_certificate,
@@ -100,6 +101,23 @@ def test_saturate_reads_the_covers_as_given():
         assert saturate(p, seed).members == saturate(q, seed).members
     with pytest.raises(ParseError):
         check_positivity_certificate(p, [TOP_MEET])
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: saturate(p, []), cideal_bottom, cideal_top,
+    lambda p: generator_image(p, "g0")],
+    ids=["saturate", "bottom", "top", "generator_image"])
+def test_cideals_keep_the_generator_cap(build):
+    """Unstabilized, a presentation is checked against generator_cap
+    before its 2^g formal meets are built (30 generators: 2^30-bit masks);
+    stabilized, it was checked by stabilize with the limits given there."""
+    with pytest.raises(CapExceeded, match="generators has size 30"):
+        build(free_presentation(30))
+    p = free_presentation(9)
+    with pytest.raises(CapExceeded, match="generators has size 9"):
+        build(p)
+    q = stabilize(p, limits=Limits(generator_cap=9))
+    assert build(q).presentation is q
 
 
 def random_presentations():
