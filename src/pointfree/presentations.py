@@ -57,8 +57,8 @@ class FramePresentation:
     def all_meets(self):
         """Every formal meet, in meet_key order."""
         gs = sorted(self.generators)
-        return [frozenset(gs[i] for i in set_bits(m))
-                for m in _meet_table(len(gs))[1]]
+        return [frozenset(c) for n in range(len(gs) + 1)
+                for c in combinations(gs, n)]
 
     @functools.cached_property
     def model_sets(self):
@@ -224,7 +224,10 @@ class ModelSets:
 
     @functools.cached_property
     def names(self):
-        return list(map(meet_str, self.meets))
+        # read off the sorted generators, not by meet_str, which sorts
+        # each meet again
+        return [" & ".join(c) or "top" for n in range(len(self.generators) + 1)
+                for c in combinations(self.generators, n)]
 
     def members(self, models):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
