@@ -17,8 +17,7 @@ from fractions import Fraction
 from . import evt as evtmod
 from . import frames, order, presentations, reals, theories
 from .config import load_limits, read_input
-from .errors import (BudgetExhausted, CapExceeded, NotDistributive,
-                     ParseError, PointfreeError)
+from .errors import BudgetExhausted, CapExceeded, ParseError, PointfreeError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -27,7 +26,7 @@ EXIT_BUDGET = 3
 
 
 def _emit(payload, args):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in _text_lines(payload):
@@ -80,10 +79,13 @@ def _load_presentation(path, truncate, limits):
         if line:
             first = line.split()[0]
             break
+    trunc = _parse_truncation(truncate)
     if first in ("prop", "axiom"):
-        ast = theories.parse_theory(text)
-        return theories.instantiate(ast, _parse_truncation(truncate),
+        return theories.instantiate(theories.parse_theory(text), trunc,
                                     limits=limits)
+    if trunc:
+        raise ParseError(f"truncation binding {next(iter(trunc))!r} needs a "
+                         "theory file, not a presentation")
     p = presentations.parse_presentation_text(text)
     presentations.check_generator_cap(p, limits)
     return p
@@ -114,15 +116,11 @@ def _parse_element_expr(p, text, limits):
 def cmd_frame(args, limits):
     p = _load_presentation(args.file, args.truncate, limits)
     if args.sub == "leq":
-        if args.lhs is None or args.rhs is None:
-            raise ParseError("leq needs two element expressions")
         a = _parse_element_expr(p, args.lhs, limits)
         b = _parse_element_expr(p, args.rhs, limits)
         _emit({"lhs": str(a), "rhs": str(b), "leq": bool(a <= b)}, args)
         return EXIT_OK
     if args.sub == "overt":
-        if args.positive is None:
-            raise ParseError("overt needs --positive with candidate meets")
         meets = []
         for part in args.positive.split(","):
             part = part.strip()
@@ -136,8 +134,7 @@ def cmd_frame(args, limits):
               args)
         return EXIT_OK
     if args.sub == "compact":
-        report = frames.is_compact_presentation(p, limits=limits)
-        _emit(report, args)
+        _emit(frames.is_compact_presentation(p, limits=limits), args)
         return EXIT_OK
 
     frame = frames.PresentedFrame(p, limits=limits)
@@ -152,20 +149,18 @@ def cmd_frame(args, limits):
         pts = frame.points()
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
-    if args.sub == "hausdorff":
-        # |f| = |D(J)|, counted before the elements are listed
-        frames.diagonal_cap(frame.count_downsets(), limits)
-        elems, _ = frame.elements()
-        verdict, witness = frames.closed_diagonal(
-            elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
-            limits=limits)
-        payload = {"hausdorff": verdict}
-        if witness is not None:
-            payload["witness"] = sorted(
-                f"{frame.name(u)}*{frame.name(v)}" for (u, v) in witness)
-        _emit(payload, args)
-        return EXIT_OK
-    raise ParseError(f"unknown frame subcommand {args.sub!r}")
+    # hausdorff: |f| = |D(J)|, counted before the elements are listed
+    frames.diagonal_cap(frame.count_downsets(), limits)
+    elems, _ = frame.elements()
+    verdict, witness = frames.closed_diagonal(
+        elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
+        limits=limits)
+    payload = {"hausdorff": verdict}
+    if witness is not None:
+        payload["witness"] = sorted(
+            f"{frame.name(u)}*{frame.name(v)}" for (u, v) in witness)
+    _emit(payload, args)
+    return EXIT_OK
 
 
 # --- theory -------------------------------------------------------------------
@@ -184,15 +179,13 @@ def cmd_theory(args, limits):
         _emit({"generators": list(p.generators),
                "presentation": presentations.presentation_text(p)}, args)
         return EXIT_OK
-    if args.sub == "models":
-        ms = frames.PresentedFrame(theories.instantiate(ast, trunc,
-                                                        limits=limits),
-                                   limits=limits).points()
-        # a finite frame is spatial: it is nontrivial when it has a point
-        _emit({"count": len(ms), "models": ms,
-               "frame_nontrivial": bool(ms)}, args)
-        return EXIT_OK
-    raise ParseError(f"unknown theory subcommand {args.sub!r}")
+    # models
+    ms = frames.PresentedFrame(theories.instantiate(ast, trunc, limits=limits),
+                               limits=limits).points()
+    # a finite frame is spatial: it is nontrivial when it has a point
+    _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
+          args)
+    return EXIT_OK
 
 
 # --- stone --------------------------------------------------------------------
@@ -204,16 +197,15 @@ def cmd_stone(args, limits):
         _emit({"count": len(filters),
                "prime_filters": [sorted(map(str, f)) for f in filters]}, args)
         return EXIT_OK
-    if args.sub == "birkhoff":
-        irr, to_downset, _ = order.birkhoff_iso(lattice)
-        _emit({"irreducibles": [str(e) for e in irr.elements],
-               "irreducible_hasse": [[str(a), str(b)]
-                                     for a, b in irr.hasse_edges()],
-               # every j is join-prime, so a ↦ J ∩ ↓a is onto D(J)
-               "downsets": len(lattice.elements),
-               "isomorphism_verified": True}, args)
-        return EXIT_OK
-    raise ParseError(f"unknown stone subcommand {args.sub!r}")
+    # birkhoff
+    irr, to_downset, _ = order.birkhoff_iso(lattice)
+    _emit({"irreducibles": [str(e) for e in irr.elements],
+           "irreducible_hasse": [[str(a), str(b)]
+                                 for a, b in irr.hasse_edges()],
+           # every j is join-prime, so a ↦ J ∩ ↓a is onto D(J)
+           "downsets": len(lattice.elements),
+           "isomorphism_verified": True}, args)
+    return EXIT_OK
 
 
 # --- evt ----------------------------------------------------------------------
@@ -229,10 +221,10 @@ def _enclosure_payload(enc, cover, args):
                "nodes_expanded": enc.nodes_expanded,
                "cover": [_interval_pair(b) for b in cover.intervals],
                "cover_width_bound": reals.rat_str(cover.delta)}
-    if getattr(args, "trace", False):
+    if args.trace:
         payload["trace"] = [[reals.rat_str(lo), reals.rat_str(hi)]
                             for lo, hi in enc.trace]
-    if getattr(args, "decimal", None) is not None:
+    if args.decimal is not None:
         k = args.decimal
         payload["approx_decimal"] = {
             "digits": k,
@@ -243,6 +235,8 @@ def _enclosure_payload(enc, cover, args):
 
 
 def cmd_evt(args, limits):
+    if args.budget is not None:
+        limits = dataclasses.replace(limits, bnb_node_budget=args.budget)
     e = reals.parse_expr(args.expr)
     d = reals.parse_domain(args.domain)
     if args.sub == "max":
@@ -270,30 +264,32 @@ def cmd_evt(args, limits):
                    "pieces": [_interval_pair(b) for b in branch.pieces]},
                   args)
         return EXIT_OK
-    if args.sub == "validate":
-        eps = reals.parse_rat(args.eps)
-        enc, cover = evtmod.evt_maximize(e, d, eps, limits=limits)
-        rng = random.Random(args.seed)
-        probes = []
-        lo, hi = enc.lower - 1, enc.upper + 1
-        for _ in range(args.probes):
-            a = lo + (hi - lo) * Fraction(rng.randrange(0, 1000), 1000)
-            b = a + Fraction(rng.randrange(1, 1000), 1000)
-            probes.append((a, b))
-        report = evtmod.cut_validate(enc, probes, e, d, limits=limits)
-        _emit({"ok": report["ok"], "probes": report["probes"],
-               "failures": [json.dumps(f, sort_keys=True)
-                            for f in report["failures"]],
-               "trace_monotone": report["trace_monotone"],
-               "lower": reals.rat_str(enc.lower),
-               "upper": reals.rat_str(enc.upper)}, args)
-        return EXIT_OK
-    raise ParseError(f"unknown evt subcommand {args.sub!r}")
+    # validate
+    eps = reals.parse_rat(args.eps)
+    enc, cover = evtmod.evt_maximize(e, d, eps, limits=limits)
+    rng = random.Random(args.seed)
+    probes = []
+    lo, hi = enc.lower - 1, enc.upper + 1
+    for _ in range(args.probes):
+        a = lo + (hi - lo) * Fraction(rng.randrange(0, 1000), 1000)
+        b = a + Fraction(rng.randrange(1, 1000), 1000)
+        probes.append((a, b))
+    report = evtmod.cut_validate(enc, probes, e, d, limits=limits)
+    _emit({"ok": report["ok"], "probes": report["probes"],
+           "failures": [json.dumps(f, sort_keys=True)
+                        for f in report["failures"]],
+           "trace_monotone": report["trace_monotone"],
+           "lower": reals.rat_str(enc.lower),
+           "upper": reals.rat_str(enc.upper)}, args)
+    return EXIT_OK
 
 
 # --- entry point ----------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a prefix of a flag is not that flag
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # a usage error exits 1, as exit 2 means a cap
         raise ParseError(message)
 
@@ -305,93 +301,88 @@ def _non_negative(text):
     return int(text)
 
 
+def _digits(text):  # Python turns an int of at most 4300 digits into text
+    if _non_negative(text) > 4300:
+        raise argparse.ArgumentTypeError(
+            f"expected at most 4300 digits, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parse_args returns a
-    fresh namespace each call and leaves the parser as it was."""
+    fresh namespace each call and leaves the parser as it was.  Each
+    subcommand takes exactly the arguments it reads and names its `run`."""
     top = _Parser(
         prog="pointfree",
         description="Exact pointfree topology and certified maximization.")
-    sub = top.add_subparsers(dest="command", required=True)
+    groups = top.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--json", action="store_true",
-                        help="machine-readable JSON output")
-        sp.add_argument("--decimal", type=_non_negative, metavar="K",
-                        help="also print K-digit decimal approximations")
+    def group(name, help, run, leaves, file=None):
+        subs = groups.add_parser(name, help=help).add_subparsers(
+            dest="sub", required=True)
+        out = {leaf: subs.add_parser(leaf) for leaf in leaves.split()}
+        for sp in out.values():
+            sp.set_defaults(run=run)
+            sp.add_argument("--json", action="store_true",
+                            help="machine-readable JSON output")
+            if file:
+                sp.add_argument("file", help=file)
+        return out
 
-    fr = sub.add_parser("frame", help="inspect a presented frame")
-    fr.add_argument("sub", choices=["elements", "leq", "points", "hausdorff",
-                                    "overt", "compact"])
-    fr.add_argument("file", help="presentation (.pres) or theory (.thy) file")
-    fr.add_argument("lhs", nargs="?", help="left expression for leq")
-    fr.add_argument("rhs", nargs="?", help="right expression for leq")
-    fr.add_argument("--truncate", default="",
-                    help="truncation bounds for theory files, e.g. N=2")
-    fr.add_argument("--positive", help="candidate positive meets for overt, "
-                    "e.g. 'top,z0,u0'")
-    common(fr)
+    fr = group("frame", "inspect a presented frame", cmd_frame,
+               "elements leq points hausdorff overt compact",
+               file="presentation (.pres) or theory (.thy) file")
+    for sp in fr.values():
+        sp.add_argument("--truncate", default="",
+                        help="truncation bounds for theory files, e.g. N=2")
+    fr["leq"].add_argument("lhs", help="join of meets, e.g. 'z0 & u0 | top'")
+    fr["leq"].add_argument("rhs", help="join of meets, or bot")
+    fr["overt"].add_argument("--positive", required=True,
+                             help="candidate positive meets, e.g. 'top,z0,u0'")
 
-    th = sub.add_parser("theory", help="parse or compile a geometric theory")
-    th.add_argument("sub", choices=["parse", "compile", "models"])
-    th.add_argument("file")
-    th.add_argument("--truncate", default="",
-                    help="truncation bounds, e.g. N=2 or n=1,X=2")
-    common(th)
+    th = group("theory", "parse or compile a geometric theory", cmd_theory,
+               "parse compile models", file="theory (.thy) file")
+    for sp in (th["compile"], th["models"]):
+        sp.add_argument("--truncate", default="",
+                        help="truncation bounds, e.g. N=2 or n=1,X=2")
 
-    st = sub.add_parser("stone", help="finite Stone / Birkhoff duality")
-    st.add_argument("sub", choices=["spectrum", "birkhoff"])
-    st.add_argument("file", help="lattice file (elements:/leq: format)")
-    common(st)
+    group("stone", "finite Stone / Birkhoff duality", cmd_stone,
+          "spectrum birkhoff", file="lattice (.lat) file")
 
-    ev = sub.add_parser("evt", help="certified global maximization")
-    ev.add_argument("sub", choices=["max", "locate", "validate"])
-    ev.add_argument("--expr", required=True,
-                    help="expression in x, e.g. 'x*(1-x)'")
-    ev.add_argument("--domain", required=True, help="e.g. '[0,1] u [2,3]'")
-    ev.add_argument("--eps", default="1/1000",
-                    help="enclosure width target (exact rational)")
-    ev.add_argument("--p", help="lower probe for locate")
-    ev.add_argument("--q", help="upper probe for locate")
-    ev.add_argument("--trace", action="store_true",
-                    help="include the monotone bound trace")
-    ev.add_argument("--probes", type=_non_negative, default=20,
-                    help="number of random probes for validate")
-    ev.add_argument("--seed", type=int, default=0,
-                    help="probe generator seed for validate")
-    ev.add_argument("--budget", type=_non_negative,
-                    help="node budget override")
-    common(ev)
+    ev = group("evt", "certified global maximization", cmd_evt,
+               "max locate validate")
+    for sp in ev.values():
+        sp.add_argument("--expr", required=True,
+                        help="expression in x, e.g. 'x*(1-x)'")
+        sp.add_argument("--domain", required=True, help="e.g. '[0,1] u [2,3]'")
+        sp.add_argument("--budget", type=_non_negative,
+                        help="node budget override")
+    for sp in (ev["max"], ev["validate"]):
+        sp.add_argument("--eps", default="1/1000",
+                        help="enclosure width target (exact rational)")
+    ev["max"].add_argument("--trace", action="store_true",
+                           help="include the monotone bound trace")
+    ev["max"].add_argument("--decimal", type=_digits, metavar="K",
+                           help="also print K-digit decimal approximations, "
+                           "K at most 4300")
+    ev["locate"].add_argument("--p", required=True, help="lower probe")
+    ev["locate"].add_argument("--q", required=True, help="upper probe")
+    ev["validate"].add_argument("--probes", type=_non_negative, default=20,
+                                help="number of random probes")
+    ev["validate"].add_argument("--seed", type=int, default=0,
+                                help="probe generator seed")
     return top
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        limits = load_limits()
-        if getattr(args, "budget", None) is not None:
-            limits = dataclasses.replace(limits, bnb_node_budget=args.budget)
-        if args.command == "frame":
-            return cmd_frame(args, limits)
-        if args.command == "theory":
-            return cmd_theory(args, limits)
-        if args.command == "stone":
-            return cmd_stone(args, limits)
-        if args.command == "evt":
-            if args.sub == "locate" and (args.p is None or args.q is None):
-                raise ParseError("locate needs --p and --q")
-            return cmd_evt(args, limits)
-        raise ParseError(f"unknown command {args.command!r}")
-    except CapExceeded as exc:
+        return args.run(args, load_limits())
+    except (PointfreeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ParseError, NotDistributive, PointfreeError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return (EXIT_CAP if isinstance(exc, CapExceeded) else EXIT_BUDGET
+                if isinstance(exc, BudgetExhausted) else EXIT_PARSE)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .config import DEFAULT
 from .errors import BudgetExhausted, CapExceeded, PointfreeError
-from .reals import RatInterval, compile_expr, eval_interval, eval_point
+from .reals import (RatInterval, compile_expr, eval_interval, eval_point,
+                    rat_bits)
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,19 @@ def _rat_sqrt_upper(q):
     return Fraction(math.isqrt(n) + 1, q.denominator)
 
 
-def _check_size(c, limits):
+def _check_size(c, d, eps, limits):
     """Refuse a compiled expression past degree_cap or constant_bit_cap
-    before any power is computed: its values grow in bit size with both."""
+    before any power is computed: its values grow in bit size with both, and
+    with the degree times the bits of the domain's endpoints and of eps."""
+    ends = max(rat_bits(b) for box in d.components for b in (box.lo, box.hi))
     for what, size, field in (
             ("expression degree", c.degree, "degree_cap"),
-            ("constant bits", c.constant_bits, "constant_bit_cap")):
+            ("constant bits", c.constant_bits, "constant_bit_cap"),
+            ("value bits",
+             c.constant_bits + c.degree * (ends + rat_bits(eps)),
+             "constant_bit_cap")):
         if size > getattr(limits, field):
-            raise CapExceeded(what, size, getattr(limits, field),
-                              field=field)
+            raise CapExceeded(what, size, getattr(limits, field), field=field)
 
 
 def _push(heap, e, box, floor):
@@ -76,7 +81,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     if eps <= 0:
         raise PointfreeError("eps must be strictly positive")
     e = compile_expr(e)
-    _check_size(e, limits)
+    _check_size(e, d, eps, limits)
     node_budget = limits.bnb_node_budget
     delta = _rat_sqrt_upper(eps)  # the cover's width bound
     heap = []
@@ -244,7 +249,7 @@ def locate(e, d, p, q, limits=DEFAULT):
     if p >= q:
         raise PointfreeError("locate needs p < q")
     e = compile_expr(e)
-    _check_size(e, limits)
+    _check_size(e, d, q - p, limits)  # q - p plays the part of eps
     threshold = (p + q) / 2
     limit = limits.bnb_node_budget
     budget = 0
@@ -269,7 +274,7 @@ def cut_validate(enc, probes, e, d, limits=DEFAULT):
     and the monotonicity of the recorded bound trace.
     """
     e = compile_expr(e)
-    _check_size(e, limits)
+    _check_size(e, d, enc.eps, limits)
     probes = list(probes)
     failures = []
     for k, (p, q) in enumerate(probes):

@@ -236,9 +236,6 @@ class DistLattice:
         return Poset(subset, frozenset((a, b) for a, b in self._leq
                                        if a in subset and b in subset))
 
-    def to_json_dict(self):
-        return self.as_poset().to_json_dict()
-
 
 @dataclass(frozen=True)
 class Ideal:

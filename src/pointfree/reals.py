@@ -31,6 +31,11 @@ def parse_rat(text):
         raise ParseError(f"bad rational literal {text!r}: {exc}")
 
 
+def rat_bits(q):
+    """The bits of a rational: its numerator's and its denominator's."""
+    return q.numerator.bit_length() + q.denominator.bit_length()
+
+
 def rat_str(q):
     q = Fraction(q)
     if q.denominator == 1:
@@ -262,7 +267,7 @@ def _flatten(e, out):
     if isinstance(e, Const):
         q = e.value
         out.append((_C, q, 0))
-        return 0, 0, q.numerator.bit_length() + q.denominator.bit_length()
+        return 0, 0, rat_bits(q)
     if isinstance(e, BinOp):
         op = _BINOPS.get(e.op)
         if op is None:

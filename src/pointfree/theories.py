@@ -94,12 +94,6 @@ class TheoryAST:
                     if isinstance(i, str) and i not in universal:
                         raise ParseError(f"unbound index {i!r} in side condition")
 
-    def family(self, name):
-        for f in self.families:
-            if f.name == name:
-                return f
-        raise ParseError(f"unknown proposition {name!r}")
-
 
 # --- tokenizer ----------------------------------------------------------------
 
@@ -392,8 +386,15 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
     stabilized.  The generators are counted against generator_cap before
     any is named, and the instances against axiom_instance_cap before any
     is built: each axiom has one per value of its `for` binders, and each
-    of those joins one right side per value of its `some` binders."""
+    of those joins one right side per value of its `some` binders.  A
+    truncation binding that names no bound of the theory is a ParseError."""
     trunc = trunc or {}
+    named = {b for f in ast.families for b in f.bounds}
+    named |= {b for ax in ast.axioms for _, b in ax.binders + ax.joins}
+    for name in trunc:
+        if name not in named:
+            raise ParseError(f"truncation binding {name!r} names no bound "
+                             "of the theory")
     bounds = [[_resolve_bound(b, trunc) for b in f.bounds]
               for f in ast.families]
     count = sum(prod(bs) for bs in bounds)  # checked before naming any

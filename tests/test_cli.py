@@ -395,6 +395,23 @@ def test_evt_refuses_huge_constants_before_computing_them(capsys, expr,
     assert secs < 1
 
 
+@pytest.mark.parametrize("domain, eps, bits", [
+    ("[0,1/" + "7" * 80 + "]", "1/1000", 17792),
+    ("[0,1]", "1/1" + "0" * 4000, 850624)],
+    ids=["80-digit endpoint", "4,000-digit eps"])
+def test_evt_refuses_value_bits_set_by_the_domain_and_eps(capsys, domain,
+                                                          eps, bits):
+    """x^64 at points with b bits has values of about 64·b bits: an
+    80-digit endpoint broke Python's int-to-str limit (a traceback), and
+    an eps of 10^-4000 ran past 20 s."""
+    code, out, err, secs = run_timed(capsys, "evt", "max", "--expr", "x^64",
+                                     "--domain", domain, "--eps", eps)
+    assert code == 2 and out == ""
+    assert err == (f"error: value bits has size {bits}, exceeding cap 4096 "
+                   "(constant_bit_cap)\n")
+    assert secs < 1
+
+
 def free_presentation_file(tmp_path, n):
     path = tmp_path / f"free{n}.pres"
     path.write_text("gen " + " ".join(f"g{i}" for i in range(n)) + "\n")
@@ -466,14 +483,30 @@ def test_elements_refuses_cantor_n4_before_listing_it(capsys):
     ["evt", "max", "--expr", "x", "--domain", "[0,1]", "--budget", "-5"],
     ["evt", "locate", "--expr", "x", "--domain", "[0,1]", "--p", "0",
      "--q", "2", "--budget", "-5"],
+    ["evt", "max", "--expr", "x", "--domain", "[0,1/3]", "--decimal",
+     "5000"],
+    ["evt", "max", "--expr", "x", "--domain", "[0,1/3]", "--decimal",
+     "100000000"],
     ["frame", "bogus", str(THY / "cantor1.pres")],
     []], ids=["decimal -1", "probes -5", "probes x", "max budget -5",
-              "locate budget -5", "frame bogus", "empty"])
+              "locate budget -5", "decimal 5000", "decimal 10^8",
+              "frame bogus", "empty"])
 def test_bad_arguments_are_parse_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["frame", "points", THY / "cantor1.pres", "--truncate", "N=2"], "N"),
+    (["theory", "models", THY / "surj.thy", "--truncate", "n=2,X=2,Q=9"],
+     "Q")], ids=["presentation", "unused name"])
+def test_truncations_that_bind_nothing_are_parse_errors(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: truncation binding {name!r} ")
+    assert err.count("\n") == 1
 
 
 def test_help_still_exits_zero():

@@ -1,0 +1,390 @@
+"""Fuzz test of the command line.
+
+Each case is a subcommand drawn from `build_parser()`'s own tree, its own
+arguments with random values, and small random `.pres`, `.thy`, `.lat` and
+POINTFREE_CONFIG bodies, random bytes included.  Every run must exit 0-3
+without a traceback within the deadline, and an argument owned by another
+subcommand must be a usage error.  Drawn sizes stay small (at most four
+generators, degree at most 27, node budgets at most 300), because a run
+in this process that hangs cannot be stopped.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pointfree.cli import build_parser, main
+
+THY = Path(__file__).resolve().parents[1] / "theories"
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def leaves():
+    """The parser of every subcommand by (group, leaf), read off the
+    tree."""
+    return {(group, leaf): sp
+            for group, gp in _subparsers(build_parser()).items()
+            for leaf, sp in _subparsers(gp).items()}
+
+
+def owned(parser):
+    """A leaf's arguments by name (the flag, or a positional's dest),
+    --help left out."""
+    return {(a.option_strings[0] if a.option_strings else a.dest): a
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)}
+
+
+LEAVES = leaves()
+ARGUMENTS = {name: action for sp in LEAVES.values()  # all, by name
+             for name, action in owned(sp).items()}
+
+# one well-formed value per argument name, for arguments passed to a
+# subcommand that does not own them
+SAMPLE = {"file": "in.pres", "lhs": "a", "rhs": "top", "--truncate": "N=1",
+          "--positive": "top", "--expr": "x", "--domain": "[0,1]",
+          "--budget": "5", "--eps": "1/10", "--decimal": "2", "--p": "0",
+          "--q": "1", "--probes": "1", "--seed": "1"}
+
+
+def tokens(name, value=None):
+    action = ARGUMENTS[name]
+    if not action.option_strings:
+        return [SAMPLE[name] if value is None else value]
+    if action.nargs == 0:
+        return [name]
+    return [name, SAMPLE[name] if value is None else value]
+
+
+def foreign(group, parser):
+    """The arguments of the leaf's siblings that it does not own, or of
+    the whole tree when its siblings own none."""
+    own = owned(parser)
+    siblings = {n for (g, _), sp in LEAVES.items() if g == group
+                for n in owned(sp)} - set(own)
+    return sorted(siblings or set(ARGUMENTS) - set(own))
+
+
+# --- random inputs -----------------------------------------------------------
+# Each part is well formed but for a junk value once in a few draws, so that
+# a good share of the cases gets past the parsers to the engines.
+
+def mostly(good, bad, one_in=6):
+    return st.integers(0, one_in - 1).flatmap(
+        lambda k: bad if k == one_in - 1 else good)
+
+
+junk = st.text(max_size=8)
+GENS = ["z0", "u0", "z1", "u1"]  # also the generators of a theory at N=2
+
+
+@st.composite
+def meet(draw):
+    names = draw(st.lists(st.sampled_from(GENS), min_size=1, max_size=2,
+                          unique=True))
+    return draw(mostly(st.just(" & ".join(names)), st.just("top"), 4))
+
+
+joins = st.lists(meet(), min_size=1, max_size=2).map(" | ".join)
+
+
+@st.composite
+def pres_text(draw):
+    lines = ["gen " + " ".join(GENS)]
+    for _ in range(draw(st.integers(0, 3))):
+        rhs = draw(st.lists(meet(), max_size=2))
+        lines.append(f"rel {draw(meet())} <= {' | '.join(rhs) or 'bot'}")
+    return "\n".join(lines)
+
+
+@st.composite
+def thy_text(draw):
+    fams = draw(st.lists(st.sampled_from(["z", "u"]), min_size=1,
+                         max_size=2, unique=True))
+    bound = draw(mostly(st.just("N"), st.just("2"), 4))
+    lines = ["prop " + ", ".join(f"{f}[i]" for f in fams)
+             + f" for i<{bound};"]
+    atoms = [f"{f}[i]" for f in fams]
+    for _ in range(draw(st.integers(0, 2))):
+        lhs = " & ".join(draw(st.lists(st.sampled_from(atoms), max_size=2,
+                                       unique=True))) or "true"
+        rhs = " | ".join(draw(st.lists(st.sampled_from(atoms),
+                                       max_size=2))) or "false"
+        lines.append(f"axiom {lhs} |- {rhs} for i<{bound};")
+    return "\n".join(lines)
+
+
+LATTICES = ["elements: 0\nleq:\n", "elements: 0 m 1\nleq: 0<m m<1\n",
+            "elements: 0 a b 1\nleq: 0<a 0<b a<1 b<1\n",
+            "elements: 0 a b c 1\nleq: 0<a 0<b 0<c a<1 b<1 c<1\n",
+            "elements: 0 a b c 1\nleq: 0<a a<b 0<c b<1 c<1\n"]
+
+
+@st.composite
+def lat_text(draw):
+    names = draw(st.lists(st.sampled_from("01abc"), min_size=1, max_size=5,
+                          unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names),
+                                    st.sampled_from(names)), max_size=6))
+    return (f"elements: {' '.join(names)}\n"
+            f"leq: {' '.join(f'{x}<{y}' for x, y in pairs)}\n")
+
+
+def body(text):
+    """A file body: well-formed text with a junk line, or random bytes."""
+    @st.composite
+    def lines(draw):
+        out = draw(text).split("\n")
+        if draw(st.integers(0, 5)) == 5:
+            out.insert(draw(st.integers(0, len(out))), draw(junk))
+        return "\n".join(out).encode()
+    return mostly(lines(), st.binary(max_size=24))
+
+
+FILES = {".pres": body(pres_text()), ".thy": body(thy_text()),
+         ".lat": body(mostly(st.sampled_from(LATTICES), lat_text(), 3))}
+FILE_KINDS = {"frame": [".pres", ".thy"], "theory": [".thy"],
+              "stone": [".lat"]}
+
+# every config bounds the node budget: a run in this process cannot be
+# stopped, and the default budget is a million nodes
+CONFIG_FIELDS = {"poset_cap": 16, "generator_cap": 8, "coproduct_cap": 16,
+                 "degree_cap": 64, "axiom_instance_cap": 64,
+                 "element_cap": 4096, "constant_bit_cap": 4096}
+config = mostly(st.fixed_dictionaries(
+    {"bnb_node_budget": st.integers(0, 300)},
+    optional={k: st.integers(0, v) for k, v in CONFIG_FIELDS.items()}
+).map(lambda d: json.dumps(d).encode()), st.binary(max_size=24))
+
+
+@st.composite
+def expr(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(["x", "x", "1", "1/2", "3", "0"]))
+    op = draw(st.sampled_from(["+", "-", "*", "^", "neg", "abs", "min",
+                               "max"]))
+    a = draw(expr(depth - 1))
+    if op == "^":
+        return f"({a})^{draw(st.integers(0, 3))}"
+    if op == "neg":
+        return f"-({a})"
+    if op == "abs":
+        return f"abs({a})"
+    b = draw(expr(depth - 1))
+    return f"{op}({a}, {b})" if op in ("min", "max") else f"({a}){op}({b})"
+
+
+@st.composite
+def domain(draw):
+    ends = sorted(draw(st.lists(st.fractions(-2, 2, max_denominator=4),
+                                min_size=2, max_size=4, unique=True)))
+    return " u ".join(f"[{lo},{hi}]" for lo, hi in zip(ends[::2],
+                                                        ends[1::2]))
+
+
+VALUES = {  # by argument name; mostly p < q, and eps and decimal in range
+    "lhs": joins, "rhs": mostly(joins, st.just("bot"), 4),
+    "--positive": st.lists(meet(), min_size=1, max_size=3).map(",".join),
+    "--truncate": mostly(st.sampled_from(["N=1", "N=2"]),
+                         st.text("NnX=,10-", max_size=8), 4),
+    "--expr": expr(), "--domain": domain(),
+    "--eps": mostly(st.sampled_from(["1", "1/2", "1/10", "1/100", "1/1000"]),
+                    st.sampled_from(["0", "-1", "1/" + "1" * 50])),
+    "--p": st.sampled_from(["-1", "0", "1/3", "1/2"]),
+    "--q": st.sampled_from(["0", "1/2", "1", "3"]),
+    "--seed": st.integers(-5, 5).map(str),
+    "--budget": st.integers(0, 300).map(str),
+    "--probes": st.integers(0, 3).map(str),
+    "--decimal": mostly(st.sampled_from(["0", "3", "4300"]),
+                        st.sampled_from(["4301", "-1", "9" * 5000]))}
+
+
+class Case(NamedTuple):
+    argv: list     # an argv word that names a key of files is its path
+    files: dict    # file name -> bytes
+    config: bytes  # the POINTFREE_CONFIG body, or None for no config
+    want: int      # the exit code a case must give, or None for any of 0-3
+
+
+@st.composite
+def cases(draw):
+    group, leaf = draw(st.sampled_from(sorted(LEAVES)))
+    parser = LEAVES[group, leaf]
+    files = {}
+    positionals, options = [], []  # the words of each argument
+    for name, action in owned(parser).items():
+        if name == "file":
+            ext = draw(st.sampled_from(FILE_KINDS[group]))
+            files["in" + ext] = draw(FILES[ext])
+            positionals.append(["in" + ext])
+        elif not action.option_strings:
+            positionals.append([draw(mostly(VALUES[name], junk))])
+        elif action.nargs == 0:
+            if draw(st.booleans()):
+                options.append([name])
+        elif action.required or draw(st.booleans()) or (
+                name == "--truncate" and "in.thy" in files):
+            options.append(tokens(name, draw(mostly(VALUES[name], junk))))
+    words = positionals + draw(st.permutations(options))
+    want = None
+    if draw(st.integers(0, 4)) == 4:  # one argument of another subcommand
+        name = draw(st.sampled_from(foreign(group, parser)))
+        words.insert(draw(st.integers(0, len(words))), tokens(name))
+        want = 1
+    argv = [group, leaf] + [w for ws in words for w in ws]
+    return Case(argv, files, draw(config), want)
+
+
+# --- the run -----------------------------------------------------------------
+
+def run_case(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in case.files.items():
+            paths[name] = os.path.join(tmp, name)
+            Path(paths[name]).write_bytes(data)
+        env = {}
+        if case.config is not None:
+            env["POINTFREE_CONFIG"] = os.path.join(tmp, "config.json")
+            Path(env["POINTFREE_CONFIG"]).write_bytes(case.config)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            if case.config is None:
+                os.environ.pop("POINTFREE_CONFIG", None)
+            code = main([paths.get(w, w) for w in case.argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def read(name):
+    return (THY / name).read_bytes()
+
+
+def free(n):
+    return ("gen " + " ".join(f"g{i}" for i in range(n)) + "\n").encode()
+
+
+def balanced_product(factor, depth):
+    if depth == 0:
+        return factor
+    half = balanced_product(factor, depth - 1)
+    return f"({half})*({half})"
+
+
+def evt_max(expr_text, *rest, domain_text="[0,1]"):
+    return ["evt", "max", "--expr", expr_text, "--domain", domain_text,
+            *rest]
+
+
+CANTOR1 = {"cantor1.pres": read("cantor1.pres")}
+CAP10 = b'{"generator_cap": 10}'
+
+# Inputs that once gave a traceback, ran unbounded or were answered while
+# an argument was dropped, with the exit code each gives now.
+EXAMPLES = [
+    # the Dedekind count recursed once per element of J, or ran past 10 s
+    Case(["frame", "hausdorff", "free.pres"], {"free.pres": free(10)},
+         CAP10, 2),
+    Case(["frame", "points", "free.pres"], {"free.pres": free(10)},
+         CAP10, 2),
+    Case(["frame", "points", "free.pres"], {"free.pres": free(7)}, None, 2),
+    # 65,536 elements listed with no cap
+    Case(["frame", "elements", "cantor.thy", "--truncate", "N=4"],
+         {"cantor.thy": read("cantor.thy")}, None, 2),
+    # constants past Python's int-to-str limit, or a second to compute
+    Case(evt_max("(1/3)^10000*x"), {}, None, 2),
+    Case(evt_max("(1/3)^3000000*x"), {}, None, 2),
+    Case(evt_max(balanced_product("(1/3)^64", 8) + "*x"), {}, None, 2),
+    Case(evt_max("(x + 1/" + "7" * 80 + ")^64"), {}, None, 2),
+    # bytes that are not UTF-8, in an input file and in the config
+    Case(["frame", "points", "bad.pres"], {"bad.pres": b"\x00\xff\xfe"},
+         None, 1),
+    Case(["frame", "points", "cantor1.pres"], CANTOR1,
+         b'{"degree_cap": 3}\xff', 1),
+    # a `some` bound past any range (an OverflowError)
+    Case(["theory", "models", "big.thy"],
+         {"big.thy": b"prop a; axiom a |- some i<99999999999999999999. a;"},
+         None, 2),
+    # --decimal past the int-to-str limit: a traceback, or past 10 s
+    Case(evt_max("x", "--decimal", "5000", domain_text="[0,1/3]"), {},
+         None, 1),
+    Case(evt_max("x", "--decimal", "100000000", domain_text="[0,1/3]"), {},
+         None, 1),
+    # value bits set by an 80-digit endpoint or a 4,000-digit eps
+    Case(evt_max("x^64", "--eps", "1/1000",
+                 domain_text="[0,1/" + "7" * 80 + "]"), {}, None, 2),
+    Case(evt_max("x^64", "--eps", "1/1" + "0" * 4000), {}, None, 2),
+    # truncations that did nothing
+    Case(["frame", "points", "cantor1.pres", "--truncate", "N=2"], CANTOR1,
+         None, 1),
+    Case(["theory", "models", "surj.thy", "--truncate", "n=2,X=2,Q=9"],
+         {"surj.thy": read("surj.thy")}, None, 1),
+    # arguments the subcommand does not read, once dropped without a word
+    Case(["frame", "points", "cantor1.pres", "foo", "bar", "--decimal", "3",
+          "--positive", "zz"], CANTOR1, None, 1),
+    Case(["evt", "locate", "--expr", "x*(1-x)", "--domain", "[0,1]", "--p",
+          "1/5", "--q", "1/3", "--eps", "7", "--trace", "--probes", "3",
+          "--decimal", "2"], {}, None, 1),
+    Case(["frame", "--json", "points", "cantor1.pres"], CANTOR1, None, 1),
+]
+
+
+def check(case):
+    code, out, err = run_case(case)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if case.want is not None:
+        assert code == case.want, (code, err)
+    if case.want in (1, 2):
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1, err
+
+
+def with_examples(test):
+    for case in EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, derandomize=True,
+          deadline=timedelta(seconds=1))
+@with_examples
+@given(cases())
+def test_cli_fuzz(case):
+    """Exit 0-3, no traceback, within the deadline; an argument owned by
+    another subcommand, or an example above, gives the exit code it
+    names, and a refusal says so in one `error:` line."""
+    check(case)
+
+
+@pytest.mark.parametrize(
+    "group, leaf, name",
+    [(g, leaf, n) for (g, leaf), sp in sorted(LEAVES.items())
+     for n in sorted(set(ARGUMENTS) - set(owned(sp)))],
+    ids=lambda v: v)
+def test_each_subcommand_refuses_every_argument_it_does_not_own(group, leaf,
+                                                                name):
+    """Every leaf of the tree gets each argument another leaf owns, after
+    the arguments it needs: the parser refuses it in one `error:` line
+    before any input is read."""
+    argv = [group, leaf]
+    for own, action in owned(LEAVES[group, leaf]).items():
+        if action.required or not action.option_strings:
+            argv += tokens(own)
+    check(Case(argv + tokens(name), {"in.pres": read("cantor1.pres")},
+               None, 1))

@@ -151,6 +151,11 @@ def test_compile_generator_cap():
         compile_theory(parse_theory(CANTOR_SRC), trunc={"N": 9})
 
 
+def test_a_binding_that_names_no_bound_is_a_parse_error():
+    with pytest.raises(ParseError, match="'Q' names no bound"):
+        models(parse_theory(SURJ_SRC), trunc={"n": 2, "X": 2, "Q": 9})
+
+
 def test_axiom_instance_cap_counts_for_and_some_binders():
     """surj n=2, X=2: functionality has 2·2·2 instances (the side
     condition is not counted), totality 2 with 2 right sides each and
