@@ -61,6 +61,8 @@ def _parse_truncation(text):
         if "=" not in part:
             raise ParseError(f"bad truncation binding {part!r}")
         name, _, num = part.partition("=")
+        if name.strip() in out:
+            raise ParseError(f"truncation binding {name.strip()!r} is repeated")
         try:
             out[name.strip()] = int(num)
         except ValueError:
@@ -294,6 +296,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+class _Once(argparse.Action):
+    """Stores a value, refusing a second occurrence of the argument."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given_", set())
+        if self.dest in given:
+            parser.error(f"argument {option_string}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _non_negative(text):
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
@@ -323,6 +336,7 @@ def build_parser():
             dest="sub", required=True)
         out = {leaf: subs.add_parser(leaf) for leaf in leaves.split()}
         for sp in out.values():
+            sp.register("action", None, _Once)  # every argument with a value
             sp.set_defaults(run=run)
             sp.add_argument("--json", action="store_true",
                             help="machine-readable JSON output")

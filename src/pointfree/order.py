@@ -59,18 +59,18 @@ class Poset:
 
     @classmethod
     def from_relation(cls, elements, pairs):
-        """Build from an arbitrary relation, taking reflexive-transitive closure."""
+        """Build from an arbitrary relation, taking reflexive-transitive
+        closure by Warshall: step k adds up(k) to every up-set holding k."""
         elements = canon(elements)
-        rel = {(a, a) for a in elements} | set(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for b2, c in list(rel):
-                    if b == b2 and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        return cls(elements, frozenset(rel))
+        up = {a: {a} for a in elements}
+        for a, b in pairs:
+            up.setdefault(a, set()).add(b)
+        for k in elements:
+            for s in up.values():
+                if k in s:
+                    s |= up[k]
+        return cls(elements, frozenset((a, b) for a, s in up.items()
+                                       for b in s))
 
     def le(self, a, b):
         return (a, b) in self.leq

@@ -111,45 +111,34 @@ _REJECTED = {"~": "negation", "->": "implication", "=>": "implication",
              "!": "negation"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _line_col(text, off):
+    """1-based line and column of an offset, computed only for an error."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
 def _tokenize(text):
+    """(kind, text, offset) per token, then ("eof", "", len(text))."""
     toks = []
-    line, col = 1, 1
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         s = m.group()
-        if kind == "rej":
+        if kind == "rej" or kind == "bad":
             raise ParseError(
-                f"{_REJECTED[s]} is outside the geometric fragment",
-                line=line, col=col)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {s!r}", line=line, col=col)
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, s, line, col))
-        nl = s.count("\n")
-        if nl:
-            line += nl
-            col = len(s) - s.rfind("\n")
-        else:
-            col += len(s)
-    toks.append(_Tok("eof", "", line, col))
+                f"{_REJECTED[s]} is outside the geometric fragment"
+                if kind == "rej" else f"unexpected character {s!r}",
+                *_line_col(text, m.start()))
+        toks.append((kind, s, m.start()))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
 
     def next(self):
         t = self.toks[self.i]
@@ -157,24 +146,23 @@ class _Parser:
         return t
 
     def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(msg, line=tok.line, col=tok.col)
+        tok = tok or self.toks[self.i]
+        raise ParseError(msg, *_line_col(self.text, tok[2]))
 
     def expect(self, text):
         t = self.next()
-        if t.text != text:
-            self.fail(f"expected {text!r}, found {t.text or 'end of input'!r}",
+        if t[1] != text:
+            self.fail(f"expected {text!r}, found {t[1] or 'end of input'!r}",
                       t)
-        return t
 
     def at(self, text):
-        return self.peek().text == text
+        return self.toks[self.i][1] == text
 
     # grammar ------------------------------------------------------------
 
     def theory(self):
         families, axioms = [], []
-        while self.peek().kind != "eof":
+        while self.toks[self.i][0] != "eof":
             if self.at("prop"):
                 families.extend(self.propdecl())
             elif self.at("axiom"):
@@ -203,17 +191,17 @@ class _Parser:
 
     def famsig(self):
         t = self.next()
-        if t.kind != "name":
+        if t[0] != "name":
             self.fail("expected proposition name", t)
         vars_ = []
         while self.at("["):
             self.next()
             v = self.next()
-            if v.kind != "name":
+            if v[0] != "name":
                 self.fail("prop declaration indices must be variables", v)
-            vars_.append(v.text)
+            vars_.append(v[1])
             self.expect("]")
-        return t.text, vars_
+        return t[1], vars_
 
     def axiom(self):
         self.expect("axiom")
@@ -234,12 +222,12 @@ class _Parser:
         return lhs, rhs, binders, conds, joins
 
     def conjunction(self):
-        if self.at("true"):
-            self.next()
+        if self.toks[self.i][1] == "true":
+            self.i += 1
             return ()
         atoms = [self.atom()]
-        while self.at("&"):
-            self.next()
+        while self.toks[self.i][1] == "&":
+            self.i += 1
             atoms.append(self.atom())
         return tuple(atoms)
 
@@ -257,22 +245,25 @@ class _Parser:
         return tuple(terms)
 
     def atom(self):
-        t = self.next()
-        if t.kind != "name" or t.text in ("true", "false"):
+        t = self.toks[self.i]
+        self.i += 1
+        if t[0] != "name" or t[1] in ("true", "false"):
             self.fail("expected an atomic proposition", t)
+        if self.toks[self.i][1] != "[":
+            return Atom(t[1], ())
         idx = []
         while self.at("["):
             self.next()
             idx.append(self.iexpr())
             self.expect("]")
-        return Atom(t.text, tuple(idx))
+        return Atom(t[1], tuple(idx))
 
     def iexpr(self):
-        t = self.next()
-        if t.kind == "int":
-            return int(t.text)
-        if t.kind == "name":
-            return t.text
+        kind, text, _ = t = self.next()
+        if kind == "int":
+            return int(text)
+        if kind == "name":
+            return text
         self.fail("expected an index variable or integer", t)
 
     def binders(self):
@@ -285,14 +276,14 @@ class _Parser:
 
     def binder(self):
         v = self.next()
-        if v.kind != "name":
+        if v[0] != "name":
             self.fail("expected an index variable", v)
         self.expect("<")
-        b = self.next()
-        if b.kind == "int":
-            return (v.text, int(b.text))
-        if b.kind == "name":
-            return (v.text, b.text)
+        kind, text, _ = b = self.next()
+        if kind == "int":
+            return (v[1], int(text))
+        if kind == "name":
+            return (v[1], text)
         self.fail("expected a bound (name or integer)", b)
 
     def conds(self):
@@ -306,9 +297,9 @@ class _Parser:
     def cond(self):
         a = self.iexpr()
         t = self.next()
-        if t.text not in ("!=", "==", "<", "<="):
+        if t[1] not in ("!=", "==", "<", "<="):
             self.fail("expected a comparison (!=, ==, <, <=)", t)
-        return (a, t.text, self.iexpr())
+        return (a, t[1], self.iexpr())
 
 
 def parse_theory(text):
@@ -322,11 +313,13 @@ def _resolve_axiom(fams, lhs, rhs, binders, conds, joins):
     """Infer universal binders for index variables the axiom leaves implicit,
     using the bounds declared for the families they index; variables named by
     a `some` disjunction binder are never universally quantified."""
+    atoms = list(lhs) + [a for c in rhs for a in c]
+    if not (binders or joins or any(a.indices for a in atoms)):
+        return Axiom(lhs, rhs, (), tuple(conds), ())
     explicit = {v for v, _ in binders} | {v for v, _ in joins}
     bound = dict(binders)
     bound.update(joins)
     order = [v for v, _ in binders]
-    atoms = list(lhs) + [a for c in rhs for a in c]
     for atom in atoms:
         fam = fams.get(atom.name)
         if fam is None or len(fam.bounds) != len(atom.indices):
@@ -413,6 +406,12 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
                           limits.axiom_instance_cap, field="axiom_instance_cap")
     covers = set()
     for ax, (ns, js) in zip(ast.axioms, spans):
+        if not (ax.binders or ax.joins or ax.conds):  # its one instance
+            covers.add((frozenset(_atom_gen(a, {}) for a in ax.lhs)
+                        or TOP_MEET,
+                        frozenset(frozenset(_atom_gen(a, {}) for a in c)
+                                  for c in ax.rhs)))
+            continue
         names = [v for v, _ in ax.binders]
         jnames = [v for v, _ in ax.joins]
         for values in product(*map(range, ns)):
@@ -440,6 +439,8 @@ def _subst(i, env):
 
 
 def _atom_gen(atom, env):
+    if not atom.indices:
+        return atom.name
     return generator_name(atom.name, [_subst(i, env) for i in atom.indices])
 
 

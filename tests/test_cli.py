@@ -328,6 +328,19 @@ def test_compile_refuses_before_naming_the_generators(capsys):
     assert secs < 5
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["theory", "models", THY / "surj.thy", "--truncate", "n=2,n=1,X=2"],
+     "error: truncation binding 'n' is repeated\n"),
+    (["theory", "models", THY / "surj.thy", "--truncate", "n=2,X=2",
+      "--truncate", "n=1,X=2"],
+     "error: argument --truncate: given more than once\n"),
+    (["evt", "max", "--expr", "x", "--domain", "[0,1]", "--eps", "1/10",
+      "--eps", "1/1000"], "error: argument --eps: given more than once\n")])
+def test_a_repeated_binding_or_option_is_refused(capsys, argv, err):
+    """The last value once silently replaced the first."""
+    assert run(capsys, *argv) == (1, "", err)
+
+
 @pytest.mark.parametrize("sub", ["models", "compile"])
 def test_theory_refuses_axiom_instances_before_building_them(sub):
     """axiom a |- a for i<N with N = 3·10^6: the parent compiled all three

@@ -342,6 +342,12 @@ EXAMPLES = [
           "1/5", "--q", "1/3", "--eps", "7", "--trace", "--probes", "3",
           "--decimal", "2"], {}, None, 1),
     Case(["frame", "--json", "points", "cantor1.pres"], CANTOR1, None, 1),
+    # a repeated option or truncation name, once answered as the last value
+    Case(evt_max("x", "--eps", "1/10", "--eps", "1/1000"), {}, None, 1),
+    Case(["theory", "models", "surj.thy", "--truncate", "n=2,X=2",
+          "--truncate", "n=1,X=2"], {"surj.thy": read("surj.thy")}, None, 1),
+    Case(["theory", "models", "surj.thy", "--truncate", "n=2,n=1,X=2"],
+         {"surj.thy": read("surj.thy")}, None, 1),
 ]
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
 from frame_oracles import (birkhoff_round_trips,
@@ -17,7 +17,7 @@ from pointfree.config import DEFAULT, Limits
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
 from pointfree.order import (DistLattice, FreeJoinSemilattice, Ideal, KFinSet,
-                             Poset, birkhoff_iso, count_downsets,
+                             Poset, birkhoff_iso, canon, count_downsets,
                              downset_lattice,
                              enumerate_downsets, ideal_completion,
                              join_irreducibles, kfin_join,
@@ -49,6 +49,53 @@ def test_poset_validation():
 def test_from_relation_takes_transitive_closure():
     p = Poset.from_relation(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert p.le("a", "c")
+
+
+def closure_fixpoint(elements, pairs):
+    """The closure `Poset.from_relation` took before Warshall: add (a, c)
+    for every (a, b), (b, c) in the relation until nothing changes."""
+    elements = canon(elements)
+    rel = {(a, a) for a in elements} | set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for b2, c in list(rel):
+                if b == b2 and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return Poset(elements, frozenset(rel))
+
+
+def relations(n):
+    names = [f"e{i}" for i in range(n)]
+    index_pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.tuples(st.just(names), st.one_of(
+        st.lists(index_pairs.map(sorted), max_size=3 * n),  # acyclic
+        st.lists(index_pairs, max_size=2 * n)).map(
+            lambda ps: [(names[a], names[b]) for a, b in ps]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example((["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]))
+@given(st.integers(1, 8).flatmap(relations))
+def test_warshall_closure_matches_the_fixpoint_oracle(case):
+    """The same Poset, or on a cycle both refuse as not antisymmetric (the
+    pair named follows set order, so it may differ)."""
+    def run(build):
+        try:
+            return build(*case)
+        except PointfreeError as exc:
+            return str(exc).split(" on ")[0]
+    got = run(Poset.from_relation)
+    assert got == run(closure_fixpoint)
+    assert isinstance(got, Poset) or got == "leq not antisymmetric"
+
+
+def test_from_relation_refuses_a_pair_with_an_unknown_element():
+    for pairs in ([("a", "zz")], [("zz", "a")], [("a", "zz"), ("zz", "b")]):
+        with pytest.raises(PointfreeError, match="mentions unknown element"):
+            Poset.from_relation(["a", "b"], pairs)
 
 
 def test_hasse_edges_drop_transitive_pairs():

@@ -1,17 +1,23 @@
 """Geometric-theory language: parsing, rejection of non-geometric syntax,
 compilation to presentations, models, and the builtin theories."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cantor_presentation, three_chain, boolean4
 from pointfree.config import Limits
 from pointfree.errors import CapExceeded, ParseError
 from pointfree.frames import FrameHom, enumerate_frame
 from pointfree.order import prime_filters
-from pointfree.presentations import saturate, stabilize
-from pointfree.theories import (Atom, Axiom, PropFamily, builtin,
-                                compile_theory, generator_name, models,
+from pointfree.presentations import (presentation_text, saturate,
+                                     stabilize)
+from pointfree.theories import (Atom, Axiom, PropFamily, _line_col,
+                                _tokenize, builtin, compile_theory,
+                                generator_name, instantiate, models,
                                 parse_theory, pretty_print, stone_prop_name)
+from theory_oracles import oracle_parse_theory, tokenize as oracle_tokenize
 
 CANTOR_SRC = """\
 # binary sequences
@@ -113,7 +119,91 @@ def test_duplicate_binder_rejected():
                      "axiom true |- some i<2. a[i] for i<2;\n")
 
 
+# --- tokenizer and error positions against the oracle ----------------------------
+
+THY_TEXTS = [p.read_text() for p in sorted(
+    (Path(__file__).resolve().parents[1] / "theories").glob("*.thy"))]
+BASES = THY_TEXTS + [CANTOR_SRC, SURJ_SRC, pretty_print(
+    builtin("stone", lattice=three_chain()))]
+# characters and pieces a mutation inserts: the rejected connectives,
+# comments, CRLF, tabs, other whitespace and non-ASCII characters
+PIECES = list("~-!>=#;,.[]&|< \t\nai0_") + [
+    "\r\n", "->", "=>", "|-", "<=", "!=", "==", "# c", "\u00e9", "\u03bb",
+    "\u0663", "\u2028", "\x0b", "\x00", "true", "some", "for", "if"]
+WORDS = ["prop", "axiom", "true", "false", "some", "for", "if", "a", "b",
+         "p", "i", "N", "0", "2", "|-", "&", "|", ";", ",", ".", "[", "]",
+         "<", "<=", "!=", "==", " ", "\n", "\r\n", "\t", "# c\n"]
+
+
+def mutate(text, edits):
+    for op, pos, piece in edits:
+        pos %= len(text) + 1
+        if op == "insert":
+            text = text[:pos] + piece + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + len(piece):]
+        elif pos + 1 < len(text):  # swap two neighbours
+            text = text[:pos] + text[pos + 1] + text[pos] + text[pos + 2:]
+    return text
+
+
+theory_texts = st.one_of(
+    st.builds(mutate, st.sampled_from(BASES), st.lists(st.tuples(
+        st.sampled_from(["insert", "delete", "swap"]),
+        st.integers(0, 10 ** 4), st.sampled_from(PIECES)), max_size=4)),
+    st.lists(st.sampled_from(WORDS + PIECES), max_size=40).map(" ".join))
+
+
+def outcome(f, text):
+    try:
+        return f(text)
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.line, exc.col)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@example("prop a;\naxiom a |- a   \n\t ")
+@example("prop a;\naxiom a |- a # no semicolon\r\n# end")
+@example("prop a;\r\n\taxiom a -> a;")
+@example("prop a\u00e9;")
+@given(theory_texts)
+def test_tokenizer_and_parse_errors_agree_with_the_oracle(text):
+    """Equal kinds, texts and (line, col) where both tokenizers accept a
+    text, and the same ParseError (message, line, col) where either
+    refuses; parse_theory gives the oracle parser's AST or its error."""
+    assert outcome(lambda t: [(k, s, _line_col(t, off))
+                              for k, s, off in _tokenize(t)], text) == \
+        outcome(lambda t: [(tok.kind, tok.text, (tok.line, tok.col))
+                           for tok in oracle_tokenize(t)], text)
+    assert outcome(parse_theory, text) == outcome(oracle_parse_theory, text)
+
+
+def test_error_at_end_of_input_after_trailing_comment():
+    with pytest.raises(ParseError) as err:
+        parse_theory("prop a;\naxiom a |- a # no semicolon\n")
+    assert err.value.message == "expected ';', found 'end of input'"
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
 # --- compilation ----------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [three_chain, boolean4])
+def test_binder_free_axioms_instantiate_as_with_a_dummy_binder(make):
+    """A binder-free axiom has one instance: the same covers as when a
+    `for` binder of range 1 sends it through the general path."""
+    text = pretty_print(builtin("stone", lattice=make()))
+    bound = "".join(line[:-1] + " for k_<1;\n" if line.startswith("axiom")
+                    else line + "\n" for line in text.splitlines())
+    assert "for k_<1" in bound
+    assert presentation_text(instantiate(parse_theory(text))) == \
+        presentation_text(instantiate(parse_theory(bound)))
+
+
+def test_binder_free_axiom_with_a_false_condition_has_no_instance():
+    p = instantiate(parse_theory("prop a, b;\naxiom a |- b if 1 < 0;\n"
+                                 "axiom b |- a if 0 < 1;\n"))
+    assert p.covers == {(frozenset({"b"}), frozenset({frozenset({"a"})}))}
+
 
 def test_compile_cantor_matches_hand_presentation():
     ast = parse_theory(CANTOR_SRC)
