@@ -667,7 +667,12 @@ def test_byte_identical_json_across_processes(cmd):
 # theory compile on cantor.thy N=2, surj.thy n=2,X=2 and sierpinski.thy
 # (recorded once its rule order stopped following string hashing).  theory
 # models on repeat.thy at N=3000000, refused by axiom_instance_cap (exit 2,
-# stderr pinned; recorded once the cap was added).
+# stderr pinned; recorded once the cap was added).  evt locate and evt
+# validate (recorded from the locate that restarted both searches at each
+# doubled budget): a left branch on [0,1] and one found after many rounds
+# on [0,1] u [2,3], right branches with eight pieces and with two
+# components, budgets of 1, 2 and 5 that exhaust on a close straddle (exit
+# 3, stderr pinned), and validate with 5 probes at seed 3.
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
