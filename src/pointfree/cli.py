@@ -64,6 +64,8 @@ def _parse_truncation(text):
         if name.strip() in out:
             raise ParseError(f"truncation binding {name.strip()!r} is repeated")
         try:
+            if not num.isascii() or "_" in num:  # int() takes both
+                raise ValueError
             out[name.strip()] = int(num)
         except ValueError:
             raise ParseError(f"bad truncation bound {num!r}")
@@ -308,10 +310,20 @@ class _Once(argparse.Action):
 
 
 def _non_negative(text):
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _integer(text):  # int() also takes other Unicode digits and `_`
+    if not text.isascii() or "_" in text:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in ASCII digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _digits(text):  # Python turns an int of at most 4300 digits into text
@@ -384,7 +396,7 @@ def build_parser():
     ev["locate"].add_argument("--q", required=True, help="upper probe")
     ev["validate"].add_argument("--probes", type=_non_negative, default=20,
                                 help="number of random probes")
-    ev["validate"].add_argument("--seed", type=int, default=0,
+    ev["validate"].add_argument("--seed", type=_integer, default=0,
                                 help="probe generator seed")
     return top
 

@@ -117,23 +117,24 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
         upper = upper_now()
         trace.append((lower, upper))
 
-    # refine the surviving boxes to the cover's width bound
-    work = []  # heap of (lo, hi, seq, box): leftmost box first
+    # refine the surviving boxes to the cover's width bound, each box with
+    # the upper bound it was evaluated to when it was pushed
+    work = []  # heap of (lo, hi, seq, box, upper bound): leftmost box first
     seq = itertools.count()
 
-    def push(box):
-        heapq.heappush(work, (box.lo, box.hi, next(seq), box))
+    def push(box, top):
+        heapq.heappush(work, (box.lo, box.hi, next(seq), box, top))
 
     for item in heap:
         if -item[0] >= lower:
-            push(item[3])
-    survivors = []
+            push(item[3], -item[0])
+    survivors = []  # (box, upper bound)
     while work:
-        box = heapq.heappop(work)[3]
-        if eval_interval(e, box).hi < lower:
+        _, _, _, box, top = heapq.heappop(work)
+        if top < lower:
             continue
         if box.width <= delta:
-            survivors.append(box)
+            survivors.append((box, top))
             continue
         if nodes >= node_budget:
             # the box being refined is still live, so it stays in the cover
@@ -141,18 +142,18 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
                 f"node budget {node_budget} exhausted",
                 partial=(DedekindEnclosure(lower, upper, eps, nodes,
                                            tuple(trace)),
-                         _cover(survivors + [box] +
+                         _cover([b for b, _ in survivors] + [box] +
                                 [item[3] for item in work], delta)))
         mid = box.midpoint()
         lower = max(lower, eval_point(e, mid))
         nodes += 1
-        push(RatInterval(box.lo, mid))
-        push(RatInterval(mid, box.hi))
-    survivors = [b for b in survivors if eval_interval(e, b).hi >= lower]
-    upper = min(upper, max(eval_interval(e, b).hi for b in survivors))
+        for child in (RatInterval(box.lo, mid), RatInterval(mid, box.hi)):
+            push(child, eval_interval(e, child).hi)
+    survivors = [(b, top) for b, top in survivors if top >= lower]
+    upper = min(upper, max(top for _, top in survivors))
     trace.append((lower, upper))
     enc = DedekindEnclosure(lower, upper, eps, nodes, tuple(trace))
-    return enc, _cover(survivors, delta)
+    return enc, _cover([b for b, _ in survivors], delta)
 
 
 def _cover(boxes, delta):
@@ -162,59 +163,87 @@ def _cover(boxes, delta):
 
 
 # --- one-sided certificates -----------------------------------------------------
+#
+# Each search is a step generator: it yields before each split and returns
+# its answer, so a caller grants splits one `next` at a time and can resume
+# a search where it stopped.  A fresh generator runs to its first split
+# request on the first `next`; each later `next` grants one split.
 
-def positive_witness(e, d, q, budget):
-    """A subinterval of d on which e provably exceeds q, or None (exhausted).
-
-    Best-first on the interval upper bound, so the search concentrates where
-    the maximum can live; a box is a witness when its interval lower bound
-    already clears q.  Exhaustion is inconclusive, not a refutation.
-    """
-    q = Fraction(q)
-    if budget < 1:
-        raise PointfreeError("budget must be at least 1")
-    e = compile_expr(e)
+def _witness_steps(e, d, q):
+    """Best-first on the interval upper bound, so the search concentrates
+    where the maximum can live; returns (box, interval lower bound) for the
+    first box whose lower bound clears q, or None once no box is left."""
     heap = []
     for box in d.components:
         bounds = _push(heap, e, box, q)  # floor q: boxes with hi < q useless
         if bounds is not None and bounds.lo > q:
-            return box
-    splits = 0
-    while heap and splits < budget:
+            return box, bounds.lo
+    while heap:
         _, _, _, box, bounds = heapq.heappop(heap)
         if box.is_point:
             continue
+        yield
         mid = box.midpoint()
-        splits += 1
         for child in (RatInterval(box.lo, mid), RatInterval(mid, box.hi)):
             cb = _push(heap, e, child, q)
             if cb is not None and cb.lo > q:
-                return child
+                return child, cb.lo
     return None
 
 
-def cover_certificate(e, d, q, budget):
-    """A finite subdivision of d with e provably below q on every piece,
-    or None (exhausted).  The pieces union exactly to d."""
-    q = Fraction(q)
-    if budget < 1:
-        raise PointfreeError("budget must be at least 1")
-    e = compile_expr(e)
+def _cover_steps(e, d, q):
+    """Depth first, left to right; returns the pieces, each with interval
+    upper bound below q, or None at a point box that is not below q."""
     stack = list(reversed(d.components))
     pieces = []
-    splits = 0
     while stack:
         box = stack.pop()
         if eval_interval(e, box).hi < q:
             pieces.append(box)
             continue
-        if box.is_point or splits >= budget:
+        if box.is_point:
             return None
+        yield
         mid = box.midpoint()
-        splits += 1
         stack.append(RatInterval(mid, box.hi))
         stack.append(RatInterval(box.lo, mid))
     return pieces
+
+
+def _advance(steps, grants):
+    """The answer of a step generator after `grants` more calls of `next`
+    (a search that has answered answers None again), or None while it
+    still waits for a split."""
+    try:
+        for _ in range(grants):
+            next(steps)
+    except StopIteration as stop:
+        return stop.value
+    return None
+
+
+def _search(steps, e, d, q, budget):
+    q = Fraction(q)
+    if budget < 1:
+        raise PointfreeError("budget must be at least 1")
+    # one `next` to start, then one per split
+    return _advance(steps(compile_expr(e), d, q), budget + 1)
+
+
+def positive_witness(e, d, q, budget):
+    """A subinterval of d on which e provably exceeds q, or None (exhausted
+    after `budget` splits).  A box is a witness when its interval lower
+    bound already clears q.  Exhaustion is inconclusive, not a refutation.
+    """
+    found = _search(_witness_steps, e, d, q, budget)
+    return None if found is None else found[0]
+
+
+def cover_certificate(e, d, q, budget):
+    """A finite subdivision of d with e provably below q on every piece,
+    or None (exhausted after `budget` splits).  The pieces union exactly
+    to d."""
+    return _search(_cover_steps, e, d, q, budget)
 
 
 @dataclass(frozen=True)
@@ -238,10 +267,12 @@ class RightBranch:
 def locate(e, d, p, q, limits=DEFAULT):
     """Constructive locatedness: decide p < max or max < q with certificates.
 
-    Alternates positivity searches against p and cover searches against the
-    midpoint q' = (p+q)/2 with budgets doubling from 1, the last round
-    capped at bnb_node_budget; a budget below 1 refuses before any
-    search.  Some branch must certify:
+    Alternates one positivity search against p and one cover search against
+    the midpoint q' = (p+q)/2 in rounds whose budgets double from 1, the
+    last round capped at bnb_node_budget; each round resumes both searches
+    where the last one stopped, so each splits at most bnb_node_budget
+    times in all, and a budget below 1 refuses before any search.  Some
+    branch must certify:
     if the maximum exceeds p a witness box eventually appears, and otherwise
     the maximum is below q', so a finite subdivision eventually certifies it.
     """
@@ -252,15 +283,18 @@ def locate(e, d, p, q, limits=DEFAULT):
     _check_size(e, d, q - p, limits)  # q - p plays the part of eps
     threshold = (p + q) / 2
     limit = limits.bnb_node_budget
-    budget = 0
+    witness = _witness_steps(e, d, p)
+    cover = _cover_steps(e, d, threshold)
+    budget, granted = 0, -1  # each search takes one `next` to start
     while budget < limit:
         budget = min(2 * budget or 1, limit)
-        w = positive_witness(e, d, p, budget)
-        if w is not None:
-            return LeftBranch(p, w, eval_interval(e, w).lo)
-        c = cover_certificate(e, d, threshold, budget)
-        if c is not None:
-            return RightBranch(q, threshold, tuple(c))
+        found = _advance(witness, budget - granted)
+        if found is not None:
+            return LeftBranch(p, *found)
+        pieces = _advance(cover, budget - granted)
+        if pieces is not None:
+            return RightBranch(q, threshold, tuple(pieces))
+        granted = budget
     raise BudgetExhausted(f"locate budget {limit} exhausted for ({p}, {q})")
 
 

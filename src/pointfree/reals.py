@@ -24,9 +24,14 @@ from .errors import ParseError, PointfreeError
 # --- rationals ----------------------------------------------------------------
 
 def parse_rat(text):
-    """Exact rational from `3/7`, `-2`, or decimal `0.25` notation."""
+    """Exact rational from `3/7`, `-2`, or decimal `0.25` notation, in ASCII
+    digits (Fraction alone also takes other Unicode digits and `_`)."""
+    s = str(text).strip()
+    if not s.isascii() or "_" in s:
+        raise ParseError(f"bad rational literal {text!r}: digits must be "
+                         f"ASCII 0-9, with no '_'")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}: {exc}")
 
@@ -394,11 +399,16 @@ def eval_interval(e, box):
         vl, vh = _naive(code, a, b, pw)
         return RatInterval(Fraction(vl, scale), Fraction(vh, scale))
     vl, vh, dl, dh = _centered(code, a, b, pw)
-    # r|F'(X)| = (b - a)/(2 den) * max(-dl, dh)/(k den^(d-1)); F' = 0 if d = 0
-    spread = Fraction((b - a) * max(-dl, dh), 2 * scale)
-    mid = eval_point(c, (lo + hi) / 2)
-    return RatInterval(max(Fraction(vl, scale), mid - spread),
-                       min(Fraction(vh, scale), mid + spread))
+    # Over scale * 2^(d+1): the naive form is v * 2^(d+1); F(m), m =
+    # (a+b)/(2 den), is 2 fm with fm over k (2 den)^d; and r|F'(X)| =
+    # (b - a)/(2 den) * max(-dl, dh)/(k den^(d-1)) is (b - a) max(-dl, dh)
+    # * 2^d, which is 0 when d = 0 (F' = 0)
+    d = c.degree
+    fm = 2 * _naive(code, a + b, a + b, [p << i for i, p in enumerate(pw)])[0]
+    spread = ((b - a) * max(-dl, dh)) << d
+    den2 = scale << (d + 1)
+    return RatInterval(Fraction(max(vl << (d + 1), fm - spread), den2),
+                       Fraction(min(vh << (d + 1), fm + spread), den2))
 
 
 def _mul(al, ah, bl, bh):
@@ -529,7 +539,7 @@ def _centered(code, a, b, pw):
 
 _EXPR_TOKEN = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<num>\d+(?:\.\d+)?)
+  | (?P<num>[0-9]+(?:\.[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[()+\-*^,/])
   | (?P<bad>.)

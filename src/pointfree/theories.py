@@ -101,7 +101,7 @@ _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<sym>\|-|<=|!=|==|[;,.\[\]&|<])
   | (?P<rej>->|=>|[~!])
   | (?P<bad>.)

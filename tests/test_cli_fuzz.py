@@ -348,6 +348,19 @@ EXAMPLES = [
           "--truncate", "n=1,X=2"], {"surj.thy": read("surj.thy")}, None, 1),
     Case(["theory", "models", "surj.thy", "--truncate", "n=2,n=1,X=2"],
          {"surj.thy": read("surj.thy")}, None, 1),
+    # digits other than ASCII 0-9 (here Arabic-Indic, \u0660 is 0), and `_`,
+    # once read as integers
+    Case(["theory", "models", "arabic.thy"],
+         {"arabic.thy": "prop p[i] for i<\u0663;\naxiom p[\u0660] |- false;\n"
+          .encode()}, None, 1),
+    Case(evt_max("x*(\u0661-x)"), {}, None, 1),
+    Case(evt_max("x", "--eps", "1/\u0661\u0660\u0660"), {}, None, 1),
+    Case(evt_max("x", "--eps", "1_000"), {}, None, 1),
+    Case(evt_max("x", "--budget", "\u0661\u0660"), {}, None, 1),
+    Case(["evt", "validate", "--expr", "x", "--domain", "[0,1]", "--seed",
+          "\u0663"], {}, None, 1),
+    Case(["theory", "models", "surj.thy", "--truncate", "n=\u0661,X=2"],
+         {"surj.thy": read("surj.thy")}, None, 1),
 ]
 
 

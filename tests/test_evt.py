@@ -1,22 +1,24 @@
 """Certified global maximization: enclosures, covers, one-sided certificates,
 the locatedness dichotomy, and enclosure cross-examination."""
 
+import collections
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pointfree import evt
+import evt_oracles
+from pointfree import evt, reals
 from pointfree.config import Limits
 from pointfree.errors import BudgetExhausted, CapExceeded, PointfreeError
 from pointfree.evt import (DedekindEnclosure, LeftBranch, MaximizerCover,
                            RightBranch, _rat_sqrt_upper, cover_certificate,
                            cut_validate, evt_maximize, locate,
                            positive_witness)
-from pointfree.reals import (compile_expr, domain_of, eval_interval,
-                             eval_point, parse_expr)
+from pointfree.reals import (Abs, BinOp, Const, Neg, Pow, Var, compile_expr,
+                             domain_of, eval_interval, eval_point, parse_expr)
 
 UNIT = domain_of((0, 1))
 
@@ -306,37 +308,174 @@ def test_locate_rejects_bad_interval():
         locate(parse_expr("x"), UNIT, F(1), F(1))
 
 
+def recording(steps, splits, active):
+    """A step generator like steps that counts the splits it is granted
+    into a new entry of splits and keeps its tag on active while it runs."""
+    def run(*args):
+        inner, k = steps(*args), len(splits)
+        splits.append(0)
+        while True:
+            active.append(steps.__name__)
+            try:
+                next(inner)
+            except StopIteration as stop:
+                return stop.value
+            finally:
+                active.pop()
+            yield
+            splits[k] += 1
+    return run
+
+
+def record_searches(monkeypatch):
+    """Splits granted to each search that evt starts, in order, and the
+    name of the search running now (empty outside a search)."""
+    splits, active = [], []
+    for name in ("_witness_steps", "_cover_steps"):
+        monkeypatch.setattr(evt, name,
+                            recording(getattr(evt, name), splits, active))
+    return splits, active
+
+
 @pytest.mark.parametrize("limit", [1, 2, 5, 12])
 def test_locate_rounds_keep_within_the_budget(monkeypatch, limit):
-    """No round of locate searches on more than bnb_node_budget splits,
-    and the last round uses all of it."""
-    budgets = []
-
-    def recording(search):
-        def run(e, d, q, budget):
-            budgets.append(budget)
-            return search(e, d, q, budget)
-        return run
-
-    monkeypatch.setattr(evt, "positive_witness",
-                        recording(evt.positive_witness))
-    monkeypatch.setattr(evt, "cover_certificate",
-                        recording(evt.cover_certificate))
+    """locate starts one witness search and one cover search and resumes
+    them from round to round: neither splits more than bnb_node_budget
+    times in all, and the last round brings both to it."""
+    splits, _ = record_searches(monkeypatch)
     with pytest.raises(BudgetExhausted, match=f"locate budget {limit} "):
         locate(parse_expr("x*(1 - x)"), UNIT, F(1, 4) - F(1, 10 ** 9),
                F(1, 4) + F(1, 10 ** 9), limits=Limits(bnb_node_budget=limit))
-    assert max(budgets) == budgets[-1] == limit
+    assert splits == [limit, limit]
 
 
 def test_locate_budget_zero_refuses_before_searching(monkeypatch):
     def searched(*args):
         raise AssertionError("searched on a zero budget")
 
-    monkeypatch.setattr(evt, "positive_witness", searched)
-    monkeypatch.setattr(evt, "cover_certificate", searched)
+    monkeypatch.setattr(evt, "eval_interval", searched)
+    monkeypatch.setattr(evt, "eval_point", searched)
     with pytest.raises(BudgetExhausted, match="locate budget 0 exhausted"):
         locate(parse_expr("x*(1 - x)"), UNIT, F(1, 5), F(1, 3),
                limits=Limits(bnb_node_budget=0))
+
+
+# --- the resumed searches against the restarting oracle ---------------------------
+
+CONSTS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+STEPS = st.fractions(min_value=F(1, 8), max_value=2, max_denominator=8)
+
+
+def expressions():
+    """Trees over every node kind, x used several times as a rule."""
+    leaves = st.one_of(st.just(Var()), st.just(Var()), CONSTS.map(Const))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Neg), sub.map(Abs), st.builds(Pow, sub, st.integers(0, 3)),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "min", "max"]),
+                  sub, sub)), max_leaves=6)
+
+
+@st.composite
+def located_cases(draw):
+    """(expression, domain, p, q, budget): one or two components, and p
+    near a value the expression takes, so both branches and exhaustion
+    occur."""
+    e = draw(expressions())
+    lo, w = draw(CONSTS), draw(STEPS)
+    pairs = [(lo, lo + w)]
+    if draw(st.booleans()):
+        gap, w2 = draw(STEPS), draw(STEPS)
+        pairs.append((lo + w + gap, lo + w + gap + w2))
+    d = domain_of(*pairs)
+    t = lo + w * draw(st.fractions(min_value=0, max_value=1,
+                                   max_denominator=8))
+    p = eval_point(e, t) + draw(st.sampled_from(
+        [F(-1), F(-1, 100), F(0), F(1, 10 ** 4), F(1, 3)]))
+    q = p + draw(st.sampled_from([F(1, 10 ** 6), F(1, 100), F(1)]))
+    return e, d, p, q, draw(st.integers(0, 64))
+
+
+def outcome(run):
+    try:
+        return run()
+    except BudgetExhausted as exc:
+        return ("exhausted", str(exc))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(located_cases())
+@example((parse_expr("x*(1 - x)"), UNIT, F(1, 4) - F(1, 10 ** 9),
+          F(1, 4) + F(1, 10 ** 9), 12))
+@example((parse_expr("x*(1 - x)"), domain_of((0, 1), (2, 3)),
+          F(2499, 10000), F(2501, 10000), 64))
+@example((parse_expr("max(x*(1-x), 1/4 - (x-1/4)^2)"), UNIT, F(1, 4),
+          F(3, 10), 64))
+def test_resumed_searches_equal_the_restarting_oracle(case):
+    """locate gives the same branch, witness, bound, threshold and pieces
+    as the locate that restarted its searches each round, or the same
+    exhaustion; each one-shot search gives the oracle's answer."""
+    e, d, p, q, budget = case
+    limits = Limits(bnb_node_budget=budget)
+    assert (outcome(lambda: locate(e, d, p, q, limits=limits))
+            == outcome(lambda: evt_oracles.locate(e, d, p, q, limits=limits)))
+    if budget >= 1:
+        assert (positive_witness(e, d, p, budget)
+                == evt_oracles.positive_witness(e, d, p, budget))
+        assert (cover_certificate(e, d, (p + q) / 2, budget)
+                == evt_oracles.cover_certificate(e, d, (p + q) / 2, budget))
+
+
+# --- work done once -----------------------------------------------------------------
+
+def record_evaluations(monkeypatch, active):
+    """The boxes evt evaluates, each with the search running at the time;
+    reals.eval_point must not be called (evt holds its own reference)."""
+    seen = []
+    inner = evt.eval_interval
+
+    def recorder(e, box):
+        seen.append((tuple(active), box))
+        return inner(e, box)
+
+    def point(*args):
+        raise AssertionError("eval_interval called eval_point")
+
+    monkeypatch.setattr(evt, "eval_interval", recorder)
+    monkeypatch.setattr(reals, "eval_point", point)
+    return seen
+
+
+def assert_once(seen):
+    counts = collections.Counter(seen)
+    assert seen and max(counts.values()) == 1, counts.most_common(3)
+
+
+@pytest.mark.parametrize("src, dom, eps", [
+    ("x*(1-x)", domain_of((0, 1), (2, 3)), F(1, 10 ** 6)),
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", UNIT, F(1, 10 ** 6))])
+def test_evt_maximize_evaluates_each_box_once(monkeypatch, src, dom, eps):
+    seen = record_evaluations(monkeypatch, [])
+    enc, cover = evt_maximize(parse_expr(src), dom, eps)
+    assert enc.upper - enc.lower <= eps and cover.intervals
+    assert_once(seen)
+
+
+@pytest.mark.parametrize("src, dom, p, q, limit", [
+    ("x*(1-x)", domain_of((0, 1), (2, 3)), F(2499, 10000), F(2501, 10000),
+     10 ** 6),
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", UNIT, F(1, 4), F(3, 10), 10 ** 6),
+    ("x*(1-x)", UNIT, F(1, 4) - F(1, 10 ** 9), F(1, 4) + F(1, 10 ** 9), 64)])
+def test_locate_evaluates_each_box_once_per_search(monkeypatch, src, dom, p,
+                                                   q, limit):
+    """Within one locate, each of its two searches evaluates a box at most
+    once over all rounds, and nothing is evaluated outside them."""
+    splits, active = record_searches(monkeypatch)
+    seen = record_evaluations(monkeypatch, active)
+    outcome(lambda: locate(parse_expr(src), dom, p, q,
+                           limits=Limits(bnb_node_budget=limit)))
+    assert len(splits) == 2 and max(splits) > 4  # several rounds
+    assert all(len(tag) == 1 for tag, _ in seen)
+    assert_once(seen)
 
 
 @pytest.mark.parametrize("run", [

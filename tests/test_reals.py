@@ -315,6 +315,7 @@ MIXED = interval(F(1, 3), F(5, 7))  # ends with unrelated denominators
 @example(parse_expr("x*(1 - x)"), MIXED)
 @example(parse_expr("(2/3*x - 1/5)^3 - x^0*x"), MIXED)
 @example(parse_expr("(x - x)^0 + x*x"), MIXED)
+@example(parse_expr("x^0 + x^0"), MIXED)  # degree 0, x used twice
 @example(parse_expr("(x^300 + x)^0*x - x"), MIXED)
 @example(parse_expr("min(x - 1/2, 1/2 - x)*x"), MIXED)
 @example(parse_expr("abs(x - 1/2)*x - 3/7"), MIXED)
