@@ -17,7 +17,7 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class Limits:
-    poset_cap: int = 16          # max elements for downset / ideal enumeration
+    poset_cap: int = 16          # max poset / lattice elements for downset and Stone enumeration
     generator_cap: int = 8       # max presentation generators
     coproduct_cap: int = 16      # max |f| * |g| and |f ⊕ g| for coproducts, |f|^2 for Hausdorff
     bnb_node_budget: int = 10**6  # branch-and-bound node budget
@@ -39,14 +39,25 @@ def read_input(path):
                          f"{exc.start}")
 
 
+def _members(pairs):
+    """A JSON object's members as a dict, refusing a repeated name, of
+    which json.loads would silently keep the last value."""
+    data = {}
+    for name, value in pairs:
+        if name in data:
+            raise ParseError(f"repeated config field {name!r}")
+        data[name] = value
+    return data
+
+
 def load_limits():
     """Limits from POINTFREE_CONFIG if set, otherwise the defaults.  The
-    file must hold a JSON object whose keys are Limits fields and whose
-    values are non-negative integers."""
+    file must hold a JSON object whose keys are distinct Limits fields and
+    whose values are non-negative integers."""
     path = os.environ.get("POINTFREE_CONFIG")
     if not path:
         return Limits()
-    data = json.loads(read_input(path))
+    data = json.loads(read_input(path), object_pairs_hook=_members)
     if not isinstance(data, dict):
         raise ParseError("POINTFREE_CONFIG must hold a JSON object")
     known = {f.name for f in fields(Limits)}

@@ -44,10 +44,6 @@ class NotDistributive(PointfreeError):
         self.witness = witness
 
 
-class NotACover(PointfreeError):
-    """A subset claimed to cover the top element does not."""
-
-
 class BudgetExhausted(PointfreeError):
     """A search ran out of its node budget; carries any partial result."""
 

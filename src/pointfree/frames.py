@@ -1,28 +1,21 @@
 """Finite frames: enumeration of presented frames, points, congruences as
 subsets of the join-irreducibles (open/closed sublocales, quotients),
-coproducts (tensor products) and the Hausdorff / overtness / compactness
-checks."""
+coproducts (tensor products) and the Hausdorff and compactness checks."""
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .config import DEFAULT
-from .errors import CapExceeded, NotACover, PointfreeError
-from .order import (DistLattice, KFinSet, Poset, canon, count_downsets,
+from .errors import CapExceeded, PointfreeError
+from .order import (DistLattice, Poset, canon, count_downsets,
                     enumerate_downsets, prime_filters, sort_key)
 from .presentations import (ModelSets, _breaks, _cover_masks, _inside,
-                            check_generator_cap, find_models, meet_key,
-                            set_bits)
+                            check_generator_cap, find_models, set_bits)
 
 
 class FiniteFrame(DistLattice):
     """A finite distributive lattice viewed as a frame (all joins exist)."""
-
-    def check_frame_distributivity(self):
-        """a ∧ ⋁B = ⋁(a ∧ B) for all B: in a finite lattice every join is a
-        finite one, so this is binary distributivity."""
-        return self.distributivity_witness() is None
 
 
 def frame_from_order(elements, le, meet, join):
@@ -170,20 +163,6 @@ def enumerate_frame(p, limits=DEFAULT):
     return frame, gen_map
 
 
-def frame_to_json_dict(frame, points_list=None):
-    def meets_list(e):
-        return [sorted(m) for m in sorted(e, key=meet_key)]
-
-    elems = [meets_list(e) for e in frame.elements]
-    leq_pairs = [[elems[frame._index[a]], elems[frame._index[b]]]
-                 for (a, b) in sorted(frame._leq, key=sort_key)]
-    out = {"elements": elems, "leq_pairs": leq_pairs}
-    if points_list is not None:
-        out["points"] = [[meets_list(e) for e in sorted(pt, key=sort_key)]
-                         for pt in points_list]
-    return out
-
-
 # --- points ------------------------------------------------------------------
 
 def points(f):
@@ -193,19 +172,6 @@ def points(f):
     join-irreducible elements j (see order.prime_filters).
     """
     return prime_filters(f)
-
-
-def point_hom(f, filt, two):
-    """The frame hom to the two-element frame induced by a point."""
-    return FrameHom(f, two, {u: (two.top if u in filt else two.bottom)
-                             for u in f.elements})
-
-
-def two_element_frame():
-    return frame_from_order(["0", "1"],
-                            lambda a, b: a == b or (a, b) == ("0", "1"),
-                            lambda a, b: "0" if "0" in (a, b) else "1",
-                            lambda a, b: "1" if "1" in (a, b) else "0")
 
 
 # --- congruences -------------------------------------------------------------
@@ -225,25 +191,6 @@ class Congruence:
         if not self.kept <= self.frame.lower_covers.keys():
             raise PointfreeError("kept elements must be join-irreducible")
 
-    @classmethod
-    def from_partition(cls, frame, classes):
-        label = {u: i for i, c in enumerate(classes) for u in c}
-        if set(label) != set(frame.elements):
-            raise PointfreeError("classes do not partition the frame")
-        return cls.from_map(frame, label.__getitem__)
-
-    @classmethod
-    def from_map(cls, frame, fn):
-        """The kernel of fn, which must be a congruence: θ_S keeps exactly
-        the j that fn separates from their lower cover j⁻."""
-        val = {u: fn(u) for u in frame.elements}
-        c = cls(frame, frozenset(j for j, lower in frame.lower_covers.items()
-                                 if val[j] != val[lower]))
-        fibres = {(v, c.trace(u)) for u, v in val.items()}
-        if not len(fibres) == len(set(val.values())) == len(c.classes):
-            raise PointfreeError("not a congruence: its kernel is no θ_S")
-        return c
-
     def trace(self, u):
         """↓u ∩ S, which names u's class."""
         return self.kept & self.frame.j_below[u]
@@ -257,13 +204,6 @@ class Congruence:
         return tuple(frozenset(elems[i] for i in c) for c in
                      sorted(buckets.values(), key=lambda c: (len(c), c)))
 
-    def class_of(self, u):
-        t = self.trace(u)
-        return frozenset(v for v in self.frame.elements if self.trace(v) == t)
-
-    def related(self, u, v):
-        return self.trace(u) == self.trace(v)
-
     def largest(self, u):
         """Largest element of u's class: ⋁ of the j with ↓j ∩ S ⊆ ↓u ∩ S."""
         t = self.trace(u)
@@ -275,19 +215,6 @@ class Congruence:
 
     def is_all_pairs(self):
         return not self.kept
-
-    def witness_pairs(self):
-        """Pairs that generate the congruence: (j⁻, j) for each j not kept."""
-        return [(lower, j) for j, lower in self.frame.lower_covers.items()
-                if j not in self.kept]
-
-
-def identity_congruence(f):
-    return Congruence(f, frozenset(f.lower_covers))
-
-
-def all_pairs_congruence(f):
-    return Congruence(f, frozenset())
 
 
 def congruence_generate(f, pairs):
@@ -366,39 +293,6 @@ class FrameHom:
                      tuple(sorted(self.mapping.items(),
                                   key=lambda kv: sort_key(kv[0])))))
 
-    def right_adjoint(self, b):
-        return self.source.join_all(a for a in self.source.elements
-                                    if self.target.le(self(a), b))
-
-    def left_adjoint(self, b):
-        """Left adjoint value at b, or raises if the adjoint does not exist."""
-        cands = [a for a in self.source.elements if self.target.le(b, self(a))]
-        val = self.source.meet_all(cands)
-        if not self.target.le(b, self(val)):
-            raise PointfreeError("hom has no left adjoint "
-                                 "(fails to preserve all meets)")
-        return val
-
-
-def identity_hom(f):
-    return FrameHom(f, f, {u: u for u in f.elements})
-
-
-def image_congruence(h, c):
-    """Congruence on h's source from one on h's target (sublocale image
-    direction: h plays f*, so the image of a sublocale travels this way)."""
-    if c.frame is not h.target:
-        raise PointfreeError("congruence must live on the hom's target")
-    return Congruence.from_map(h.source, lambda u: c.trace(h(u)))
-
-
-def preimage_congruence(h, c):
-    """Congruence on h's target generated by the image of one on h's source."""
-    if c.frame is not h.source:
-        raise PointfreeError("congruence must live on the hom's source")
-    pairs = [(h(u), h(v)) for (u, v) in c.witness_pairs()]
-    return congruence_generate(h.target, pairs)
-
 
 # --- coproducts / tensor ------------------------------------------------------
 
@@ -447,14 +341,6 @@ def coproduct(f, g, limits=DEFAULT):
 
 # --- Hausdorff ----------------------------------------------------------------
 
-def diagonal_hom(f, limits=DEFAULT):
-    """The codiagonal u ⊕ v ↦ u ∧ v from f ⊕ f to f."""
-    tensor, inj1, inj2, rect = coproduct(f, f, limits=limits)
-    mapping = {d: f.join_all(f.meet(u, v) for (u, v) in sorted(d, key=sort_key))
-               for d in tensor.elements}
-    return tensor, FrameHom(tensor, f, mapping)
-
-
 def diagonal_cap(size, limits=DEFAULT):
     """Refuse the closed-diagonal check on a frame of `size` elements when
     the carrier f × f of its witness exceeds the coproduct cap."""
@@ -487,34 +373,7 @@ def is_hausdorff(f, limits=DEFAULT):
                            f.bottom, limits=limits)
 
 
-def has_open_diagonal(f, limits=DEFAULT):
-    """A finite frame has an open diagonal exactly when it is Hausdorff."""
-    return is_hausdorff(f, limits=limits)[0]
-
-
 # --- positivity / compactness --------------------------------------------------
-
-def is_positive(f, u):
-    """u is positive when every cover of it is inhabited.  Only the empty
-    cover can fail, and it covers exactly ⊥, so this is J ∩ ↓u ≠ ∅."""
-    return bool(f.j_below[u])
-
-
-def positivity_base(f):
-    """All positive elements.  Every element is the join of those below it:
-    itself if it is not ⊥, and the empty join if it is."""
-    return [u for u in f.elements if is_positive(f, u)]
-
-
-def finite_subcover(f, s):
-    """Minimal-cardinality subcover of a cover of top: the first subset,
-    by size, that covers top; s itself does, so the search stops by |s|."""
-    s = sorted(set(s), key=sort_key)
-    if f.join_all(s) != f.top:
-        raise NotACover("subset does not cover top")
-    return next(KFinSet(combo) for k in range(len(s) + 1)
-                for combo in combinations(s, k) if f.join_all(combo) == f.top)
-
 
 def is_compact_presentation(p, limits=DEFAULT):
     """Compactness certificate for a presentation: top is inaccessible by
@@ -526,21 +385,3 @@ def is_compact_presentation(p, limits=DEFAULT):
     return {"certificate": "finite frame: every directed cover of top "
                            "contains top",
             "compact": True, "verified": True}
-
-
-# --- open / closed maps --------------------------------------------------------
-
-def check_open_map(h):
-    """Frobenius check for the left adjoint: h_!(h(b) ∧ a) = b ∧ h_!(a)."""
-    return _frobenius(h, h.left_adjoint, h.target.meet, h.source.meet)
-
-
-def check_closed_map(h):
-    """Frobenius check for the right adjoint: h_*(h(b) ∨ a) = b ∨ h_*(a)."""
-    return _frobenius(h, h.right_adjoint, h.target.join, h.source.join)
-
-
-def _frobenius(h, adjoint, op_target, op_source):
-    adj = {a: adjoint(a) for a in h.target.elements}
-    return all(adj[op_target(h(b), a)] == op_source(b, adj[a])
-               for a in h.target.elements for b in h.source.elements)

@@ -1,14 +1,12 @@
 """Exact finite order theory.
 
-Posets, downsets, Kuratowski-finite subsets, finite distributive lattices,
-ideal completion and the finite Birkhoff / Stone duality.  Everything is
-immutable and enumerated exhaustively under the desk-scale caps in
-:mod:`pointfree.config`.
+Posets, downsets, finite distributive lattices and the finite Birkhoff /
+Stone duality.  Everything is immutable and enumerated exhaustively under
+the desk-scale caps in :mod:`pointfree.config`.
 """
 
 import functools
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 from .config import DEFAULT
 from .errors import (CapExceeded, NotDistributive, ParseError,
@@ -87,33 +85,6 @@ class Poset:
                     continue
                 edges.append((a, b))
         return sorted(edges, key=lambda e: (sort_key(e[0]), sort_key(e[1])))
-
-    def to_json_dict(self):
-        return {
-            "elements": [str(e) for e in self.elements],
-            "hasse_edges": [[str(a), str(b)] for a, b in self.hasse_edges()],
-        }
-
-
-@dataclass(frozen=True)
-class KFinSet:
-    """Finitely listable subset: raw item sequence plus canonical form.
-
-    The raw sequence may repeat items; all semantics factor through the
-    canonical sorted duplicate-free form.
-    """
-
-    items: tuple
-    canonical: tuple = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "canonical", canon(self.items))
-
-    def __eq__(self, other):
-        return isinstance(other, KFinSet) and self.canonical == other.canonical
-
-    def __hash__(self):
-        return hash(self.canonical)
 
 
 class _ElementMap(dict):
@@ -209,12 +180,6 @@ class DistLattice:
             out = self.join(out, x)
         return out
 
-    def meet_all(self, items):
-        out = self.top
-        for x in items:
-            out = self.meet(out, x)
-        return out
-
     def distributivity_witness(self):
         """A triple violating a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None.  The
         lattice is distributive iff every j in J is join-prime (then u ↦ J ∩ ↓u
@@ -228,33 +193,10 @@ class DistLattice:
                 r = self.join(r, x)
         return None
 
-    def as_poset(self):
-        return Poset(self.elements, self._leq)
-
     def subposet(self, subset):
         subset = canon(subset)
         return Poset(subset, frozenset((a, b) for a, b in self._leq
                                        if a in subset and b in subset))
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """Lattice ideal: a downset containing bottom and closed under joins."""
-
-    carrier: DistLattice
-    members: frozenset
-
-    def __post_init__(self):
-        lat = self.carrier
-        if lat.bottom not in self.members:
-            raise PointfreeError("ideal must contain bottom")
-        for a in self.members:
-            for b in lat.elements:
-                if lat.le(b, a) and b not in self.members:
-                    raise PointfreeError("ideal not downward closed")
-            for b in self.members:
-                if lat.join(a, b) not in self.members:
-                    raise PointfreeError("ideal not closed under joins")
 
 
 def enumerate_downsets(poset):
@@ -308,48 +250,6 @@ def downset_lattice(p, limits=DEFAULT):
                        check_distributive=False)
 
 
-def kfin_join(lattice, s):
-    """Least upper bound of a KFinSet of lattice elements."""
-    for x in s.canonical:
-        if x not in lattice._index:
-            raise PointfreeError(f"unknown element {x!r}")
-    return lattice.join_all(s.canonical)
-
-
-class FreeJoinSemilattice:
-    """P_fin(G) under union: the free join-semilattice on a finite set."""
-
-    def __init__(self, generators, limits=DEFAULT):
-        gens = canon(generators)
-        if len(gens) > limits.poset_cap:
-            raise CapExceeded("generator set", len(gens), limits.poset_cap)
-        self.generators = gens
-        elems = [frozenset(c) for n in range(len(gens) + 1)
-                 for c in combinations(gens, n)]
-        elems = sorted(set(elems), key=sort_key)
-        leq = [(a, b) for a in elems for b in elems if a <= b]
-        self.lattice = DistLattice(elems, leq,
-                                   meet=lambda a, b: a & b,
-                                   join=lambda a, b: a | b,
-                                   check_distributive=False)
-
-    def embed(self, g):
-        return frozenset([g])
-
-    def extend(self, f, target_join, target_bottom):
-        """Universal extension of f: G -> T along joins.
-
-        target_join is a binary join on T, target_bottom its unit; the
-        returned function is the unique join-preserving extension.
-        """
-        def ext(subset):
-            out = target_bottom
-            for g in sorted(subset, key=sort_key):
-                out = target_join(out, f(g))
-            return out
-        return ext
-
-
 def join_irreducibles(l):
     """Induced subposet of the nonbottom j that are not the join of the
     elements strictly below them, which is j = a∨b ⟹ j ∈ {a, b}."""
@@ -373,21 +273,6 @@ def prime_filters(l):
     the join-prime elements are exactly the join-irreducible ones."""
     return sorted((frozenset(b for b, js in l.j_below.items() if j in js)
                    for j in l.lower_covers), key=sort_key)
-
-
-def ideal_completion(l, limits=DEFAULT):
-    """Lattice of all ideals of l, plus the principal-ideal isomorphism.
-    An ideal of a finite lattice holds the join of its finitely many
-    members, so it is the principal ideal of that join."""
-    if len(l.elements) > limits.poset_cap:
-        raise CapExceeded("lattice", len(l.elements), limits.poset_cap)
-
-    def principal(a):
-        return frozenset(b for b in l.elements if l.le(b, a))
-
-    ideals = sorted({principal(a) for a in l.elements}, key=sort_key)
-    leq = [(a, b) for a in ideals for b in ideals if a <= b]
-    return DistLattice(ideals, leq, check_distributive=False), principal
 
 
 def read_poset_text(text):
@@ -437,4 +322,3 @@ def parse_lattice_text(text, check_distributive=True, limits=DEFAULT):
     p = parse_poset_text(text)
     return DistLattice(p.elements, p.leq,
                        check_distributive=check_distributive)
-

@@ -6,8 +6,8 @@ formal meet) and T is a finite set of formal meets.  The elements of the
 presented frame are the saturated downsets of formal meets (C-ideals).  A
 finite frame is spatial, so they are computed on the models of the covers
 (ModelSets): an element is the up-set U of models where it holds, and its
-C-ideal is {m : every model of m lies in U}.  Order, meet, join and Heyting
-implication are then inclusion, intersection, union and an up-set interior.
+C-ideal is {m : every model of m lies in U}.  Order, meet and join are then
+inclusion, intersection and union.
 """
 
 import functools
@@ -299,36 +299,6 @@ def saturate(p, seed, limits=DEFAULT):
 def cideal_bottom(p, limits=DEFAULT):
     _model_sets(p, limits)
     return CIdeal(p, 0)
-
-
-def cideal_top(p, limits=DEFAULT):
-    return CIdeal(p, _model_sets(p, limits).top)
-
-
-def cideal_join(s):
-    s = list(s)
-    if not s:
-        raise MixedPresentations("empty join needs an explicit presentation")
-    for c in s:
-        _same(s[0], c)
-    return CIdeal(s[0].presentation,
-                  functools.reduce(int.__or__, (c.models for c in s)))
-
-
-def cideal_heyting(a, b):
-    """Heyting implication, the largest c with c ∧ a ≤ b: the models P
-    such that every model above P holding a holds b."""
-    _same(a, b)
-    sem, bad = a.presentation.model_sets, a.models & ~b.models
-    return CIdeal(a.presentation, sum(1 << k for k in range(len(sem.models))
-                                      if not sem.up(k) & bad))
-
-
-def generator_image(p, name, limits=DEFAULT):
-    """The frame element corresponding to one generator."""
-    if name not in p.generators:
-        raise ParseError(f"unknown generator {name!r}")
-    return saturate(p, [frozenset([name])], limits)
 
 
 def check_positivity_certificate(p, positives):

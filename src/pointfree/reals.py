@@ -1,5 +1,5 @@
-"""Exact rational intervals, open subsets of the line, and a total
-piecewise-polynomial expression language with interval evaluation.
+"""Exact rational intervals and a total piecewise-polynomial expression
+language with interval evaluation.
 
 Interval evaluation is the naive interval form intersected with the
 mean-value (centered) form, whose overestimate shrinks with the square of
@@ -113,80 +113,6 @@ class RatInterval:
 def interval(lo, hi):
     conv = lambda v: None if v is None else Fraction(v)
     return RatInterval(conv(lo), conv(hi))
-
-
-def _lo_key(i):
-    return (0,) if i.lo is None else (1, i.lo)
-
-
-@dataclass(frozen=True)
-class ROpen:
-    """Canonical finite union of disjoint open rational intervals."""
-
-    components: tuple
-
-    def __post_init__(self):
-        for c in self.components:
-            if not isinstance(c, RatInterval):
-                raise PointfreeError("components must be RatIntervals")
-            if c.lo is not None and c.hi is not None and c.lo >= c.hi:
-                raise PointfreeError("open component needs lo < hi")
-        for a, b in zip(self.components, self.components[1:]):
-            if a.hi is None or b.lo is None or b.lo < a.hi:
-                raise PointfreeError("components not disjoint and sorted")
-
-    @classmethod
-    def of(cls, *pairs):
-        return ropen_canon(interval(lo, hi) for lo, hi in pairs)
-
-    def __str__(self):
-        if not self.components:
-            return "0"
-        return " u ".join(str(c) for c in self.components)
-
-
-ROPEN_BOTTOM = ROpen(())
-ROPEN_TOP = ROpen((RatInterval(None, None),))
-
-
-def ropen_canon(intervals):
-    """Canonical form: drop empties, sort, merge overlapping components.
-
-    Components touching only at a point (like (0,1) and (1,2)) stay separate:
-    these are open sets and the touching point is absent from both.
-    """
-    items = [c for c in intervals
-             if c.lo is None or c.hi is None or c.lo < c.hi]
-    items.sort(key=_lo_key)
-    out = []
-    for c in items:
-        if out:
-            last = out[-1]
-            # overlap (not mere touching): c.lo < last.hi, with None = -inf
-            if last.hi is None or c.lo is None or c.lo < last.hi:
-                hi = (None if last.hi is None or c.hi is None
-                      else max(last.hi, c.hi))
-                out[-1] = RatInterval(last.lo, hi)
-                continue
-        out.append(c)
-    return ROpen(tuple(out))
-
-
-def ropen_join(a, b):
-    return ropen_canon(a.components + b.components)
-
-
-def ropen_meet(a, b):
-    pieces = []
-    for x in a.components:
-        for y in b.components:
-            lo = y.lo if x.lo is None else (
-                x.lo if y.lo is None else max(x.lo, y.lo))
-            hi = y.hi if x.hi is None else (
-                x.hi if y.hi is None else min(x.hi, y.hi))
-            if lo is None or hi is None or lo < hi:
-                pieces.append(RatInterval(lo, hi))
-    return ropen_canon(pieces)
 
 
 # --- expressions --------------------------------------------------------------

@@ -5,8 +5,8 @@ oracles for them.
   for models (`frames.find_models`): the scan of all 2^g principal
   C-ideals of the stabilized presentation for those that the principals
   strictly below do not join up to, with the points read off it.
-- For the model-set C-ideals (`presentations.saturate`, joins, Heyting
-  implication, bottom, top, order and the positivity certificate): the
+- For the model-set C-ideals (`presentations.saturate`, joins, bottom,
+  top, order and the positivity certificate): the
   Horn closure of the stabilized presentation (`HornClosure`), which
   `presentations` used before it read C-ideals off the models, and below
   it the fixpoint that down-closes the seed and rescans every stabilized
@@ -18,8 +18,8 @@ oracles for them.
 - For the congruences as subsets S of J (`frames.Congruence`): the
   partition of all elements into classes, checked to cover the frame;
   generation by union-find closed under meeting and joining both sides
-  with every element; open and closed congruences, intersection, image
-  and quotient as kernels of maps; join and preimage by generation.
+  with every element; open and closed congruences, intersection and
+  quotient as kernels of maps; join by generation.
   None of it reads the frame's join-irreducibles.
 - For the join-prime coproduct and Hausdorff check: the suplattice-tensor
   fixpoint with pairwise join closure, and the search of f ⊕ f for a
@@ -27,9 +27,8 @@ oracles for them.
   above.
 - The literal subset scans behind positivity (u ≠ ⊥) and the frame law
   (binary distributivity).
-- For compactness and the ideal completion, which hold because a finite
-  directed set holds its own join: the directed-cover scan for top, and
-  the scan of all downsets for the join-closed ones.
+- For compactness, which holds because a finite directed set holds its
+  own join: the directed-cover scan for top.
 - For the meet and join tables that `DistLattice` reads off down-set and
   up-set masks when it is given only an order: the scan of the common
   lower (upper) bounds for one above (below) all the others, O(n) order
@@ -244,7 +243,7 @@ def enumerate_frame(p):
 
 
 def hasse_edges(f):
-    return f.as_poset().hasse_edges()
+    return f.subposet(f.elements).hasse_edges()
 
 
 def points(f):
@@ -398,17 +397,6 @@ def quotient(f, c):
                          lambda a, b: rep_of[f.meet(a, b)],
                          lambda a, b: rep_of[f.join(a, b)])
     return q, FrameHom(f, q, rep_of)
-
-
-def image_congruence(h, c):
-    """Kernel of u ↦ the class of h(u), on h's source."""
-    return Congruence.from_map(h.source, lambda u: c.class_of(h(u)))
-
-
-def preimage_congruence(h, c):
-    """Generated on h's target by the images of c's related pairs."""
-    return congruence_generate(h.target,
-                               [(h(u), h(v)) for u, v in c.witness_pairs()])
 
 
 # --- coproduct and Hausdorff by search -------------------------------------------
@@ -591,21 +579,6 @@ def _directify(s, join):
             out |= {join(c, x) for c in out}
             out.add(x)
     return out
-
-
-def ideal_completion(l):
-    """The downsets of l that hold bottom and are closed under binary
-    joins, sorted by sort_key, after checking that the principal ideals
-    are exactly these."""
-    ideals = sorted((d for d in enumerate_downsets(l.as_poset())
-                     if l.bottom in d
-                     and all(l.join(a, b) in d for a in d for b in d)),
-                    key=sort_key)
-    principals = {frozenset(b for b in l.elements if l.le(b, a))
-                  for a in l.elements}
-    if principals != set(ideals):
-        raise PointfreeError("principal-ideal map is not onto the ideals")
-    return ideals
 
 
 # --- lattice tables from an order by scan ---------------------------------------

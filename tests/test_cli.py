@@ -583,10 +583,13 @@ def test_config_that_is_not_utf8_is_a_parse_error(capsys, tmp_path,
     ([1, 2], "JSON object"),
     ({"generator_cap": -1}, "generator_cap"),
     ({"bnb_node_budget": -3}, "bnb_node_budget"),
-    ({"degree_cap": 64, "poset_cap": -16}, "poset_cap")])
+    ({"degree_cap": 64, "poset_cap": -16}, "poset_cap"),
+    # a repeated field, which json.loads would read as its last value
+    ('{"element_cap": 1, "element_cap": 4096}',
+     "repeated config field 'element_cap'")])
 def test_config_rejects_bad_fields(capsys, tmp_path, monkeypatch, body, field):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(body))
+    cfg.write_text(body if isinstance(body, str) else json.dumps(body))
     monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
     code, out, err = run(capsys, "frame", "points", THY / "cantor1.pres")
     assert code == 1 and out == ""

@@ -1,8 +1,7 @@
 """Congruences as subsets S of J against the partition congruences they
 replaced (frame_oracles): generation, open and closed, intersection and
-join, complements, class representatives, quotients, and image and
-preimage along quotient homs, on the six small frames and on random
-presentations."""
+join, complements, class representatives and quotients, on the six small
+frames and on random presentations."""
 
 import random
 
@@ -12,14 +11,11 @@ import frame_oracles
 from test_acceptance import free_frame_oracle, random_presentation
 from pointfree.frames import (closed_congruence, congruence_generate,
                               congruence_intersection, congruence_join,
-                              enumerate_frame, image_congruence,
-                              is_complementary, open_congruence,
-                              preimage_congruence, quotient)
+                              enumerate_frame, is_complementary,
+                              open_congruence, quotient)
 from pointfree.presentations import FramePresentation
 
 SMALL = ["free1", "free2", "cantor1", "cantor2", "chain3", "bool4"]
-OPEN_CLOSED = [(open_congruence, frame_oracles.open_congruence),
-               (closed_congruence, frame_oracles.closed_congruence)]
 
 
 @st.composite
@@ -42,7 +38,6 @@ def assert_same_quotient(f, c, oc):
     assert q.elements == oq.elements and q._leq == oq._leq
     assert q.meet_table == oq.meet_table and q.join_table == oq.join_table
     assert hom.mapping == ohom.mapping
-    return q, hom, oq, ohom
 
 
 def check_against_oracle(f, data):
@@ -57,7 +52,7 @@ def check_against_oracle(f, data):
         frame_oracles.congruence_join(o1, o2).classes
     assert is_complementary(c1, c2) == frame_oracles.is_complementary(o1, o2)
     assert all(c1.largest(u) == o1.largest(u) for u in f.elements)
-    q, hom, oq, ohom = assert_same_quotient(f, c1, o1)
+    assert_same_quotient(f, c1, o1)
     for a in f.elements:
         opened, closed = open_congruence(f, a), closed_congruence(f, a)
         o_opened = frame_oracles.open_congruence(f, a)
@@ -68,13 +63,6 @@ def check_against_oracle(f, data):
             frame_oracles.is_complementary(o_opened, o_closed)
         assert is_complementary(c2, opened) == \
             frame_oracles.is_complementary(o2, o_opened)
-        assert preimage_congruence(hom, closed).classes == \
-            frame_oracles.preimage_congruence(ohom, o_closed).classes
-    for b in q.elements:
-        for make, o_make in OPEN_CLOSED:
-            d, od = make(q, b), o_make(oq, b)
-            assert image_congruence(hom, d).classes == \
-                frame_oracles.image_congruence(ohom, od).classes
     assert_same_quotient(f, c2, o2)
 
 

@@ -1,6 +1,7 @@
 """Finite frames: enumeration, points, congruences, quotients, coproducts,
-Hausdorff, positivity, compactness, and open/closed maps."""
+Hausdorff, positivity, compactness, and frame homomorphisms."""
 
+import functools
 import random
 from itertools import combinations
 
@@ -8,24 +9,16 @@ import pytest
 from hypothesis import given, settings
 
 import frame_oracles
-from conftest import cantor_presentation, free_presentation
+from conftest import cantor_presentation, chain, free_presentation
 from test_congruences import presentations
 from pointfree import frames
-from pointfree.errors import CapExceeded, NotACover, PointfreeError
-from pointfree.frames import (Congruence, FrameHom, all_pairs_congruence,
-                              check_closed_map, check_open_map,
-                              closed_congruence, congruence_generate,
+from pointfree.errors import CapExceeded, PointfreeError
+from pointfree.frames import (FrameHom, closed_congruence, congruence_generate,
                               congruence_intersection, congruence_join,
-                              coproduct, diagonal_hom, enumerate_frame,
-                              finite_subcover, frame_from_order,
-                              frame_to_json_dict, has_open_diagonal,
-                              identity_congruence, identity_hom,
-                              image_congruence, is_compact_presentation,
-                              is_complementary, is_hausdorff, is_positive,
-                              open_congruence, point_hom, points,
-                              positivity_base, preimage_congruence, quotient,
-                              two_element_frame)
-from pointfree.order import KFinSet, sort_key
+                              coproduct, enumerate_frame, frame_from_order,
+                              is_compact_presentation, is_complementary,
+                              is_hausdorff, open_congruence, points, quotient)
+from pointfree.order import sort_key
 from pointfree.presentations import (FramePresentation, saturate, stabilize)
 
 
@@ -58,7 +51,7 @@ def test_enumerate_frame_refuses_past_element_cap():
 
 def test_enumerated_frames_satisfy_frame_distributivity(small_frames):
     for name in ["free1", "free2", "cantor1", "chain3", "bool4"]:
-        assert small_frames[name].check_frame_distributivity()
+        assert small_frames[name].distributivity_witness() is None
         assert frame_oracles.check_frame_distributivity(small_frames[name])
 
 
@@ -79,7 +72,7 @@ def test_universal_property_against_a_target_frame(small_frames):
     assign = {"z0": "a", "u0": "b"}
 
     def meet_of(m):
-        return t.meet_all(assign[g] for g in sorted(m))
+        return functools.reduce(t.meet, (assign[g] for g in sorted(m)), t.top)
 
     def ext(e):
         return t.join_all(meet_of(m) for m in sorted(e, key=sort_key))
@@ -87,14 +80,6 @@ def test_universal_property_against_a_target_frame(small_frames):
     hom = FrameHom(f, t, {e: ext(e) for e in f.elements})
     for g in p.generators:
         assert hom(gen_map[g]) == assign[g]
-
-
-def test_frame_json_export():
-    f, _ = enumerate_frame(cantor_presentation(1))
-    d = frame_to_json_dict(f, points_list=points(f))
-    assert set(d) == {"elements", "leq_pairs", "points"}
-    assert len(d["elements"]) == 4
-    assert len(d["points"]) == 2
 
 
 # --- points ----------------------------------------------------------------------
@@ -142,10 +127,12 @@ def test_points_match_brute_force(small_frames):
 
 
 def test_each_point_induces_a_frame_hom(small_frames):
-    two = two_element_frame()
+    two = chain(2)
     f = small_frames["cantor2"]
     for pt in points(f):
-        hom = point_hom(f, pt, two)  # FrameHom validates on construction
+        # FrameHom validates on construction
+        hom = FrameHom(f, two, {u: two.top if u in pt else two.bottom
+                                for u in f.elements})
         assert hom(f.top) == two.top
 
 
@@ -153,8 +140,7 @@ def test_each_point_induces_a_frame_hom(small_frames):
 
 def test_congruence_generate_empty_is_identity(small_frames):
     f = small_frames["chain3"]
-    assert congruence_generate(f, []).classes == \
-        identity_congruence(f).classes
+    assert congruence_generate(f, []).is_identity()
 
 
 def test_generated_open_and_closed_congruences(small_frames):
@@ -182,9 +168,10 @@ def test_open_closed_congruence_examples(small_frames):
 
 def test_complement_examples(small_frames):
     f = small_frames["chain3"]
-    assert not is_complementary(identity_congruence(f),
-                                identity_congruence(f))
-    assert is_complementary(all_pairs_congruence(f), identity_congruence(f))
+    identity = open_congruence(f, f.top)
+    all_pairs = closed_congruence(f, f.top)
+    assert not is_complementary(identity, identity)
+    assert is_complementary(all_pairs, identity)
 
 
 def test_open_closed_are_mutual_complements(small_frames):
@@ -212,11 +199,11 @@ def test_closed_congruence_map_preserves_meets_and_joins(small_frames):
 
 def test_quotient_examples(small_frames):
     f = small_frames["chain3"]
-    q_id, _ = quotient(f, identity_congruence(f))
+    q_id, _ = quotient(f, open_congruence(f, f.top))
     assert len(q_id.elements) == len(f.elements)
     q_open, hom = quotient(f, open_congruence(f, "m"))
     assert len(q_open.elements) == 2
-    q_all, _ = quotient(f, all_pairs_congruence(f))
+    q_all, _ = quotient(f, closed_congruence(f, f.top))
     assert len(q_all.elements) == 1
     assert hom(f.top) == q_open.top
 
@@ -233,72 +220,21 @@ def test_quotients_of_open_and_closed_have_expected_sizes(small_frames):
             assert len(q.elements) == len(up_a)
 
 
-def test_image_preimage_examples(small_frames):
-    f = small_frames["chain3"]
-    ident = identity_hom(f)
-    c = closed_congruence(f, "m")
-    assert image_congruence(ident, c).classes == c.classes
-    assert preimage_congruence(ident, identity_congruence(f)).classes == \
-        identity_congruence(f).classes
-    q, hom = quotient(f, open_congruence(f, "m"))
-    got = image_congruence(hom, identity_congruence(q))
-    assert got.classes == open_congruence(f, "m").classes
-
-
-def test_image_preimage_adjunction(small_frames):
-    """preimage(c) finer-or-equal d  iff  c finer-or-equal image(d), along
-    the quotient hom of every open and closed congruence, for every open
-    and closed congruence c on the source and d on the target."""
-    def refines(classes1, classes2):
-        return all(any(cls <= cls2 for cls2 in classes2) for cls in classes1)
-
-    def opens_and_closeds(f):
-        return [make(f, a) for a in f.elements
-                for make in (open_congruence, closed_congruence)]
-
-    for f in small_frames.values():
-        congs_src = opens_and_closeds(f)
-        src_classes = [c.classes for c in congs_src]
-        for by in congs_src:
-            q, hom = quotient(f, by)
-            tgt = [(d.classes, image_congruence(hom, d).classes)
-                   for d in opens_and_closeds(q)]
-            for c, c_classes in zip(congs_src, src_classes):
-                pre = preimage_congruence(hom, c).classes
-                for d_classes, image in tgt:
-                    assert refines(pre, d_classes) == \
-                        refines(c_classes, image)
-
-
-def test_partition_that_is_no_congruence_is_refused(small_frames):
-    f = small_frames["chain3"]
-    with pytest.raises(PointfreeError, match="not a congruence"):
-        Congruence.from_partition(f, [{"0", "1"}, {"m"}])
-    with pytest.raises(PointfreeError, match="not a congruence"):
-        Congruence.from_map(f, lambda u: u == "m")
-    with pytest.raises(PointfreeError, match="do not partition"):
-        Congruence.from_partition(f, [{"0", "1"}])
-    c = Congruence.from_partition(f, [{"0", "m"}, {"1"}])
-    assert c.classes == closed_congruence(f, "m").classes
-
-
-def test_unknown_elements_are_refused_by_related_and_class_of(small_frames):
+def test_unknown_elements_are_refused_by_congruences(small_frames):
     f = small_frames["chain3"]
     c = open_congruence(f, "m")
-    for call in (lambda: c.related("0", "x"), lambda: c.related("x", "0"),
-                 lambda: c.class_of("x"), lambda: c.largest("x"),
+    for call in (lambda: c.largest("x"),
                  lambda: congruence_generate(f, [("0", "x")]),
                  lambda: open_congruence(f, "x"),
                  lambda: closed_congruence(f, "x")):
         with pytest.raises(PointfreeError, match="unknown element 'x'"):
             call()
-    assert c.related("m", "1") and not c.related("0", "m")
 
 
 # --- coproducts ----------------------------------------------------------------------
 
 def test_coproduct_unit_law(small_frames):
-    two = two_element_frame()
+    two = chain(2)
     for name in ["chain3", "bool4", "free1"]:
         l = small_frames.get(name) or small_frames["free1"]
         tensor, inj1, inj2, rect = coproduct(two, l)
@@ -334,7 +270,7 @@ def test_coproduct_cap(small_frames):
 
 def test_injections_are_frame_homs_and_rectangles_factor(small_frames):
     f = small_frames["chain3"]
-    two = two_element_frame()
+    two = chain(2)
     tensor, inj1, inj2, rect = coproduct(two, f)
     for u in two.elements:
         for v in f.elements:
@@ -346,26 +282,22 @@ def test_injections_are_frame_homs_and_rectangles_factor(small_frames):
 def test_hausdorff_examples(small_frames):
     verdict, witness = is_hausdorff(small_frames["cantor1"])
     assert verdict and witness is not None
-    assert has_open_diagonal(small_frames["cantor1"])
     verdict, witness = is_hausdorff(small_frames["chain3"])
     assert not verdict and witness is None
     assert is_hausdorff(one_element_frame())[0]
     assert not is_hausdorff(small_frames["free1"])[0]
 
 
-def test_diagonal_hom_is_a_frame_hom(small_frames):
-    tensor, delta = diagonal_hom(small_frames["chain3"])
-    assert delta(tensor.top) == small_frames["chain3"].top
-
-
 # --- positivity / compactness ------------------------------------------------------------
 
 def test_positivity_examples(small_frames):
+    """u is positive when every cover of it is inhabited.  Only the empty
+    cover can fail, and it covers exactly ⊥, so this is J ∩ ↓u ≠ ∅."""
     f = small_frames["bool4"]
-    assert not is_positive(f, f.bottom)
-    assert is_positive(f, "a") and is_positive(f, "b")
+    assert not f.j_below[f.bottom]
+    assert f.j_below["a"] and f.j_below["b"]
     one = one_element_frame()
-    assert not is_positive(one, one.top)
+    assert not one.j_below[one.top]
 
 
 def test_positivity_scan_agrees_with_nonbottom_shortcut(small_frames):
@@ -373,44 +305,9 @@ def test_positivity_scan_agrees_with_nonbottom_shortcut(small_frames):
         f = small_frames[name]
         for u in f.elements:
             assert frame_oracles.is_positive(f, u) == (u != f.bottom)
-            assert is_positive(f, u) == (u != f.bottom)
+            assert bool(f.j_below[u]) == (u != f.bottom)
     with pytest.raises(PointfreeError):
-        is_positive(small_frames["bool4"], "nowhere")
-
-
-def test_positivity_base(small_frames):
-    f = small_frames["bool4"]
-    assert set(positivity_base(f)) == {"a", "b", "1"}
-    for f in small_frames.values():  # each element joins the base below it
-        base = positivity_base(f)
-        assert all(f.join_all(b for b in base if f.le(b, u)) == u
-                   for u in f.elements)
-
-
-def test_finite_subcover_examples(small_frames):
-    f = small_frames["bool4"]
-    assert finite_subcover(f, [f.top]) == KFinSet((f.top,))
-    assert finite_subcover(f, ["a", "b", f.top]) == KFinSet((f.top,))
-    assert finite_subcover(f, ["a", "b"]) == KFinSet(("a", "b"))
-    with pytest.raises(NotACover):
-        finite_subcover(f, ["a"])
-
-
-def test_finite_subcover_is_exact_and_empty_on_the_trivial_frame(
-        small_frames):
-    """A cover of top with no smaller one among the given elements; in the
-    one-element frame the empty set already covers top."""
-    for f in small_frames.values():
-        s = [u for u in f.elements if u not in (f.bottom, f.top)]
-        if f.join_all(s) != f.top:
-            continue
-        got = finite_subcover(f, s).canonical
-        assert f.join_all(got) == f.top
-        assert not any(f.join_all(c) == f.top
-                       for c in combinations(s, len(got) - 1))
-    one = frame_from_order(["1"], lambda a, b: True, lambda a, b: "1",
-                           lambda a, b: "1")
-    assert finite_subcover(one, ["1"]) == KFinSet(())
+        small_frames["bool4"].j_below["nowhere"]
 
 
 COMPACT = {"certificate": "finite frame: every directed cover of top "
@@ -461,44 +358,28 @@ def test_compactness_lists_no_elements(monkeypatch):
         is_compact_presentation(free_presentation(9))
 
 
-# --- open / closed maps ---------------------------------------------------------------------
-
-def test_identity_hom_is_open_and_closed(small_frames):
-    h = identity_hom(small_frames["bool4"])
-    assert check_open_map(h) and check_closed_map(h)
-
-
-def test_quotient_by_open_congruence_is_open(small_frames):
-    f = small_frames["chain3"]
-    q, hom = quotient(f, open_congruence(f, "m"))
-    assert check_open_map(hom)
-    assert not check_closed_map(hom)
-
-
-def test_quotient_by_closed_congruence_is_closed(small_frames):
-    f = small_frames["chain3"]
-    q, hom = quotient(f, closed_congruence(f, "m"))
-    assert check_closed_map(hom)
-
+# --- frame homomorphisms --------------------------------------------------------------------
 
 def test_frame_hom_validation_rejects_non_homs(small_frames):
     f = small_frames["chain3"]
     with pytest.raises(PointfreeError):
         FrameHom(f, f, {u: f.top for u in f.elements})  # breaks bottom
-    two = two_element_frame()
+    two = chain(2)
     with pytest.raises(PointfreeError):
         # monotone but join-breaking: collapse everything except top
         FrameHom(small_frames["bool4"], two,
-                 {"0": "0", "a": "0", "b": "0", "1": "1"})
+                 {"0": "c0", "a": "c0", "b": "c0", "1": "c1"})
 
 
 def _homs(frames):
     """Point, identity and quotient homs of each frame, and the coproduct
     injections of each pair within coproduct_cap."""
-    two = two_element_frame()
+    two = chain(2)
     for f in frames.values():
-        yield identity_hom(f)
-        yield from (point_hom(f, pt, two) for pt in points(f))
+        yield FrameHom(f, f, {u: u for u in f.elements})
+        yield from (FrameHom(f, two, {u: two.top if u in pt else two.bottom
+                                      for u in f.elements})
+                    for pt in points(f))
         for a in f.elements:
             for c in (open_congruence(f, a), closed_congruence(f, a)):
                 yield quotient(f, c)[1]
@@ -540,13 +421,3 @@ def test_frame_hom_check_on_j_matches_the_pairwise_check(small_frames):
             refused += not accepted(h, m)
     assert refused > 100
 
-
-def test_adjoints_satisfy_adjunctions(small_frames):
-    f = small_frames["chain3"]
-    q, hom = quotient(f, open_congruence(f, "m"))
-    for b in q.elements:
-        la = hom.left_adjoint(b)
-        ra = hom.right_adjoint(b)
-        for a in f.elements:
-            assert (f.le(la, a)) == (q.le(b, hom(a)))
-            assert (q.le(hom(a), b)) == (f.le(a, ra))

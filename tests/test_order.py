@@ -1,4 +1,4 @@
-"""Finite order theory: downsets, Birkhoff duality, prime filters, ideals."""
+"""Finite order theory: downsets, Birkhoff duality, prime filters."""
 
 import time
 from collections import Counter
@@ -11,16 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
 from frame_oracles import (birkhoff_round_trips,
                            distributivity_witness as triple_scan,
-                           ideal_completion as ideals_by_downset_scan,
                            is_directed, lattice_tables)
 from pointfree.config import DEFAULT, Limits
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
-from pointfree.order import (DistLattice, FreeJoinSemilattice, Ideal, KFinSet,
-                             Poset, birkhoff_iso, canon, count_downsets,
-                             downset_lattice,
-                             enumerate_downsets, ideal_completion,
-                             join_irreducibles, kfin_join,
+from pointfree.order import (DistLattice, Poset, birkhoff_iso, canon,
+                             count_downsets, downset_lattice,
+                             enumerate_downsets, join_irreducibles,
                              parse_lattice_text, parse_poset_text,
                              prime_filters)
 
@@ -270,56 +267,6 @@ def test_join_prime_distributivity_matches_the_triple_scan():
     assert refused == 7  # M3 and the six labellings of N5
 
 
-# --- Kuratowski-finite joins ------------------------------------------------------
-
-def test_kfin_join_examples():
-    b4 = boolean4()
-    assert kfin_join(b4, KFinSet(())) == "0"
-    assert kfin_join(b4, KFinSet(("a", "a", "b"))) == "1"
-    assert kfin_join(b4, KFinSet(("a",))) == "a"
-
-
-def test_kfin_join_unknown_element():
-    with pytest.raises(PointfreeError):
-        kfin_join(boolean4(), KFinSet(("zzz",)))
-
-
-@given(st.lists(st.sampled_from(["0", "a", "b", "1"]), max_size=6),
-       st.randoms(use_true_random=False))
-def test_kfin_join_invariant_under_permutation_and_duplication(items, rng):
-    b4 = boolean4()
-    shuffled = list(items)
-    rng.shuffle(shuffled)
-    doubled = shuffled + shuffled
-    assert kfin_join(b4, KFinSet(tuple(items))) == \
-        kfin_join(b4, KFinSet(tuple(doubled)))
-
-
-# --- free join-semilattices -------------------------------------------------------
-
-def test_free_join_semilattice_sizes():
-    assert len(FreeJoinSemilattice([]).lattice.elements) == 1
-    assert len(FreeJoinSemilattice(["a", "b"]).lattice.elements) == 4
-
-
-def test_free_join_semilattice_universal_extension():
-    free = FreeJoinSemilattice(["a"])
-    b4 = boolean4()
-    ext = free.extend(lambda g: "a", b4.join, b4.bottom)
-    assert ext(free.embed("a")) == "a"
-    assert ext(frozenset()) == "0"
-
-
-def test_free_join_semilattice_extension_preserves_joins():
-    free = FreeJoinSemilattice(["a", "b"])
-    b4 = boolean4()
-    f = {"a": "a", "b": "b"}
-    ext = free.extend(lambda g: f[g], b4.join, b4.bottom)
-    for x in free.lattice.elements:
-        for y in free.lattice.elements:
-            assert ext(x | y) == b4.join(ext(x), ext(y))
-
-
 # --- Birkhoff duality --------------------------------------------------------------
 
 def test_join_irreducibles_examples():
@@ -398,66 +345,7 @@ def test_prime_filters_biject_with_join_irreducibles():
         assert upsets == set(pf)
 
 
-# --- ideals --------------------------------------------------------------------------
-
-def test_ideal_validation():
-    b4 = boolean4()
-    Ideal(b4, frozenset(["0", "a"]))
-    with pytest.raises(PointfreeError):
-        Ideal(b4, frozenset(["a"]))  # missing bottom
-    with pytest.raises(PointfreeError):
-        Ideal(b4, frozenset(["0", "a", "b"]))  # not join closed
-
-
-def test_ideal_completion_examples():
-    comp, principal = ideal_completion(chain(2))
-    assert len(comp.elements) == 2
-    comp1, _ = ideal_completion(chain(1))
-    assert len(comp1.elements) == 1
-    comp4, principal4 = ideal_completion(boolean4())
-    assert len(comp4.elements) == 4
-    assert {principal4(a) for a in boolean4().elements} == set(comp4.elements)
-
-
-@st.composite
-def downset_lattices(draw):
-    """D(P) for a random poset P on at most 4 elements: a random relation
-    from lower to higher indices, closed reflexively and transitively."""
-    names = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
-    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
-                  if pairs else st.just([]))
-    return downset_lattice(Poset.from_relation(names, chosen))
-
-
-def assert_principal_ideals_are_all_ideals(l):
-    comp, principal = ideal_completion(l)
-    assert list(comp.elements) == ideals_by_downset_scan(l)
-    assert comp._leq == frozenset((a, b) for a in comp.elements
-                                  for b in comp.elements if a <= b)
-    for a in l.elements:  # the principal-ideal map is an order isomorphism
-        for b in l.elements:
-            assert l.le(a, b) == comp.le(principal(a), principal(b))
-
-
-@given(downset_lattices())
-def test_ideal_completion_equals_the_downset_scan(l):
-    assert_principal_ideals_are_all_ideals(l)
-
-
-def test_ideal_completion_of_m3_equals_the_downset_scan():
-    p = m3_diamond_poset()
-    assert_principal_ideals_are_all_ideals(
-        DistLattice(p.elements, p.leq, check_distributive=False))
-    m3 = parse_lattice_text((ROOT / "theories" / "m3.lat").read_text(),
-                            check_distributive=False)
-    assert_principal_ideals_are_all_ideals(m3)
-
-
-def test_ideal_completion_cap():
-    with pytest.raises(CapExceeded):
-        ideal_completion(chain(17))
-
+# --- directed sets -------------------------------------------------------------------
 
 def test_is_directed_examples():
     b4 = boolean4()
@@ -471,7 +359,7 @@ def test_is_directed_examples():
 def test_parse_poset_text():
     p = parse_poset_text("elements: a b c\nleq: a<b b<c\n")
     assert p.le("a", "c")
-    assert p.to_json_dict()["elements"] == ["a", "b", "c"]
+    assert p.elements == ("a", "b", "c")
 
 
 def test_parse_poset_text_errors():
@@ -503,9 +391,3 @@ def test_parse_lattice_text_refuses_before_building():
     assert time.perf_counter() - start < 5
     assert (err.value.size, err.value.cap) == (150, DEFAULT.poset_cap)
 
-
-def test_json_export_fields():
-    p = parse_poset_text("elements: a b\nleq: a<b\n")
-    d = p.to_json_dict()
-    assert set(d) == {"elements", "hasse_edges"}
-    assert d["hasse_edges"] == [["a", "b"]]

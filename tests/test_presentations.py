@@ -11,10 +11,7 @@ from pointfree.config import Limits
 from pointfree.errors import CapExceeded, MixedPresentations, ParseError
 from pointfree.presentations import (TOP_MEET, CIdeal, FramePresentation,
                                      check_positivity_certificate,
-                                     cideal_bottom, cideal_heyting,
-                                     cideal_join, cideal_top,
-                                     generator_image,
-                                     parse_presentation_text,
+                                     cideal_bottom, parse_presentation_text,
                                      presentation_text, saturate, stabilize)
 
 
@@ -103,10 +100,8 @@ def test_saturate_reads_the_covers_as_given():
         check_positivity_certificate(p, [TOP_MEET])
 
 
-@pytest.mark.parametrize("build", [
-    lambda p: saturate(p, []), cideal_bottom, cideal_top,
-    lambda p: generator_image(p, "g0")],
-    ids=["saturate", "bottom", "top", "generator_image"])
+@pytest.mark.parametrize("build", [lambda p: saturate(p, []), cideal_bottom],
+                         ids=["saturate", "bottom"])
 def test_cideals_keep_the_generator_cap(build):
     """Unstabilized, a presentation is checked against generator_cap
     before its 2^g formal meets are built (30 generators: 2^30-bit masks);
@@ -158,14 +153,14 @@ def test_saturate_is_a_closure_operator(p, bits_a, bits_b):
 def test_cideal_leq_top():
     p = stabilize(cantor_presentation(1))
     for c in all_cideals(p):
-        assert c <= cideal_top(p)
+        assert c <= saturate(p, [TOP_MEET])
 
 
 def test_cantor_join_and_meet_of_the_two_bits():
     p = stabilize(cantor_presentation(1))
-    z = generator_image(p, "z0")
-    u = generator_image(p, "u0")
-    assert (z | u).members == cideal_top(p).members
+    z = saturate(p, [frozenset(["z0"])])
+    u = saturate(p, [frozenset(["u0"])])
+    assert (z | u).members == saturate(p, [TOP_MEET]).members
     assert (z & u).members == cideal_bottom(p).members
 
 
@@ -173,34 +168,7 @@ def test_mixed_presentations_rejected():
     p1 = stabilize(cantor_presentation(1))
     p2 = stabilize(free_presentation(1))
     with pytest.raises(MixedPresentations):
-        cideal_top(p1) & cideal_top(p2)
-
-
-def test_cideal_join_of_empty_family_rejected():
-    with pytest.raises(MixedPresentations):
-        cideal_join([])
-
-
-def test_heyting_examples():
-    p = stabilize(cantor_presentation(1))
-    z = generator_image(p, "z0")
-    u = generator_image(p, "u0")
-    top, bot = cideal_top(p), cideal_bottom(p)
-    assert cideal_heyting(z, z).members == top.members
-    assert cideal_heyting(bot, u).members == top.members
-    assert cideal_heyting(z, bot).members == u.members
-
-
-@pytest.mark.parametrize("pres", ["free2", "cantor1"])
-def test_heyting_adjunction_exhaustive(pres):
-    p = stabilize(cantor_presentation(1) if pres == "cantor1"
-                  else free_presentation(2))
-    ideals = all_cideals(p)
-    for a in ideals:
-        for b in ideals:
-            imp = cideal_heyting(a, b)
-            for c in ideals:
-                assert ((c & a) <= b) == (c <= imp)
+        saturate(p1, [TOP_MEET]) & saturate(p2, [TOP_MEET])
 
 
 # --- positivity certificates --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, open sets of the line, and interval evaluation."""
+"""Exact rational arithmetic and interval evaluation."""
 
 from fractions import Fraction as F
 
@@ -7,12 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from interval_oracles import centered_enclosure, naive_enclosure, point_value
 from pointfree.errors import ParseError, PointfreeError
-from pointfree.reals import (MAX_EXPR_DEPTH, ROPEN_BOTTOM, ROPEN_TOP, Abs,
-                             BinOp, Const, Domain, Neg, Pow, RatInterval,
-                             ROpen, Var, compile_expr, domain_of,
+from pointfree.reals import (MAX_EXPR_DEPTH, Abs, BinOp, Const, Domain, Neg,
+                             Pow, RatInterval, Var, compile_expr, domain_of,
                              eval_interval, eval_point, interval, parse_domain,
-                             parse_expr, parse_rat, rat_decimal, rat_str,
-                             ropen_join, ropen_meet)
+                             parse_expr, parse_rat, rat_decimal, rat_str)
 
 
 # --- rationals -------------------------------------------------------------------
@@ -35,70 +33,6 @@ def test_rat_decimal_rounding():
     assert rat_decimal(F(1, 4), 1) == "0.3"  # half rounds away from zero
     assert rat_decimal(F(-1, 4), 1) == "-0.3"
     assert rat_decimal(F(2), 2) == "2.00"
-
-
-# --- opens of the line --------------------------------------------------------------
-
-def test_ropen_canonical_examples():
-    # touching open intervals stay separate: (0,1) v (1,2) misses the point 1
-    two = ropen_join(ROpen.of((0, 1)), ROpen.of((1, 2)))
-    assert len(two.components) == 2
-    overlapping = ropen_join(ROpen.of((0, 2)), ROpen.of((1, 3)))
-    assert overlapping == ROpen.of((0, 3))
-    assert ropen_meet(ROpen.of((0, 2)), ROpen.of((1, 3))) == ROpen.of((1, 2))
-    assert ropen_join(ROpen.of((None, 1)), ROpen.of((0, None))) == ROPEN_TOP
-    assert ropen_meet(ROpen.of((0, 1)), ROpen.of((2, 3))) == ROPEN_BOTTOM
-    assert ropen_meet(ROpen.of((0, 1)), ROpen.of((1, 2))) == ROPEN_BOTTOM
-
-
-def test_ropen_empty_pieces():
-    # the raw constructor rejects degenerate components ...
-    with pytest.raises(PointfreeError):
-        ROpen((interval(1, 1),))
-    with pytest.raises(PointfreeError):
-        interval(2, 1)
-    # ... while the canonicalizing builder just drops empty pieces
-    assert ROpen.of((1, 1)) == ROPEN_BOTTOM
-
-
-def ropens():
-    ends = st.one_of(st.none(), st.integers(-4, 4).map(F))
-
-    def build(pairs):
-        canon = []
-        for lo, hi in pairs:
-            if lo is not None and hi is not None and lo >= hi:
-                continue
-            canon.append((lo, hi))
-        return ROpen.of(*canon)
-
-    return st.lists(st.tuples(ends, ends), max_size=3).map(build)
-
-
-def contains(o, x):
-    return any((i.lo is None or i.lo < x) and (i.hi is None or x < i.hi)
-               for i in o.components)
-
-
-@settings(max_examples=150, deadline=None)
-@given(ropens(), ropens(), ropens(),
-       st.fractions(min_value=-5, max_value=5))
-def test_ropen_lattice_is_distributive_pointwise(a, b, c, x):
-    lhs = ropen_meet(a, ropen_join(b, c))
-    rhs = ropen_join(ropen_meet(a, b), ropen_meet(a, c))
-    assert lhs == rhs
-    assert contains(lhs, x) == (contains(a, x) and
-                                (contains(b, x) or contains(c, x)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(ropens(), ropens())
-def test_ropen_ops_are_canonical(a, b):
-    for o in (ropen_join(a, b), ropen_meet(a, b)):
-        ivs = o.components
-        for left, right in zip(ivs, ivs[1:]):
-            assert left.hi is not None and right.lo is not None
-            assert left.hi <= right.lo  # disjoint and ordered
 
 
 # --- expressions ---------------------------------------------------------------------
@@ -363,6 +297,8 @@ def test_domain_examples():
 
 
 def test_domain_validation():
+    with pytest.raises(PointfreeError):
+        interval(2, 1)
     with pytest.raises(PointfreeError):
         domain_of()
     with pytest.raises(PointfreeError):
