@@ -675,7 +675,14 @@ def test_byte_identical_json_across_processes(cmd):
 # doubled budget): a left branch on [0,1] and one found after many rounds
 # on [0,1] u [2,3], right branches with eight pieces and with two
 # components, budgets of 1, 2 and 5 that exhaust on a close straddle (exit
-# 3, stderr pinned), and validate with 5 probes at seed 3.
+# 3, stderr pinned), and validate with 5 probes at seed 3.  evt max
+# --trace, locate and validate on a point component under a centered
+# expression (x*(1-x) on [1/3,1/3] u [1/2,1]), a negative domain (x^3 - x
+# on [-3/2,-1/7]) and a single-use expression on three components, one a
+# point (recorded from the Fraction-box searches): each max also with a
+# budget that runs out in cover refinement, each locate as a left branch,
+# a right branch, a close straddle and that straddle at budget 3 (exit 3,
+# stderr pinned).
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
