@@ -53,11 +53,16 @@ def _members(pairs):
 def load_limits():
     """Limits from POINTFREE_CONFIG if set, otherwise the defaults.  The
     file must hold a JSON object whose keys are distinct Limits fields and
-    whose values are non-negative integers."""
+    whose values are non-negative integers; a body nested past the
+    decoder's recursion limit is a ParseError too."""
     path = os.environ.get("POINTFREE_CONFIG")
     if not path:
         return Limits()
-    data = json.loads(read_input(path), object_pairs_hook=_members)
+    try:
+        data = json.loads(read_input(path), object_pairs_hook=_members)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ParseError(f"POINTFREE_CONFIG {path} is nested too deeply "
+                         f"to read") from None
     if not isinstance(data, dict):
         raise ParseError("POINTFREE_CONFIG must hold a JSON object")
     known = {f.name for f in fields(Limits)}

@@ -7,20 +7,24 @@ bound is the largest interval-evaluation bound over the live boxes.  The
 result is a two-sided rational enclosure of the maximum together with an
 outer cover of the maximizer set.
 
+The searches run on the integer boxes of one dyadic grid (`_Grid`) and
+compare by integer cross-multiplication, best first on integer keys
+(`_Heap`).  Fractions are built only for what leaves a search: lower when
+it rises, upper when it changes, the trace, cover, witness, bound, pieces.
+
 Each entry point compiles its expression once (`reals.compile_expr`) and
 hands the compiled form to every evaluation and helper below it.
 """
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT
 from .errors import BudgetExhausted, CapExceeded, PointfreeError
-from .reals import (RatInterval, compile_expr, eval_interval, eval_point,
-                    rat_bits)
+from .reals import (RatInterval, compile_expr, eval_interval, eval_numerators,
+                    eval_point, rat_bits)
 
 
 @dataclass(frozen=True)
@@ -64,14 +68,69 @@ def _check_size(c, d, eps, limits):
             raise CapExceeded(what, size, getattr(limits, field), field=field)
 
 
-def _push(heap, e, box, floor):
-    """Evaluate a box and add it to the live heap unless provably below
-    the current lower bound."""
-    bounds = eval_interval(e, box)
-    if bounds.hi < floor:
-        return None
-    heapq.heappush(heap, (-bounds.hi, box.lo, box.width, box, bounds))
-    return bounds
+class _Grid:
+    """The dyadic boxes of a domain for a compiled expression e.  With D the
+    lcm of the denominators of the domain's endpoints, the box (a, b, k) is
+    [a/(D 2^k), b/(D 2^k)], its halves are (2a, a+b, k+1) and (a+b, 2b, k+1),
+    and the kernel bounds it in numerators over scale(k) = C 2^(k deg)."""
+
+    def __init__(self, e, d):
+        self.e, self.deg = e, e.degree
+        self.den = math.lcm(*(x.denominator for c in d.components
+                              for x in (c.lo, c.hi)))
+        self.roots = [(c.lo.numerator * (self.den // c.lo.denominator),
+                       c.hi.numerator * (self.den // c.hi.denominator))
+                      for c in d.components]
+        self.pws = [[self.den ** i for i in range(self.deg + 1)]]
+        self.c = e.scale(self.pws[0][-1])
+
+    def bounds(self, a, b, k):
+        """(lo, hi, F(m) or None) of the box (a, b, k) over scale(k)."""
+        pws = self.pws
+        while len(pws) <= k:  # the powers of D 2^j at depth j
+            pws.append([p << (i * len(pws)) for i, p in enumerate(pws[0])])
+        return eval_numerators(self.e, a, b, pws[k])
+
+    def scale(self, k):
+        return self.c << (k * self.deg)
+
+    def interval(self, a, b, k):
+        den = self.den << k
+        return RatInterval(Fraction(a, den), Fraction(b, den))
+
+
+class _Heap:
+    """Live grid boxes best first: the largest upper bound, then the
+    leftmost, then the narrowest.  An item is (-hi, lo, width, hi, a, b, k,
+    F(m)), its first three keys brought to the deepest depth pushed so far,
+    so that they compare as integers exactly as the values do; pushing a
+    deeper box shifts every key left, which keeps the heap order."""
+
+    def __init__(self, grid):
+        self.grid, self.items, self.depth = grid, [], 0
+
+    def offer(self, a, b, k, n, d):
+        """Bound the box (a, b, k) and push it unless its upper bound is
+        below n/d; the numerator of its lower bound."""
+        lo, hi, fm = self.grid.bounds(a, b, k)
+        if hi * d < n * self.grid.scale(k):
+            return lo
+        deg = self.grid.deg
+        if k > self.depth:
+            up = k - self.depth
+            self.items[:] = [(h << up * deg, l << up, w << up, *box)
+                             for h, l, w, *box in self.items]
+            self.depth = k
+        s = self.depth - k
+        heapq.heappush(self.items, (-hi << s * deg, a << s, (b - a) << s,
+                                    hi, a, b, k, fm))
+        return lo
+
+
+def _cover(grid, boxes, delta):
+    """A MaximizerCover of grid boxes (a, b, k), sorted by (lo, hi)."""
+    return MaximizerCover(tuple(sorted((grid.interval(*box) for box in boxes),
+                                       key=lambda b: (b.lo, b.hi))), delta)
 
 
 def evt_maximize(e, d, eps, limits=DEFAULT):
@@ -84,82 +143,93 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     _check_size(e, d, eps, limits)
     node_budget = limits.bnb_node_budget
     delta = _rat_sqrt_upper(eps)  # the cover's width bound
-    heap = []
-    lower = None
-    for box in d.components:
-        val = eval_point(e, box.midpoint())
-        lower = val if lower is None else max(lower, val)
-    for box in d.components:
-        _push(heap, e, box, lower)
-    nodes = 0
+    lower = max(eval_point(e, box.midpoint()) for box in d.components)
+    ln, ld = lower.numerator, lower.denominator
+    grid = _Grid(e, d)
+    heap = _Heap(grid)
+    items, scale, deg = heap.items, grid.scale, e.degree
+    for a, b in grid.roots:
+        heap.offer(a, b, 0, ln, ld)
+    nodes, upper = 0, None
+
+    def expand(a, b, k, fm):
+        """Raise lower to F at the box's midpoint (a kernel call on the
+        point unless the box carries it); the halves' depth."""
+        nonlocal lower, ln, ld, nodes
+        j = k
+        if fm is None:
+            fm, j = grid.bounds(a + b, a + b, k + 1)[0], k + 1
+        if fm * ld > ln * scale(j):
+            lower = Fraction(fm, scale(j))
+            ln, ld = lower.numerator, lower.denominator
+        nodes += 1
+        return k + 1
 
     def upper_now():
-        while heap and -heap[0][0] < lower:
-            heapq.heappop(heap)  # lazily drop boxes pruned by a later lower
-        return -heap[0][0] if heap else lower
+        while items and items[0][3] * ld < ln * scale(items[0][6]):
+            heapq.heappop(items)  # lazily drop boxes pruned by a later lower
+        if not items:
+            return lower
+        hi, k = items[0][3], items[0][6]
+        if (upper is not None
+                and hi * upper.denominator == upper.numerator * scale(k)):
+            return upper  # a new Fraction only when the value changes
+        return Fraction(hi, scale(k))
+
+    def exhausted(boxes):
+        """The refusal, with boxes (hi, a, b, k, ...) as the partial cover."""
+        return BudgetExhausted(
+            f"node budget {node_budget} exhausted",
+            partial=(DedekindEnclosure(lower, upper, eps, nodes, tuple(trace)),
+                     _cover(grid, [box[1:4] for box in boxes], delta)))
 
     upper = upper_now()
     trace = [(lower, upper)]
-    while upper - lower > eps:
+    en, ed = eps.numerator, eps.denominator
+    while ((upper.numerator * ld - ln * upper.denominator) * ed
+           > en * upper.denominator * ld):  # upper - lower > eps
         if nodes >= node_budget:
-            raise BudgetExhausted(
-                f"node budget {node_budget} exhausted",
-                partial=(DedekindEnclosure(lower, upper, eps, nodes,
-                                           tuple(trace)),
-                         _cover([item[3] for item in heap
-                                 if -item[0] >= lower], delta)))
-        _, _, _, box, _ = heapq.heappop(heap)
-        mid = box.midpoint()
-        lower = max(lower, eval_point(e, mid))
-        nodes += 1
-        _push(heap, e, RatInterval(box.lo, mid), lower)
-        _push(heap, e, RatInterval(mid, box.hi), lower)
+            raise exhausted([item[3:] for item in items
+                             if item[3] * ld >= ln * scale(item[6])])
+        _, _, _, _, a, b, k, fm = heapq.heappop(items)
+        k, m = expand(a, b, k, fm), a + b
+        for a, b in ((2 * a, m), (m, 2 * b)):
+            heap.offer(a, b, k, ln, ld)
         upper = upper_now()
         trace.append((lower, upper))
 
-    # refine the surviving boxes to the cover's width bound, each box with
-    # the upper bound it was evaluated to when it was pushed
-    work = []  # heap of (lo, hi, seq, box, upper bound): leftmost box first
-    seq = itertools.count()
-
-    def push(box, top):
-        heapq.heappush(work, (box.lo, box.hi, next(seq), box, top))
-
-    for item in heap:
-        if -item[0] >= lower:
-            push(item[3], -item[0])
-    survivors = []  # (box, upper bound)
-    while work:
-        _, _, _, box, top = heapq.heappop(work)
-        if top < lower:
+    # refine the surviving boxes to the cover's width bound, leftmost first,
+    # each with the upper bound it was evaluated to when it was pushed: the
+    # boxes are disjoint, so a box's halves come before every box to its
+    # right, and a stack keeps that order
+    stack = [item[3:] for item in reversed(sorted(
+        (item for item in items if item[3] * ld >= ln * scale(item[6])),
+        key=lambda item: (item[1], item[1] + item[2])))]
+    survivors = []  # (hi, a, b, k, F(m))
+    wide, dd = delta.numerator * grid.den, delta.denominator
+    while stack:
+        box = stack.pop()
+        hi, a, b, k, fm = box
+        if hi * ld < ln * scale(k):
             continue
-        if box.width <= delta:
-            survivors.append((box, top))
+        if (b - a) * dd <= wide << k:
+            survivors.append(box)
             continue
         if nodes >= node_budget:
             # the box being refined is still live, so it stays in the cover
-            raise BudgetExhausted(
-                f"node budget {node_budget} exhausted",
-                partial=(DedekindEnclosure(lower, upper, eps, nodes,
-                                           tuple(trace)),
-                         _cover([b for b, _ in survivors] + [box] +
-                                [item[3] for item in work], delta)))
-        mid = box.midpoint()
-        lower = max(lower, eval_point(e, mid))
-        nodes += 1
-        for child in (RatInterval(box.lo, mid), RatInterval(mid, box.hi)):
-            push(child, eval_interval(e, child).hi)
-    survivors = [(b, top) for b, top in survivors if top >= lower]
-    upper = min(upper, max(top for _, top in survivors))
+            raise exhausted(survivors + [box] + stack)
+        k, m = expand(a, b, k, fm), a + b
+        for a, b in ((m, 2 * b), (2 * a, m)):  # the left half on top
+            _, hi, fm = grid.bounds(a, b, k)
+            stack.append((hi, a, b, k, fm))
+    survivors = [box for box in survivors if box[0] * ld >= ln * scale(box[3])]
+    deep = max(box[3] for box in survivors)
+    best = max(box[0] << (deep - box[3]) * deg for box in survivors)
+    if best * upper.denominator < upper.numerator * scale(deep):
+        upper = Fraction(best, scale(deep))
     trace.append((lower, upper))
     enc = DedekindEnclosure(lower, upper, eps, nodes, tuple(trace))
-    return enc, _cover([b for b, _ in survivors], delta)
-
-
-def _cover(boxes, delta):
-    """A MaximizerCover with its boxes sorted by (lo, hi)."""
-    return MaximizerCover(tuple(sorted(boxes, key=lambda b: (b.lo, b.hi))),
-                          delta)
+    return enc, _cover(grid, [box[1:4] for box in survivors], delta)
 
 
 # --- one-sided certificates -----------------------------------------------------
@@ -173,41 +243,54 @@ def _witness_steps(e, d, q):
     """Best-first on the interval upper bound, so the search concentrates
     where the maximum can live; returns (box, interval lower bound) for the
     first box whose lower bound clears q, or None once no box is left."""
-    heap = []
-    for box in d.components:
-        bounds = _push(heap, e, box, q)  # floor q: boxes with hi < q useless
-        if bounds is not None and bounds.lo > q:
-            return box, bounds.lo
-    while heap:
-        _, _, _, box, bounds = heapq.heappop(heap)
-        if box.is_point:
+    grid = _Grid(e, d)
+    heap = _Heap(grid)
+    qn, qd = q.numerator, q.denominator
+
+    def push(a, b, k):
+        """Push the box unless its upper bound is below q (then it is
+        useless); the box and its lower bound when that clears q."""
+        lo = heap.offer(a, b, k, qn, qd)
+        if lo * qd > qn * grid.scale(k):
+            return grid.interval(a, b, k), Fraction(lo, grid.scale(k))
+        return None
+
+    for a, b in grid.roots:
+        found = push(a, b, 0)
+        if found is not None:
+            return found
+    while heap.items:
+        _, _, _, _, a, b, k, _ = heapq.heappop(heap.items)
+        if a == b:
             continue
         yield
-        mid = box.midpoint()
-        for child in (RatInterval(box.lo, mid), RatInterval(mid, box.hi)):
-            cb = _push(heap, e, child, q)
-            if cb is not None and cb.lo > q:
-                return child, cb.lo
+        m = a + b
+        for a, b in ((2 * a, m), (m, 2 * b)):
+            found = push(a, b, k + 1)
+            if found is not None:
+                return found
     return None
 
 
 def _cover_steps(e, d, q):
     """Depth first, left to right; returns the pieces, each with interval
     upper bound below q, or None at a point box that is not below q."""
-    stack = list(reversed(d.components))
+    grid = _Grid(e, d)
+    qn, qd = q.numerator, q.denominator
+    stack = [(a, b, 0) for a, b in reversed(grid.roots)]
     pieces = []
     while stack:
-        box = stack.pop()
-        if eval_interval(e, box).hi < q:
+        a, b, k = box = stack.pop()
+        if grid.bounds(a, b, k)[1] * qd < qn * grid.scale(k):
             pieces.append(box)
             continue
-        if box.is_point:
+        if a == b:
             return None
         yield
-        mid = box.midpoint()
-        stack.append(RatInterval(mid, box.hi))
-        stack.append(RatInterval(box.lo, mid))
-    return pieces
+        m = a + b
+        stack.append((m, 2 * b, k + 1))
+        stack.append((2 * a, m, k + 1))
+    return [grid.interval(*box) for box in pieces]
 
 
 def _advance(steps, grants):

@@ -7,9 +7,12 @@ the box width.  The result is a sound enclosure of the range, and it is
 inclusion-isotone: a sub-box never gets a wider bound than its box.
 
 An expression is compiled once into a flat program that evaluates on
-arbitrary-precision integer numerators over a tracked denominator, and only
-the results become Fractions; there is no floating point anywhere in this
-module.
+arbitrary-precision integer numerators over a tracked denominator; there is
+no floating point anywhere in this module.  `eval_numerators` is the
+kernel's integer entry: a box [a/D, b/D] with the powers of D in, integer
+numerators of its bounds (and of the midpoint's value, when the centered
+form computes it) over one scale out.  `eval_interval` wraps it for
+`RatInterval`s, and only its results become Fractions.
 """
 
 import functools
@@ -71,8 +74,7 @@ class RatInterval:
 
     Used both for the open subbasic intervals of the line and, with finite
     endpoints, as the closed boxes of interval evaluation; point boxes
-    (lo == hi) are legal only in evaluation contexts and answer True to
-    is_point.
+    (lo == hi) are legal only in evaluation contexts.
     """
 
     lo: object  # Fraction or None
@@ -86,18 +88,8 @@ class RatInterval:
             raise PointfreeError("interval with lo > hi")
 
     @property
-    def is_point(self):
-        return self.lo is not None and self.lo == self.hi
-
-    @property
     def finite(self):
         return self.lo is not None and self.hi is not None
-
-    @property
-    def width(self):
-        if not self.finite:
-            raise PointfreeError("width of an unbounded interval")
-        return self.hi - self.lo
 
     def midpoint(self):
         if not self.finite:
@@ -240,6 +232,13 @@ class CompiledExpr:
         self.degree, self.x_uses, self.constant_bits = _flatten(
             e, self._nodes)
 
+    def scale(self, dpow):
+        """The denominator of eval_numerators' numerators on a box over D,
+        dpow = D^degree: K D^degree, times 2^(degree+1) when x occurs more
+        than once (the centered form's scale)."""
+        k = self.program[1] * dpow
+        return k << (self.degree + 1) if self.x_uses > 1 else k
+
     @functools.cached_property
     def program(self):
         """(instructions, K of the root).  An instruction is (opcode,
@@ -296,45 +295,55 @@ def eval_point(e, x):
 def eval_interval(e, box):
     """Sound enclosure of the range of the expression (a tree or its
     compiled form) over a finite closed box; exact (width 0) on point
-    boxes.
+    boxes: `eval_numerators` on the box over the lcm of its denominators.
+    """
+    if not box.finite:
+        raise PointfreeError("interval evaluation needs a finite box")
+    c = compile_expr(e)
+    lo, hi = box.lo, box.hi
+    dlo, dhi = lo.denominator, hi.denominator
+    den = math.lcm(dlo, dhi)
+    pw = _powers(den, c.degree)
+    vl, vh, _ = eval_numerators(c, lo.numerator * (den // dlo),
+                                hi.numerator * (den // dhi), pw)
+    scale = c.scale(pw[c.degree])
+    return RatInterval(Fraction(vl, scale), Fraction(vh, scale))
+
+
+def eval_numerators(c, a, b, pw):
+    """The integer kernel on the box [a/D, b/D] (a <= b), pw the powers of D
+    up to c.degree: numerators (lo, hi, F(m)) over c.scale(D^degree) of an
+    enclosure of the range and of the value at the midpoint m = (a+b)/(2D),
+    F(m) None when x occurs at most once.
 
     The naive interval form intersected with the centered form
-    [F(m) - r|F'(X)|, F(m) + r|F'(X)|], m the midpoint and r the
-    half-width, with F'(X) a forward-mode interval derivative.  At abs, min
-    and max, where the branches meet inside the box, F'(X) is the hull of
-    the branch derivatives, which encloses the Clarke gradient, so the
-    form is sound by Lebourg's mean-value theorem.  When x occurs at most
-    once the naive form is already the exact range (Moore's single-use
-    theorem) and is returned alone.
+    [F(m) - r|F'(X)|, F(m) + r|F'(X)|], r the half-width, with F'(X) a
+    forward-mode interval derivative.  At abs, min and max, where the
+    branches meet inside the box, F'(X) is the hull of the branch
+    derivatives, which encloses the Clarke gradient, so the form is sound
+    by Lebourg's mean-value theorem.  When x occurs at most once the naive
+    form is already the exact range (Moore's single-use theorem) and is
+    returned alone; on a point box it is the exact value.
 
     Inclusion-isotone, so a sub-box's bounds lie inside its box's: for
     Y inside X, F(m_Y) lies in F(m_X) + F'(X)(m_Y - m_X), and
     |m_Y - m_X| + r_Y <= r_X (Caprani & Madsen, 1980).  The naive form and
     F'(X) are isotone, and a sub-box keeps a branch its box keeps."""
-    if not box.finite:
-        raise PointfreeError("interval evaluation needs a finite box")
-    c = compile_expr(e)
-    lo, hi = box.lo, box.hi
-    code, k = c.program
-    dlo, dhi = lo.denominator, hi.denominator
-    den = math.lcm(dlo, dhi)
-    a, b = lo.numerator * (den // dlo), hi.numerator * (den // dhi)
-    pw = _powers(den, c.degree)
-    scale = k * pw[c.degree]  # the root's values are numerators over this
-    if a == b or c.x_uses <= 1:
-        vl, vh = _naive(code, a, b, pw)
-        return RatInterval(Fraction(vl, scale), Fraction(vh, scale))
-    vl, vh, dl, dh = _centered(code, a, b, pw)
-    # Over scale * 2^(d+1): the naive form is v * 2^(d+1); F(m), m =
-    # (a+b)/(2 den), is 2 fm with fm over k (2 den)^d; and r|F'(X)| =
-    # (b - a)/(2 den) * max(-dl, dh)/(k den^(d-1)) is (b - a) max(-dl, dh)
-    # * 2^d, which is 0 when d = 0 (F' = 0)
+    code, _ = c.program
+    if c.x_uses <= 1:
+        return (*_naive(code, a, b, pw), None)
     d = c.degree
+    if a == b:
+        v = _naive(code, a, a, pw)[0] << (d + 1)
+        return v, v, v
+    vl, vh, dl, dh = _centered(code, a, b, pw)
+    # Over K D^d 2^(d+1): the naive form is v * 2^(d+1); F(m) is 2 fm with
+    # fm over K (2D)^d; and r|F'(X)| = (b - a)/(2D) * max(-dl, dh)/(K
+    # D^(d-1)) is (b - a) max(-dl, dh) * 2^d, which is 0 when d = 0 (F' = 0)
     fm = 2 * _naive(code, a + b, a + b, [p << i for i, p in enumerate(pw)])[0]
     spread = ((b - a) * max(-dl, dh)) << d
-    den2 = scale << (d + 1)
-    return RatInterval(Fraction(max(vl << (d + 1), fm - spread), den2),
-                       Fraction(min(vh << (d + 1), fm + spread), den2))
+    return (max(vl << (d + 1), fm - spread), min(vh << (d + 1), fm + spread),
+            fm)
 
 
 def _mul(al, ah, bl, bh):

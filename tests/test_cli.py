@@ -597,6 +597,21 @@ def test_config_rejects_bad_fields(capsys, tmp_path, monkeypatch, body, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("body", ["[" * 100000 + "]" * 100000,
+                                  '{"a": ' * 100000 + "1" + "}" * 100000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_config_is_a_parse_error(capsys, tmp_path, monkeypatch,
+                                               body):
+    """json.loads recurses once per level: 100,000 levels raised
+    RecursionError past cli.main as a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
+    code, out, err = run(capsys, "frame", "elements", THY / "cantor1.pres")
+    assert (code, out) == (1, "")
+    assert err == f"error: POINTFREE_CONFIG {cfg} is nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("expr", ["(" * 2000 + "x" + ")" * 2000,
                                   "+".join(["x"] * 5000)],
                          ids=["nested", "chain"])

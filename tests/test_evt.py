@@ -192,7 +192,7 @@ def test_evt_cover_contains_the_maximizer():
     enc, cover = evt_maximize(e, UNIT, F(1, 10000))
     assert any(b.lo <= F(1, 2) <= b.hi for b in cover.intervals)
     for b in cover.intervals:
-        assert b.width <= cover.delta
+        assert b.hi - b.lo <= cover.delta
         assert eval_interval(e, b).hi >= enc.lower
     assert cover.delta ** 2 >= F(1, 10000)
 
@@ -425,22 +425,81 @@ def test_resumed_searches_equal_the_restarting_oracle(case):
                 == evt_oracles.cover_certificate(e, d, (p + q) / 2, budget))
 
 
+# --- the integer-box searches against the Fraction-box oracle ----------------------
+
+@st.composite
+def grid_cases(draw):
+    """(expression, domain, eps, q, budget): one or two components, each
+    of them possibly a point, endpoints down to -2, and q near a value the
+    expression takes, so that every search both answers and runs out."""
+    e = draw(expressions())
+    lo, pairs = draw(CONSTS), []
+    for _ in range(draw(st.integers(1, 2))):
+        w = draw(st.one_of(st.just(F(0)), STEPS))
+        pairs.append((lo, lo + w))
+        lo += w + draw(STEPS)
+    d = domain_of(*pairs)
+    c = d.components[0]
+    t = c.lo + (c.hi - c.lo) * draw(st.fractions(min_value=0, max_value=1,
+                                                 max_denominator=8))
+    q = eval_point(e, t) + draw(st.sampled_from(
+        [F(-1), F(-1, 100), F(0), F(1, 10 ** 4), F(1, 3)]))
+    eps = draw(st.sampled_from([F(1, 10), F(1, 10 ** 3), F(1, 10 ** 6)]))
+    return e, d, eps, q, draw(st.integers(0, 64))
+
+
+def answer(run):
+    """What run returns, or the refusal it raises with its message and
+    partial answer."""
+    try:
+        return run()
+    except (BudgetExhausted, CapExceeded) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "partial", None)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(grid_cases())
+@example((parse_expr("x*(1-x)"), domain_of((F(1, 3), F(1, 3)), (F(1, 2), 1)),
+          F(1, 10 ** 8), F(1, 4), 13))
+@example((parse_expr("x^3 - x"), domain_of((F(-3, 2), F(-1, 7))), F(1, 100),
+          F(2, 5), 9))
+@example((parse_expr("7/4 - 3*(x-2/3)^2"),
+          domain_of((F(-3, 2), F(-1, 7)), (F(1, 2), F(1, 2)), (F(3, 5), 2)),
+          F(1, 10 ** 5), F(7, 4), 8))
+@example((parse_expr("x^0 + x^0"), domain_of((-1, 1)), F(1, 10), F(1), 3))
+def test_integer_boxes_equal_the_fraction_box_oracle(case):
+    """evt_maximize gives the oracle's lower, upper, nodes, trace and cover,
+    or its exhaustion with the same message and partial answer; the
+    witness and cover searches give its witness and bound, or pieces."""
+    e, d, eps, q, budget = case
+    limits = Limits(bnb_node_budget=budget)
+    assert (answer(lambda: evt_maximize(e, d, eps, limits=limits))
+            == answer(lambda: evt_oracles.evt_maximize(e, d, eps,
+                                                       limits=limits)))
+    if budget >= 1:
+        for steps in ("_witness_steps", "_cover_steps"):
+            assert (evt._search(getattr(evt, steps), e, d, q, budget)
+                    == evt._search(getattr(evt_oracles, steps), e, d, q,
+                                   budget))
+
+
 # --- work done once -----------------------------------------------------------------
 
 def record_evaluations(monkeypatch, active):
-    """The boxes evt evaluates, each with the search running at the time;
-    reals.eval_point must not be called (evt holds its own reference)."""
+    """The boxes evt hands the integer kernel, as rational intervals, each
+    with the search running at the time; reals.eval_point must not be
+    called (evt holds its own reference, for the components' midpoints)."""
     seen = []
-    inner = evt.eval_interval
+    inner = evt.eval_numerators
 
-    def recorder(e, box):
-        seen.append((tuple(active), box))
-        return inner(e, box)
+    def recorder(c, a, b, pw):
+        seen.append((tuple(active), (F(a, pw[1]), F(b, pw[1]))))
+        return inner(c, a, b, pw)
 
     def point(*args):
-        raise AssertionError("eval_interval called eval_point")
+        raise AssertionError("the kernel called eval_point")
 
-    monkeypatch.setattr(evt, "eval_interval", recorder)
+    monkeypatch.setattr(evt, "eval_numerators", recorder)
     monkeypatch.setattr(reals, "eval_point", point)
     return seen
 
@@ -478,6 +537,51 @@ def test_locate_evaluates_each_box_once_per_search(monkeypatch, src, dom, p,
     assert_once(seen)
 
 
+def count_fractions(monkeypatch):
+    """A list whose length is the number of Fractions built from here on."""
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    if hasattr(F, "_from_coprime_ints"):  # arithmetic bypasses __new__
+        inner = F._from_coprime_ints.__func__
+
+        def coprime(cls, *args):
+            built.append(None)
+            return inner(cls, *args)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(coprime))
+    return built
+
+
+@pytest.mark.parametrize("src, dom, eps", [
+    ("x*(1-x)", domain_of((0, 1), (2, 3)), F(1, 10 ** 6)),
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", UNIT, F(1, 10 ** 4)),
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", UNIT, F(1, 10 ** 6)),
+    ("x^3 - x", domain_of((-2, 2)), F(1, 10 ** 4)),
+    ("7/4 - 3*(x-2/3)^2", domain_of((-1, 1)), F(1, 10 ** 6))])
+def test_evt_maximize_builds_two_fractions_per_node(monkeypatch, src, dom,
+                                                    eps):
+    """Boxes, bounds, midpoint values and heap keys are integers: an
+    expanded node builds a Fraction only when lower rises and when upper
+    changes, at most 2.  Besides these a run builds 2 per cover box and 4
+    per domain component (its midpoint and the value there), and 4 more:
+    eps, the cover's width bound (2) and the first upper.  The Fraction-box
+    oracle builds over 10 per node."""
+    e = parse_expr(src)
+    built = count_fractions(monkeypatch)
+    enc, cover = evt_maximize(e, dom, eps)
+    fixed = 2 * len(cover.intervals) + 4 * len(dom.components) + 4
+    assert len(built) - fixed <= 2 * enc.nodes_expanded
+    built.clear()
+    assert evt_oracles.evt_maximize(e, dom, eps) == (enc, cover)
+    assert len(built) > 10 * enc.nodes_expanded
+
+
 @pytest.mark.parametrize("run", [
     lambda e, lim: evt_maximize(e, UNIT, F(1, 1000), limits=lim),
     lambda e, lim: locate(e, UNIT, F(0), F(1), limits=lim),
@@ -490,6 +594,7 @@ def test_degree_cap_refuses_before_evaluating(monkeypatch, run):
 
     monkeypatch.setattr(evt, "eval_point", evaluated)
     monkeypatch.setattr(evt, "eval_interval", evaluated)
+    monkeypatch.setattr(evt, "eval_numerators", evaluated)
     with pytest.raises(CapExceeded, match=r"expression degree has size 12, "
                        r"exceeding cap 11 \(degree_cap\)"):
         run(parse_expr("(x^2 + 1)^3 * x^6"), Limits(degree_cap=11))
