@@ -10,7 +10,7 @@ outer cover of the maximizer set.
 The searches run on the integer boxes of one dyadic grid (`_Grid`) and
 compare by integer cross-multiplication, best first on integer keys
 (`_Heap`).  Fractions are built only for what leaves a search: lower when
-it rises, upper when it changes, the trace, cover, witness, bound, pieces.
+it rises, upper after each step, the trace, cover, witness, bound, pieces.
 
 Each entry point compiles its expression once (`reals.compile_expr`) and
 hands the compiled form to every evaluation and helper below it.
@@ -150,7 +150,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     items, scale, deg = heap.items, grid.scale, e.degree
     for a, b in grid.roots:
         heap.offer(a, b, 0, ln, ld)
-    nodes, upper = 0, None
+    nodes = 0
 
     def expand(a, b, k, fm):
         """Raise lower to F at the box's midpoint (a kernel call on the
@@ -165,16 +165,14 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
         nodes += 1
         return k + 1
 
+    def live(hi, k):
+        """Whether a box bounded above by hi over scale(k) reaches lower."""
+        return hi * ld >= ln * scale(k)
+
     def upper_now():
-        while items and items[0][3] * ld < ln * scale(items[0][6]):
+        while items and not live(items[0][3], items[0][6]):
             heapq.heappop(items)  # lazily drop boxes pruned by a later lower
-        if not items:
-            return lower
-        hi, k = items[0][3], items[0][6]
-        if (upper is not None
-                and hi * upper.denominator == upper.numerator * scale(k)):
-            return upper  # a new Fraction only when the value changes
-        return Fraction(hi, scale(k))
+        return Fraction(items[0][3], scale(items[0][6])) if items else lower
 
     def exhausted(boxes):
         """The refusal, with boxes (hi, a, b, k, ...) as the partial cover."""
@@ -190,7 +188,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
            > en * upper.denominator * ld):  # upper - lower > eps
         if nodes >= node_budget:
             raise exhausted([item[3:] for item in items
-                             if item[3] * ld >= ln * scale(item[6])])
+                             if live(item[3], item[6])])
         _, _, _, _, a, b, k, fm = heapq.heappop(items)
         k, m = expand(a, b, k, fm), a + b
         for a, b in ((2 * a, m), (m, 2 * b)):
@@ -203,14 +201,14 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
     # boxes are disjoint, so a box's halves come before every box to its
     # right, and a stack keeps that order
     stack = [item[3:] for item in reversed(sorted(
-        (item for item in items if item[3] * ld >= ln * scale(item[6])),
+        (item for item in items if live(item[3], item[6])),
         key=lambda item: (item[1], item[1] + item[2])))]
     survivors = []  # (hi, a, b, k, F(m))
     wide, dd = delta.numerator * grid.den, delta.denominator
     while stack:
         box = stack.pop()
         hi, a, b, k, fm = box
-        if hi * ld < ln * scale(k):
+        if not live(hi, k):
             continue
         if (b - a) * dd <= wide << k:
             survivors.append(box)
@@ -222,7 +220,7 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
         for a, b in ((m, 2 * b), (2 * a, m)):  # the left half on top
             _, hi, fm = grid.bounds(a, b, k)
             stack.append((hi, a, b, k, fm))
-    survivors = [box for box in survivors if box[0] * ld >= ln * scale(box[3])]
+    survivors = [box for box in survivors if live(box[0], box[3])]
     deep = max(box[3] for box in survivors)
     best = max(box[0] << (deep - box[3]) * deg for box in survivors)
     if best * upper.denominator < upper.numerator * scale(deep):

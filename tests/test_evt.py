@@ -355,6 +355,7 @@ def test_locate_budget_zero_refuses_before_searching(monkeypatch):
 
     monkeypatch.setattr(evt, "eval_interval", searched)
     monkeypatch.setattr(evt, "eval_point", searched)
+    monkeypatch.setattr(evt, "eval_numerators", searched)
     with pytest.raises(BudgetExhausted, match="locate budget 0 exhausted"):
         locate(parse_expr("x*(1 - x)"), UNIT, F(1, 5), F(1, 3),
                limits=Limits(bnb_node_budget=0))
@@ -568,8 +569,8 @@ def count_fractions(monkeypatch):
 def test_evt_maximize_builds_two_fractions_per_node(monkeypatch, src, dom,
                                                     eps):
     """Boxes, bounds, midpoint values and heap keys are integers: an
-    expanded node builds a Fraction only when lower rises and when upper
-    changes, at most 2.  Besides these a run builds 2 per cover box and 4
+    expanded node builds a Fraction for upper and one more when lower
+    rises, at most 2.  Besides these a run builds 2 per cover box and 4
     per domain component (its midpoint and the value there), and 4 more:
     eps, the cover's width bound (2) and the first upper.  The Fraction-box
     oracle builds over 10 per node."""
