@@ -100,7 +100,7 @@ def _parse_element_expr(p, text, limits):
     plus `bot` and `top`."""
     text = text.strip()
     if text == "bot":
-        return presentations.cideal_bottom(p, limits)
+        return presentations.saturate(p, [], limits)
     parts = [part.strip() for part in text.split("|")]
     meets = []
     for part in parts:

@@ -285,14 +285,6 @@ class FrameHom:
                for j in f.lower_covers for k in f.lower_covers):
             raise PointfreeError("hom does not preserve binary meets")
 
-    def __call__(self, u):
-        return self.mapping[u]
-
-    def __hash__(self):
-        return hash((id(self.source), id(self.target),
-                     tuple(sorted(self.mapping.items(),
-                                  key=lambda kv: sort_key(kv[0])))))
-
 
 # --- coproducts / tensor ------------------------------------------------------
 

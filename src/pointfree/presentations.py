@@ -273,14 +273,6 @@ class CIdeal:
         _same(self, other)
         return self.models & ~other.models == 0
 
-    def __and__(self, other):
-        _same(self, other)
-        return CIdeal(self.presentation, self.models & other.models)
-
-    def __or__(self, other):
-        _same(self, other)
-        return CIdeal(self.presentation, self.models | other.models)
-
     def __str__(self):
         return self.presentation.model_sets.name(self.models)
 
@@ -294,11 +286,6 @@ def saturate(p, seed, limits=DEFAULT):
     """Least C-ideal containing the given formal meets (a closure operator):
     the meets all of whose models hold one of them."""
     return CIdeal(p, _model_sets(p, limits).of_meets(seed))
-
-
-def cideal_bottom(p, limits=DEFAULT):
-    _model_sets(p, limits)
-    return CIdeal(p, 0)
 
 
 def check_positivity_certificate(p, positives):

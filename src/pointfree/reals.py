@@ -70,57 +70,37 @@ def rat_decimal(q, digits):
 
 @dataclass(frozen=True)
 class RatInterval:
-    """Rational interval; lo = None means -oo and hi = None means +oo.
+    """Closed rational interval [lo, hi], lo <= hi: a box of interval
+    evaluation (a point box when lo == hi) or a domain component."""
 
-    Used both for the open subbasic intervals of the line and, with finite
-    endpoints, as the closed boxes of interval evaluation; point boxes
-    (lo == hi) are legal only in evaluation contexts.
-    """
-
-    lo: object  # Fraction or None
-    hi: object  # Fraction or None
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self):
         for end in (self.lo, self.hi):
-            if end is not None and not isinstance(end, Fraction):
+            if not isinstance(end, Fraction):
                 raise PointfreeError(f"interval endpoint {end!r} not rational")
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+        if self.lo > self.hi:
             raise PointfreeError("interval with lo > hi")
 
-    @property
-    def finite(self):
-        return self.lo is not None and self.hi is not None
-
     def midpoint(self):
-        if not self.finite:
-            raise PointfreeError("midpoint of an unbounded interval")
         return (self.lo + self.hi) / 2
-
-    def __str__(self):
-        lo = "-oo" if self.lo is None else rat_str(self.lo)
-        hi = "+oo" if self.hi is None else rat_str(self.hi)
-        return f"({lo},{hi})"
 
 
 def interval(lo, hi):
-    conv = lambda v: None if v is None else Fraction(v)
-    return RatInterval(conv(lo), conv(hi))
+    return RatInterval(Fraction(lo), Fraction(hi))
 
 
 # --- expressions --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Var:
-    def __str__(self):
-        return "x"
+    """The variable x."""
 
 
 @dataclass(frozen=True)
 class Const:
     value: Fraction
-
-    def __str__(self):
-        return rat_str(self.value)
 
 
 @dataclass(frozen=True)
@@ -129,18 +109,10 @@ class BinOp:
     a: object
     b: object
 
-    def __str__(self):
-        if self.op in ("min", "max"):
-            return f"{self.op}({self.a}, {self.b})"
-        return f"({self.a} {self.op} {self.b})"
-
 
 @dataclass(frozen=True)
 class Abs:
     a: object
-
-    def __str__(self):
-        return f"abs({self.a})"
 
 
 @dataclass(frozen=True)
@@ -152,16 +124,10 @@ class Pow:
         if not isinstance(self.k, int) or self.k < 0:
             raise PointfreeError("power exponent must be a natural number")
 
-    def __str__(self):
-        return f"{self.a}^{self.k}"
-
 
 @dataclass(frozen=True)
 class Neg:
     a: object
-
-    def __str__(self):
-        return f"(-{self.a})"
 
 
 # --- compiled evaluation ------------------------------------------------------
@@ -294,11 +260,9 @@ def eval_point(e, x):
 
 def eval_interval(e, box):
     """Sound enclosure of the range of the expression (a tree or its
-    compiled form) over a finite closed box; exact (width 0) on point
+    compiled form) over a closed box; exact (width 0) on point
     boxes: `eval_numerators` on the box over the lcm of its denominators.
     """
-    if not box.finite:
-        raise PointfreeError("interval evaluation needs a finite box")
     c = compile_expr(e)
     lo, hi = box.lo, box.hi
     dlo, dhi = lo.denominator, hi.denominator
@@ -619,22 +583,15 @@ def parse_expr(text):
 class Domain:
     """Nonempty finite union of disjoint closed rational intervals, sorted."""
 
-    components: tuple  # RatIntervals with finite endpoints, lo <= hi
+    components: tuple  # RatIntervals
 
     def __post_init__(self):
         if not self.components:
             raise PointfreeError("domain must be nonempty")
-        for c in self.components:
-            if not c.finite:
-                raise PointfreeError("domain components must be bounded")
         for a, b in zip(self.components, self.components[1:]):
             if b.lo <= a.hi:
                 raise PointfreeError("domain components must be disjoint "
                                      "and sorted")
-
-    def __str__(self):
-        return " u ".join(f"[{rat_str(c.lo)},{rat_str(c.hi)}]"
-                          for c in self.components)
 
 
 def domain_of(*pairs):

@@ -9,7 +9,7 @@ frame presentation.
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 from .config import DEFAULT
@@ -63,37 +63,6 @@ class TheoryAST:
     families: tuple
     axioms: tuple
 
-    def __post_init__(self):
-        fams = {}
-        for f in self.families:
-            if f.name in fams:
-                raise ParseError(f"duplicate proposition family {f.name!r}")
-            fams[f.name] = f
-        for ax in self.axioms:
-            universal = {v for v, _ in ax.binders}
-            bound = universal | {v for v, _ in ax.joins}
-            if len(bound) != len(ax.binders) + len(ax.joins):
-                raise ParseError("duplicate index binder")
-
-            def check_atom(atom, allowed):
-                if atom.name not in fams:
-                    raise ParseError(f"unknown proposition {atom.name!r}")
-                if len(atom.indices) != len(fams[atom.name].bounds):
-                    raise ParseError(f"wrong index count on {atom.name!r}")
-                for i in atom.indices:
-                    if isinstance(i, str) and i not in allowed:
-                        raise ParseError(f"unbound index {i!r}")
-
-            for atom in ax.lhs:
-                check_atom(atom, universal)
-            for conj in ax.rhs:
-                for atom in conj:
-                    check_atom(atom, bound)
-            for a, _, b in ax.conds:
-                for i in (a, b):
-                    if isinstance(i, str) and i not in universal:
-                        raise ParseError(f"unbound index {i!r} in side condition")
-
 
 # --- tokenizer ----------------------------------------------------------------
 
@@ -134,6 +103,9 @@ def _tokenize(text):
     return toks
 
 
+_COMPARISONS = ("!=", "==", "<", "<=")
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -158,9 +130,26 @@ class _Parser:
     def at(self, text):
         return self.toks[self.i][1] == text
 
+    def skip(self, text):
+        """Consume the next token if it is text."""
+        if self.toks[self.i][1] != text:
+            return False
+        self.i += 1
+        return True
+
+    def listof(self, item, sep=","):
+        """One or more items separated by sep."""
+        out = [item()]
+        while self.skip(sep):
+            out.append(item())
+        return tuple(out)
+
     # grammar ------------------------------------------------------------
 
     def theory(self):
+        """The TheoryAST, checked once all is read, so a family may follow
+        the axioms that use it: duplicate families, then each axiom in source
+        order.  Each error is raised at its token, looked up only then."""
         families, axioms = [], []
         while self.toks[self.i][0] != "eof":
             if self.at("prop"):
@@ -169,57 +158,56 @@ class _Parser:
                 axioms.append(self.axiom())
             else:
                 self.fail("expected 'prop' or 'axiom'")
-        return families, axioms
+        fams = {}
+        for f, t in families:
+            if f.name in fams:
+                self.fail(f"duplicate proposition family {f.name!r}", t)
+            fams[f.name] = f.bounds
+        return TheoryAST(tuple(f for f, _ in families),
+                         tuple([self.resolve(fams, *ax) for ax in axioms]))
 
     def propdecl(self):
+        """(PropFamily, name token) per signature."""
         self.expect("prop")
-        sigs = [self.famsig()]
-        while self.at(","):
-            self.next()
-            sigs.append(self.famsig())
-        binders = dict(self.binders()) if self.at("for") else {}
+        sigs = self.listof(self.famsig)
+        binders = dict(self.listof(self.binder)) if self.skip("for") else {}
         self.expect(";")
-        out = []
-        for name, vars_ in sigs:
-            bounds = []
+        for _, vars_ in sigs:
             for v in vars_:
-                if v not in binders:
-                    self.fail(f"unbound index {v!r} in prop declaration")
-                bounds.append(binders[v])
-            out.append(PropFamily(name, tuple(bounds)))
-        return out
+                if v[1] not in binders:
+                    self.fail(f"unbound index {v[1]!r} in prop declaration", v)
+        return [(PropFamily(t[1], tuple(binders[v[1]] for v in vars_)), t)
+                for t, vars_ in sigs]
 
     def famsig(self):
+        """The name token and the index-variable tokens of a signature."""
         t = self.next()
         if t[0] != "name":
             self.fail("expected proposition name", t)
         vars_ = []
-        while self.at("["):
-            self.next()
+        while self.skip("["):
             v = self.next()
             if v[0] != "name":
                 self.fail("prop declaration indices must be variables", v)
-            vars_.append(v[1])
+            vars_.append(v)
             self.expect("]")
-        return t[1], vars_
+        return t, vars_
 
     def axiom(self):
+        """(first token, lhs, rhs, binders, conds, joins), not checked."""
+        start = self.i
         self.expect("axiom")
         lhs = self.conjunction()
         self.expect("|-")
-        joins = []
-        if self.at("some"):
-            self.next()
-            joins = [self.binder()]
-            while self.at(","):
-                self.next()
-                joins.append(self.binder())
+        joins = ()
+        if self.skip("some"):
+            joins = self.listof(self.binder)
             self.expect(".")
         rhs = self.disjunction()
-        binders = self.binders() if self.at("for") else []
-        conds = self.conds() if self.at("if") else []
+        binders = self.listof(self.binder) if self.skip("for") else ()
+        conds = self.listof(self.cond) if self.skip("if") else ()
         self.expect(";")
-        return lhs, rhs, binders, conds, joins
+        return start, lhs, rhs, binders, conds, joins
 
     def conjunction(self):
         if self.toks[self.i][1] == "true":
@@ -232,17 +220,12 @@ class _Parser:
         return tuple(atoms)
 
     def disjunction(self):
-        if self.at("false"):
-            self.next()
+        if self.skip("false"):
             return ()
-        terms = [self.conjunction()]
-        while self.at("|"):
-            self.next()
-            terms.append(self.conjunction())
-        for term in terms:
-            if not term:
-                self.fail("'true' cannot appear inside a disjunction")
-        return tuple(terms)
+        terms = self.listof(self.conjunction, "|")
+        if () in terms:
+            self.fail("'true' cannot appear inside a disjunction")
+        return terms
 
     def atom(self):
         t = self.toks[self.i]
@@ -252,90 +235,93 @@ class _Parser:
         if self.toks[self.i][1] != "[":
             return Atom(t[1], ())
         idx = []
-        while self.at("["):
-            self.next()
+        while self.skip("["):
             idx.append(self.iexpr())
             self.expect("]")
         return Atom(t[1], tuple(idx))
 
-    def iexpr(self):
+    def iexpr(self, what="an index variable or integer"):
         kind, text, _ = t = self.next()
         if kind == "int":
             return int(text)
-        if kind == "name":
-            return text
-        self.fail("expected an index variable or integer", t)
-
-    def binders(self):
-        self.expect("for")
-        out = [self.binder()]
-        while self.at(","):
-            self.next()
-            out.append(self.binder())
-        return out
+        if kind != "name":
+            self.fail(f"expected {what}", t)
+        return text
 
     def binder(self):
         v = self.next()
         if v[0] != "name":
             self.fail("expected an index variable", v)
         self.expect("<")
-        kind, text, _ = b = self.next()
-        if kind == "int":
-            return (v[1], int(text))
-        if kind == "name":
-            return (v[1], text)
-        self.fail("expected a bound (name or integer)", b)
-
-    def conds(self):
-        self.expect("if")
-        out = [self.cond()]
-        while self.at(","):
-            self.next()
-            out.append(self.cond())
-        return out
+        return v[1], self.iexpr("a bound (name or integer)")
 
     def cond(self):
         a = self.iexpr()
         t = self.next()
-        if t[1] not in ("!=", "==", "<", "<="):
+        if t[1] not in _COMPARISONS:
             self.fail("expected a comparison (!=, ==, <, <=)", t)
         return (a, t[1], self.iexpr())
 
+    # checks -------------------------------------------------------------
+
+    def resolve(self, fams, start, lhs, rhs, binders, conds, joins):
+        """Check an axiom's binders, each atom (known family, index count,
+        no `some` variable on the left) and its side conditions, inferring
+        the universal binders it leaves implicit from the families' bounds."""
+        explicit = some = {}
+        inferred = {}
+        if binders or joins:
+            names = [v for v, _ in joins + binders]
+            if len(set(names)) != len(names):
+                n = next(n for n, v in enumerate(names) if v in names[:n])
+                self.fail("duplicate index binder", self._index_tok(start, n))
+            explicit, some = dict(binders), dict(joins)
+        for atom in chain(lhs, *rhs):
+            bounds = fams.get(atom.name)
+            if bounds is None or len(bounds) != len(atom.indices):
+                self.fail(f"unknown proposition {atom.name!r}" if bounds is None
+                          else f"wrong index count on {atom.name!r}",
+                          self._atom_tok(start, lhs, rhs, atom))
+            if not bounds:
+                continue
+            for i, b in zip(atom.indices, bounds):
+                if isinstance(i, int) or i in explicit:
+                    continue
+                if i in some:
+                    if atom in lhs:
+                        self.fail(f"unbound index {i!r}",
+                                  self._atom_tok(start, lhs, rhs, atom))
+                elif inferred.setdefault(i, b) != b:
+                    self.fail(f"index {i!r} used with conflicting bounds "
+                              f"{inferred[i]!r} and {b!r}",
+                              self._atom_tok(start, lhs, rhs, atom))
+        for m, (a, _, b) in enumerate(conds, len(joins) + len(binders)):
+            for i in (a, b):
+                if not (isinstance(i, int) or i in explicit or i in inferred):
+                    self.fail(f"unbound index {i!r} in side condition",
+                              self._index_tok(start, m))
+        return Axiom(lhs, rhs, (*binders, *inferred.items()), conds, joins)
+
+    def _atom_tok(self, start, lhs, rhs, atom):
+        """The name token of atom's first occurrence in the axiom at token
+        start.  The atoms are the names after `axiom`, `|-`, `.`, `&` and
+        `|`, other than `true`, `false` and the `some` keyword."""
+        toks = self.toks[start:]
+        return [t for p, t in zip(toks, toks[1:])
+                if p[1] in ("axiom", "|-", ".", "&", "|")
+                and t[1] not in ("true", "false")
+                and (p[1], t[1]) != ("|-", "some")
+                ][[*lhs, *chain(*rhs)].index(atom)]
+
+    def _index_tok(self, start, n):
+        """The n-th token before a comparison in the axiom at token start:
+        `some`, then `for` binder variables, then conditions' first indices."""
+        toks = self.toks[start:]
+        return [t for t, c in zip(toks, toks[1:]) if c[1] in _COMPARISONS][n]
+
 
 def parse_theory(text):
-    families, raw_axioms = _Parser(text).theory()
-    fam_by_name = {f.name: f for f in families}
-    axioms = [_resolve_axiom(fam_by_name, *raw) for raw in raw_axioms]
-    return TheoryAST(tuple(families), tuple(axioms))
-
-
-def _resolve_axiom(fams, lhs, rhs, binders, conds, joins):
-    """Infer universal binders for index variables the axiom leaves implicit,
-    using the bounds declared for the families they index; variables named by
-    a `some` disjunction binder are never universally quantified."""
-    atoms = list(lhs) + [a for c in rhs for a in c]
-    if not (binders or joins or any(a.indices for a in atoms)):
-        return Axiom(lhs, rhs, (), tuple(conds), ())
-    explicit = {v for v, _ in binders} | {v for v, _ in joins}
-    bound = dict(binders)
-    bound.update(joins)
-    order = [v for v, _ in binders]
-    for atom in atoms:
-        fam = fams.get(atom.name)
-        if fam is None or len(fam.bounds) != len(atom.indices):
-            continue  # TheoryAST.__post_init__ reports this properly
-        for pos, i in enumerate(atom.indices):
-            if not isinstance(i, str):
-                continue
-            declared = fam.bounds[pos]
-            if i not in bound:
-                bound[i] = declared
-                order.append(i)
-            elif i not in explicit and bound[i] != declared:
-                raise ParseError(f"index {i!r} used with conflicting bounds "
-                                 f"{bound[i]!r} and {declared!r}")
-    return Axiom(lhs, rhs, tuple((v, bound[v]) for v in order), tuple(conds),
-                 tuple(joins))
+    return _Parser(text).theory()
 
 
 def pretty_print(ast):

@@ -496,7 +496,7 @@ def diagonal_hom(f, cap=None):
 def is_hausdorff(f, cap=None):
     """Search f ⊕ f for a closed-diagonal witness. Returns (bool, witness)."""
     tensor, delta = diagonal_hom(f, cap=cap)
-    kernel = Congruence.from_map(tensor, delta)
+    kernel = Congruence.from_map(tensor, delta.mapping.__getitem__)
     for d in tensor.elements:
         if closed_congruence(tensor, d).classes == kernel.classes:
             return True, d
@@ -505,7 +505,7 @@ def is_hausdorff(f, cap=None):
 
 def has_open_diagonal(f, cap=None):
     tensor, delta = diagonal_hom(f, cap=cap)
-    kernel = Congruence.from_map(tensor, delta)
+    kernel = Congruence.from_map(tensor, delta.mapping.__getitem__)
     return any(open_congruence(tensor, d).classes == kernel.classes
                for d in tensor.elements)
 

@@ -5,7 +5,6 @@ elements, Hasse edges and points, in order."""
 
 import functools
 import json
-import operator
 import os
 import subprocess
 import sys
@@ -24,9 +23,8 @@ from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import PresentedFrame, enumerate_frame, points
 from pointfree.order import sort_key
 from pointfree.presentations import (TOP_MEET, FramePresentation,
-                                     check_positivity_certificate,
-                                     cideal_bottom, meet_key, meet_str,
-                                     saturate, set_bits, stabilize)
+                                     check_positivity_certificate, meet_key,
+                                     meet_str, saturate, set_bits, stabilize)
 
 THY = Path(__file__).resolve().parents[1] / "theories"
 
@@ -70,14 +68,15 @@ def test_saturate_matches_the_fixpoint_oracle(p, data):
     for seed in seeds:
         assert saturate(p, seed).members == frame_oracles.saturate(p, seed)
     a, b = (saturate(p, seed) for seed in (seeds[0], seeds[-1]))
-    assert (a | b).members == frame_oracles.saturate(p, a.members | b.members)
+    assert saturate(p, seeds[0] | seeds[-1]).members == \
+        frame_oracles.saturate(p, a.members | b.members)
 
 
 @settings(max_examples=100, deadline=None)
 @given(presentations(), st.data())
 def test_model_sets_match_the_horn_closure(p, data):
-    """Saturation, joins, meets, generator images, bottom, top, order,
-    names and positivity verdicts on model sets, on the
+    """Saturation, joins, generator images, bottom, top, order, names
+    and positivity verdicts on model sets, on the
     covers as given and stabilized, against the Horn closure of the
     stabilized presentation."""
     q = stabilize(p)
@@ -88,17 +87,15 @@ def test_model_sets_match_the_horn_closure(p, data):
     for r in (p, q):
         cs = [saturate(r, seed) for seed in seeds]
         assert [c.mask for c in cs] == want
-        assert cideal_bottom(r).mask == h.bottom
+        assert saturate(r, []).mask == h.bottom
         assert saturate(r, [TOP_MEET]).mask == h.top
         for g in r.generators:
             assert saturate(r, [frozenset([g])]).mask == \
                 h.saturate(h.mask([frozenset([g])]))
-        assert functools.reduce(operator.or_, cs).mask == \
+        assert saturate(r, set().union(*seeds)).mask == \
             h.saturate(functools.reduce(int.__or__, want))
         a, b = cs[0], cs[-1]
         wa, wb = want[0], want[-1]
-        assert (a | b).mask == h.saturate(wa | wb)
-        assert (a & b).mask == wa & wb
         assert (a <= b) == (wa & ~wb == 0)
         assert str(a) == "{" + ", ".join(
             meet_str(m) for m in sorted(h.cideal(wa), key=meet_key)) + "}"

@@ -79,7 +79,7 @@ def test_universal_property_against_a_target_frame(small_frames):
 
     hom = FrameHom(f, t, {e: ext(e) for e in f.elements})
     for g in p.generators:
-        assert hom(gen_map[g]) == assign[g]
+        assert hom.mapping[gen_map[g]] == assign[g]
 
 
 # --- points ----------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_each_point_induces_a_frame_hom(small_frames):
         # FrameHom validates on construction
         hom = FrameHom(f, two, {u: two.top if u in pt else two.bottom
                                 for u in f.elements})
-        assert hom(f.top) == two.top
+        assert hom.mapping[f.top] == two.top
 
 
 # --- congruences -------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_quotient_examples(small_frames):
     assert len(q_open.elements) == 2
     q_all, _ = quotient(f, closed_congruence(f, f.top))
     assert len(q_all.elements) == 1
-    assert hom(f.top) == q_open.top
+    assert hom.mapping[f.top] == q_open.top
 
 
 def test_quotients_of_open_and_closed_have_expected_sizes(small_frames):
@@ -274,7 +274,8 @@ def test_injections_are_frame_homs_and_rectangles_factor(small_frames):
     tensor, inj1, inj2, rect = coproduct(two, f)
     for u in two.elements:
         for v in f.elements:
-            assert rect(u, v) == tensor.meet(inj1(u), inj2(v))
+            assert rect(u, v) == tensor.meet(inj1.mapping[u],
+                                             inj2.mapping[v])
 
 
 # --- Hausdorff ------------------------------------------------------------------------

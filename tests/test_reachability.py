@@ -7,8 +7,11 @@ METHODS).  Code that only its own tests reach is deleted, not kept.
 Reachability is by name over the ASTs.  A name resolves through its
 module's definitions and `from` imports; `module.name` through a module
 alias; any other `.attr` reaches every method of that name on a reached
-class.  Dunder methods (dataclass hooks among them) are reached with their
-class, and module dunders such as `__version__` count as reached.
+class.  `__init__` and `__post_init__` are reached with their class, and
+module dunders such as `__version__` count as reached.  Any other dunder
+method is run by Python, not named, so it is reached with its class only
+when IMPLICIT names the library caller that invokes it (by an operator,
+`str`, a call or a missing key), and that caller must be reached itself.
 Top-level defs, classes, methods and assigned names are checked.
 """
 
@@ -18,6 +21,16 @@ from test_tracing import ROOT, load_tracing
 
 SRC = ROOT / "src" / "pointfree"
 TESTS = ROOT / "tests"
+CONSTRUCTORS = {"__init__", "__post_init__"}
+# dunder method -> the caller in src/pointfree that invokes it implicitly
+IMPLICIT = {
+    "presentations.CIdeal.__le__": "cli.cmd_frame",
+    "presentations.CIdeal.__str__": "cli.cmd_frame",
+    "theories.Axiom.__str__": "theories.pretty_print",
+    "theories.Atom.__str__": "theories.Axiom.__str__",
+    "cli._Once.__call__": "cli.build_parser",
+    "order._ElementMap.__missing__": "order.DistLattice.j_below",
+}
 
 
 class Program:
@@ -88,9 +101,11 @@ class Program:
         found.discard(None)
         return found, attrs
 
-    def unreached(self, roots, attrs=(), methods=()):
+    def unreached(self, roots, attrs=(), methods=(), implicit=()):
         """Definitions and methods not reached from the root definitions,
-        root attribute names and root methods, as dotted names."""
+        root attribute names and root methods, as dotted names; the
+        dunder methods in implicit (dotted names) are reached with their
+        class."""
         reached, seen_methods, methods = set(), set(), set(methods)
         attrs, todo = set(attrs), [self.resolve(*r) for r in roots]
         todo += [(m, c) for m, c, _ in methods]
@@ -104,7 +119,8 @@ class Program:
                     self._visit(key[0], self.defs[key], todo, attrs)
             fresh = [k for k in self.methods if k not in seen_methods and (
                 k in methods or k[:2] in reached
-                and (k[2] in attrs or _dunder(k[2])))]
+                and (k[2] in CONSTRUCTORS or ".".join(k) in implicit
+                     if _dunder(k[2]) else k[2] in attrs))]
             if not fresh:
                 break
             for key in fresh:
@@ -162,10 +178,13 @@ def test_every_definition_in_src_is_reached():
     program, roots, attrs, methods = surface()
     assert ("cli", "main") in program.defs and ("order", "DistLattice",
                                                 "__init__") in methods
-    unreached = program.unreached(roots, attrs, methods)
+    unreached = program.unreached(roots, attrs, methods, IMPLICIT)
     assert not unreached, (
         "reached neither from cli.main, the acceptance gate nor the bench "
         f"tracer: {', '.join(unreached)}")
+    defined = {".".join(k) for k in [*program.defs, *program.methods]}
+    for dunder, caller in IMPLICIT.items():  # so both are reached
+        assert dunder in defined and caller in defined, (dunder, caller)
 
 
 def test_the_walk_reports_what_no_root_reaches():
@@ -175,7 +194,8 @@ def test_the_walk_reports_what_no_root_reaches():
         "def used(x=LIMIT):\n    return C().meth()\n"
         "def unused():\n    return helper()\n"
         "class C:\n    def __post_init__(self): pass\n"
-        "    def meth(self): pass\n    def other(self): pass\n"),
+        "    def meth(self): pass\n    def other(self): pass\n"
+        "    def __str__(self): pass\n    def __eq__(self, o): pass\n"),
         "n": "def helper():\n    return 1\ndef orphan():\n    pass\n"})
-    assert program.unreached([("m", "used")]) == [
-        "m.C.other", "m.unused", "n.orphan"]
+    assert program.unreached([("m", "used")], implicit={"m.C.__eq__"}) == [
+        "m.C.__str__", "m.C.other", "m.unused", "n.orphan"]

@@ -37,13 +37,6 @@ def test_rat_decimal_rounding():
 
 # --- expressions ---------------------------------------------------------------------
 
-def test_parse_expr_round_trip():
-    for src in ["x*(1 - x)", "min(x, 1 - x)", "abs(x - 1/3)",
-                "max(x, 0.5) + x^2", "-x"]:
-        e = parse_expr(src)
-        assert eval_point(parse_expr(str(e)), F(1, 7)) == eval_point(e, F(1, 7))
-
-
 def test_parse_expr_errors_carry_columns():
     with pytest.raises(ParseError) as err:
         parse_expr("x + ")
@@ -281,9 +274,10 @@ def test_compile_reads_degree_and_uses():
     assert (zero.degree, zero.x_uses) == (1, 3)
 
 
-def test_eval_interval_requires_finite_box():
-    with pytest.raises(PointfreeError):
-        eval_interval(parse_expr("x^2"), RatInterval(F(0), None))
+def test_a_none_endpoint_is_refused_as_not_rational():
+    with pytest.raises(PointfreeError, match="^interval endpoint None not "
+                       "rational$"):
+        RatInterval(F(0), None)
 
 
 # --- domains ------------------------------------------------------------------------
@@ -291,7 +285,7 @@ def test_eval_interval_requires_finite_box():
 def test_domain_examples():
     d = parse_domain("[0,1] u [2,3]")
     assert len(d.components) == 2
-    assert str(domain_of((0, 1))) == "[0,1]"
+    assert domain_of((0, 1)).components == (interval(0, 1),)
     merged = domain_of((0, 1), (1, 2))  # closed pieces that touch merge
     assert len(merged.components) == 1
 

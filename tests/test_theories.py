@@ -92,31 +92,49 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_theory("prop a\n")  # missing semicolon
     with pytest.raises(ParseError):
-        parse_theory("prop a[i];\n")  # unbound declaration index
-    with pytest.raises(ParseError):
-        parse_theory("prop a;\naxiom b |- a;\n")  # unknown proposition
-    with pytest.raises(ParseError):
-        parse_theory("prop a[i] for i<2;\naxiom a |- false;\n")  # arity
-    with pytest.raises(ParseError):
         parse_theory("prop a;\naxiom true |- a | true;\n")
-    with pytest.raises(ParseError):
-        # j appears only in a side condition, so it has no inferable bound
-        parse_theory("prop a[i] for i<2;\naxiom a[i] |- false if j<i;\n")
 
 
-def test_conflicting_inferred_bounds_rejected():
-    src = ("prop a[i] for i<2;\n"
-           "prop b[i] for i<3;\n"
-           "axiom a[k] & b[k] |- false;\n")
-    with pytest.raises(ParseError) as err:
-        parse_theory(src)
-    assert "conflicting" in str(err.value)
+def test_a_family_may_be_declared_after_the_axioms_that_use_it():
+    ast = parse_theory("axiom a |- false; prop a;")
+    assert ast.axioms[0].lhs == (Atom("a", ()),)
 
 
-def test_duplicate_binder_rejected():
-    with pytest.raises(ParseError):
-        parse_theory("prop a[i] for i<2;\n"
-                     "axiom true |- some i<2. a[i] for i<2;\n")
+# every semantic error, at the token it names: (text, message, line, col)
+POSITIONED = [
+    ("prop a;\naxiom b |- a;\n", "unknown proposition 'b'", 2, 7),
+    ("prop a[i] for i<2;\naxiom a |- false;\n",
+     "wrong index count on 'a'", 2, 7),
+    ("prop a[i] for i<2;\naxiom a[0] & a[v] |- some v<2. a[v];\n",
+     "unbound index 'v'", 2, 14),
+    ("prop a[i] for i<2;\nprop b[i] for i<3;\naxiom a[k] & b[k] |- false;\n",
+     "index 'k' used with conflicting bounds 2 and 3", 3, 14),
+    ("prop a[i] for i<2;\nprop b[i] for i<3;\n"
+     "axiom a[k] & a[k] |- some j<3. b[j] | b[k];\n",
+     "index 'k' used with conflicting bounds 2 and 3", 3, 39),
+    ("prop a[i] for i<2;\naxiom true |- some i<2. a[i] for j<2, i<2;\n",
+     "duplicate index binder", 2, 39),
+    # j appears only in a side condition, so it has no inferable bound
+    ("prop a[i] for i<2;\naxiom a[i] |- false if j<i;\n",
+     "unbound index 'j' in side condition", 2, 24),
+    ("prop a[i] for i<2;\naxiom a[i] |- false for i<2 if i<i, 0<j;\n",
+     "unbound index 'j' in side condition", 2, 37),
+    ("prop a;\nprop b, a;\n", "duplicate proposition family 'a'", 2, 9),
+    ("prop some[i] for i<2;\naxiom some[0] |- some v<2. some[v] & b;\n",
+     "unknown proposition 'b'", 2, 38),
+    ("prop a[i], b[j] for i<2;\naxiom a[0] |- false;\n",
+     "unbound index 'j' in prop declaration", 1, 14),
+    ("prop a[i];\n", "unbound index 'i' in prop declaration", 1, 8),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", POSITIONED)
+def test_semantic_errors_name_their_token(text, message, line, col):
+    for parse in (parse_theory, oracle_parse_theory):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.line, err.value.col) == \
+            (message, line, col)
 
 
 # --- tokenizer and error positions against the oracle ----------------------------
@@ -176,6 +194,16 @@ def test_tokenizer_and_parse_errors_agree_with_the_oracle(text):
         outcome(lambda t: [(tok.kind, tok.text, (tok.line, tok.col))
                            for tok in oracle_tokenize(t)], text)
     assert outcome(parse_theory, text) == outcome(oracle_parse_theory, text)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@example("prop a;\naxiom a |- b;\n")
+@given(theory_texts)
+def test_every_parse_error_has_a_line_and_column(text):
+    try:
+        parse_theory(text)
+    except ParseError as exc:
+        assert exc.line is not None and exc.col is not None, exc.message
 
 
 def test_error_at_end_of_input_after_trailing_comment():
@@ -279,7 +307,7 @@ def test_truncation_embeds_monotonically():
         mapping = {e: saturate(p_big, e).members for e in f_small.elements}
         hom = FrameHom(f_small, f_big, mapping)
         assert len(set(mapping.values())) == len(mapping)
-        assert hom(f_small.top) == f_big.top
+        assert hom.mapping[f_small.top] == f_big.top
 
 
 # --- models ----------------------------------------------------------------------

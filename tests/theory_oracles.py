@@ -2,16 +2,16 @@
 kept as an independent oracle for `theories._tokenize`, which keeps only
 offsets and computes a position when an error is raised.
 
-`oracle_parse_theory` runs the grammar of `theories._Parser` on the
-oracle's tokens, with the generic `conjunction` and `atom` that the
-parser had before it indexed its token list directly, and reports every
-position from the oracle's own line and column."""
+`oracle_parse_theory` runs the grammar and the checking pass of
+`theories._Parser` on the oracle's tokens, with the generic `conjunction`
+and `atom` that the parser had before it indexed its token list directly,
+and reports every position, semantic errors included, from the oracle's
+own line and column."""
 
 from dataclasses import dataclass
 
 from pointfree.errors import ParseError
-from pointfree.theories import (_REJECTED, _TOKEN_RE, Atom, TheoryAST,
-                                _Parser, _resolve_axiom)
+from pointfree.theories import _REJECTED, _TOKEN_RE, Atom, _Parser
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,4 @@ class _OracleParser(_Parser):
 
 
 def oracle_parse_theory(text):
-    families, raw_axioms = _OracleParser(text).theory()
-    fam_by_name = {f.name: f for f in families}
-    axioms = [_resolve_axiom(fam_by_name, *raw) for raw in raw_axioms]
-    return TheoryAST(tuple(families), tuple(axioms))
+    return _OracleParser(text).theory()
