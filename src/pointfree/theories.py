@@ -66,18 +66,23 @@ class TheoryAST:
 
 # --- tokenizer ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>[0-9]+)
-  | (?P<sym>\|-|<=|!=|==|[;,.\[\]&|<])
-  | (?P<rej>->|=>|[~!])
-  | (?P<bad>.)
-""", re.VERBOSE)
-
+# The whitespace and comments before a token are part of its match, and \Z
+# matches an empty token at the end (twice after trailing whitespace), so a
+# trailing comment is never rescanned from inside.
+_TOKEN_RE = re.compile(r"(?:\s|#[^\n]*)*([A-Za-z_][A-Za-z0-9_]*|[0-9]+"
+                       r"|\|-|<=|!=|==|->|=>|.|\Z)")
 _REJECTED = {"~": "negation", "->": "implication", "=>": "implication",
              "!": "negation"}
+_KINDS = {"": "eof", **dict.fromkeys(_REJECTED, "rej"),
+          **dict.fromkeys("|- <= != == ; , . [ ] & | <".split(), "sym")}
+
+
+def _kind(s):
+    """A name or an int by an ASCII first character, else by _KINDS."""
+    c = s[:1]
+    if c.isascii() and (c.isalnum() or c == "_"):
+        return "int" if c.isdigit() else "name"
+    return _KINDS.get(s, "bad")
 
 
 def _line_col(text, off):
@@ -86,56 +91,58 @@ def _line_col(text, off):
 
 
 def _tokenize(text):
-    """(kind, text, offset) per token, then ("eof", "", len(text))."""
+    """(kind, text, offset) per token, then ("eof", "", len(text)); a
+    rejected connective or a bad character is a ParseError at it."""
     toks = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        s = m.group()
+        kind, s, off = _kind(m[1]), m[1], m.start(1)
         if kind == "rej" or kind == "bad":
             raise ParseError(
                 f"{_REJECTED[s]} is outside the geometric fragment"
                 if kind == "rej" else f"unexpected character {s!r}",
-                *_line_col(text, m.start()))
-        toks.append((kind, s, m.start()))
-    toks.append(("eof", "", len(text)))
-    return toks
+                *_line_col(text, off))
+        toks.append((kind, s, off))
+        if not s:
+            return toks
 
 
 _COMPARISONS = ("!=", "==", "<", "<=")
 
 
 class _Parser:
+    """Recursive descent over the token texts of one `findall`; `fail` finds
+    a token's offset in `_tokenize`'s list, at the same index."""
+
     def __init__(self, text):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
+        self.text, self.toks, self.i = text, _TOKEN_RE.findall(text), 0
+        if any(_kind(s) in ("rej", "bad") for s in set(self.toks)):
+            _tokenize(text)  # raises at the first of them
+        # each index-free Atom by name, built once; indexed atoms read
+        self.atoms, self.indexed = {}, 0
 
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def fail(self, msg, tok=None):
-        tok = tok or self.toks[self.i]
-        raise ParseError(msg, *_line_col(self.text, tok[2]))
+    def fail(self, msg, i=None):
+        """Raise msg at token i, by default the next one."""
+        off = _tokenize(self.text)[self.i if i is None else i][2]
+        raise ParseError(msg, *_line_col(self.text, off))
 
     def expect(self, text):
-        t = self.next()
-        if t[1] != text:
-            self.fail(f"expected {text!r}, found {t[1] or 'end of input'!r}",
-                      t)
-
-    def at(self, text):
-        return self.toks[self.i][1] == text
+        if not self.skip(text):
+            self.fail(f"expected {text!r}, found "
+                      f"{self.toks[self.i] or 'end of input'!r}")
 
     def skip(self, text):
         """Consume the next token if it is text."""
-        if self.toks[self.i][1] != text:
+        if self.toks[self.i] != text:
             return False
         self.i += 1
         return True
+
+    def name(self, msg):
+        """Consume the next token, which must be a name."""
+        if _kind(self.toks[self.i]) != "name":
+            self.fail(msg)
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def listof(self, item, sep=","):
         """One or more items separated by sep."""
@@ -150,53 +157,51 @@ class _Parser:
         """The TheoryAST, checked once all is read, so a family may follow
         the axioms that use it: duplicate families, then each axiom in source
         order.  Each error is raised at its token, looked up only then."""
-        families, axioms = [], []
-        while self.toks[self.i][0] != "eof":
-            if self.at("prop"):
+        toks, families, axioms = self.toks, [], []
+        while toks[self.i]:
+            if toks[self.i] == "prop":
                 families.extend(self.propdecl())
-            elif self.at("axiom"):
+            elif toks[self.i] == "axiom":
                 axioms.append(self.axiom())
             else:
                 self.fail("expected 'prop' or 'axiom'")
         fams = {}
-        for f, t in families:
+        for f, i in families:
             if f.name in fams:
-                self.fail(f"duplicate proposition family {f.name!r}", t)
+                self.fail(f"duplicate proposition family {f.name!r}", i)
             fams[f.name] = f.bounds
+        self.flat = all(fams.get(s) == () for s in self.atoms)  # see resolve
         return TheoryAST(tuple(f for f, _ in families),
                          tuple([self.resolve(fams, *ax) for ax in axioms]))
 
     def propdecl(self):
-        """(PropFamily, name token) per signature."""
-        self.expect("prop")
+        """(PropFamily, index of its name token) per signature."""
+        toks = self.toks
+        self.i += 1  # prop
         sigs = self.listof(self.famsig)
         binders = dict(self.listof(self.binder)) if self.skip("for") else {}
         self.expect(";")
-        for _, vars_ in sigs:
-            for v in vars_:
-                if v[1] not in binders:
-                    self.fail(f"unbound index {v[1]!r} in prop declaration", v)
-        return [(PropFamily(t[1], tuple(binders[v[1]] for v in vars_)), t)
-                for t, vars_ in sigs]
+        for v in chain(*(vars_ for _, vars_ in sigs)):
+            if toks[v] not in binders:
+                self.fail(f"unbound index {toks[v]!r} in prop declaration", v)
+        return [(PropFamily(toks[i], tuple(binders[toks[v]] for v in vars_)),
+                 i) for i, vars_ in sigs]
 
     def famsig(self):
-        """The name token and the index-variable tokens of a signature."""
-        t = self.next()
-        if t[0] != "name":
-            self.fail("expected proposition name", t)
-        vars_ = []
+        """The indices of a signature's name and index-variable tokens."""
+        i, vars_ = self.i, []
+        self.name("expected proposition name")
         while self.skip("["):
-            v = self.next()
-            if v[0] != "name":
-                self.fail("prop declaration indices must be variables", v)
-            vars_.append(v)
+            vars_.append(self.i)
+            self.name("prop declaration indices must be variables")
             self.expect("]")
-        return t, vars_
+        return i, vars_
 
     def axiom(self):
-        """(first token, lhs, rhs, binders, conds, joins), not checked."""
-        start = self.i
-        self.expect("axiom")
+        """(first token, whether no atom is indexed, lhs, rhs, binders,
+        conds, joins), not checked."""
+        start, indexed = self.i, self.indexed
+        self.i += 1  # axiom
         lhs = self.conjunction()
         self.expect("|-")
         joins = ()
@@ -207,17 +212,33 @@ class _Parser:
         binders = self.listof(self.binder) if self.skip("for") else ()
         conds = self.listof(self.cond) if self.skip("if") else ()
         self.expect(";")
-        return start, lhs, rhs, binders, conds, joins
+        return start, indexed == self.indexed, lhs, rhs, binders, conds, joins
 
     def conjunction(self):
-        if self.toks[self.i][1] == "true":
-            self.i += 1
+        """Atoms joined by `&`, () for `true`.  An index-free atom is built
+        once per parse; after that the loop reads it from self.atoms."""
+        toks, atoms, out = self.toks, self.atoms, []
+        if self.skip("true"):
             return ()
-        atoms = [self.atom()]
-        while self.toks[self.i][1] == "&":
+        while True:
+            s = toks[self.i]
+            a = atoms.get(s)
             self.i += 1
-            atoms.append(self.atom())
-        return tuple(atoms)
+            if a is None or toks[self.i] == "[":
+                if s in ("true", "false") or _kind(s) != "name":
+                    self.fail("expected an atomic proposition", self.i - 1)
+                idx = []
+                while self.skip("["):
+                    idx.append(self.iexpr())
+                    self.expect("]")
+                a = Atom(s, tuple(idx))
+                self.indexed += bool(idx)
+                if not idx:
+                    atoms[s] = a
+            out.append(a)
+            if toks[self.i] != "&":
+                return tuple(out)
+            self.i += 1
 
     def disjunction(self):
         if self.skip("false"):
@@ -227,47 +248,37 @@ class _Parser:
             self.fail("'true' cannot appear inside a disjunction")
         return terms
 
-    def atom(self):
-        t = self.toks[self.i]
-        self.i += 1
-        if t[0] != "name" or t[1] in ("true", "false"):
-            self.fail("expected an atomic proposition", t)
-        if self.toks[self.i][1] != "[":
-            return Atom(t[1], ())
-        idx = []
-        while self.skip("["):
-            idx.append(self.iexpr())
-            self.expect("]")
-        return Atom(t[1], tuple(idx))
-
     def iexpr(self, what="an index variable or integer"):
-        kind, text, _ = t = self.next()
-        if kind == "int":
-            return int(text)
-        if kind != "name":
-            self.fail(f"expected {what}", t)
-        return text
+        s = self.toks[self.i]
+        kind = _kind(s)
+        if kind == "int" and len(s) > 4300:  # Python's int-to-text limit
+            self.fail(f"expected an integer of at most 4300 digits, got "
+                      f"{len(s)} digits")
+        if kind != "int" and kind != "name":
+            self.fail(f"expected {what}")
+        self.i += 1
+        return int(s) if kind == "int" else s
 
     def binder(self):
-        v = self.next()
-        if v[0] != "name":
-            self.fail("expected an index variable", v)
+        v = self.name("expected an index variable")
         self.expect("<")
-        return v[1], self.iexpr("a bound (name or integer)")
+        return v, self.iexpr("a bound (name or integer)")
 
     def cond(self):
-        a = self.iexpr()
-        t = self.next()
-        if t[1] not in _COMPARISONS:
-            self.fail("expected a comparison (!=, ==, <, <=)", t)
-        return (a, t[1], self.iexpr())
+        a, op = self.iexpr(), self.toks[self.i]
+        if op not in _COMPARISONS:
+            self.fail("expected a comparison (!=, ==, <, <=)")
+        self.i += 1
+        return (a, op, self.iexpr())
 
     # checks -------------------------------------------------------------
 
-    def resolve(self, fams, start, lhs, rhs, binders, conds, joins):
+    def resolve(self, fams, start, plain, lhs, rhs, binders, conds, joins):
         """Check an axiom's binders, each atom (known family, index count,
         no `some` variable on the left) and its side conditions, inferring
-        the universal binders it leaves implicit from the families' bounds."""
+        the universal binders it leaves implicit from the families' bounds.
+        If every index-free atom names a family without indices (flat), an
+        axiom with no indexed atom has no atom left to check."""
         explicit = some = {}
         inferred = {}
         if binders or joins:
@@ -276,14 +287,12 @@ class _Parser:
                 n = next(n for n, v in enumerate(names) if v in names[:n])
                 self.fail("duplicate index binder", self._index_tok(start, n))
             explicit, some = dict(binders), dict(joins)
-        for atom in chain(lhs, *rhs):
+        for atom in () if plain and self.flat else chain(lhs, *rhs):
             bounds = fams.get(atom.name)
             if bounds is None or len(bounds) != len(atom.indices):
                 self.fail(f"unknown proposition {atom.name!r}" if bounds is None
                           else f"wrong index count on {atom.name!r}",
                           self._atom_tok(start, lhs, rhs, atom))
-            if not bounds:
-                continue
             for i, b in zip(atom.indices, bounds):
                 if isinstance(i, int) or i in explicit:
                     continue
@@ -303,21 +312,22 @@ class _Parser:
         return Axiom(lhs, rhs, (*binders, *inferred.items()), conds, joins)
 
     def _atom_tok(self, start, lhs, rhs, atom):
-        """The name token of atom's first occurrence in the axiom at token
-        start.  The atoms are the names after `axiom`, `|-`, `.`, `&` and
-        `|`, other than `true`, `false` and the `some` keyword."""
-        toks = self.toks[start:]
-        return [t for p, t in zip(toks, toks[1:])
-                if p[1] in ("axiom", "|-", ".", "&", "|")
-                and t[1] not in ("true", "false")
-                and (p[1], t[1]) != ("|-", "some")
+        """The index of atom's first name token in the axiom at token start:
+        the names after `axiom`, `|-`, `.`, `&` and `|`, other than `true`,
+        `false` and the `some` keyword."""
+        t = self.toks
+        return [k for k in range(start + 1, len(t))
+                if t[k - 1] in ("axiom", "|-", ".", "&", "|")
+                and t[k] not in ("true", "false")
+                and (t[k - 1], t[k]) != ("|-", "some")
                 ][[*lhs, *chain(*rhs)].index(atom)]
 
     def _index_tok(self, start, n):
-        """The n-th token before a comparison in the axiom at token start:
-        `some`, then `for` binder variables, then conditions' first indices."""
-        toks = self.toks[start:]
-        return [t for t, c in zip(toks, toks[1:]) if c[1] in _COMPARISONS][n]
+        """The index of the n-th token before a comparison in the axiom at
+        start: `some` and `for` variables, then each condition's left side."""
+        toks = self.toks
+        return [k for k in range(start, len(toks) - 1)
+                if toks[k + 1] in _COMPARISONS][n]
 
 
 def parse_theory(text):
@@ -440,20 +450,24 @@ def models(ast, trunc=None, limits=DEFAULT):
 
 # --- builtin theories ---------------------------------------------------------
 
+# the builtin theories other than stone, as source text; surjection's sizes
+# n and x are filled in
+_BUILTINS = {
+    "sierpinski": "prop a;",
+    "cantor": "prop z[i], u[i] for i<N;\naxiom z[i] & u[i] |- false;\n"
+              "axiom true |- z[i] | u[i];",
+    "surjection": "prop p[i][v] for i<{n}, v<{x};\n"
+                  "axiom p[i][v] & p[i][w] |- false for i<{n}, v<{x}, w<{x} "
+                  "if v != w;\naxiom true |- some v<{x}. p[i][v] for i<{n};\n"
+                  "axiom true |- some i<{n}. p[i][v] for v<{x};"}
+
+
 def builtin(name, **params):
-    if name == "sierpinski":
-        return TheoryAST((PropFamily("a", ()),), ())
-    if name == "cantor":
-        z, u = Atom("z", ("i",)), Atom("u", ("i",))
-        return TheoryAST(
-            (PropFamily("z", ("N",)), PropFamily("u", ("N",))),
-            (Axiom((z, u), (), (("i", "N"),), ()),
-             Axiom((), ((z,), (u,)), (("i", "N"),), ())))
     if name == "stone":
         return _stone_theory(params["lattice"])
-    if name == "surjection":
-        return _surjection_theory(params["n"], params["x"])
-    raise ParseError(f"unknown builtin theory {name!r}")
+    if name not in _BUILTINS:
+        raise ParseError(f"unknown builtin theory {name!r}")
+    return parse_theory(_BUILTINS[name].format(**params))
 
 
 def stone_prop_name(element):
@@ -483,17 +497,3 @@ def _stone_theory(lattice):
             axioms.add(Axiom((at(j),), ((at(a),), (at(b),)), (), ()))
             axioms.add(Axiom((at(a),), ((at(j),),), (), ()))
     return TheoryAST(fams, tuple(sorted(axioms, key=str)))
-
-
-def _surjection_theory(n, x):
-    """Models are surjections [n] -> [x]: the relation p[i][v] is functional,
-    total, and hits every value."""
-    fam = PropFamily("p", (n, x))
-    axioms = (
-        Axiom((Atom("p", ("i", "v")), Atom("p", ("i", "w"))), (),
-              (("i", n), ("v", x), ("w", x)), (("v", "!=", "w"),)),
-        Axiom((), ((Atom("p", ("i", "v")),),), (("i", n),), (),
-              joins=(("v", x),)),
-        Axiom((), ((Atom("p", ("i", "v")),),), (("v", x),), (),
-              joins=(("i", n),)))
-    return TheoryAST((fam,), axioms)

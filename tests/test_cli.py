@@ -552,6 +552,26 @@ def test_theory_refuses_a_some_bound_past_any_range(capsys, tmp_path):
     assert secs < 1
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("prop a[i] for i<{n};", 1, 17),
+    ("prop a[i] for i<3;\naxiom a[{n}] |- false;", 2, 9),
+    ("prop a[i] for i<3;\naxiom a[i] |- false if i < {n};", 2, 28)],
+    ids=["bound", "index", "condition"])
+@pytest.mark.parametrize("sub", ["parse", "models"])
+def test_theory_refuses_an_integer_past_4300_digits(capsys, tmp_path, sub,
+                                                    text, line, col):
+    """int() of a 5,000-digit token raised ValueError (Python's limit on
+    int-to-text conversion) past cli.main as a traceback."""
+    thy = tmp_path / "long.thy"
+    thy.write_text(text.format(n="9" * 5000))
+    code, out, err = run(capsys, "theory", sub, thy)
+    assert (code, out) == (1, "")
+    assert err == ("error: expected an integer of at most 4300 digits, got "
+                   f"5000 digits at line {line}, col {col}\n")
+    thy.write_text(text.format(n="9" * 4300))
+    assert run(capsys, "theory", "parse", thy)[0] == 0
+
+
 @pytest.mark.parametrize("argv", [["frame", "points"], ["theory", "models"],
                                   ["stone", "spectrum"]])
 def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):

@@ -1,6 +1,8 @@
 """Geometric-theory language: parsing, rejection of non-geometric syntax,
 compilation to presentations, models, and the builtin theories."""
 
+import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ from pointfree.frames import FrameHom, enumerate_frame
 from pointfree.order import prime_filters
 from pointfree.presentations import (presentation_text, saturate,
                                      stabilize)
-from pointfree.theories import (Atom, Axiom, PropFamily, _line_col,
+from pointfree import theories
+from pointfree.theories import (Atom, Axiom, PropFamily, _line_col, _Parser,
                                 _tokenize, builtin, compile_theory,
                                 generator_name, instantiate, models,
                                 parse_theory, pretty_print, stone_prop_name)
@@ -165,11 +168,58 @@ def mutate(text, edits):
     return text
 
 
+# texts on which an edit of their meaning below is likely to meet one of the
+# checks: several families, inferred, explicit and `some` binders, and side
+# conditions
+MEANING_BASES = [
+    "prop r[i][j] for i<N, j<N;\nprop s[i] for i<N;\naxiom r[i][j] & s[i] |- "
+    "some k<N. s[k] for j<N if i != j, j != i;\n",
+    "prop r[i][j] for i<N, j<N;\nprop s[i] for i<N;\nprop t;\n"
+    "axiom r[i][j] & s[j] |- some k<N. s[k] for i<N if i != j;\n"]
+KEYWORDS = {"prop", "axiom", "true", "false", "some", "for", "if"}
+NAME = r"\b(?!(?:%s)\b)[A-Za-z_][A-Za-z0-9_]*" % "|".join(KEYWORDS)
+ATOM = r"(?<![\[<])(?<!= )" + NAME + r"(?=\s*[\[&|;,]|\s*\|-)"
+# an index of an atom in an axiom (one followed by `&`, `|`, `|-` or `;`)
+# or of a side condition
+INDEX = (r"(?<=\[)" + NAME + r"(?=\](?:\[[^\]]*\])*\s*[&|;])|(?<=!= )" + NAME
+         + "|" + NAME + "(?= !=)")
+BOUND = r"(?<=<)[A-Za-z0-9_]+"
+SOME = r"(?<=some )" + NAME
+# edits that keep the syntax and change what a theory says, so that the
+# checking pass sees the text: op -> (the pattern whose match m it rewrites,
+# the pattern of the words w it may draw, the rewrite of m with w)
+MEANINGS = {
+    "rename atom": (ATOM, ATOM, lambda m, w: w),
+    "rename index": (INDEX, SOME, lambda m, w: w),
+    "drop prop": (r"(?m)^prop[^\n]*\n", ATOM, lambda m, w: ""),
+    "add index": (ATOM, INDEX + "|" + SOME, lambda m, w: f"{m[0]}[{w}]"),
+    "drop index": (r"\[[^\[\]]*\]", ATOM, lambda m, w: ""),
+    "repeat binder": (NAME + r"<[A-Za-z0-9_]+", ATOM,
+                      lambda m, w: f"{m[0]}, {m[0]}"),
+    "change bound": (BOUND, BOUND + "|" + INDEX, lambda m, w: w),
+}
+
+
+def change_meaning(text, op, k, j):
+    """Rewrite the k-th match of op's pattern with the j-th of the distinct
+    words op draws from the text, other than the match."""
+    pattern, draw, rewrite = MEANINGS[op]
+    spans = list(re.finditer(pattern, text))
+    m = spans[k % len(spans)]
+    words = sorted({w[0] for w in re.finditer(draw, text)} - {m[0]})
+    if not words:
+        return text
+    return text[:m.start()] + rewrite(m, words[j % len(words)]) + text[m.end():]
+
+
 theory_texts = st.one_of(
     st.builds(mutate, st.sampled_from(BASES), st.lists(st.tuples(
         st.sampled_from(["insert", "delete", "swap"]),
         st.integers(0, 10 ** 4), st.sampled_from(PIECES)), max_size=4)),
-    st.lists(st.sampled_from(WORDS + PIECES), max_size=40).map(" ".join))
+    st.lists(st.sampled_from(WORDS + PIECES), max_size=40).map(" ".join),
+    *[st.builds(change_meaning, st.just(base),
+                st.sampled_from(sorted(MEANINGS)), st.integers(0, 59),
+                st.integers(0, 59)) for base in MEANING_BASES])
 
 
 def outcome(f, text):
@@ -211,6 +261,74 @@ def test_error_at_end_of_input_after_trailing_comment():
         parse_theory("prop a;\naxiom a |- a # no semicolon\n")
     assert err.value.message == "expected ';', found 'end of input'"
     assert (err.value.line, err.value.col) == (3, 1)
+
+
+# every message of the checking pass, as a pattern of the whole message
+SEMANTIC = [r"unknown proposition '\w+'", r"wrong index count on '\w+'",
+            r"unbound index '\w+'", r"index '\w+' used with conflicting "
+            r"bounds '?\w+'? and '?\w+'?", r"duplicate index binder",
+            r"unbound index '\w+' in side condition",
+            r"duplicate proposition family '\w+'",
+            r"unbound index '\w+' in prop declaration"]
+
+
+def test_the_corpus_reaches_every_check():
+    """The oracle tests above see each message of the checking pass at
+    least once among their 400 derandomized examples of theory_texts."""
+    seen = set()
+
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              database=None)
+    @given(theory_texts)
+    def tally(text):
+        try:
+            parse_theory(text)
+        except ParseError as exc:
+            seen.update(p for p in SEMANTIC if re.fullmatch(p, exc.message))
+
+    tally()
+    assert sorted(seen) == sorted(SEMANTIC)
+
+
+def assert_parser_reads_the_tokenizers_texts(text):
+    try:
+        want = [s for _, s, _ in _tokenize(text)]
+    except ParseError:
+        return
+    texts = _Parser(text).toks
+    assert texts[:len(want)] == want and set(texts[len(want):]) <= {""}
+
+
+@pytest.mark.parametrize("text", THY_TEXTS + MEANING_BASES)
+def test_the_parser_reads_the_tokenizers_texts_of_the_theories(text):
+    assert_parser_reads_the_tokenizers_texts(text)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(theory_texts)
+def test_the_parser_reads_the_tokenizers_texts(text):
+    """One findall gives the parser the texts of _tokenize's tokens, the
+    first empty one included, and after it only empty texts (trailing
+    whitespace gives a second), wherever _tokenize accepts the text."""
+    assert_parser_reads_the_tokenizers_texts(text)
+
+
+def test_parse_builds_one_atom_per_distinct_proposition(monkeypatch):
+    """A Stone theory names each proposition in many axioms; the parser
+    builds one Atom per proposition and shares it among them."""
+    text = pretty_print(builtin("stone", lattice=boolean4()))
+    built = []
+
+    def counting_atom(*args):
+        built.append(args)
+        return Atom(*args)
+
+    monkeypatch.setattr(theories, "Atom", counting_atom)
+    ast = parse_theory(text)
+    occurrences = [a for ax in ast.axioms for a in chain(ax.lhs, *ax.rhs)]
+    assert len(occurrences) > 10 * len(ast.families)
+    assert len(built) == len({id(a) for a in occurrences}) == 4
+    assert ast == oracle_parse_theory(text)
 
 
 # --- compilation ----------------------------------------------------------------
