@@ -117,7 +117,7 @@ class _Parser:
         self.text, self.toks, self.i = text, _TOKEN_RE.findall(text), 0
         if any(_kind(s) in ("rej", "bad") for s in set(self.toks)):
             _tokenize(text)  # raises at the first of them
-        # each index-free Atom by name, built once; indexed atoms read
+        # the index-free Atoms by name, one each; the indexed atoms read
         self.atoms, self.indexed = {}, 0
 
     def fail(self, msg, i=None):

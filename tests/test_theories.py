@@ -142,8 +142,9 @@ def test_semantic_errors_name_their_token(text, message, line, col):
 
 # --- tokenizer and error positions against the oracle ----------------------------
 
-THY_TEXTS = [p.read_text() for p in sorted(
-    (Path(__file__).resolve().parents[1] / "theories").glob("*.thy"))]
+THY_PATHS = sorted(
+    (Path(__file__).resolve().parents[1] / "theories").glob("*.thy"))
+THY_TEXTS = [p.read_text() for p in THY_PATHS]
 BASES = THY_TEXTS + [CANTOR_SRC, SURJ_SRC, pretty_print(
     builtin("stone", lattice=three_chain()))]
 # characters and pieces a mutation inserts: the rejected connectives,
@@ -187,14 +188,14 @@ BOUND = r"(?<=<)[A-Za-z0-9_]+"
 SOME = r"(?<=some )" + NAME
 # edits that keep the syntax and change what a theory says, so that the
 # checking pass sees the text: op -> (the pattern whose match m it rewrites,
-# the pattern of the words w it may draw, the rewrite of m with w)
+# the pattern of the words w it may draw or None, the rewrite of m with w)
 MEANINGS = {
     "rename atom": (ATOM, ATOM, lambda m, w: w),
     "rename index": (INDEX, SOME, lambda m, w: w),
-    "drop prop": (r"(?m)^prop[^\n]*\n", ATOM, lambda m, w: ""),
+    "drop prop": (r"(?m)^prop[^\n]*\n", None, lambda m, w: ""),
     "add index": (ATOM, INDEX + "|" + SOME, lambda m, w: f"{m[0]}[{w}]"),
-    "drop index": (r"\[[^\[\]]*\]", ATOM, lambda m, w: ""),
-    "repeat binder": (NAME + r"<[A-Za-z0-9_]+", ATOM,
+    "drop index": (r"\[[^\[\]]*\]", None, lambda m, w: ""),
+    "repeat binder": (NAME + r"<[A-Za-z0-9_]+", None,
                       lambda m, w: f"{m[0]}, {m[0]}"),
     "change bound": (BOUND, BOUND + "|" + INDEX, lambda m, w: w),
 }
@@ -206,10 +207,13 @@ def change_meaning(text, op, k, j):
     pattern, draw, rewrite = MEANINGS[op]
     spans = list(re.finditer(pattern, text))
     m = spans[k % len(spans)]
-    words = sorted({w[0] for w in re.finditer(draw, text)} - {m[0]})
+    words = [None]
+    if draw:
+        words = sorted({w[0] for w in re.finditer(draw, text)} - {m[0]})
     if not words:
         return text
-    return text[:m.start()] + rewrite(m, words[j % len(words)]) + text[m.end():]
+    w = words[j % len(words)]
+    return text[:m.start()] + rewrite(m, w) + text[m.end():]
 
 
 theory_texts = st.one_of(
@@ -299,7 +303,8 @@ def assert_parser_reads_the_tokenizers_texts(text):
     assert texts[:len(want)] == want and set(texts[len(want):]) <= {""}
 
 
-@pytest.mark.parametrize("text", THY_TEXTS + MEANING_BASES)
+@pytest.mark.parametrize("text", THY_TEXTS + MEANING_BASES, ids=[
+    p.name for p in THY_PATHS] + ["meaning0", "meaning1"])
 def test_the_parser_reads_the_tokenizers_texts_of_the_theories(text):
     assert_parser_reads_the_tokenizers_texts(text)
 
@@ -327,7 +332,8 @@ def test_parse_builds_one_atom_per_distinct_proposition(monkeypatch):
     ast = parse_theory(text)
     occurrences = [a for ax in ast.axioms for a in chain(ax.lhs, *ax.rhs)]
     assert len(occurrences) > 10 * len(ast.families)
-    assert len(built) == len({id(a) for a in occurrences}) == 4
+    assert len(built) == len({id(a) for a in occurrences}) == \
+        len(ast.families)
     assert ast == oracle_parse_theory(text)
 
 
