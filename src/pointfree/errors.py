@@ -5,12 +5,22 @@ class PointfreeError(Exception):
     """Base class for all package errors."""
 
 
+def _decimal(n):
+    """n in decimal, or a lower bound on it where Python refuses to write
+    it out (past 4300 digits by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 class CapExceeded(PointfreeError):
     """An enumeration would exceed the configured desk-scale cap."""
 
     def __init__(self, what, size, cap, field=None):
         hint = "" if field is None else f" ({field})"
-        super().__init__(f"{what} has size {size}, exceeding cap {cap}{hint}")
+        super().__init__(f"{what} has size {_decimal(size)}, exceeding cap "
+                         f"{_decimal(cap)}{hint}")
         self.what = what
         self.size = size
         self.cap = cap

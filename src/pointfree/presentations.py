@@ -71,7 +71,7 @@ def check_generator_cap(p, limits=DEFAULT):
     C-ideals are masks over 2^g formal meets."""
     if len(p.generators) > limits.generator_cap:
         raise CapExceeded("generators", len(p.generators),
-                          limits.generator_cap)
+                          limits.generator_cap, field="generator_cap")
 
 
 def _model_sets(p, limits):

@@ -178,9 +178,11 @@ class _Parser:
         """(PropFamily, index of its name token) per signature."""
         toks = self.toks
         self.i += 1  # prop
-        sigs = self.listof(self.famsig)
-        binders = dict(self.listof(self.binder)) if self.skip("for") else {}
+        sigs, start = self.listof(self.famsig), self.i
+        binders = self.listof(self.binder) if self.skip("for") else ()
         self.expect(";")
+        self.distinct(binders, start, " in prop declaration")
+        binders = dict(binders)
         for v in chain(*(vars_ for _, vars_ in sigs)):
             if toks[v] not in binders:
                 self.fail(f"unbound index {toks[v]!r} in prop declaration", v)
@@ -282,10 +284,7 @@ class _Parser:
         explicit = some = {}
         inferred = {}
         if binders or joins:
-            names = [v for v, _ in joins + binders]
-            if len(set(names)) != len(names):
-                n = next(n for n, v in enumerate(names) if v in names[:n])
-                self.fail("duplicate index binder", self._index_tok(start, n))
+            self.distinct(joins + binders, start)
             explicit, some = dict(binders), dict(joins)
         for atom in () if plain and self.flat else chain(lhs, *rhs):
             bounds = fams.get(atom.name)
@@ -310,6 +309,15 @@ class _Parser:
                     self.fail(f"unbound index {i!r} in side condition",
                               self._index_tok(start, m))
         return Axiom(lhs, rhs, (*binders, *inferred.items()), conds, joins)
+
+    def distinct(self, binders, start, where=""):
+        """Refuse a variable bound twice, at its second binder; the binders
+        are the first tokens before a comparison from token start."""
+        names = [v for v, _ in binders]
+        if len(set(names)) != len(names):
+            n = next(n for n, v in enumerate(names) if v in names[:n])
+            self.fail("duplicate index binder" + where,
+                      self._index_tok(start, n))
 
     def _atom_tok(self, start, lhs, rhs, atom):
         """The index of atom's first name token in the axiom at token start:
@@ -388,7 +396,8 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
               for f in ast.families]
     count = sum(prod(bs) for bs in bounds)  # checked before naming any
     if count > limits.generator_cap:
-        raise CapExceeded("generators", count, limits.generator_cap)
+        raise CapExceeded("generators", count, limits.generator_cap,
+                          field="generator_cap")
     gens = [generator_name(f.name, idx) for f, bs in zip(ast.families, bounds)
             for idx in product(*map(range, bs))]
     if len(set(gens)) != len(gens):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pointfree.cli import main
+from pointfree.cli import main, parsed_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 THY = ROOT / "theories"
@@ -228,7 +228,7 @@ VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
 @pytest.mark.parametrize("field, value, argv, code, message", [
     pytest.param("generator_cap", 4, ["frame", "elements", THY / "cantor.thy",
                                       "--truncate", "N=3"], 2,
-                 "generators has size 6, exceeding cap 4\n",
+                 "generators has size 6, exceeding cap 4 (generator_cap)\n",
                  id="generator_cap"),
     pytest.param("poset_cap", 2, ["stone", "spectrum", THY / "chain3.lat"], 2,
                  "lattice has size 3, exceeding cap 2\n", id="poset_cap"),
@@ -324,7 +324,8 @@ def test_compile_refuses_before_naming_the_generators(capsys):
                                      THY / "cantor.thy",
                                      "--truncate", "N=3000000")
     assert code == 2 and out == ""
-    assert err == "error: generators has size 6000000, exceeding cap 8\n"
+    assert err == ("error: generators has size 6000000, exceeding cap 8 "
+                   "(generator_cap)\n")
     assert secs < 5
 
 
@@ -572,6 +573,26 @@ def test_theory_refuses_an_integer_past_4300_digits(capsys, tmp_path, sub,
     assert run(capsys, "theory", "parse", thy)[0] == 0
 
 
+@pytest.mark.parametrize("text, what, cap, field", [
+    ("prop a[i][j] for i<{n}, j<{n};", "generators", 8, "generator_cap"),
+    ("prop a; axiom a |- a for i<{n}, j<{n};", "axiom instances", 65536,
+     "axiom_instance_cap")], ids=["generators", "axiom instances"])
+@pytest.mark.parametrize("sub", [["theory", "models"], ["frame", "points"]],
+                         ids=["models", "points"])
+def test_theory_refuses_a_count_past_4300_digits(capsys, tmp_path, sub, text,
+                                                 what, cap, field):
+    """Two bounds of 4,300 digits multiply to a count of 8,600, which the
+    refusal once wrote out in decimal: a ValueError past cli.main."""
+    n = "9" * 4300
+    thy = tmp_path / "long.thy"
+    thy.write_text(text.format(n=n))
+    code, out, err = run(capsys, *sub, thy)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {what} has size at least "
+                   f"2^{(int(n) ** 2).bit_length() - 1}, exceeding cap {cap} "
+                   f"({field})\n")
+
+
 @pytest.mark.parametrize("argv", [["frame", "points"], ["theory", "models"],
                                   ["stone", "spectrum"]])
 def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):
@@ -734,3 +755,70 @@ def test_golden_json(capsys, case):
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
     if "stderr" in case:
         assert err == case["stderr"]
+
+
+# --- memo of parsed inputs ---------------------------------------------------------
+
+def golden_argv(case):
+    return [str(ROOT / a) if a.startswith("theories/") else a
+            for a in case["argv"]] + ["--json"]
+
+
+def test_golden_forward_then_reversed_in_one_process(capsys):
+    """Answers do not depend on what the process was asked before: every
+    golden argv, in order and then in reverse, from a cold memo of parsed
+    inputs."""
+    parsed_inputs.cache_clear()
+    for case in GOLDEN + GOLDEN[::-1]:
+        code, out, err = run(capsys, *golden_argv(case))
+        assert code == case["exit"], case["argv"]
+        if "stdout" in case:
+            assert out == case["stdout"], case["argv"]
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+        if "stderr" in case:
+            assert err == case["stderr"], case["argv"]
+    assert parsed_inputs.entries
+
+
+def test_a_refused_count_leaves_the_kept_frame_as_it_was(capsys, tmp_path):
+    """`frame points` on the free frame on 7 generators refuses at
+    element_cap while counting; a count memo kept between calls grew at
+    each refusal, and fewer sub-counts added per call could have turned
+    the refusal into an answer."""
+    free7 = tmp_path / "free7.pres"
+    free7.write_text("gen " + " ".join(f"g{i}" for i in range(7)) + "\n")
+    parsed_inputs.cache_clear()
+    answers, states = [], []
+    for _ in range(3):
+        answers.append(run(capsys, "frame", "points", free7))
+        frame = next(iter(parsed_inputs.entries.values()))._frame
+        states.append((frame._downsets, len(frame._masks)))
+    assert answers[0][:2] == (2, "")
+    assert answers[0][2].endswith(", exceeding cap 4096 (element_cap)\n")
+    assert answers == [answers[0]] * 3
+    assert states == [({0: 1}, 128)] * 3
+
+
+def test_an_edited_file_is_parsed_again(capsys, tmp_path):
+    pres = tmp_path / "edited.pres"
+    pres.write_text("gen a b\n")
+    assert run_json(capsys, "frame", "points", pres)[1]["count"] == 4
+    pres.write_text("gen a b\nrel a & b <= bot\n")
+    assert run_json(capsys, "frame", "points", pres)[1]["count"] == 3
+    pres.write_text("gen a b\nrel a <= \n")
+    assert run(capsys, "frame", "points", pres)[0] == 1
+
+
+def test_the_memo_is_bounded_and_keeps_no_refusal(capsys, tmp_path):
+    parsed_inputs.cache_clear()
+    for n in range(parsed_inputs.size + 8):
+        lat = tmp_path / f"chain{n}.lat"
+        lat.write_text(f"elements: c{n}\n")
+        assert run(capsys, "stone", "spectrum", lat)[0] == 0
+    assert len(parsed_inputs.entries) == parsed_inputs.size
+    kept = list(parsed_inputs.entries)
+    assert run(capsys, "frame", "elements", THY / "cantor.thy",
+               "--truncate", "N=9")[0] == 2
+    assert run(capsys, "stone", "spectrum", THY / "m3.lat")[0] == 1
+    assert list(parsed_inputs.entries) == kept

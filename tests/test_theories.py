@@ -128,6 +128,9 @@ POSITIONED = [
     ("prop a[i], b[j] for i<2;\naxiom a[0] |- false;\n",
      "unbound index 'j' in prop declaration", 1, 14),
     ("prop a[i];\n", "unbound index 'i' in prop declaration", 1, 8),
+    # a repeated binder was once resolved to its last bound
+    ("prop a[i] for i<2, i<3;\n",
+     "duplicate index binder in prop declaration", 1, 20),
 ]
 
 
@@ -238,6 +241,7 @@ def outcome(f, text):
 @example("prop a;\naxiom a |- a # no semicolon\r\n# end")
 @example("prop a;\r\n\taxiom a -> a;")
 @example("prop a\u00e9;")
+@example("prop a[i] for i<2, i<3;\naxiom a[0] |- false;\n")
 @given(theory_texts)
 def test_tokenizer_and_parse_errors_agree_with_the_oracle(text):
     """Equal kinds, texts and (line, col) where both tokenizers accept a
@@ -273,7 +277,8 @@ SEMANTIC = [r"unknown proposition '\w+'", r"wrong index count on '\w+'",
             r"bounds '?\w+'? and '?\w+'?", r"duplicate index binder",
             r"unbound index '\w+' in side condition",
             r"duplicate proposition family '\w+'",
-            r"unbound index '\w+' in prop declaration"]
+            r"unbound index '\w+' in prop declaration",
+            r"duplicate index binder in prop declaration"]
 
 
 def test_the_corpus_reaches_every_check():

@@ -123,9 +123,15 @@ class _OracleParser:
 
     def propdecl(self):
         self.expect("prop")
-        sigs = self.listof(self.famsig)
-        binders = dict(self.listof(self.binder)) if self.skip("for") else {}
+        sigs, start = self.listof(self.famsig), self.i
+        binders = self.listof(self.binder) if self.skip("for") else ()
         self.expect(";")
+        names = [v for v, _ in binders]
+        if len(set(names)) != len(names):
+            n = next(n for n, v in enumerate(names) if v in names[:n])
+            self.fail("duplicate index binder in prop declaration",
+                      self._index_tok(start, n))
+        binders = dict(binders)
         for _, vars_ in sigs:
             for v in vars_:
                 if v[1] not in binders:
@@ -254,7 +260,7 @@ class _OracleParser:
                 ][[*lhs, *chain(*rhs)].index(atom)]
 
     def _index_tok(self, start, n):
-        """The n-th token before a comparison in the axiom."""
+        """The n-th token before a comparison from token start."""
         toks = self.toks[start:]
         return [t for t, c in zip(toks, toks[1:]) if c[1] in _COMPARISONS][n]
 
