@@ -7,7 +7,6 @@ error, 2 desk-scale cap overflow, 3 search budget exhaustion.
 """
 
 import argparse
-import collections
 import dataclasses
 import functools
 import json
@@ -76,32 +75,31 @@ def _parse_truncation(text):
 # --- parsed inputs ----------------------------------------------------------------
 
 class InputMemo:
-    """The inputs parsed lately in this process, so that a repeated query
-    skips the parse, the model search and the J masks.  A key is (kind,
+    """The input parsed last in this process, so that the next query on it
+    skips the parse, the model search and the J masks.  The key is (kind,
     file text, raw --truncate string, Limits): the file is read on every
-    query, so an edited file is parsed again.  At most `size` entries are
-    kept, the least recently used dropped first.  A build that raises keeps
-    nothing, so a refusal redoes its work and refuses again.  cache_clear()
-    empties it."""
+    query, so an edited file is parsed again.  One input is kept, as a
+    session asks its questions of one file in a row; an input kept longer
+    is cold when it is dropped, and freeing it slowed the queries on fresh
+    files.  A build that raises keeps nothing new, so a refusal redoes its
+    work and refuses again.  cache_clear() empties the memo."""
 
-    def __init__(self, size):
-        self.size, self.entries = size, collections.OrderedDict()
+    def __init__(self):
+        self.entries = {}  # at most one
         self.cache_clear = self.entries.clear
 
     def get(self, key, build):
         entries = self.entries
-        value = entries.pop(key, None)
-        if value is None:
+        if key not in entries:
             value = build()
-            if len(entries) == self.size:
-                entries.popitem(last=False)
-        entries[key] = value  # now the most recently used
-        return value
+            entries.clear()
+            entries[key] = value
+        return entries[key]
 
 
 # main() is called many times in one process by the bench and the tests; a
-# one-shot process sees only misses.  The bound is fixed, not a Limits field.
-parsed_inputs = InputMemo(32)
+# one-shot process sees only misses.
+parsed_inputs = InputMemo()
 
 
 class _Presented:
@@ -229,7 +227,8 @@ def cmd_frame(args, limits):
 def cmd_theory(args, limits):
     text = read_input(args.file)
     if args.sub == "models":
-        # on a miss, the theory is parsed before the truncation, as below
+        # on a miss the theory is parsed before the truncation, as for
+        # parse and compile below
         ms = _presented("thy", text, args.truncate, limits,
                         lambda: theories.instantiate(
                             theories.parse_theory(text),

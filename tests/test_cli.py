@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pointfree.order
 from pointfree.cli import main, parsed_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -810,15 +811,22 @@ def test_an_edited_file_is_parsed_again(capsys, tmp_path):
     assert run(capsys, "frame", "points", pres)[0] == 1
 
 
-def test_the_memo_is_bounded_and_keeps_no_refusal(capsys, tmp_path):
+def test_the_memo_keeps_the_last_input_and_no_refusal(capsys, monkeypatch):
+    """`stone spectrum` then `stone birkhoff` on one file build one
+    lattice; a query that fails keeps the last input."""
+    built = []
+    parse = pointfree.order.parse_lattice_text
+    monkeypatch.setattr(pointfree.order, "parse_lattice_text",
+                        lambda *a, **k: built.append(a) or parse(*a, **k))
     parsed_inputs.cache_clear()
-    for n in range(parsed_inputs.size + 8):
-        lat = tmp_path / f"chain{n}.lat"
-        lat.write_text(f"elements: c{n}\n")
-        assert run(capsys, "stone", "spectrum", lat)[0] == 0
-    assert len(parsed_inputs.entries) == parsed_inputs.size
+    for sub in ("spectrum", "birkhoff", "spectrum"):
+        assert run(capsys, "stone", sub, THY / "bool4.lat")[0] == 0
+    assert len(built) == 1
     kept = list(parsed_inputs.entries)
     assert run(capsys, "frame", "elements", THY / "cantor.thy",
                "--truncate", "N=9")[0] == 2
     assert run(capsys, "stone", "spectrum", THY / "m3.lat")[0] == 1
-    assert list(parsed_inputs.entries) == kept
+    assert list(parsed_inputs.entries) == kept and len(built) == 2
+    assert run(capsys, "stone", "birkhoff", THY / "chain3.lat")[0] == 0
+    assert len(parsed_inputs.entries) == 1
+    assert list(parsed_inputs.entries) != kept
