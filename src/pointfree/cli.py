@@ -74,34 +74,6 @@ def _parse_truncation(text):
 
 # --- parsed inputs ----------------------------------------------------------------
 
-class InputMemo:
-    """The input parsed last in this process, so that the next query on it
-    skips the parse, the model search and the J masks.  The key is (kind,
-    file text, raw --truncate string, Limits): the file is read on every
-    query, so an edited file is parsed again.  One input is kept, as a
-    session asks its questions of one file in a row; an input kept longer
-    is cold when it is dropped, and freeing it slowed the queries on fresh
-    files.  A build that raises keeps nothing new, so a refusal redoes its
-    work and refuses again.  cache_clear() empties the memo."""
-
-    def __init__(self):
-        self.entries = {}  # at most one
-        self.cache_clear = self.entries.clear
-
-    def get(self, key, build):
-        entries = self.entries
-        if key not in entries:
-            value = build()
-            entries.clear()
-            entries[key] = value
-        return entries[key]
-
-
-# main() is called many times in one process by the bench and the tests; a
-# one-shot process sees only misses.
-parsed_inputs = InputMemo()
-
-
 class _Presented:
     """A presentation, not stabilized, and its PresentedFrame, built on
     first use."""
@@ -116,10 +88,28 @@ class _Presented:
         return self._frame.fresh()
 
 
-def _presented(kind, text, truncate, limits, build):
-    """The _Presented of build(), kept under kind "thy" or "pres"."""
-    return parsed_inputs.get((kind, text, truncate, limits),
-                             lambda: _Presented(build(), limits))
+@functools.lru_cache(maxsize=1)
+def parsed_input(kind, text, truncate, limits):
+    """The input file of this text: the DistLattice of a lattice ("lat"),
+    else the _Presented of a theory ("thy") or a presentation ("pres"),
+    within generator_cap.
+
+    The input parsed last is kept, so that the next query on it skips the
+    parse, the model search and the J masks.  It is keyed by the file's
+    text, so an edited file is parsed again, and a call that raises keeps
+    nothing new, so a refusal redoes its work and refuses again.  One input
+    is kept, as a session asks its questions of one file in a row: an
+    input kept longer is cold when it is dropped, and freeing it slowed the
+    queries on fresh files.  A one-shot process sees only misses."""
+    if kind == "lat":
+        return order.parse_lattice_text(text, limits=limits)
+    if kind == "thy":  # the theory is parsed before the truncation
+        p = theories.instantiate(theories.parse_theory(text),
+                                 _parse_truncation(truncate), limits=limits)
+    else:
+        p = presentations.parse_presentation_text(text)
+        presentations.check_generator_cap(p, limits)
+    return _Presented(p, limits)
 
 
 def _load_presentation(path, truncate, limits):
@@ -132,21 +122,12 @@ def _load_presentation(path, truncate, limits):
         if line:
             first = line.split()[0]
             break
-    trunc = _parse_truncation(truncate)
-    if first in ("prop", "axiom"):
-        return _presented("thy", text, truncate, limits,
-                          lambda: theories.instantiate(
-                              theories.parse_theory(text), trunc,
-                              limits=limits))
-    if trunc:
+    theory = first in ("prop", "axiom")
+    trunc = _parse_truncation(truncate)  # reported before a bad theory
+    if trunc and not theory:
         raise ParseError(f"truncation binding {next(iter(trunc))!r} needs a "
                          "theory file, not a presentation")
-
-    def build():
-        p = presentations.parse_presentation_text(text)
-        presentations.check_generator_cap(p, limits)
-        return p
-    return _presented("pres", text, truncate, limits, build)
+    return parsed_input("thy" if theory else "pres", text, truncate, limits)
 
 
 def _parse_element_expr(p, text, limits):
@@ -227,13 +208,7 @@ def cmd_frame(args, limits):
 def cmd_theory(args, limits):
     text = read_input(args.file)
     if args.sub == "models":
-        # on a miss the theory is parsed before the truncation, as for
-        # parse and compile below
-        ms = _presented("thy", text, args.truncate, limits,
-                        lambda: theories.instantiate(
-                            theories.parse_theory(text),
-                            _parse_truncation(args.truncate),
-                            limits=limits)).frame().points()
+        ms = parsed_input("thy", text, args.truncate, limits).frame().points()
         # a finite frame is spatial: it is nontrivial when it has a point
         _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
               args)
@@ -257,9 +232,7 @@ def cmd_theory(args, limits):
 
 def cmd_stone(args, limits):
     text = read_input(args.file)
-    lattice = parsed_inputs.get(("lat", text, "", limits),
-                                lambda: order.parse_lattice_text(
-                                    text, limits=limits))
+    lattice = parsed_input("lat", text, "", limits)
     if args.sub == "spectrum":
         filters = order.prime_filters(lattice)
         _emit({"count": len(filters),

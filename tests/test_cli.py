@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-import pointfree.order
-from pointfree.cli import main, parsed_inputs
+from pointfree.cli import main, parsed_input
+from pointfree.config import Limits
 
 ROOT = Path(__file__).resolve().parents[1]
 THY = ROOT / "theories"
@@ -769,7 +769,7 @@ def test_golden_forward_then_reversed_in_one_process(capsys):
     """Answers do not depend on what the process was asked before: every
     golden argv, in order and then in reverse, from a cold memo of parsed
     inputs."""
-    parsed_inputs.cache_clear()
+    parsed_input.cache_clear()
     for case in GOLDEN + GOLDEN[::-1]:
         code, out, err = run(capsys, *golden_argv(case))
         assert code == case["exit"], case["argv"]
@@ -779,7 +779,7 @@ def test_golden_forward_then_reversed_in_one_process(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
         if "stderr" in case:
             assert err == case["stderr"], case["argv"]
-    assert parsed_inputs.entries
+    assert parsed_input.cache_info().hits > 100
 
 
 def test_a_refused_count_leaves_the_kept_frame_as_it_was(capsys, tmp_path):
@@ -789,16 +789,17 @@ def test_a_refused_count_leaves_the_kept_frame_as_it_was(capsys, tmp_path):
     the refusal into an answer."""
     free7 = tmp_path / "free7.pres"
     free7.write_text("gen " + " ".join(f"g{i}" for i in range(7)) + "\n")
-    parsed_inputs.cache_clear()
+    parsed_input.cache_clear()
     answers, states = [], []
     for _ in range(3):
         answers.append(run(capsys, "frame", "points", free7))
-        frame = next(iter(parsed_inputs.entries.values()))._frame
+        frame = parsed_input("pres", free7.read_text(), "", Limits())._frame
         states.append((frame._downsets, len(frame._masks)))
     assert answers[0][:2] == (2, "")
     assert answers[0][2].endswith(", exceeding cap 4096 (element_cap)\n")
     assert answers == [answers[0]] * 3
     assert states == [({0: 1}, 128)] * 3
+    assert parsed_input.cache_info()[:2] == (5, 1)  # (hits, misses)
 
 
 def test_an_edited_file_is_parsed_again(capsys, tmp_path):
@@ -811,22 +812,17 @@ def test_an_edited_file_is_parsed_again(capsys, tmp_path):
     assert run(capsys, "frame", "points", pres)[0] == 1
 
 
-def test_the_memo_keeps_the_last_input_and_no_refusal(capsys, monkeypatch):
+def test_the_memo_keeps_the_last_input_and_no_refusal(capsys):
     """`stone spectrum` then `stone birkhoff` on one file build one
     lattice; a query that fails keeps the last input."""
-    built = []
-    parse = pointfree.order.parse_lattice_text
-    monkeypatch.setattr(pointfree.order, "parse_lattice_text",
-                        lambda *a, **k: built.append(a) or parse(*a, **k))
-    parsed_inputs.cache_clear()
+    parsed_input.cache_clear()
     for sub in ("spectrum", "birkhoff", "spectrum"):
         assert run(capsys, "stone", sub, THY / "bool4.lat")[0] == 0
-    assert len(built) == 1
-    kept = list(parsed_inputs.entries)
+    assert parsed_input.cache_info()[:2] == (2, 1)  # (hits, misses)
     assert run(capsys, "frame", "elements", THY / "cantor.thy",
                "--truncate", "N=9")[0] == 2
     assert run(capsys, "stone", "spectrum", THY / "m3.lat")[0] == 1
-    assert list(parsed_inputs.entries) == kept and len(built) == 2
+    assert run(capsys, "stone", "birkhoff", THY / "bool4.lat")[0] == 0
+    assert parsed_input.cache_info()[:2] == (3, 3)
     assert run(capsys, "stone", "birkhoff", THY / "chain3.lat")[0] == 0
-    assert len(parsed_inputs.entries) == 1
-    assert list(parsed_inputs.entries) != kept
+    assert parsed_input.cache_info()[:2] == (3, 4)

@@ -33,7 +33,7 @@ def load_tracing():
 def run_all(capsys):
     # each pass starts from a cold memo of parsed inputs, so the traced
     # pass parses, searches and builds what the plain pass did
-    pointfree.cli.parsed_inputs.cache_clear()
+    pointfree.cli.parsed_input.cache_clear()
     out = []
     for argv in QUERIES:
         # through the module attribute, which the tracer replaces
