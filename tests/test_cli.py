@@ -743,27 +743,26 @@ def test_byte_identical_json_across_processes(cmd):
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN,
-                         ids=[" ".join(g["argv"]) for g in GOLDEN])
-def test_golden_json(capsys, case):
+def check_golden(capsys, case):
     argv = [str(ROOT / a) if a.startswith("theories/") else a
             for a in case["argv"]]
     code, out, err = run(capsys, *argv, "--json")
-    assert code == case["exit"]
+    assert code == case["exit"], case["argv"]
     if "stdout" in case:
-        assert out == case["stdout"]
+        assert out == case["stdout"], case["argv"]
     else:
         assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
     if "stderr" in case:
-        assert err == case["stderr"]
+        assert err == case["stderr"], case["argv"]
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[" ".join(g["argv"]) for g in GOLDEN])
+def test_golden_json(capsys, case):
+    check_golden(capsys, case)
 
 
 # --- memo of parsed inputs ---------------------------------------------------------
-
-def golden_argv(case):
-    return [str(ROOT / a) if a.startswith("theories/") else a
-            for a in case["argv"]] + ["--json"]
-
 
 def test_golden_forward_then_reversed_in_one_process(capsys):
     """Answers do not depend on what the process was asked before: every
@@ -771,14 +770,7 @@ def test_golden_forward_then_reversed_in_one_process(capsys):
     inputs."""
     parsed_input.cache_clear()
     for case in GOLDEN + GOLDEN[::-1]:
-        code, out, err = run(capsys, *golden_argv(case))
-        assert code == case["exit"], case["argv"]
-        if "stdout" in case:
-            assert out == case["stdout"], case["argv"]
-        else:
-            assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
-        if "stderr" in case:
-            assert err == case["stderr"], case["argv"]
+        check_golden(capsys, case)
     assert parsed_input.cache_info().hits > 100
 
 
