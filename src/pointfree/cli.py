@@ -82,10 +82,17 @@ class _Presented:
         self.p, self.limits, self._frame = p, limits, None
 
     def frame(self):
-        """The PresentedFrame with a count memo of this query's own."""
+        """The PresentedFrame, its count memo emptied for this query.
+
+        The models, J masks, `_below`, C-ideal masks and meet names are
+        the same whatever was asked before, but count_downsets refuses by
+        the sub-counts one count adds, so counts kept from an earlier query
+        could turn a refusal into an answer (and a refusal leaves the memo
+        grown)."""
         if self._frame is None:
             self._frame = frames.PresentedFrame(self.p, limits=self.limits)
-        return self._frame.fresh()
+        self._frame._downsets = {0: 1}
+        return self._frame
 
 
 @functools.lru_cache(maxsize=1)

@@ -71,16 +71,6 @@ class PresentedFrame(ModelSets):
         # a proper subset of P: the models containing model k, less k
         self._below = [self.up(k) & ~(1 << k) for k in range(len(order))]
 
-    def fresh(self):
-        """This frame with an empty count memo, sharing the rest: models, J
-        masks, `_below` and C-ideal masks are the same whatever was asked
-        before, but count_downsets refuses by the sub-counts one count
-        adds, so counts kept from earlier calls could turn a refusal into
-        an answer (and a refusal leaves the memo grown)."""
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__, _downsets={0: 1})
-        return out
-
     @staticmethod
     def le(a, b):
         return a & ~b == 0

@@ -774,7 +774,8 @@ def test_golden_forward_then_reversed_in_one_process(capsys):
     assert parsed_input.cache_info().hits > 100
 
 
-def test_a_refused_count_leaves_the_kept_frame_as_it_was(capsys, tmp_path):
+def test_a_refused_count_does_not_carry_over_to_the_next_query(capsys,
+                                                               tmp_path):
     """`frame points` on the free frame on 7 generators refuses at
     element_cap while counting; a count memo kept between calls grew at
     each refusal, and fewer sub-counts added per call could have turned
@@ -785,12 +786,15 @@ def test_a_refused_count_leaves_the_kept_frame_as_it_was(capsys, tmp_path):
     answers, states = [], []
     for _ in range(3):
         answers.append(run(capsys, "frame", "points", free7))
-        frame = parsed_input("pres", free7.read_text(), "", Limits())._frame
-        states.append((frame._downsets, len(frame._masks)))
+        presented = parsed_input("pres", free7.read_text(), "", Limits())
+        grown = dict(presented._frame._downsets)
+        frame = presented.frame()  # as the next query gets it
+        states.append((grown, frame._downsets, len(frame._masks)))
     assert answers[0][:2] == (2, "")
     assert answers[0][2].endswith(", exceeding cap 4096 (element_cap)\n")
     assert answers == [answers[0]] * 3
-    assert states == [({0: 1}, 128)] * 3
+    assert len(states[0][0]) > 1 and states[0][1:] == ({0: 1}, 128)
+    assert states == [states[0]] * 3
     assert parsed_input.cache_info()[:2] == (5, 1)  # (hits, misses)
 
 
