@@ -74,53 +74,34 @@ def _parse_truncation(text):
 
 # --- parsed inputs ----------------------------------------------------------------
 
-class _Presented:
-    """A presentation, not stabilized, and its PresentedFrame, built on
-    first use."""
-
-    def __init__(self, p, limits):
-        self.p, self.limits, self._frame = p, limits, None
-
-    def frame(self):
-        """The PresentedFrame, its count memo emptied for this query.
-
-        The models, J masks, `_below`, C-ideal masks and meet names are
-        the same whatever was asked before, but count_downsets refuses by
-        the sub-counts one count adds, so counts kept from an earlier query
-        could turn a refusal into an answer (and a refusal leaves the memo
-        grown)."""
-        if self._frame is None:
-            self._frame = frames.PresentedFrame(self.p, limits=self.limits)
-        self._frame._downsets = {0: 1}
-        return self._frame
-
-
 @functools.lru_cache(maxsize=1)
 def parsed_input(kind, text, truncate, limits):
     """The input file of this text: the DistLattice of a lattice ("lat"),
-    else the _Presented of a theory ("thy") or a presentation ("pres"),
-    within generator_cap.
+    else the presentation, not stabilized, of a theory ("thy") or a
+    presentation file ("pres"), within generator_cap.
 
     The input parsed last is kept, so that the next query on it skips the
-    parse, the model search and the J masks.  It is keyed by the file's
-    text, so an edited file is parsed again, and a call that raises keeps
-    nothing new, so a refusal redoes its work and refuses again.  One input
-    is kept, as a session asks its questions of one file in a row: an
-    input kept longer is cold when it is dropped, and freeing it slowed the
-    queries on fresh files.  A one-shot process sees only misses."""
+    parse; a presentation also carries its PresentedFrame once a query has
+    built it (p.frame), so the model search and the J masks run once per
+    input.  The frame holds nothing that depends on the query.  The memo
+    is keyed by the file's text, so an edited file is parsed again, and a
+    call that raises keeps nothing new, so a refusal redoes its work and
+    refuses again.  One input is kept, as a session asks its questions of
+    one file in a row: an input kept longer is cold when it is dropped,
+    and freeing it slowed the queries on fresh files.  A one-shot process
+    sees only misses."""
     if kind == "lat":
         return order.parse_lattice_text(text, limits=limits)
     if kind == "thy":  # the theory is parsed before the truncation
-        p = theories.instantiate(theories.parse_theory(text),
-                                 _parse_truncation(truncate), limits=limits)
-    else:
-        p = presentations.parse_presentation_text(text)
-        presentations.check_generator_cap(p, limits)
-    return _Presented(p, limits)
+        return theories.instantiate(theories.parse_theory(text),
+                                    _parse_truncation(truncate), limits=limits)
+    p = presentations.parse_presentation_text(text)
+    presentations.check_generator_cap(p, limits)
+    return p
 
 
 def _load_presentation(path, truncate, limits):
-    """The _Presented of either a presentation file or a theory file
+    """The presentation of either a presentation file or a theory file
     (detected from the first directive), within generator_cap."""
     text = read_input(path)
     first = ""
@@ -160,8 +141,7 @@ def _parse_element_expr(p, text, limits):
 # --- frame --------------------------------------------------------------------
 
 def cmd_frame(args, limits):
-    presented = _load_presentation(args.file, args.truncate, limits)
-    p = presented.p
+    p = _load_presentation(args.file, args.truncate, limits)
     if args.sub == "leq":
         a = _parse_element_expr(p, args.lhs, limits)
         b = _parse_element_expr(p, args.rhs, limits)
@@ -184,21 +164,21 @@ def cmd_frame(args, limits):
         _emit(frames.is_compact_presentation(p, limits=limits), args)
         return EXIT_OK
 
-    frame = presented.frame()
+    frame = p.frame
     if args.sub == "elements":
-        elems, edges = frame.elements()
+        elems, edges = frame.elements(limits)
         names = {e: frame.name(e) for e in elems}
         _emit({"count": len(elems),
                "hasse_edges": [[names[a], names[b]] for a, b in edges]},
               args)
         return EXIT_OK
     if args.sub == "points":
-        pts = frame.points()
+        pts = frame.points(limits)
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
     # hausdorff: |f| = |D(J)|, counted before the elements are listed
-    frames.diagonal_cap(frame.count_downsets(), limits)
-    elems, _ = frame.elements()
+    frames.diagonal_cap(frame.count_downsets(limits), limits)
+    elems, _ = frame.elements(limits)
     verdict, witness = frames.closed_diagonal(
         elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
         limits=limits)
@@ -215,7 +195,8 @@ def cmd_frame(args, limits):
 def cmd_theory(args, limits):
     text = read_input(args.file)
     if args.sub == "models":
-        ms = parsed_input("thy", text, args.truncate, limits).frame().points()
+        p = parsed_input("thy", text, args.truncate, limits)
+        ms = p.frame.points(limits)
         # a finite frame is spatial: it is nontrivial when it has a point
         _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
               args)

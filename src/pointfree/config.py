@@ -50,16 +50,28 @@ def _members(pairs):
     return data
 
 
+def _json_int(text):
+    """A JSON integer, refusing one past Python's 4300-digit limit on
+    turning text into an int, at which json.loads raises a ValueError."""
+    digits = len(text.lstrip("-"))
+    if digits > 4300:
+        raise ParseError(f"config value is an integer of {digits} digits, "
+                         f"expected at most 4300")
+    return int(text)
+
+
 def load_limits():
     """Limits from POINTFREE_CONFIG if set, otherwise the defaults.  The
     file must hold a JSON object whose keys are distinct Limits fields and
     whose values are non-negative integers; a body nested past the
-    decoder's recursion limit is a ParseError too."""
+    decoder's recursion limit, or an integer of more than 4300 digits, is
+    a ParseError too."""
     path = os.environ.get("POINTFREE_CONFIG")
     if not path:
         return Limits()
     try:
-        data = json.loads(read_input(path), object_pairs_hook=_members)
+        data = json.loads(read_input(path), object_pairs_hook=_members,
+                          parse_int=_json_int)
     except RecursionError:  # the decoder recurses once per nesting level
         raise ParseError(f"POINTFREE_CONFIG {path} is nested too deeply "
                          f"to read") from None

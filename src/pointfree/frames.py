@@ -2,7 +2,6 @@
 subsets of the join-irreducibles (open/closed sublocales, quotients),
 coproducts (tensor products) and the Hausdorff and compactness checks."""
 
-import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -10,8 +9,8 @@ from .config import DEFAULT
 from .errors import CapExceeded, PointfreeError
 from .order import (DistLattice, Poset, canon, count_downsets,
                     enumerate_downsets, prime_filters, sort_key)
-from .presentations import (ModelSets, _breaks, _cover_masks, _inside,
-                            check_generator_cap, find_models, set_bits)
+from .presentations import (  # PresentedFrame is importable from here too
+    PresentedFrame, check_generator_cap, presented_frame)
 
 
 class FiniteFrame(DistLattice):
@@ -25,134 +24,14 @@ def frame_from_order(elements, le, meet, join):
                        check_distributive=False)
 
 
-# --- the bitmask engine for presented frames ----------------------------------
-
-_SWAP = str.maketrans("01", "10")
-
-
-def _key(mask):
-    """The sort_key order of C-ideal masks: by size, then the mask holding
-    the lowest bit where two differ first (their bit strings read from the
-    lowest bit, 0 and 1 swapped; of one size, neither is a prefix)."""
-    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP)
-
-
-class PresentedFrame(ModelSets):
-    """The frame of C-ideals of a presentation as D(J), the downsets of its
-    join-primes J (Birkhoff), an element being a mask over J in key order.
-
-    Each model P of the covers gives the join-prime j_P, the formal meets m
-    such that every model holding m holds P, and j_P ≤ j_Q exactly when
-    Q ⊆ P.  So a downset of J is an up-set of models (ModelSets, over the
-    models in J order), and meet, join and order are AND, OR and
-    inclusion.  C-ideal masks are built only to order elements (`key`)
-    and to name them.
-    """
-
-    key = staticmethod(_key)
-
-    def __init__(self, p, limits=DEFAULT):
-        check_generator_cap(p, limits)
-        models, g = find_models(p), len(p.generators)
-        held = [_inside(q, g) for q in models]
-        # missed[i]: the meets held by a model missing generator i, so
-        # j_P is the meets outside missed[i] for every i in P
-        missed = [functools.reduce(int.__or__, (h for h, q in zip(
-            held, models) if not q >> i & 1), 0) for i in range(g)]
-        full = (1 << (1 << g)) - 1
-        js = [full & ~functools.reduce(int.__or__, map(
-            missed.__getitem__, set_bits(q)), 0) for q in models]
-        order = sorted(range(len(js)), key=lambda k: _key(js[k]))
-        super().__init__(p, [models[k] for k in order])
-        self.limits = limits
-        self._masks = {self.up(n): js[k] for n, k in enumerate(order)}
-        self._downsets = {0: 1}  # J-index mask s -> |D(s)|
-        # below[k]: the J-indices strictly below J[k], j_P < j_Q when Q is
-        # a proper subset of P: the models containing model k, less k
-        self._below = [self.up(k) & ~(1 << k) for k in range(len(order))]
-
-    @staticmethod
-    def le(a, b):
-        return a & ~b == 0
-
-    def mask(self, u):
-        """The C-ideal of element u as a mask, kept once built."""
-        if u not in self._masks:
-            self._masks[u] = super().mask(u)
-        return self._masks[u]
-
-    @property
-    def join_primes(self):
-        """J in key order, each j_P as its element."""
-        return [self.up(k) for k in range(len(self.models))]
-
-    def count_downsets(self, s=None):
-        """|D(S)| for the join-primes S with J-indices in the mask s, by
-        default all of J, whose downsets are the elements."""
-        s = self.top if s is None else s
-        return count_downsets(self._below, s, self._downsets, self.limits)
-
-    def elements(self):
-        """All elements in key order, and the Hasse edges u ⋖ v sorted by
-        the keys of their ends, once |D(J)| is within element_cap.
-
-        Listed from the top down: dropping from v a model k none of whose
-        proper submodels is in v leaves the element u below it, and the
-        C-ideal of u is that of v less the formal meets inside model k."""
-        count = self.count_downsets()
-        if count > self.limits.element_cap:
-            raise CapExceeded("frame elements", count,
-                              self.limits.element_cap, field="element_cap")
-        held = [_inside(q, len(self.generators)) for q in self.models]
-        above = [sum(1 << k for k, b in enumerate(self._below) if b >> i & 1)
-                 for i in range(len(held))]  # J-indices strictly above i
-        masks = {self.top: self.full}
-        edges = []
-        stack = [self.top]
-        while stack:
-            v = stack.pop()
-            for k in set_bits(v):
-                if not above[k] & v:
-                    u = v & ~(1 << k)
-                    if u not in masks:
-                        masks[u] = masks[v] & ~held[k]
-                        stack.append(u)
-                    edges.append((u, v))
-        self._masks.update(masks)
-        elems = sorted(masks, key=lambda e: _key(masks[e]))
-        rank = {e: r for r, e in enumerate(elems)}
-        edges.sort(key=lambda uv: (rank[uv[0]], rank[uv[1]]))
-        return elems, edges
-
-    def points(self):
-        """Each point as the sorted list of generators of its model.
-
-        The point of a join-prime j is its filter ↑j, and the points come
-        in the sort_key order of those filters: by |↑j| = |D(J minus ↓j)|,
-        then by j, the least member of its filter.  Each model is checked
-        against every cover before it is returned.
-        """
-        ms, below = self.models, self._below
-        gens, rules = _cover_masks(self.presentation)
-        # from the top of J down: the larger counts reuse the smaller ones
-        size = {k: self.count_downsets(self.top & ~(below[k] | 1 << k))
-                for k in reversed(range(len(ms)))}
-        out = []
-        for k in sorted(size, key=lambda k: (size[k], k)):
-            if _breaks(rules, ms[k], ~ms[k]):
-                raise PointfreeError("point violates a cover")
-            out.append([g for i, g in enumerate(gens) if ms[k] >> i & 1])
-        return out
-
-
 def enumerate_frame(p, limits=DEFAULT):
     """The finite frame of all C-ideals of a presentation.
 
     Returns (frame, gen_map) where frame elements are frozensets of formal
     meets and gen_map sends each generator to its frame element.
     """
-    pf = PresentedFrame(p, limits=limits)
-    masks, _ = pf.elements()
+    pf = presented_frame(p, limits)
+    masks, _ = pf.elements(limits)
     elem_of = {u: pf.members(u) for u in masks}
     mask_of = {e: u for u, e in elem_of.items()}
     frame = frame_from_order(

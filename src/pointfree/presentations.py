@@ -5,9 +5,9 @@ c is a formal meet (a subset of the generators; the empty subset is the top
 formal meet) and T is a finite set of formal meets.  The elements of the
 presented frame are the saturated downsets of formal meets (C-ideals).  A
 finite frame is spatial, so they are computed on the models of the covers
-(ModelSets): an element is the up-set U of models where it holds, and its
-C-ideal is {m : every model of m lies in U}.  Order, meet and join are then
-inclusion, intersection and union.
+(PresentedFrame): an element is the up-set U of models where it holds, and
+its C-ideal is {m : every model of m lies in U}.  Order, meet and join are
+then inclusion, intersection and union.
 """
 
 import functools
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 
 from .config import DEFAULT
-from .errors import CapExceeded, MixedPresentations, ParseError
+from .errors import CapExceeded, MixedPresentations, ParseError, PointfreeError
+from .order import count_downsets
 
 
 TOP_MEET = frozenset()
@@ -56,14 +57,18 @@ class FramePresentation:
 
     def all_meets(self):
         """Every formal meet, in meet_key order."""
-        gs = sorted(self.generators)
-        return [frozenset(c) for n in range(len(gs) + 1)
-                for c in combinations(gs, n)]
+        return _all_meets(sorted(self.generators))
 
     @functools.cached_property
-    def model_sets(self):
-        """The ModelSets of this presentation, built once."""
-        return ModelSets(self)
+    def frame(self):
+        """The PresentedFrame of this presentation, built once."""
+        return PresentedFrame(self)
+
+
+def _all_meets(gens):
+    """Every formal meet over the sorted generators, in meet_key order."""
+    return [frozenset(c) for n in range(len(gens) + 1)
+            for c in combinations(gens, n)]
 
 
 def check_generator_cap(p, limits=DEFAULT):
@@ -74,12 +79,12 @@ def check_generator_cap(p, limits=DEFAULT):
                           limits.generator_cap, field="generator_cap")
 
 
-def _model_sets(p, limits):
-    """p.model_sets, once p is within generator_cap: stabilize checked a
+def presented_frame(p, limits=DEFAULT):
+    """p.frame, once p is within generator_cap: stabilize checked a
     stabilized p against the limits it was given."""
     if not p.stabilized:
         check_generator_cap(p, limits)
-    return p.model_sets
+    return p.frame
 
 
 def stabilize(p, limits=DEFAULT):
@@ -106,15 +111,15 @@ def set_bits(mask):
 
 # --- models -------------------------------------------------------------------
 
-def _cover_masks(p):
+def _cover_masks(generators, covers):
     """The sorted generators, and each cover as (left side, right-side
     meets) over their bits."""
-    gens = sorted(p.generators)
+    gens = sorted(generators)
     bit = {g: 1 << i for i, g in enumerate(gens)}
 
     def meet(m):
         return sum(bit[g] for g in m)
-    return gens, [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in p.covers]
+    return gens, [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in covers]
 
 
 def _breaks(rules, true, false):
@@ -146,7 +151,7 @@ def find_models(p):
     a model of their meet-stabilization, so the covers need not be
     stabilized.
     """
-    gens, rules = _cover_masks(p)
+    gens, rules = _cover_masks(p.generators, p.covers)
     containing, meets = _meet_table(len(gens))
     ok = every = (1 << len(meets)) - 1
 
@@ -170,29 +175,69 @@ def _inside(q, g):
         c for i, c in enumerate(containing) if not q >> i & 1), 0)
 
 
-class ModelSets:
-    """The frame of a presentation on its models: a finite frame is
-    spatial, so u ≤ v exactly when every model of u is a model of v.
+_SWAP = str.maketrans("01", "10")
 
-    An element is an up-set of models (under inclusion), a mask over their
-    list.  models(m) of a formal meet is the AND of its generators' masks
-    `holds`, and models(join of meets) the OR of those.  The C-ideal of an
-    up-set U is {m : models(m) ⊆ U}, a mask over the formal meets in
-    meet_key order: the meets outside it lie inside a model outside U.
+
+def _key(mask):
+    """The sort_key order of C-ideal masks: by size, then the mask holding
+    the lowest bit where two differ first (their bit strings read from the
+    lowest bit, 0 and 1 swapped; of one size, neither is a prefix)."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP)
+
+
+class PresentedFrame:
+    """The frame of C-ideals of a presentation on the models of its
+    covers: a finite frame is spatial, so u ≤ v exactly when every model
+    of u is a model of v.  Built once per presentation (p.frame); it keeps
+    nothing that depends on a query, and the methods that count take the
+    limits and a fresh memo per call.  It keeps the covers, not the
+    presentation, which holds it: a cycle would leave each dropped input
+    to the cyclic garbage collector.
+
+    Each model P gives the join-prime j_P, the formal meets m such that
+    every model holding m holds P, and j_P ≤ j_Q exactly when Q ⊆ P.  The
+    models are kept in the key order of their j_P masks, a linear
+    extension of J, and an element is a mask over them: a downset of J
+    (Birkhoff) is an up-set of models.  Meet, join and order are AND, OR
+    and inclusion.  models(m) of a formal meet is the AND of its
+    generators' masks `holds`, and models(join of meets) the OR of those.
+    The C-ideal of an up-set U is {m : models(m) ⊆ U}, a mask over the
+    formal meets in meet_key order: the meets outside it lie inside a
+    model outside U.  C-ideal masks are built only to order elements
+    (`key`) and to name them.
     """
 
     bottom = 0
+    key = staticmethod(_key)
 
-    def __init__(self, p, models=None):
-        self.presentation = p
+    def __init__(self, p):
+        self.covers = p.covers
         self.generators = gens = sorted(p.generators)
         self.bit = {g: i for i, g in enumerate(gens)}
-        self.models = find_models(p) if models is None else models
-        self.top = (1 << len(self.models)) - 1
+        models, g = find_models(p), len(gens)
+        held = [_inside(q, g) for q in models]
+        # missed[i]: the meets held by a model missing generator i, so
+        # j_P is the meets outside missed[i] for every i in P
+        missed = [functools.reduce(int.__or__, (h for h, q in zip(
+            held, models) if not q >> i & 1), 0) for i in range(g)]
+        self.full = full = (1 << (1 << g)) - 1  # every formal meet
+        js = [full & ~functools.reduce(int.__or__, map(
+            missed.__getitem__, set_bits(q)), 0) for q in models]
+        order = sorted(range(len(js)), key=lambda k: _key(js[k]))
+        self.models = [models[k] for k in order]
+        self._held = [held[k] for k in order]  # the meets inside each
+        self.top = (1 << len(models)) - 1
         # holds[i]: the models holding generator i
         self.holds = [sum(1 << k for k, q in enumerate(self.models)
-                          if q >> i & 1) for i in range(len(gens))]
-        self.full = (1 << (1 << len(gens))) - 1  # every formal meet
+                          if q >> i & 1) for i in range(g)]
+        self._masks = {self.up(n): js[k] for n, k in enumerate(order)}
+        # below[k]: the J-indices strictly below J[k], j_P < j_Q when Q is
+        # a proper subset of P: the models containing model k, less k
+        self._below = [self.up(k) & ~(1 << k) for k in range(len(order))]
+
+    @staticmethod
+    def le(a, b):
+        return a & ~b == 0
 
     def of_meets(self, meets):
         """The up-set of models of the join of some formal meets."""
@@ -211,16 +256,17 @@ class ModelSets:
         return functools.reduce(int.__and__, map(
             self.holds.__getitem__, set_bits(self.models[k])), self.top)
 
-    def mask(self, models):
-        """The C-ideal of an up-set of models, as a mask."""
-        g, ms = len(self.generators), self.models
-        return self.full & ~functools.reduce(int.__or__, (
-            _inside(ms[k], g) for k in set_bits(self.top & ~models)), 0)
+    def mask(self, u):
+        """The C-ideal of element u as a mask, kept once built."""
+        if u not in self._masks:
+            self._masks[u] = self.full & ~functools.reduce(int.__or__, map(
+                self._held.__getitem__, set_bits(self.top & ~u)), 0)
+        return self._masks[u]
 
     @functools.cached_property
     def meets(self):
         """Every formal meet in meet_key order, one per bit of a mask."""
-        return self.presentation.all_meets()
+        return _all_meets(self.generators)
 
     @functools.cached_property
     def names(self):
@@ -229,14 +275,76 @@ class ModelSets:
         return [" & ".join(c) or "top" for n in range(len(self.generators) + 1)
                 for c in combinations(self.generators, n)]
 
-    def members(self, models):
+    def members(self, u):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
-        return frozenset(compress(self.meets, _flags(self.mask(models))))
+        return frozenset(compress(self.meets, _flags(self.mask(u))))
 
-    def name(self, models):
+    def name(self, u):
         """The C-ideal of an up-set, its members in meet_key order."""
         return "{" + ", ".join(compress(self.names,
-                                        _flags(self.mask(models)))) + "}"
+                                        _flags(self.mask(u)))) + "}"
+
+    @property
+    def join_primes(self):
+        """J in key order, each j_P as its element."""
+        return [self.up(k) for k in range(len(self.models))]
+
+    def count_downsets(self, limits=DEFAULT):
+        """|D(J)|, the number of elements."""
+        return count_downsets(self._below, self.top, {0: 1}, limits)
+
+    def elements(self, limits=DEFAULT):
+        """All elements in key order, and the Hasse edges u ⋖ v sorted by
+        the keys of their ends, once |D(J)| is within element_cap.
+
+        Listed from the top down: dropping from v a model k none of whose
+        proper submodels is in v leaves the element u below it, and the
+        C-ideal of u is that of v less the formal meets inside model k."""
+        count = self.count_downsets(limits)
+        if count > limits.element_cap:
+            raise CapExceeded("frame elements", count, limits.element_cap,
+                              field="element_cap")
+        held = self._held
+        above = [sum(1 << k for k, b in enumerate(self._below) if b >> i & 1)
+                 for i in range(len(held))]  # J-indices strictly above i
+        masks = {self.top: self.full}
+        edges = []
+        stack = [self.top]
+        while stack:
+            v = stack.pop()
+            for k in set_bits(v):
+                if not above[k] & v:
+                    u = v & ~(1 << k)
+                    if u not in masks:
+                        masks[u] = masks[v] & ~held[k]
+                        stack.append(u)
+                    edges.append((u, v))
+        self._masks.update(masks)
+        elems = sorted(masks, key=lambda e: _key(masks[e]))
+        rank = {e: r for r, e in enumerate(elems)}
+        edges.sort(key=lambda uv: (rank[uv[0]], rank[uv[1]]))
+        return elems, edges
+
+    def points(self, limits=DEFAULT):
+        """Each point as the sorted list of generators of its model.
+
+        The point of a join-prime j is its filter ↑j, and the points come
+        in the sort_key order of those filters: by |↑j| = |D(J minus ↓j)|,
+        then by j, the least member of its filter.  Each model is checked
+        against every cover before it is returned.
+        """
+        ms, below, memo = self.models, self._below, {0: 1}
+        gens, rules = _cover_masks(self.generators, self.covers)
+        # from the top of J down: the larger counts reuse the smaller ones
+        size = {k: count_downsets(below, self.top & ~(below[k] | 1 << k),
+                                  memo, limits)
+                for k in reversed(range(len(ms)))}
+        out = []
+        for k in sorted(size, key=lambda k: (size[k], k)):
+            if _breaks(rules, ms[k], ~ms[k]):
+                raise PointfreeError("point violates a cover")
+            out.append([g for i, g in enumerate(gens) if ms[k] >> i & 1])
+        return out
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -254,7 +362,7 @@ class CIdeal:
     Downward closed means closed under adding generators to a meet; saturated
     means every stabilized cover whose right side lies inside also has its
     left side inside.  It is held as the up-set of the models where it
-    holds (ModelSets).
+    holds (PresentedFrame).
     """
 
     presentation: FramePresentation
@@ -263,18 +371,18 @@ class CIdeal:
     @property
     def mask(self):
         """The members as a mask over the formal meets in meet_key order."""
-        return self.presentation.model_sets.mask(self.models)
+        return self.presentation.frame.mask(self.models)
 
     @property
     def members(self):
-        return self.presentation.model_sets.members(self.models)
+        return self.presentation.frame.members(self.models)
 
     def __le__(self, other):
         _same(self, other)
         return self.models & ~other.models == 0
 
     def __str__(self):
-        return self.presentation.model_sets.name(self.models)
+        return self.presentation.frame.name(self.models)
 
 
 def _same(a, b):
@@ -285,7 +393,7 @@ def _same(a, b):
 def saturate(p, seed, limits=DEFAULT):
     """Least C-ideal containing the given formal meets (a closure operator):
     the meets all of whose models hold one of them."""
-    return CIdeal(p, _model_sets(p, limits).of_meets(seed))
+    return CIdeal(p, presented_frame(p, limits).of_meets(seed))
 
 
 def check_positivity_certificate(p, positives):
@@ -313,9 +421,9 @@ def check_positivity_certificate(p, positives):
     if any(lhs in positives and not rhs & positives for lhs, rhs in p.covers):
         return False
     # (iii) every model's own meet is positive
-    sem = p.model_sets
-    return all(frozenset(sem.generators[i] for i in set_bits(q)) in positives
-               for q in sem.models)
+    gens = sorted(p.generators)
+    return all(frozenset(gens[i] for i in set_bits(q)) in positives
+               for q in find_models(p))
 
 
 # --- text format ------------------------------------------------------------

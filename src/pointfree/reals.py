@@ -462,6 +462,14 @@ class _ExprParser:
             if m.lastgroup == "bad":
                 raise ParseError(f"unexpected character {m.group()!r} "
                                  f"in expression", col=m.start() + 1)
+            if m.lastgroup == "num":
+                # int() refuses a run of more than 4300 digits (Python's
+                # limit on turning text into an int) with a ValueError
+                digits = max(map(len, m.group().split(".")))
+                if digits > 4300:
+                    raise ParseError(f"expected an integer of at most 4300 "
+                                     f"digits, got {digits} digits",
+                                     col=m.start() + 1)
             if m.lastgroup != "ws":
                 self.toks.append((m.lastgroup, m.group(), m.start() + 1))
         self.toks.append(("eof", "", len(text) + 1))

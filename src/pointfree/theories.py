@@ -14,7 +14,6 @@ from math import prod
 
 from .config import DEFAULT
 from .errors import CapExceeded, ParseError
-from .frames import PresentedFrame
 from .presentations import TOP_MEET, FramePresentation, stabilize
 
 
@@ -454,7 +453,7 @@ def models(ast, trunc=None, limits=DEFAULT):
     models of the instantiated covers, which need no stabilizing."""
     p = instantiate(ast, trunc=trunc, limits=limits)
     return [{g: g in true for g in p.generators}
-            for true in PresentedFrame(p, limits=limits).points()]
+            for true in p.frame.points(limits)]
 
 
 # --- builtin theories ---------------------------------------------------------

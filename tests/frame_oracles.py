@@ -2,7 +2,7 @@
 oracles for them.
 
 - For the join-primes J of the bitmask engine, which come from a search
-  for models (`frames.find_models`): the scan of all 2^g principal
+  for models (`presentations.find_models`): the scan of all 2^g principal
   C-ideals of the stabilized presentation for those that the principals
   strictly below do not join up to, with the points read off it.
 - For the model-set C-ideals (`presentations.saturate`, joins, bottom,

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import pointfree.frames
+import pointfree.presentations
 from pointfree.cli import main, parsed_input
-from pointfree.config import Limits
 
 ROOT = Path(__file__).resolve().parents[1]
 THY = ROOT / "theories"
@@ -574,6 +575,32 @@ def test_theory_refuses_an_integer_past_4300_digits(capsys, tmp_path, sub,
     assert run(capsys, "theory", "parse", thy)[0] == 0
 
 
+BIG = "9" * 5001
+
+
+@pytest.mark.parametrize("expr, config, message", [
+    (f"x^{BIG}", None, "5001 digits at col 3"),
+    (f"1/{BIG}", None, "5001 digits at col 3"),
+    (f"{BIG}/3", None, "5001 digits at col 1"),
+    ("x", '{"element_cap": %s}' % BIG, "integer of 5001 digits")],
+    ids=["power", "denominator", "numerator", "config"])
+def test_an_integer_past_4300_digits_is_refused(capsys, tmp_path,
+                                                monkeypatch, expr, config,
+                                                message):
+    """int() of more than 4,300 digits raises ValueError (Python's limit
+    on turning text into an int), which passed cli.main as a traceback
+    from the evt parser and from json.loads of the config."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
+    code, out, err = run(capsys, "evt", "max", "--expr", expr,
+                         "--domain", "[0,1]")
+    assert code in (1, 2) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text, what, cap, field", [
     ("prop a[i][j] for i<{n}, j<{n};", "generators", 8, "generator_cap"),
     ("prop a; axiom a |- a for i<{n}, j<{n};", "axiom instances", 65536,
@@ -777,25 +804,41 @@ def test_golden_forward_then_reversed_in_one_process(capsys):
 def test_a_refused_count_does_not_carry_over_to_the_next_query(capsys,
                                                                tmp_path):
     """`frame points` on the free frame on 7 generators refuses at
-    element_cap while counting; a count memo kept between calls grew at
-    each refusal, and fewer sub-counts added per call could have turned
-    the refusal into an answer."""
+    element_cap while counting; a count memo kept between calls would grow
+    at each refusal, and fewer sub-counts added per call could turn the
+    refusal into an answer.  Queries 2 and 3 are memo hits, so they count
+    on the frame that query 1 built."""
     free7 = tmp_path / "free7.pres"
     free7.write_text("gen " + " ".join(f"g{i}" for i in range(7)) + "\n")
     parsed_input.cache_clear()
-    answers, states = [], []
-    for _ in range(3):
-        answers.append(run(capsys, "frame", "points", free7))
-        presented = parsed_input("pres", free7.read_text(), "", Limits())
-        grown = dict(presented._frame._downsets)
-        frame = presented.frame()  # as the next query gets it
-        states.append((grown, frame._downsets, len(frame._masks)))
+    answers = [run(capsys, "frame", "points", free7) for _ in range(3)]
     assert answers[0][:2] == (2, "")
     assert answers[0][2].endswith(", exceeding cap 4096 (element_cap)\n")
     assert answers == [answers[0]] * 3
-    assert len(states[0][0]) > 1 and states[0][1:] == ({0: 1}, 128)
-    assert states == [states[0]] * 3
-    assert parsed_input.cache_info()[:2] == (5, 1)  # (hits, misses)
+    assert parsed_input.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+
+def test_one_model_search_per_parsed_presentation(capsys, monkeypatch):
+    """`frame leq`, `elements`, `points`, `hausdorff` and `leq` again on
+    one file read the one frame built for its presentation: the models
+    are searched for once."""
+    search, calls = pointfree.presentations.find_models, []
+
+    def counted(p):
+        calls.append(p)
+        return search(p)
+
+    for mod in (pointfree.presentations, pointfree.frames):
+        for name, value in list(vars(mod).items()):
+            if value is search:
+                monkeypatch.setattr(mod, name, counted)
+    pres = THY / "cantor1.pres"
+    parsed_input.cache_clear()
+    for argv in (["leq", pres, "z0", "z0 | u0"], ["elements", pres],
+                 ["points", pres], ["hausdorff", pres],
+                 ["leq", pres, "top", "z0"]):
+        assert run(capsys, "frame", *argv)[0] == 0
+    assert len(calls) == 1
 
 
 def test_an_edited_file_is_parsed_again(capsys, tmp_path):

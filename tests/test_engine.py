@@ -23,8 +23,10 @@ from pointfree.errors import CapExceeded, PointfreeError
 from pointfree.frames import PresentedFrame, enumerate_frame, points
 from pointfree.order import sort_key
 from pointfree.presentations import (TOP_MEET, FramePresentation,
-                                     check_positivity_certificate, meet_key,
-                                     meet_str, saturate, set_bits, stabilize)
+                                     check_positivity_certificate,
+                                     find_models, meet_key, meet_str,
+                                     presented_frame, saturate, set_bits,
+                                     stabilize)
 
 THY = Path(__file__).resolve().parents[1] / "theories"
 
@@ -134,12 +136,10 @@ def test_model_search_reads_the_covers_as_given():
     search finds the same models either way.  Cantor N=2 has four, over
     the sorted generators u0, u1, z0, z1: one of u_i, z_i for each i."""
     p = cantor_presentation(2)
-    assert sorted(frames.find_models(p)) == \
-        sorted(frames.find_models(stabilize(p))) == [0b0011, 0b0110,
-                                                     0b1001, 0b1100]
+    assert sorted(find_models(p)) == sorted(find_models(stabilize(p))) == \
+        [0b0011, 0b0110, 0b1001, 0b1100]
     # top covered by nothing (top <= bot) has no model
-    assert frames.find_models(FramePresentation.make(["a"],
-                                                     [(set(), [])])) == []
+    assert find_models(FramePresentation.make(["a"], [(set(), [])])) == []
 
 
 def test_key_orders_masks_as_their_sorted_members():
@@ -263,16 +263,16 @@ def test_engine_cantor_at_the_generator_cap():
 
 
 def test_engine_cap():
-    with pytest.raises(CapExceeded):
-        PresentedFrame(free_presentation(9))
+    with pytest.raises(CapExceeded, match="generators has size 9"):
+        presented_frame(free_presentation(9))
 
 
 def test_engine_rejects_a_point_that_breaks_a_rule(monkeypatch):
     """The certificate check on points: a search that also returned the
     empty set on cantor N=1 (u0 and z0 both false) would break
     top ≤ z0 ∨ u0, and the check refuses it."""
-    search = frames.find_models
-    monkeypatch.setattr(frames, "find_models", lambda p: search(p) + [0])
+    monkeypatch.setattr(pointfree.presentations, "find_models",
+                        lambda p: find_models(p) + [0])
     engine = PresentedFrame(cantor_presentation(1))
     assert len(engine.join_primes) == 3
     with pytest.raises(PointfreeError, match="point violates a cover"):

@@ -353,7 +353,7 @@ def test_compactness_lists_no_elements(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a PresentedFrame was built")
 
-    monkeypatch.setattr(frames, "PresentedFrame", refuse)
+    monkeypatch.setattr("pointfree.presentations.PresentedFrame", refuse)
     assert is_compact_presentation(cantor_presentation(4)) == COMPACT
     with pytest.raises(CapExceeded):
         is_compact_presentation(free_presentation(9))
