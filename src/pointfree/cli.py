@@ -153,9 +153,8 @@ def cmd_frame(args, limits):
             part = part.strip()
             meets.append(presentations.TOP_MEET if part == "top"
                          else frozenset(n.strip() for n in part.split("&")))
-        # the certificate is stated on the stabilized covers
-        verdict = presentations.check_positivity_certificate(
-            presentations.stabilize(p, limits=limits), meets)
+        verdict = presentations.check_positivity_certificate(p, meets,
+                                                             limits)
         _emit({"certificate_accepted": verdict,
                "candidates": sorted(presentations.meet_str(m) for m in meets)},
               args)
@@ -351,11 +350,13 @@ def _integer(text):  # int() also takes other Unicode digits and `_`
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
-def _digits(text):  # Python turns an int of at most 4300 digits into text
-    if _non_negative(text) > 4300:
-        raise argparse.ArgumentTypeError(
-            f"expected at most 4300 digits, got {text!r}")
-    return int(text)
+def _at_most(bound, unit):
+    def at_most(text):  # a non-negative integer of at most bound
+        if _non_negative(text) > bound:
+            raise argparse.ArgumentTypeError(
+                f"expected at most {bound} {unit}, got {text!r}")
+        return int(text)
+    return at_most
 
 
 @functools.cache
@@ -414,13 +415,16 @@ def build_parser():
                         help="enclosure width target (exact rational)")
     ev["max"].add_argument("--trace", action="store_true",
                            help="include the monotone bound trace")
-    ev["max"].add_argument("--decimal", type=_digits, metavar="K",
+    ev["max"].add_argument("--decimal", type=_at_most(4300, "digits"),
+                           metavar="K",
                            help="also print K-digit decimal approximations, "
                            "K at most 4300")
     ev["locate"].add_argument("--p", required=True, help="lower probe")
     ev["locate"].add_argument("--q", required=True, help="upper probe")
-    ev["validate"].add_argument("--probes", type=_non_negative, default=20,
-                                help="number of random probes")
+    ev["validate"].add_argument("--probes", type=_at_most(10000, "probes"),
+                                default=20,
+                                help="number of random probes, at most "
+                                "10000")
     ev["validate"].add_argument("--seed", type=_integer, default=0,
                                 help="probe generator seed")
     return top

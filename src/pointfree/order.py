@@ -303,22 +303,18 @@ def read_poset_text(text):
     return elements, pairs
 
 
-def parse_poset_text(text):
-    """A Poset from the line format, with the reflexive transitive closure
-    of the listed pairs."""
-    try:
-        return Poset.from_relation(*read_poset_text(text))
-    except PointfreeError as exc:
-        raise ParseError(str(exc))
-
-
 def parse_lattice_text(text, check_distributive=True, limits=DEFAULT):
-    """A DistLattice from the poset text format; meets and joins are computed
+    """A DistLattice from the poset text format, ordered by the reflexive
+    transitive closure of the listed pairs; meets and joins are computed
     from the order and must exist uniquely.  The names on the elements line
     are counted against poset_cap before the order and tables are built."""
-    size = len(set(read_poset_text(text)[0]))
+    elements, pairs = read_poset_text(text)
+    size = len(set(elements))
     if size > limits.poset_cap:
         raise CapExceeded("lattice", size, limits.poset_cap)
-    p = parse_poset_text(text)
+    try:
+        p = Poset.from_relation(elements, pairs)
+    except PointfreeError as exc:
+        raise ParseError(str(exc))
     return DistLattice(p.elements, p.leq,
                        check_distributive=check_distributive)

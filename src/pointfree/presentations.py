@@ -36,11 +36,10 @@ def cideal_key(members):
 
 @dataclass(frozen=True)
 class FramePresentation:
-    """Generators plus cover rules lhs <= \\/rhs, optionally meet-stabilized."""
+    """Generators plus cover rules lhs <= \\/rhs."""
 
     generators: tuple
     covers: frozenset  # pairs (lhs: frozenset, rhs: frozenset of frozensets)
-    stabilized: bool = False
 
     def __post_init__(self):
         gens = set(self.generators)
@@ -80,25 +79,21 @@ def check_generator_cap(p, limits=DEFAULT):
 
 
 def presented_frame(p, limits=DEFAULT):
-    """p.frame, once p is within generator_cap: stabilize checked a
-    stabilized p against the limits it was given."""
-    if not p.stabilized:
-        check_generator_cap(p, limits)
+    """p.frame, once p is within generator_cap."""
+    check_generator_cap(p, limits)
     return p.frame
 
 
 def stabilize(p, limits=DEFAULT):
     """Meet-stabilize: close the rules under meeting both sides with every
-    formal meet.  Idempotent.  Positivity certificates are stated on the
-    stabilized rules; nothing else needs them, as the models are the same."""
+    formal meet.  Idempotent on the covers.  Only `theory compile`, which
+    prints them, needs the stabilized rules: they have the same models."""
     check_generator_cap(p, limits)
-    if p.stabilized:
-        return p
     rules = set(p.covers)
     for u in p.all_meets():
         for lhs, rhs in p.covers:
             rules.add((u | lhs, frozenset(u | t for t in rhs)))
-    return FramePresentation(p.generators, frozenset(rules), stabilized=True)
+    return FramePresentation(p.generators, frozenset(rules))
 
 
 def set_bits(mask):
@@ -396,34 +391,36 @@ def saturate(p, seed, limits=DEFAULT):
     return CIdeal(p, presented_frame(p, limits).of_meets(seed))
 
 
-def check_positivity_certificate(p, positives):
+def check_positivity_certificate(p, positives, limits=DEFAULT):
     """Verify a set of candidate positive formal meets for overtness.
 
     Conditions: (i) upward closed in the formal-meet order (dropping
-    generators from a positive meet stays positive); (ii) every stabilized
-    cover with a positive left side has a positive right member; (iii) every
-    formal meet outside the set saturates to bottom, that is, is held by no
-    model.  Given (i), (iii) holds when every model, as the meet of its
-    generators, is a candidate: a meet held by a model lies inside it.
+    generators from a positive meet stays positive); (ii) for every cover
+    l <= \\/T and every positive meet m ⊇ l, some m ∪ t with t in T is
+    positive, which given (i) is (ii) on the stabilized covers
+    u ∪ l <= \\/{u ∪ t} (take u = m; u ∪ t lies inside u ∪ l ∪ t); (iii)
+    every formal meet outside the set saturates to bottom, that is, is
+    held by no model.  Given (i), (iii) holds when every model, as the
+    meet of its generators, is a candidate: a meet held by a model lies
+    inside it.  The covers are read as given, and the models are those of
+    the frame that p keeps.
     """
-    if not p.stabilized:
-        raise ParseError("presentation must be stabilized before a "
-                         "positivity check")
+    frame = presented_frame(p, limits)
     positives = {frozenset(m) for m in positives}
-    gens = set(p.generators)
-    if not all(m <= gens for m in positives):
+    gens = frame.generators  # sorted, the bits of the models
+    if not all(m.issubset(gens) for m in positives):
         raise ParseError("candidate set mentions unknown formal meets")
     # (i) upward closed: formal-meet order is reverse inclusion, so it is
     # enough that dropping any one generator stays positive
     if any(m - {g} not in positives for m in positives for g in m):
         return False
-    # (ii) positive left sides need an inhabited positive right side
-    if any(lhs in positives and not rhs & positives for lhs, rhs in p.covers):
+    # (ii) a positive meet inside a left side meets a right side positively
+    if any(lhs <= m and not any(m | t in positives for t in rhs)
+           for lhs, rhs in p.covers for m in positives):
         return False
     # (iii) every model's own meet is positive
-    gens = sorted(p.generators)
     return all(frozenset(gens[i] for i in set_bits(q)) in positives
-               for q in find_models(p))
+               for q in frame.models)
 
 
 # --- text format ------------------------------------------------------------

@@ -5,6 +5,9 @@ oracles for them.
   for models (`presentations.find_models`): the scan of all 2^g principal
   C-ideals of the stabilized presentation for those that the principals
   strictly below do not join up to, with the points read off it.
+- For the positivity certificate on the covers as given
+  (`presentations.check_positivity_certificate`): the same conditions on
+  the meet-stabilized covers.
 - For the model-set C-ideals (`presentations.saturate`, joins, bottom,
   top, order and the positivity certificate): the
   Horn closure of the stabilized presentation (`HornClosure`), which
@@ -49,12 +52,16 @@ from pointfree.config import DEFAULT
 from pointfree.errors import CapExceeded, ParseError, PointfreeError
 from pointfree.frames import FiniteFrame, FrameHom, frame_from_order
 from pointfree.order import count_downsets, enumerate_downsets, sort_key
-from pointfree.presentations import meet_str, set_bits, stabilize
+from pointfree.presentations import (find_models, meet_str, set_bits,
+                                     stabilize)
 
 
 def closure(p):
-    """The HornClosure of a stabilized presentation."""
-    if not p.stabilized:
+    """The HornClosure of a stabilized presentation.  The covers are
+    stabilized when meeting both sides of each with any one generator
+    gives a cover: every formal meet is a meet of generators."""
+    if any((lhs | {g}, frozenset(t | {g} for t in rhs)) not in p.covers
+           for lhs, rhs in p.covers for g in p.generators):
         raise ParseError("presentation must be stabilized before saturation")
     return HornClosure(p)
 
@@ -142,6 +149,25 @@ def check_positivity_certificate(p, positives):
         return False
     return all(not h.down[i] & ~h.bottom
                for m, i in h.index.items() if m not in positives)
+
+
+def certificate_failure(p, positives):
+    """The first condition of the positivity certificate that the
+    candidates fail, "i", "ii" or "iii", or None when they pass, checked
+    as `presentations` did before it read the covers as given: stabilize,
+    then (ii) on every stabilized cover (a positive left side has a
+    positive right member) and (iii) on the models of find_models."""
+    p = stabilize(p)
+    positives = {frozenset(m) for m in positives}
+    if any(m - {g} not in positives for m in positives for g in m):
+        return "i"
+    if any(lhs in positives and not rhs & positives for lhs, rhs in p.covers):
+        return "ii"
+    gens = sorted(p.generators)
+    if any(frozenset(gens[i] for i in set_bits(q)) not in positives
+           for q in find_models(p)):
+        return "iii"
+    return None
 
 
 def principal_scan(p):

@@ -12,7 +12,7 @@ import pytest
 
 import pointfree.frames
 import pointfree.presentations
-from pointfree.cli import main, parsed_input
+from pointfree.cli import build_parser, main, parsed_input
 
 ROOT = Path(__file__).resolve().parents[1]
 THY = ROOT / "theories"
@@ -512,6 +512,26 @@ def test_bad_arguments_are_parse_errors(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["10001", "9" * 4299],
+                         ids=["10001", "4299 digits"])
+def test_validate_refuses_probes_past_the_bound(capsys, n):
+    """The probes are built in memory before the first is checked: with
+    10^11 of them the run neither answered nor refused in 5 s."""
+    code, out, err, secs = run_timed(capsys, "evt", "validate", "--expr", "x",
+                                     "--domain", "[0,1]", "--probes", n)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: argument --probes: expected at most 10000 "
+                          "probes, got ")
+    assert secs < 1
+
+
+def test_validate_parses_the_most_probes():
+    args = build_parser().parse_args(["evt", "validate", "--expr", "x",
+                                      "--domain", "[0,1]", "--probes",
+                                      "10000"])
+    assert args.probes == 10000
 
 
 @pytest.mark.parametrize("argv, name", [

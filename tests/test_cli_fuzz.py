@@ -3,10 +3,18 @@
 Each case is a subcommand drawn from `build_parser()`'s own tree, its own
 arguments with random values, and small random `.pres`, `.thy`, `.lat` and
 POINTFREE_CONFIG bodies, random bytes included.  Every run must exit 0-3
-without a traceback within the deadline, and an argument owned by another
-subcommand must be a usage error.  Drawn sizes stay small (at most four
-generators, degree at most 27, node budgets at most 300), because a run
-in this process that hangs cannot be stopped.
+without a traceback within the deadline, a refusal must say so in one
+`error:` line, and an argument owned by another subcommand must be a usage
+error.  Drawn sizes stay small (at most four generators, degree at most 27,
+node budgets at most 300), because a run in this process that hangs cannot
+be stopped.
+
+A second fuzz puts a huge integer, of 4,299 to 5,001 digits, into each
+integer channel in turn: an integer option, a `.thy` bound, index or side
+condition, an evt constant, or a config value.  One channel per case, so
+that a huge cap never meets a huge input.  A node budget gets only values
+past 4,300 digits, which its readers refuse: one that parsed would let
+`evt max` refine a plateau's cover without end.
 """
 
 import argparse
@@ -14,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -94,6 +103,17 @@ GENS = ["z0", "u0", "z1", "u1"]  # also the generators of a theory at N=2
 
 
 @st.composite
+def huge(draw, fewest=4299):
+    """An integer of `fewest` to 5,001 digits, leading zeros counted (as
+    Python's int() counts them), signed, some with leading zeros."""
+    n = draw(st.integers(fewest, 5001))
+    zeros = draw(st.sampled_from([0, 0, 0, 2]))
+    return (draw(st.sampled_from(["", "", "-"])) + "0" * zeros
+            + draw(st.sampled_from("123456789"))
+            + draw(st.sampled_from("0123456789")) * (n - zeros - 1))
+
+
+@st.composite
 def meet(draw):
     names = draw(st.lists(st.sampled_from(GENS), min_size=1, max_size=2,
                           unique=True))
@@ -113,12 +133,17 @@ def pres_text(draw):
 
 
 @st.composite
-def thy_text(draw):
+def thy_text(draw, huge_in=None):
+    """A theory; with huge_in, a huge integer as the bound of a family of
+    its own (so that a truncation still binds N), as an index or in a
+    side condition."""
     fams = draw(st.lists(st.sampled_from(["z", "u"]), min_size=1,
                          max_size=2, unique=True))
     bound = draw(mostly(st.just("N"), st.just("2"), 4))
     lines = ["prop " + ", ".join(f"{f}[i]" for f in fams)
              + f" for i<{bound};"]
+    if huge_in == "thy bound":
+        lines.append(f"prop w[i] for i<{draw(huge())};")
     atoms = [f"{f}[i]" for f in fams]
     for _ in range(draw(st.integers(0, 2))):
         lhs = " & ".join(draw(st.lists(st.sampled_from(atoms), max_size=2,
@@ -126,6 +151,12 @@ def thy_text(draw):
         rhs = " | ".join(draw(st.lists(st.sampled_from(atoms),
                                        max_size=2))) or "false"
         lines.append(f"axiom {lhs} |- {rhs} for i<{bound};")
+    if huge_in == "thy index":
+        lines.append(f"axiom {fams[0]}[{draw(huge())}] |- false;")
+    if huge_in == "thy condition":
+        op = draw(st.sampled_from(["!=", "==", "<", "<="]))
+        lines.append(f"axiom {fams[0]}[i] |- false for i<{bound} "
+                     f"if i{op}{draw(huge())};")
     return "\n".join(lines)
 
 
@@ -173,6 +204,20 @@ config = mostly(st.fixed_dictionaries(
 
 
 @st.composite
+def huge_config(draw, budget):
+    """A config with one huge value, written out by hand, as json.dumps
+    refuses an int past 4,300 digits: the node budget, past 4,300 digits,
+    or another field beside a small budget."""
+    if budget:
+        members = {"bnb_node_budget": draw(huge(4301))}
+    else:
+        members = {"bnb_node_budget": draw(st.integers(0, 300)),
+                   draw(st.sampled_from(sorted(CONFIG_FIELDS))): draw(huge())}
+    return ("{" + ", ".join(f'"{k}": {v}' for k, v in members.items())
+            + "}").encode()
+
+
+@st.composite
 def expr(draw, depth=3):
     if depth == 0 or draw(st.booleans()):
         return draw(st.sampled_from(["x", "x", "1", "1/2", "3", "0"]))
@@ -214,6 +259,33 @@ VALUES = {  # by argument name; mostly p < q, and eps and decimal in range
                         st.sampled_from(["4301", "-1", "9" * 5000]))}
 
 
+@st.composite
+def huge_expr(draw):
+    """An expression with a huge constant: a factor, an exponent, a
+    denominator or a numerator."""
+    form = draw(st.sampled_from(["({e})*{h}", "({e})^{h}", "({e})+1/{h}",
+                                 "{h}/3*({e})"]))
+    return form.format(e=draw(expr()), h=draw(huge()))
+
+
+# the huge value of each integer channel; a node budget only past 4,300
+# digits
+HUGE = {"--seed": huge(), "--probes": huge(), "--decimal": huge(),
+        "--budget": huge(4301), "--truncate": huge().map("N={}".format),
+        "--expr": huge_expr()}
+THY_CHANNELS = ["thy bound", "thy index", "thy condition"]
+CONFIG_CHANNELS = ["config", "config bnb_node_budget"]
+HUGE_CHANNELS = sorted(HUGE) + THY_CHANNELS + CONFIG_CHANNELS
+
+
+def carries(leaf, channel):
+    """Whether a leaf reads the channel."""
+    group, _ = leaf
+    if channel in THY_CHANNELS:
+        return ".thy" in FILE_KINDS.get(group, [])
+    return channel in CONFIG_CHANNELS or channel in owned(LEAVES[leaf])
+
+
 class Case(NamedTuple):
     argv: list     # an argv word that names a key of files is its path
     files: dict    # file name -> bytes
@@ -222,32 +294,43 @@ class Case(NamedTuple):
 
 
 @st.composite
-def cases(draw):
-    group, leaf = draw(st.sampled_from(sorted(LEAVES)))
+def cases(draw, huge_in=None):
+    """A case; with huge_in, one that gives that channel a huge integer."""
+    group, leaf = draw(st.sampled_from(
+        sorted(k for k in LEAVES if huge_in is None or carries(k, huge_in))))
     parser = LEAVES[group, leaf]
     files = {}
     positionals, options = [], []  # the words of each argument
     for name, action in owned(parser).items():
         if name == "file":
-            ext = draw(st.sampled_from(FILE_KINDS[group]))
-            files["in" + ext] = draw(FILES[ext])
+            if huge_in in THY_CHANNELS:
+                ext, text = ".thy", thy_text(huge_in).map(str.encode)
+            else:
+                ext = draw(st.sampled_from(FILE_KINDS[group]))
+                text = FILES[ext]
+            files["in" + ext] = draw(text)
             positionals.append(["in" + ext])
         elif not action.option_strings:
             positionals.append([draw(mostly(VALUES[name], junk))])
         elif action.nargs == 0:
             if draw(st.booleans()):
                 options.append([name])
+        elif name == huge_in:
+            options.append(tokens(name, draw(HUGE[name])))
         elif action.required or draw(st.booleans()) or (
                 name == "--truncate" and "in.thy" in files):
             options.append(tokens(name, draw(mostly(VALUES[name], junk))))
     words = positionals + draw(st.permutations(options))
     want = None
-    if draw(st.integers(0, 4)) == 4:  # one argument of another subcommand
+    if huge_in is None and draw(st.integers(0, 4)) == 4:
+        # one argument of another subcommand
         name = draw(st.sampled_from(foreign(group, parser)))
         words.insert(draw(st.integers(0, len(words))), tokens(name))
         want = 1
     argv = [group, leaf] + [w for ws in words for w in ws]
-    return Case(argv, files, draw(config), want)
+    cfg = draw(huge_config(huge_in == CONFIG_CHANNELS[1])
+               if huge_in in CONFIG_CHANNELS else config)
+    return Case(argv, files, cfg, want)
 
 
 # --- the run -----------------------------------------------------------------
@@ -369,7 +452,7 @@ def check(case):
     assert code in (0, 1, 2, 3) and "Traceback" not in err
     if case.want is not None:
         assert code == case.want, (code, err)
-    if case.want in (1, 2):
+    if code in (1, 2):
         assert out == "" and err.startswith("error: ")
         assert err.count("\n") == 1, err
 
@@ -389,6 +472,38 @@ def test_cli_fuzz(case):
     another subcommand, or an example above, gives the exit code it
     names, and a refusal says so in one `error:` line."""
     check(case)
+
+
+HUGE_RUN = re.compile(r"[0-9]{4299}")
+
+
+def huge_words(case):
+    """Where the case holds a run of 4,299 digits or more: the argv words
+    (options by their flag), the file and the config."""
+    out = {w for w, v in zip(case.argv, case.argv[1:]) if HUGE_RUN.search(v)}
+    out |= {"file" for b in case.files.values()
+            if HUGE_RUN.search(b.decode(errors="replace"))}
+    if case.config and HUGE_RUN.search(case.config.decode(errors="replace")):
+        out.add("config")
+    return out
+
+
+@pytest.mark.parametrize("channel", HUGE_CHANNELS)
+def test_cli_fuzz_reaches_each_channel_with_a_huge_integer(channel):
+    """The checks of test_cli_fuzz on cases that give one integer channel
+    a huge value, which each case is seen to hold in that channel (an
+    option may hold another, such as --decimal's 5,000 nines)."""
+    where = ("file" if channel in THY_CHANNELS else "config"
+             if channel in CONFIG_CHANNELS else channel)
+
+    @settings(max_examples=6, derandomize=True, database=None,
+              deadline=timedelta(seconds=1))
+    @given(cases(channel))
+    def run(case):
+        assert where in huge_words(case)
+        check(case)
+
+    run()
 
 
 @pytest.mark.parametrize(

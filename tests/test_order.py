@@ -18,8 +18,7 @@ from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
 from pointfree.order import (DistLattice, Poset, birkhoff_iso, canon,
                              count_downsets, downset_lattice,
                              enumerate_downsets, join_irreducibles,
-                             parse_lattice_text, parse_poset_text,
-                             prime_filters)
+                             parse_lattice_text, prime_filters)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -357,18 +356,18 @@ def test_is_directed_examples():
 # --- text format ---------------------------------------------------------------------
 
 def test_parse_poset_text():
-    p = parse_poset_text("elements: a b c\nleq: a<b b<c\n")
+    p = parse_lattice_text("elements: a b c\nleq: a<b b<c\n")
     assert p.le("a", "c")
     assert p.elements == ("a", "b", "c")
 
 
 def test_parse_poset_text_errors():
     with pytest.raises(ParseError):
-        parse_poset_text("leq: a<b\n")
+        parse_lattice_text("leq: a<b\n")
     with pytest.raises(ParseError):
-        parse_poset_text("elements: a b\nleq: ab\n")
+        parse_lattice_text("elements: a b\nleq: ab\n")
     with pytest.raises(ParseError):
-        parse_poset_text("elements: a\nwhat: x\n")
+        parse_lattice_text("elements: a\nwhat: x\n")
 
 
 def test_parse_lattice_text_distributivity_check():

@@ -42,9 +42,7 @@ def test_stabilize_no_covers_unchanged():
 
 def test_stabilize_is_idempotent():
     p = stabilize(cantor_presentation(1))
-    assert stabilize(p) is p
-    q = FramePresentation(p.generators, p.covers, stabilized=False)
-    assert stabilize(q).covers == p.covers
+    assert stabilize(p).covers == p.covers
 
 
 def test_stabilize_single_top_cover():
@@ -89,28 +87,35 @@ def test_saturate_free_downward_closure_only():
 
 def test_saturate_reads_the_covers_as_given():
     """A model of the covers is one of their meet-stabilization, so
-    saturation needs no stabilizing; the positivity certificate, stated on
-    the stabilized covers, still does."""
+    neither saturation nor the positivity certificate needs stabilizing:
+    each gives the same answer on the covers as given and stabilized."""
     p = cantor_presentation(1)
     q = stabilize(p)
     for seed in ([], [frozenset(["z0"])],
                  [frozenset(["z0"]), frozenset(["u0"])]):
         assert saturate(p, seed).members == saturate(q, seed).members
-    with pytest.raises(ParseError):
-        check_positivity_certificate(p, [TOP_MEET])
+    z, u = frozenset(["z0"]), frozenset(["u0"])
+    verdicts = []
+    for cand in ([TOP_MEET], [TOP_MEET, z], [TOP_MEET, z, u],
+                 [TOP_MEET, z, u, z | u], [z, u], p.all_meets()):
+        verdicts.append(check_positivity_certificate(p, cand))
+        assert check_positivity_certificate(q, cand) == verdicts[-1]
+    assert verdicts == [False, False, True, False, False, False]
 
 
 def test_cideals_keep_the_generator_cap():
-    """Unstabilized, a presentation is checked against generator_cap
-    before its 2^g formal meets are built (30 generators: 2^30-bit masks);
-    stabilized, it was checked by stabilize with the limits given there."""
+    """A presentation is checked against the generator_cap of the limits
+    given before its 2^g formal meets are built (30 generators: 2^30-bit
+    masks), whatever limits it was stabilized under."""
     with pytest.raises(CapExceeded, match="generators has size 30"):
         saturate(free_presentation(30), [])
     p = free_presentation(9)
     with pytest.raises(CapExceeded, match="generators has size 9"):
         saturate(p, [])
     q = stabilize(p, limits=Limits(generator_cap=9))
-    assert saturate(q, []).presentation is q
+    with pytest.raises(CapExceeded, match="generators has size 9"):
+        saturate(q, [])
+    assert saturate(q, [], Limits(generator_cap=9)).presentation is q
 
 
 def random_presentations():
