@@ -172,7 +172,7 @@ def cmd_frame(args, limits):
               args)
         return EXIT_OK
     if args.sub == "points":
-        pts = frame.points(limits)
+        pts = frame.points()
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
     # hausdorff: |f| = |D(J)|, counted before the elements are listed
@@ -195,7 +195,7 @@ def cmd_theory(args, limits):
     text = read_input(args.file)
     if args.sub == "models":
         p = parsed_input("thy", text, args.truncate, limits)
-        ms = p.frame.points(limits)
+        ms = p.frame.points()
         # a finite frame is spatial: it is nontrivial when it has a point
         _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
               args)
@@ -337,7 +337,7 @@ def _non_negative(text):
     if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return _int(text)
 
 
 def _integer(text):  # int() also takes other Unicode digits and `_`
@@ -345,17 +345,26 @@ def _integer(text):  # int() also takes other Unicode digits and `_`
         raise argparse.ArgumentTypeError(
             f"expected an integer in ASCII digits, got {text!r}")
     try:
-        return int(text)
+        return _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
+def _int(text):  # int() of ASCII text, within Python's 4300-digit limit
+    digits = sum(map(str.isdigit, text))
+    if digits > 4300:  # int() would raise a ValueError, which argparse echoes
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most 4300 digits, got {digits} digits")
+    return int(text)
+
+
 def _at_most(bound, unit):
     def at_most(text):  # a non-negative integer of at most bound
-        if _non_negative(text) > bound:
+        value = _non_negative(text)
+        if value > bound:
             raise argparse.ArgumentTypeError(
                 f"expected at most {bound} {unit}, got {text!r}")
-        return int(text)
+        return value
     return at_most
 
 

@@ -191,8 +191,8 @@ class PresentedFrame:
 
     Each model P gives the join-prime j_P, the formal meets m such that
     every model holding m holds P, and j_P ≤ j_Q exactly when Q ⊆ P.  The
-    models are kept in the key order of their j_P masks, a linear
-    extension of J, and an element is a mask over them: a downset of J
+    models are kept larger first, find_models' order reversed, which is a
+    linear extension of J; an element is a mask over them: a downset of J
     (Birkhoff) is an up-set of models.  Meet, join and order are AND, OR
     and inclusion.  models(m) of a formal meet is the AND of its
     generators' masks `holds`, and models(join of meets) the OR of those.
@@ -209,26 +209,20 @@ class PresentedFrame:
         self.covers = p.covers
         self.generators = gens = sorted(p.generators)
         self.bit = {g: i for i, g in enumerate(gens)}
-        models, g = find_models(p), len(gens)
-        held = [_inside(q, g) for q in models]
-        # missed[i]: the meets held by a model missing generator i, so
-        # j_P is the meets outside missed[i] for every i in P
-        missed = [functools.reduce(int.__or__, (h for h, q in zip(
-            held, models) if not q >> i & 1), 0) for i in range(g)]
-        self.full = full = (1 << (1 << g)) - 1  # every formal meet
-        js = [full & ~functools.reduce(int.__or__, map(
-            missed.__getitem__, set_bits(q)), 0) for q in models]
-        order = sorted(range(len(js)), key=lambda k: _key(js[k]))
-        self.models = [models[k] for k in order]
-        self._held = [held[k] for k in order]  # the meets inside each
+        # larger models first: j_P < j_Q exactly when Q is a proper subset
+        # of P, so find_models' meet_key order reversed is a linear
+        # extension of J
+        self.models = models = find_models(p)[::-1]
+        self._held = [_inside(q, len(gens)) for q in models]  # meets inside
+        self.full = (1 << (1 << len(gens))) - 1  # every formal meet
         self.top = (1 << len(models)) - 1
         # holds[i]: the models holding generator i
-        self.holds = [sum(1 << k for k, q in enumerate(self.models)
-                          if q >> i & 1) for i in range(g)]
-        self._masks = {self.up(n): js[k] for n, k in enumerate(order)}
-        # below[k]: the J-indices strictly below J[k], j_P < j_Q when Q is
-        # a proper subset of P: the models containing model k, less k
-        self._below = [self.up(k) & ~(1 << k) for k in range(len(order))]
+        self.holds = [sum(1 << k for k, q in enumerate(models) if q >> i & 1)
+                      for i in range(len(gens))]
+        self._masks = {}
+        # below[k]: the J-indices strictly below J[k], all less than k: the
+        # models containing model k, less k
+        self._below = [self.up(k) & ~(1 << k) for k in range(len(models))]
 
     @staticmethod
     def le(a, b):
@@ -320,25 +314,19 @@ class PresentedFrame:
         edges.sort(key=lambda uv: (rank[uv[0]], rank[uv[1]]))
         return elems, edges
 
-    def points(self, limits=DEFAULT):
-        """Each point as the sorted list of generators of its model.
-
-        The point of a join-prime j is its filter ↑j, and the points come
-        in the sort_key order of those filters: by |↑j| = |D(J minus ↓j)|,
-        then by j, the least member of its filter.  Each model is checked
-        against every cover before it is returned.
+    def points(self):
+        """Each point as the sorted list of generators of its model, in the
+        order find_models gives the models (meet_key order): a point of
+        the frame is a model of its covers, and listing them counts no
+        elements.  Each model is checked against every cover before it is
+        returned.
         """
-        ms, below, memo = self.models, self._below, {0: 1}
         gens, rules = _cover_masks(self.generators, self.covers)
-        # from the top of J down: the larger counts reuse the smaller ones
-        size = {k: count_downsets(below, self.top & ~(below[k] | 1 << k),
-                                  memo, limits)
-                for k in reversed(range(len(ms)))}
         out = []
-        for k in sorted(size, key=lambda k: (size[k], k)):
-            if _breaks(rules, ms[k], ~ms[k]):
+        for q in reversed(self.models):
+            if _breaks(rules, q, ~q):
                 raise PointfreeError("point violates a cover")
-            out.append([g for i, g in enumerate(gens) if ms[k] >> i & 1])
+            out.append([g for i, g in enumerate(gens) if q >> i & 1])
         return out
 
 

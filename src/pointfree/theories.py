@@ -453,7 +453,7 @@ def models(ast, trunc=None, limits=DEFAULT):
     models of the instantiated covers, which need no stabilizing."""
     p = instantiate(ast, trunc=trunc, limits=limits)
     return [{g: g in true for g in p.generators}
-            for true in p.frame.points(limits)]
+            for true in p.frame.points()]
 
 
 # --- builtin theories ---------------------------------------------------------

@@ -51,7 +51,7 @@ from itertools import combinations
 from pointfree.config import DEFAULT
 from pointfree.errors import CapExceeded, ParseError, PointfreeError
 from pointfree.frames import FiniteFrame, FrameHom, frame_from_order
-from pointfree.order import count_downsets, enumerate_downsets, sort_key
+from pointfree.order import enumerate_downsets, sort_key
 from pointfree.presentations import (find_models, meet_str, set_bits,
                                      stabilize)
 
@@ -172,8 +172,8 @@ def certificate_failure(p, positives):
 
 def principal_scan(p):
     """(J, points, nontrivial) of a presentation from its principal
-    C-ideals: J in key order, each point as its sorted true generators in
-    the order of PresentedFrame.points, and whether bottom ≠ top.
+    C-ideals: J in key order, the point of each j in that order as its
+    sorted true generators, and whether bottom ≠ top.
 
     Every C-ideal is a join of principal ones, so J lies among them: a
     principal j is join-prime when the principals strictly below it do not
@@ -191,20 +191,12 @@ def principal_scan(p):
                 below |= principal[i]
         if h.saturate(below) != j:
             primes.add(j)
-
-    def key(mask):
-        return (mask.bit_count(), tuple(set_bits(mask)))
-
-    js = sorted(primes, key=key)
-    below = [sum(1 << i for i, a in enumerate(js) if a != b and a & ~b == 0)
-             for b in js]
-    everything, memo = (1 << len(js)) - 1, {0: 1}
+    js = sorted(primes, key=lambda mask: (mask.bit_count(),
+                                          tuple(set_bits(mask))))
     pts = []
-    for k in sorted(range(len(js)), key=lambda k: (
-            count_downsets(below, everything & ~(below[k] | 1 << k), memo),
-            key(js[k]))):
+    for j in js:
         true = {g for g in p.generators
-                if js[k] & ~principal[h.index[frozenset([g])]] == 0}
+                if j & ~principal[h.index[frozenset([g])]] == 0}
         holds = sum(1 << i for i, m in enumerate(h.meets) if m <= true)
         if any(holds >> lhs & 1 and not holds & rhs
                for lhs, rhs in zip(h.lhs, h.rhs)):

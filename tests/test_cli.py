@@ -434,8 +434,7 @@ def free_presentation_file(tmp_path, n):
     return path
 
 
-@pytest.mark.parametrize("sub, n", [("hausdorff", 10), ("points", 7),
-                                    ("elements", 7)])
+@pytest.mark.parametrize("sub, n", [("hausdorff", 10), ("elements", 7)])
 def test_dedekind_counts_are_refused_at_once(tmp_path, sub, n):
     """J of a free presentation is 2^n under inclusion and |D(J)| is a
     Dedekind number.  Counting it recursed once per element of J (a
@@ -465,13 +464,12 @@ def test_dedekind_counts_are_refused_at_once(tmp_path, sub, n):
      {"generator_cap": 14},
      "aa2d53216b9dc86e0aa119e6aa002a1dbbf439dcfcd8c3000f6f08046f777d49")],
     ids=["free6 points", "cantor7 points", "cantor7 models"])
-def test_large_point_orders_are_still_counted(capsys, tmp_path, monkeypatch,
-                                              argv, config, sha256):
-    """The point order counts |D(J minus ↓j)| for every join-prime j: 64
-    counts for six free generators, 359,979 sub-counts in all but at most
-    1,658 with one top in one count, and 128 antichain counts for cantor
-    N=7.  Both answer as they did before the count was bounded (--json
-    output recorded from the code before)."""
+def test_large_point_listings_answer_as_before(capsys, tmp_path, monkeypatch,
+                                               argv, config, sha256):
+    """The points are the models in meet_key order, with no count of
+    elements: 64 for six free generators and 128 for cantor N=7.  Each
+    answers as it did when the points were ordered by counting |↑j| for
+    every join-prime j (--json output recorded from that code)."""
     free_presentation_file(tmp_path, 6)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -480,6 +478,47 @@ def test_large_point_orders_are_still_counted(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, *argv, "--json")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def json_in_a_fresh_process(argv, tmp_path, config=None):
+    """The --json answer of argv in a fresh process, and its wall time."""
+    env = dict(os.environ)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        env["POINTFREE_CONFIG"] = str(cfg)
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pointfree.cli", *map(str, argv), "--json"],
+        capture_output=True, text=True, cwd=ROOT, timeout=60, env=env)
+    secs = time.perf_counter() - t0
+    assert done.returncode == 0 and done.stderr == ""
+    return json.loads(done.stdout), secs
+
+
+@pytest.mark.parametrize("sub", ["frame points", "theory models"])
+def test_free_seven_points_are_its_models(tmp_path, sub):
+    """The free frame on 7 generators has a Dedekind number of elements,
+    which counting refused at element_cap; its 128 points are the models
+    of no covers, listed by size with no count."""
+    if sub == "frame points":
+        path = free_presentation_file(tmp_path, 7)
+    else:
+        path = tmp_path / "free7.thy"
+        path.write_text("prop g[i] for i<7;\n")
+    payload, secs = json_in_a_fresh_process([*sub.split(), path], tmp_path)
+    pts = payload["points" if sub == "frame points" else "models"]
+    assert payload["count"] == len(pts) == 128
+    assert pts[0] == [] and pts[-1] == [f"g{i}" for i in range(7)]
+    assert secs < 1
+
+
+def test_free_ten_points_at_generator_cap_ten(tmp_path):
+    payload, _ = json_in_a_fresh_process(
+        ["frame", "points", free_presentation_file(tmp_path, 10)], tmp_path,
+        {"generator_cap": 10})
+    assert payload["count"] == len(payload["points"]) == 1024
+    assert payload["points"][-1] == [f"g{i}" for i in range(10)]
 
 
 def test_elements_refuses_cantor_n4_before_listing_it(capsys):
@@ -619,6 +658,22 @@ def test_an_integer_past_4300_digits_is_refused(capsys, tmp_path,
     assert code in (1, 2) and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub, option, value", [
+    ("max", "--decimal", BIG), ("max", "--budget", BIG),
+    ("validate", "--probes", BIG), ("validate", "--seed", BIG),
+    ("validate", "--seed", "-" + BIG)],
+    ids=["decimal", "budget", "probes", "seed", "negative seed"])
+def test_an_option_past_4300_digits_is_refused_by_its_length(
+        capsys, sub, option, value):
+    """argparse reported int()'s ValueError as `invalid ... value`, or
+    `expected an integer`, echoing all 5,001 digits."""
+    code, out, err = run(capsys, "evt", sub, "--expr", "x", "--domain",
+                         "[0,1]", f"{option}={value}")
+    assert (code, out) == (1, "")
+    assert err == (f"error: argument {option}: expected an integer of at "
+                   "most 4300 digits, got 5001 digits\n")
 
 
 @pytest.mark.parametrize("text, what, cap, field", [
@@ -823,15 +878,14 @@ def test_golden_forward_then_reversed_in_one_process(capsys):
 
 def test_a_refused_count_does_not_carry_over_to_the_next_query(capsys,
                                                                tmp_path):
-    """`frame points` on the free frame on 7 generators refuses at
+    """`frame elements` on the free frame on 7 generators refuses at
     element_cap while counting; a count memo kept between calls would grow
     at each refusal, and fewer sub-counts added per call could turn the
     refusal into an answer.  Queries 2 and 3 are memo hits, so they count
     on the frame that query 1 built."""
-    free7 = tmp_path / "free7.pres"
-    free7.write_text("gen " + " ".join(f"g{i}" for i in range(7)) + "\n")
+    free7 = free_presentation_file(tmp_path, 7)
     parsed_input.cache_clear()
-    answers = [run(capsys, "frame", "points", free7) for _ in range(3)]
+    answers = [run(capsys, "frame", "elements", free7) for _ in range(3)]
     assert answers[0][:2] == (2, "")
     assert answers[0][2].endswith(", exceeding cap 4096 (element_cap)\n")
     assert answers == [answers[0]] * 3

@@ -168,15 +168,24 @@ def test_certificate_matches_the_stabilized_oracle():
     assert seen == {None, "i", "ii", "iii"}
 
 
+def by_size(pts):
+    """Points in meet_key order: by number of generators, then by the
+    sorted generator list."""
+    return sorted(pts, key=lambda pt: (len(pt), pt))
+
+
 def check_search_against_principal_scan(p):
-    """J masks, point order and nontriviality from the model search, on
-    the covers as given and stabilized, against the principal scan."""
+    """J masks, points in meet_key order and nontriviality from the model
+    search, on the covers as given and stabilized, against the principal
+    scan; and J kept along a linear extension, which counting needs: each
+    join-prime has only lower indices strictly below it."""
     js, pts, nontrivial = frame_oracles.principal_scan(p)
     for q in (p, stabilize(p)):
         engine = PresentedFrame(q)
-        assert [engine.mask(j) for j in engine.join_primes] == js
-        assert engine.points() == pts
+        assert {engine.mask(j) for j in engine.join_primes} == set(js)
+        assert engine.points() == by_size(pts)
         assert bool(pts) == nontrivial == (engine.bottom != engine.top)
+        assert all(below >> k == 0 for k, below in enumerate(engine._below))
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,7 +297,7 @@ def check_against_oracles(p):
         sorted(oracle.elements, key=sort_key)
     assert [(engine.members(a), engine.members(b)) for a, b in edges] == \
         frame_oracles.hasse_edges(oracle)
-    assert engine.points() == oracle_listing(p, oracle)
+    assert engine.points() == by_size(oracle_listing(p, oracle))
     assert (engine.bottom != engine.top) == (oracle.bottom != oracle.top)
     frame, _ = enumerate_frame(p)
     assert frame.elements == tuple(sorted(oracle.elements, key=sort_key))
