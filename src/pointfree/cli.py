@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import evt as evtmod
 from . import frames, order, presentations, reals, theories
 from .config import load_limits, read_input
-from .errors import BudgetExhausted, CapExceeded, ParseError, PointfreeError
+from .errors import (MAX_INT_DIGITS, BudgetExhausted, CapExceeded,
+                     ParseError, PointfreeError)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -350,11 +351,12 @@ def _integer(text):  # int() also takes other Unicode digits and `_`
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
-def _int(text):  # int() of ASCII text, within Python's 4300-digit limit
+def _int(text):  # int() of ASCII text, within MAX_INT_DIGITS
     digits = sum(map(str.isdigit, text))
-    if digits > 4300:  # int() would raise a ValueError, which argparse echoes
+    if digits > MAX_INT_DIGITS:  # int() would raise a ValueError, echoed
         raise argparse.ArgumentTypeError(
-            f"expected an integer of at most 4300 digits, got {digits} digits")
+            f"expected an integer of at most {MAX_INT_DIGITS} digits, got "
+            f"{digits} digits")
     return int(text)
 
 
@@ -424,10 +426,10 @@ def build_parser():
                         help="enclosure width target (exact rational)")
     ev["max"].add_argument("--trace", action="store_true",
                            help="include the monotone bound trace")
-    ev["max"].add_argument("--decimal", type=_at_most(4300, "digits"),
-                           metavar="K",
+    ev["max"].add_argument("--decimal", metavar="K",
+                           type=_at_most(MAX_INT_DIGITS, "digits"),
                            help="also print K-digit decimal approximations, "
-                           "K at most 4300")
+                           f"K at most {MAX_INT_DIGITS}")
     ev["locate"].add_argument("--p", required=True, help="lower probe")
     ev["locate"].add_argument("--q", required=True, help="upper probe")
     ev["validate"].add_argument("--probes", type=_at_most(10000, "probes"),
@@ -440,6 +442,8 @@ def build_parser():
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        sys.set_int_max_str_digits(MAX_INT_DIGITS)  # not PYTHONINTMAXSTRDIGITS
     try:
         args = build_parser().parse_args(argv)
         return args.run(args, load_limits())

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 
-from .errors import ParseError
+from .errors import MAX_INT_DIGITS, ParseError
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,12 @@ def _members(pairs):
 
 
 def _json_int(text):
-    """A JSON integer, refusing one past Python's 4300-digit limit on
-    turning text into an int, at which json.loads raises a ValueError."""
+    """A JSON integer, refusing one past MAX_INT_DIGITS, at which
+    json.loads raises a ValueError."""
     digits = len(text.lstrip("-"))
-    if digits > 4300:
+    if digits > MAX_INT_DIGITS:
         raise ParseError(f"config value is an integer of {digits} digits, "
-                         f"expected at most 4300")
+                         f"expected at most {MAX_INT_DIGITS}")
     return int(text)
 
 
@@ -64,7 +64,7 @@ def load_limits():
     """Limits from POINTFREE_CONFIG if set, otherwise the defaults.  The
     file must hold a JSON object whose keys are distinct Limits fields and
     whose values are non-negative integers; a body nested past the
-    decoder's recursion limit, or an integer of more than 4300 digits, is
+    decoder's recursion limit, or an integer past MAX_INT_DIGITS, is
     a ParseError too."""
     path = os.environ.get("POINTFREE_CONFIG")
     if not path:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+MAX_INT_DIGITS = 4300  # Python's default int/str digit limit; cli.main pins it
+
 
 class PointfreeError(Exception):
     """Base class for all package errors."""
@@ -7,7 +9,7 @@ class PointfreeError(Exception):
 
 def _decimal(n):
     """n in decimal, or a lower bound on it where Python refuses to write
-    it out (past 4300 digits by default)."""
+    it out (past MAX_INT_DIGITS digits)."""
     try:
         return str(n)
     except ValueError:

@@ -17,27 +17,23 @@ class FiniteFrame(DistLattice):
     """A finite distributive lattice viewed as a frame (all joins exist)."""
 
 
-def frame_from_order(elements, le, meet, join):
+def frame_from_order(elements, le):
+    """The frame of the elements, in sort_key order, under lattice order le."""
     elems = sorted(elements, key=sort_key)
     leq = [(a, b) for a in elems for b in elems if le(a, b)]
-    return FiniteFrame(elems, leq, meet=meet, join=join,
-                       check_distributive=False)
+    return FiniteFrame(elems, leq, check_distributive=False)
 
 
 def enumerate_frame(p, limits=DEFAULT):
     """The finite frame of all C-ideals of a presentation.
 
-    Returns (frame, gen_map) where frame elements are frozensets of formal
-    meets and gen_map sends each generator to its frame element.
+    Returns (frame, gen_map): the elements are frozensets of formal meets
+    under inclusion, and gen_map sends each generator to its element.
     """
     pf = presented_frame(p, limits)
     masks, _ = pf.elements(limits)
     elem_of = {u: pf.members(u) for u in masks}
-    mask_of = {e: u for u, e in elem_of.items()}
-    frame = frame_from_order(
-        elem_of.values(), lambda a, b: pf.le(mask_of[a], mask_of[b]),
-        lambda a, b: elem_of[mask_of[a] & mask_of[b]],
-        lambda a, b: elem_of[mask_of[a] | mask_of[b]])
+    frame = frame_from_order(elem_of.values(), frozenset.issubset)
     gen_map = {g: elem_of[pf.holds[pf.bit[g]]] for g in pf.generators}
     return frame, gen_map
 
@@ -132,10 +128,9 @@ def is_complementary(c1, c2):
 
 def quotient(f, c):
     """Quotient frame on the largest class representatives, plus the hom.
-    They are a nucleus's fixed points, so they keep f's order and meets."""
+    They are a nucleus's fixed points, ordered as in f."""
     rep_of = {u: c.largest(u) for u in f.elements}
-    q = frame_from_order(set(rep_of.values()), f.le, f.meet,
-                         lambda a, b: rep_of[f.join(a, b)])
+    q = frame_from_order(set(rep_of.values()), f.le)
     return q, FrameHom(f, q, rep_of)
 
 
@@ -174,9 +169,9 @@ def coproduct(f, g, limits=DEFAULT):
 
     A downset D is stored as the suplattice-tensor element it stands for:
     the downset of f × g of the pairs (u, v) with J↓u × J↓v ⊆ D, which holds
-    the ⊥ row and column.  Meets are intersections and joins the union of
-    the J-parts.  Returns (tensor, inj1, inj2, rect) with the two coproduct
-    injections and the basic-rectangle map rect(u, v) = u ⊕ v.
+    the ⊥ row and column, ordered by inclusion.  Returns (tensor, inj1,
+    inj2, rect) with the two coproduct injections and the basic-rectangle
+    map rect(u, v) = u ⊕ v.
     """
     size = len(f.elements) * len(g.elements)
     if size > limits.coproduct_cap:
@@ -197,10 +192,7 @@ def coproduct(f, g, limits=DEFAULT):
                                if d.issuperset(product(f.j_below[u],
                                                        g.j_below[v])))
                   for d in enumerate_downsets(Poset(canon(pairs), leq))}
-    jpairs = frozenset(pairs)
-    tensor = frame_from_order(of_downset.values(), lambda a, b: a <= b,
-                              lambda a, b: a & b,
-                              lambda a, b: of_downset[(a | b) & jpairs])
+    tensor = frame_from_order(of_downset.values(), frozenset.issubset)
 
     def rect(u, v):
         return of_downset[frozenset(product(f.j_below[u], g.j_below[v]))]

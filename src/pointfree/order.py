@@ -93,64 +93,49 @@ class _ElementMap(dict):
 
 
 class DistLattice:
-    """Finite bounded distributive lattice with explicit meet/join tables."""
+    """Finite bounded distributive lattice, given by its elements and order.
 
-    def __init__(self, elements, leq_pairs, meet=None, join=None,
-                 check_distributive=True):
-        self.elements = tuple(elements)
-        self._leq = frozenset(leq_pairs)
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+    Each element e keeps its down-set mask ↓e over the element positions.
+    Meets and joins are read off the order: ↓(a ∧ b) = ↓a ∩ ↓b, so the meet
+    is the element whose down-set mask is the intersection, and there is
+    none when the common lower bounds have no greatest one.  Joins use
+    up-set masks the same way."""
+
+    def __init__(self, elements, leq_pairs, check_distributive=True):
+        self.elements = elems = tuple(elements)
+        self._index = index = {e: i for i, e in enumerate(elems)}
+        if len(index) != len(elems):
             raise PointfreeError("duplicate lattice elements")
-        self.meet_table = {}
-        self.join_table = {}
-        meet = meet or self._bound_from_masks(lower=True)
-        join = join or self._bound_from_masks(lower=False)
-        for a in self.elements:
-            for b in self.elements:
-                m, j = meet(a, b), join(a, b)
-                if m not in self._index or j not in self._index:
-                    raise PointfreeError("meet/join landed outside the lattice")
-                self.meet_table[a, b] = m
-                self.join_table[a, b] = j
-        bottoms = [e for e in self.elements
-                   if all(self.le(e, x) for x in self.elements)]
-        tops = [e for e in self.elements
-                if all(self.le(x, e) for x in self.elements)]
-        if len(bottoms) != 1 or len(tops) != 1:
+        self._down = down = dict.fromkeys(elems, 0)
+        up = dict.fromkeys(elems, 0)
+        for a, b in leq_pairs:
+            down[b] |= 1 << index[a]
+            up[a] |= 1 << index[b]
+        below = {m: e for e, m in down.items()}
+        if len(below) < len(elems):  # two elements with one down-set
+            raise PointfreeError("leq is not antisymmetric")
+        above = {m: e for e, m in up.items()}
+        self.meet_table, self.join_table = meets, joins = {}, {}
+        for a in elems:
+            da, ua = down[a], up[a]
+            for b in elems:
+                m = below.get(da & down[b])
+                j = above.get(ua & up[b])
+                if m is None or j is None:
+                    kind = "meet" if m is None else "join"
+                    raise PointfreeError(
+                        f"{kind} of {a} and {b} does not exist uniquely")
+                meets[a, b] = m
+                joins[a, b] = j
+        full = (1 << len(elems)) - 1
+        if full not in above or full not in below:
             raise PointfreeError("lattice lacks a unique bottom or top")
-        self.bottom = bottoms[0]
-        self.top = tops[0]
-        if check_distributive:
-            w = self.distributivity_witness()
-            if w is not None:
-                raise NotDistributive(w)
-
-    def _bound_from_masks(self, lower):
-        """Meet (or join) read off the order: ↓(a ∧ b) = ↓a ∩ ↓b, so the
-        meet is the element whose down-set mask is the intersection, and
-        there is none when the common lower bounds have no greatest one.
-        Joins use up-set masks the same way."""
-        index = self._index
-        masks = dict.fromkeys(self.elements, 0)
-        for a, b in self._leq:
-            if lower:
-                masks[b] |= 1 << index[a]
-            else:
-                masks[a] |= 1 << index[b]
-        by_mask = {m: e for e, m in masks.items()}
-        kind = "meet" if lower else "join"
-
-        def bound(a, b):
-            c = by_mask.get(masks[a] & masks[b])
-            if c is None:
-                raise PointfreeError(
-                    f"{kind} of {a} and {b} does not exist uniquely")
-            return c
-        return bound
+        self.bottom, self.top = above[full], below[full]
+        if check_distributive and (w := self.distributivity_witness()):
+            raise NotDistributive(w)
 
     def le(self, a, b):
-        return (a, b) in self._leq
+        return self._down[b] >> self._index[a] & 1 == 1
 
     @functools.cached_property
     def lower_covers(self):
@@ -195,8 +180,8 @@ class DistLattice:
 
     def subposet(self, subset):
         subset = canon(subset)
-        return Poset(subset, frozenset((a, b) for a, b in self._leq
-                                       if a in subset and b in subset))
+        return Poset(subset, frozenset((a, b) for a in subset for b in subset
+                                       if self.le(a, b)))
 
 
 def enumerate_downsets(poset):
@@ -244,10 +229,7 @@ def downset_lattice(p, limits=DEFAULT):
         raise CapExceeded("poset", len(p.elements), limits.poset_cap)
     downs = enumerate_downsets(p)
     leq = [(a, b) for a in downs for b in downs if a <= b]
-    return DistLattice(downs, leq,
-                       meet=lambda a, b: a & b,
-                       join=lambda a, b: a | b,
-                       check_distributive=False)
+    return DistLattice(downs, leq, check_distributive=False)
 
 
 def join_irreducibles(l):
@@ -303,11 +285,11 @@ def read_poset_text(text):
     return elements, pairs
 
 
-def parse_lattice_text(text, check_distributive=True, limits=DEFAULT):
+def parse_lattice_text(text, limits=DEFAULT):
     """A DistLattice from the poset text format, ordered by the reflexive
-    transitive closure of the listed pairs; meets and joins are computed
-    from the order and must exist uniquely.  The names on the elements line
-    are counted against poset_cap before the order and tables are built."""
+    transitive closure of the listed pairs, which must be distributive;
+    meets and joins are read off the order and must exist uniquely.  The
+    names on the elements line are counted against poset_cap first."""
     elements, pairs = read_poset_text(text)
     size = len(set(elements))
     if size > limits.poset_cap:
@@ -316,5 +298,4 @@ def parse_lattice_text(text, check_distributive=True, limits=DEFAULT):
         p = Poset.from_relation(elements, pairs)
     except PointfreeError as exc:
         raise ParseError(str(exc))
-    return DistLattice(p.elements, p.leq,
-                       check_distributive=check_distributive)
+    return DistLattice(p.elements, p.leq)

@@ -43,6 +43,10 @@ class FramePresentation:
 
     def __post_init__(self):
         gens = set(self.generators)
+        reserved = sorted(gens & {"bot", "top"})  # the keywords for ⊥ and ⊤
+        if reserved:
+            raise ParseError(f"generator {reserved[0]!r} is reserved: 'top' "
+                             "and 'bot' name the top and bottom elements")
         for lhs, rhs in self.covers:
             if not lhs <= gens or not all(t <= gens for t in rhs):
                 raise ParseError("cover rule mentions undeclared generator")
@@ -57,6 +61,16 @@ class FramePresentation:
     def all_meets(self):
         """Every formal meet, in meet_key order."""
         return _all_meets(sorted(self.generators))
+
+    @functools.cached_property
+    def rules(self):
+        """Each cover as (left side, right-side meets), masks over the bits
+        of the sorted generators."""
+        bit = {g: 1 << i for i, g in enumerate(sorted(self.generators))}
+
+        def meet(m):
+            return sum(bit[g] for g in m)
+        return [(meet(c), [meet(t) for t in ts]) for c, ts in self.covers]
 
     @functools.cached_property
     def frame(self):
@@ -106,17 +120,6 @@ def set_bits(mask):
 
 # --- models -------------------------------------------------------------------
 
-def _cover_masks(generators, covers):
-    """The sorted generators, and each cover as (left side, right-side
-    meets) over their bits."""
-    gens = sorted(generators)
-    bit = {g: 1 << i for i, g in enumerate(gens)}
-
-    def meet(m):
-        return sum(bit[g] for g in m)
-    return gens, [(meet(lhs), [meet(t) for t in rhs]) for lhs, rhs in covers]
-
-
 def _breaks(rules, true, false):
     """Whether some rule has its left side true and every right-side meet
     holding a false generator, so no model extends (true, false)."""
@@ -146,15 +149,14 @@ def find_models(p):
     a model of their meet-stabilization, so the covers need not be
     stabilized.
     """
-    gens, rules = _cover_masks(p.generators, p.covers)
-    containing, meets = _meet_table(len(gens))
+    containing, meets = _meet_table(len(p.generators))
     ok = every = (1 << len(meets)) - 1
 
     def holds(m):
         return functools.reduce(int.__and__, map(containing.__getitem__,
                                                  set_bits(m)), every)
 
-    for lhs, rhs in rules:
+    for lhs, rhs in p.rules:
         right = 0
         for t in rhs:
             right |= holds(t)
@@ -185,9 +187,9 @@ class PresentedFrame:
     covers: a finite frame is spatial, so u ≤ v exactly when every model
     of u is a model of v.  Built once per presentation (p.frame); it keeps
     nothing that depends on a query, and the methods that count take the
-    limits and a fresh memo per call.  It keeps the covers, not the
-    presentation, which holds it: a cycle would leave each dropped input
-    to the cyclic garbage collector.
+    limits and a fresh memo per call.  It keeps the cover masks
+    (`p.rules`), not the presentation, which holds it: a cycle would leave
+    each dropped input to the cyclic garbage collector.
 
     Each model P gives the join-prime j_P, the formal meets m such that
     every model holding m holds P, and j_P ≤ j_Q exactly when Q ⊆ P.  The
@@ -206,8 +208,8 @@ class PresentedFrame:
     key = staticmethod(_key)
 
     def __init__(self, p):
-        self.covers = p.covers
         self.generators = gens = sorted(p.generators)
+        self.rules = p.rules
         self.bit = {g: i for i, g in enumerate(gens)}
         # larger models first: j_P < j_Q exactly when Q is a proper subset
         # of P, so find_models' meet_key order reversed is a linear
@@ -321,10 +323,9 @@ class PresentedFrame:
         elements.  Each model is checked against every cover before it is
         returned.
         """
-        gens, rules = _cover_masks(self.generators, self.covers)
-        out = []
+        gens, out = self.generators, []
         for q in reversed(self.models):
-            if _breaks(rules, q, ~q):
+            if _breaks(self.rules, q, ~q):
                 raise PointfreeError("point violates a cover")
             out.append([g for i, g in enumerate(gens) if q >> i & 1])
         return out

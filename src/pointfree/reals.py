@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, PointfreeError
+from .errors import MAX_INT_DIGITS, ParseError, PointfreeError
 
 
 # --- rationals ----------------------------------------------------------------
@@ -463,12 +463,12 @@ class _ExprParser:
                 raise ParseError(f"unexpected character {m.group()!r} "
                                  f"in expression", col=m.start() + 1)
             if m.lastgroup == "num":
-                # int() refuses a run of more than 4300 digits (Python's
-                # limit on turning text into an int) with a ValueError
+                # int() refuses a run past MAX_INT_DIGITS with a ValueError
                 digits = max(map(len, m.group().split(".")))
-                if digits > 4300:
-                    raise ParseError(f"expected an integer of at most 4300 "
-                                     f"digits, got {digits} digits",
+                if digits > MAX_INT_DIGITS:
+                    raise ParseError(f"expected an integer of at most "
+                                     f"{MAX_INT_DIGITS} digits, got {digits} "
+                                     f"digits",
                                      col=m.start() + 1)
             if m.lastgroup != "ws":
                 self.toks.append((m.lastgroup, m.group(), m.start() + 1))

@@ -13,7 +13,7 @@ from itertools import chain, product
 from math import prod
 
 from .config import DEFAULT
-from .errors import CapExceeded, ParseError
+from .errors import MAX_INT_DIGITS, CapExceeded, ParseError
 from .presentations import TOP_MEET, FramePresentation, stabilize
 
 
@@ -252,9 +252,9 @@ class _Parser:
     def iexpr(self, what="an index variable or integer"):
         s = self.toks[self.i]
         kind = _kind(s)
-        if kind == "int" and len(s) > 4300:  # Python's int-to-text limit
-            self.fail(f"expected an integer of at most 4300 digits, got "
-                      f"{len(s)} digits")
+        if kind == "int" and len(s) > MAX_INT_DIGITS:
+            self.fail(f"expected an integer of at most {MAX_INT_DIGITS} "
+                      f"digits, got {len(s)} digits")
         if kind != "int" and kind != "name":
             self.fail(f"expected {what}")
         self.i += 1

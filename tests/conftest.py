@@ -35,6 +35,12 @@ def three_chain():
          if "0m1".index(a) <= "0m1".index(b)])
 
 
+def order_pairs(lattice):
+    """The order of a lattice as the set of its pairs (a, b) with a <= b."""
+    return {(a, b) for a in lattice.elements for b in lattice.elements
+            if lattice.le(a, b)}
+
+
 def m3_diamond_poset():
     return Poset.from_relation(
         ["0", "a", "b", "c", "1"],
@@ -64,7 +70,7 @@ def small_frames():
     frames["cantor1"], _ = enumerate_frame(cantor_presentation(1))
     frames["cantor2"], _ = enumerate_frame(cantor_presentation(2))
     ch = three_chain()
-    frames["chain3"] = frame_from_order(ch.elements, ch.le, ch.meet, ch.join)
+    frames["chain3"] = frame_from_order(ch.elements, ch.le)
     b4 = boolean4()
-    frames["bool4"] = frame_from_order(b4.elements, b4.le, b4.meet, b4.join)
+    frames["bool4"] = frame_from_order(b4.elements, b4.le)
     return frames

@@ -32,10 +32,10 @@ oracles for them.
   (binary distributivity).
 - For compactness, which holds because a finite directed set holds its
   own join: the directed-cover scan for top.
-- For the meet and join tables that `DistLattice` reads off down-set and
-  up-set masks when it is given only an order: the scan of the common
-  lower (upper) bounds for one above (below) all the others, O(n) order
-  lookups per candidate.
+- For the meet and join tables that `DistLattice` reads off the down-set
+  and up-set masks of its order: the scan of the common lower (upper)
+  bounds for one above (below) all the others, O(n) order lookups per
+  candidate.
 - For the join-prime certificate of distributivity, Birkhoff's theorem and
   the homomorphism check on J (`DistLattice.distributivity_witness`,
   `order.birkhoff_iso`, `frames.FrameHom`): the triple scan of the
@@ -256,8 +256,7 @@ def enumerate_frame(p):
         new = {join(a, b) for a in frontier for b in elems} - elems
         elems |= new
         frontier = list(new)
-    return frame_from_order(elems, lambda a, b: a <= b,
-                            lambda a, b: a & b, join)
+    return frame_from_order(elems, lambda a, b: a <= b)
 
 
 def hasse_edges(f):
@@ -411,9 +410,7 @@ def quotient(f, c):
     def le(a, b):
         return rep_of[f.join(a, b)] == b
 
-    q = frame_from_order(set(rep_of.values()), le,
-                         lambda a, b: rep_of[f.meet(a, b)],
-                         lambda a, b: rep_of[f.join(a, b)])
+    q = frame_from_order(set(rep_of.values()), le)
     return q, FrameHom(f, q, rep_of)
 
 
@@ -492,8 +489,7 @@ def coproduct(f, g, cap=None):
         elems |= new
         frontier = sorted(new, key=sort_key)
 
-    tensor = frame_from_order(elems, lambda a, b: a <= b,
-                              lambda a, b: a & b, join)
+    tensor = frame_from_order(elems, lambda a, b: a <= b)
     inj1 = FrameHom(f, tensor, {u: rects[u, g.top] for u in f.elements})
     inj2 = FrameHom(g, tensor, {v: rects[f.top, v] for v in g.elements})
 

@@ -47,7 +47,7 @@ def free_frame_oracle(gen_names):
     poset = Poset.from_relation(meets, [(a, b) for a in meets for b in meets
                                         if a >= b])
     lat = downset_lattice(poset)
-    return frame_from_order(lat.elements, lat.le, lat.meet, lat.join), meets
+    return frame_from_order(lat.elements, lat.le), meets
 
 
 def oracle_quotient(p):

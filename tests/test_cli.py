@@ -696,6 +696,51 @@ def test_theory_refuses_a_count_past_4300_digits(capsys, tmp_path, sub, text,
                    f"({field})\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["evt", "max", "--expr", "x+" + "7" * 700, "--domain", "[0,1]"],
+    ["theory", "models", "{thy}"]], ids=["evt", "theory"])
+def test_the_digit_limit_does_not_depend_on_the_environment(tmp_path, argv):
+    """At PYTHONINTMAXSTRDIGITS=640, int() of a 700-digit bound raised a
+    ValueError past cli.main as a traceback, and the evt parser echoed
+    the interpreter's message: main pins the limit to MAX_INT_DIGITS."""
+    thy = tmp_path / "big.thy"
+    thy.write_text("prop a[i] for i<%s;\n" % ("7" * 700))
+    done = subprocess.run(
+        [sys.executable, "-m", "pointfree.cli"]
+        + [a.format(thy=thy) for a in argv],
+        capture_output=True, text=True, cwd=ROOT, timeout=60,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"})
+    if argv[0] == "evt":
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "upper: " + "7" * 699 + "8" in done.stdout
+    else:
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: generators has size {'7' * 700}, "
+                               "exceeding cap 8 (generator_cap)\n")
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("t.thy", "prop top;\naxiom top |- false;\n", ["frame", "leq", "top",
+                                                    "bot"]),
+    ("t.thy", "prop top;\naxiom top |- false;\n", ["theory", "compile"]),
+    ("b.thy", "prop bot, a;\naxiom a |- bot;\n", ["frame", "leq", "a",
+                                                   "bot"]),
+    ("t.pres", "gen top a\nrel a <= top\n", ["frame", "points"])],
+    ids=["thy leq", "thy compile", "thy bot", "pres"])
+def test_a_generator_named_top_or_bot_is_refused(capsys, tmp_path, name,
+                                                  text, argv):
+    """`frame leq` read a generator `top` as the keyword, so it answered
+    False where top <= bot holds, and `theory compile` printed
+    `rel top <= bot`, which reads back as ⊤ <= ⊥."""
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, argv[0], argv[1], path, *argv[2:])
+    word = "bot" if name == "b.thy" else "top"
+    assert (code, out) == (1, "")
+    assert err == (f"error: generator {word!r} is reserved: 'top' and 'bot' "
+                   "name the top and bottom elements\n")
+
+
 @pytest.mark.parametrize("argv", [["frame", "points"], ["theory", "models"],
                                   ["stone", "spectrum"]])
 def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):

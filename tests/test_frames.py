@@ -23,11 +23,23 @@ from pointfree.presentations import (FramePresentation, saturate, stabilize)
 
 
 def one_element_frame():
-    return frame_from_order(["*"], lambda a, b: True,
-                            lambda a, b: "*", lambda a, b: "*")
+    return frame_from_order(["*"], lambda a, b: True)
 
 
 # --- enumeration ----------------------------------------------------------------
+
+@pytest.mark.parametrize("le, message", [
+    (lambda x, y: x == y or x == "0",
+     "join of a and b does not exist uniquely"),
+    (lambda x, y: x == "0" or y != "0", "leq is not antisymmetric")],
+    ids=["no join", "preorder"])
+def test_frame_from_order_refuses_an_order_that_is_no_lattice(le, message):
+    """0 < a and 0 < b with a, b incomparable have no upper bound, and the
+    first pair without a join is refused; with a ≤ b ≤ a, a and b have one
+    down-set, so no mask names either."""
+    with pytest.raises(PointfreeError, match=f"^{message}$"):
+        frame_from_order("0ab", le)
+
 
 def test_enumerate_frame_sizes():
     for n, size in [(1, 3), (2, 6)]:
