@@ -19,10 +19,9 @@ def _decimal(n):
 class CapExceeded(PointfreeError):
     """An enumeration would exceed the configured desk-scale cap."""
 
-    def __init__(self, what, size, cap, field=None):
-        hint = "" if field is None else f" ({field})"
+    def __init__(self, what, size, cap, field):
         super().__init__(f"{what} has size {_decimal(size)}, exceeding cap "
-                         f"{_decimal(cap)}{hint}")
+                         f"{_decimal(cap)} ({field})")
         self.what = what
         self.size = size
         self.cap = cap

@@ -175,7 +175,8 @@ def coproduct(f, g, limits=DEFAULT):
     """
     size = len(f.elements) * len(g.elements)
     if size > limits.coproduct_cap:
-        raise CapExceeded("coproduct carrier", size, limits.coproduct_cap)
+        raise CapExceeded("coproduct carrier", size, limits.coproduct_cap,
+                          field="coproduct_cap")
     # J sorted by |J ∩ ↓j|: the pairs then run along a linear extension
     jf, jg = (sorted(h.lower_covers, key=lambda j: len(h.j_below[j]))
               for h in (f, g))
@@ -187,7 +188,8 @@ def coproduct(f, g, limits=DEFAULT):
                            (1 << len(pairs)) - 1, {0: 1}, limits,
                            "coproduct_cap")
     if count > limits.coproduct_cap:
-        raise CapExceeded("coproduct", count, limits.coproduct_cap)
+        raise CapExceeded("coproduct", count, limits.coproduct_cap,
+                          field="coproduct_cap")
     of_downset = {d: frozenset((u, v) for u in f.elements for v in g.elements
                                if d.issuperset(product(f.j_below[u],
                                                        g.j_below[v])))
@@ -208,7 +210,8 @@ def diagonal_cap(size, limits=DEFAULT):
     """Refuse the closed-diagonal check on a frame of `size` elements when
     the carrier f × f of its witness exceeds the coproduct cap."""
     if size ** 2 > limits.coproduct_cap:
-        raise CapExceeded("coproduct carrier", size ** 2, limits.coproduct_cap)
+        raise CapExceeded("coproduct carrier", size ** 2, limits.coproduct_cap,
+                          field="coproduct_cap")
 
 
 def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):

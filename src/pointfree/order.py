@@ -226,7 +226,8 @@ def count_downsets(below, s, memo, limits=DEFAULT, field="element_cap"):
 def downset_lattice(p, limits=DEFAULT):
     """The lattice of downsets of p ordered by inclusion."""
     if len(p.elements) > limits.poset_cap:
-        raise CapExceeded("poset", len(p.elements), limits.poset_cap)
+        raise CapExceeded("poset", len(p.elements), limits.poset_cap,
+                          field="poset_cap")
     downs = enumerate_downsets(p)
     leq = [(a, b) for a in downs for b in downs if a <= b]
     return DistLattice(downs, leq, check_distributive=False)
@@ -293,7 +294,7 @@ def parse_lattice_text(text, limits=DEFAULT):
     elements, pairs = read_poset_text(text)
     size = len(set(elements))
     if size > limits.poset_cap:
-        raise CapExceeded("lattice", size, limits.poset_cap)
+        raise CapExceeded("lattice", size, limits.poset_cap, field="poset_cap")
     try:
         p = Poset.from_relation(elements, pairs)
     except PointfreeError as exc:

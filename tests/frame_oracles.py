@@ -457,7 +457,8 @@ def coproduct(f, g, cap=None):
     cap = cap if cap is not None else DEFAULT.coproduct_cap
     if len(f.elements) * len(g.elements) > cap:
         raise CapExceeded("coproduct carrier",
-                          len(f.elements) * len(g.elements), cap)
+                          len(f.elements) * len(g.elements), cap,
+                          field="coproduct_cap")
 
     def rect_downset(u, v):
         return _tensor_saturate(f, g, {(u, v)})

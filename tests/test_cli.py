@@ -233,10 +233,12 @@ VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
                  "generators has size 6, exceeding cap 4 (generator_cap)\n",
                  id="generator_cap"),
     pytest.param("poset_cap", 2, ["stone", "spectrum", THY / "chain3.lat"], 2,
-                 "lattice has size 3, exceeding cap 2\n", id="poset_cap"),
+                 "lattice has size 3, exceeding cap 2 (poset_cap)\n",
+                 id="poset_cap"),
     pytest.param("coproduct_cap", 1, ["frame", "hausdorff",
                                       THY / "cantor1.pres"], 2,
-                 "coproduct carrier has size 16, exceeding cap 1\n",
+                 "coproduct carrier has size 16, exceeding cap 1 "
+                 "(coproduct_cap)\n",
                  id="coproduct_cap"),
     pytest.param("bnb_node_budget", 1, VALIDATE, 3,
                  "locate budget 1 exhausted for ", id="bnb_node_budget"),
@@ -258,13 +260,14 @@ VALIDATE = ["evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]",
 def test_config_env_overrides_caps(capsys, tmp_path, monkeypatch, field,
                                    value, argv, code, message):
     """Every Limits field set in POINTFREE_CONFIG reaches the code that
-    enforces it."""
+    enforces it, and every cap refusal (exit 2) names that field."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: value}))
     monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert code != 2 or err.endswith(f" ({field})\n")
 
 
 def test_validate_budget_bounds_every_probe(capsys):
@@ -306,7 +309,7 @@ def test_hausdorff_refuses_before_listing_the_elements(capsys):
                                      THY / "cantor.thy", "--truncate", "N=4")
     assert code == 2 and out == ""
     assert err == ("error: coproduct carrier has size 4294967296, "
-                   "exceeding cap 16\n")
+                   "exceeding cap 16 (coproduct_cap)\n")
     assert secs < 5
 
 
@@ -317,7 +320,8 @@ def test_stone_refuses_a_large_lattice_before_building_it(capsys, tmp_path):
                                             for i in range(149)) + "\n")
     code, out, err, secs = run_timed(capsys, "stone", "spectrum", chain)
     assert code == 2 and out == ""
-    assert err == "error: lattice has size 150, exceeding cap 16\n"
+    assert err == ("error: lattice has size 150, exceeding cap 16 "
+                   "(poset_cap)\n")
     assert secs < 5
 
 
