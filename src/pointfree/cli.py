@@ -3,19 +3,15 @@
 Subcommands: `frame` (inspection of presented frames), `theory` (the
 geometric-theory compiler), `stone` (finite Stone/Birkhoff duality) and
 `evt` (the certified maximizer).  Exit codes: 0 success, 1 parse or input
-error, 2 desk-scale cap overflow, 3 search budget exhaustion.
+error, 2 desk-scale cap overflow, 3 search budget exhaustion.  A subcommand
+imports the engine modules it reads when it runs, and only those.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
-import random
 import sys
-from fractions import Fraction
 
-from . import evt as evtmod
-from . import frames, order, presentations, reals, theories
 from .config import load_limits, read_input
 from .errors import (MAX_INT_DIGITS, BudgetExhausted, CapExceeded,
                      ParseError, PointfreeError)
@@ -92,10 +88,13 @@ def parsed_input(kind, text, truncate, limits):
     and freeing it slowed the queries on fresh files.  A one-shot process
     sees only misses."""
     if kind == "lat":
+        from . import order
         return order.parse_lattice_text(text, limits=limits)
     if kind == "thy":  # the theory is parsed before the truncation
+        from . import theories
         return theories.instantiate(theories.parse_theory(text),
                                     _parse_truncation(truncate), limits=limits)
+    from . import presentations
     p = presentations.parse_presentation_text(text)
     presentations.check_generator_cap(p, limits)
     return p
@@ -122,12 +121,10 @@ def _load_presentation(path, truncate, limits):
 def _parse_element_expr(p, text, limits):
     """Expressions over generators: joins (`|`) of formal meets (`&`),
     plus `bot` and `top`."""
-    text = text.strip()
-    if text == "bot":
-        return presentations.saturate(p, [], limits)
-    parts = [part.strip() for part in text.split("|")]
+    from . import presentations
     meets = []
-    for part in parts:
+    for part in [] if text.strip() == "bot" else text.split("|"):
+        part = part.strip()
         if part == "top":
             meets.append(presentations.TOP_MEET)
             continue
@@ -142,6 +139,7 @@ def _parse_element_expr(p, text, limits):
 # --- frame --------------------------------------------------------------------
 
 def cmd_frame(args, limits):
+    from . import frames, presentations
     p = _load_presentation(args.file, args.truncate, limits)
     if args.sub == "leq":
         a = _parse_element_expr(p, args.lhs, limits)
@@ -149,11 +147,9 @@ def cmd_frame(args, limits):
         _emit({"lhs": str(a), "rhs": str(b), "leq": bool(a <= b)}, args)
         return EXIT_OK
     if args.sub == "overt":
-        meets = []
-        for part in args.positive.split(","):
-            part = part.strip()
-            meets.append(presentations.TOP_MEET if part == "top"
-                         else frozenset(n.strip() for n in part.split("&")))
+        meets = [presentations.TOP_MEET if part.strip() == "top"
+                 else frozenset(n.strip() for n in part.split("&"))
+                 for part in args.positive.split(",")]
         verdict = presentations.check_positivity_certificate(p, meets,
                                                              limits)
         _emit({"certificate_accepted": verdict,
@@ -177,7 +173,7 @@ def cmd_frame(args, limits):
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
     # hausdorff: |f| = |D(J)|, counted before the elements are listed
-    frames.diagonal_cap(frame.count_downsets(limits), limits)
+    frames.carrier_cap(frame.count_downsets(limits) ** 2, limits)
     elems, _ = frame.elements(limits)
     verdict, witness = frames.closed_diagonal(
         elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
@@ -201,6 +197,7 @@ def cmd_theory(args, limits):
         _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
               args)
         return EXIT_OK
+    from . import presentations, theories
     ast = theories.parse_theory(text)
     if args.sub == "parse":
         _emit({"families": [f"{f.name}({', '.join(map(str, f.bounds))})"
@@ -219,6 +216,7 @@ def cmd_theory(args, limits):
 # --- stone --------------------------------------------------------------------
 
 def cmd_stone(args, limits):
+    from . import order
     text = read_input(args.file)
     lattice = parsed_input("lat", text, "", limits)
     if args.sub == "spectrum":
@@ -239,16 +237,18 @@ def cmd_stone(args, limits):
 
 # --- evt ----------------------------------------------------------------------
 
-def _interval_pair(i):
-    return [reals.rat_str(i.lo), reals.rat_str(i.hi)]
+def _pairs(intervals):
+    from . import reals
+    return [[reals.rat_str(i.lo), reals.rat_str(i.hi)] for i in intervals]
 
 
 def _enclosure_payload(enc, cover, args):
+    from . import reals
     payload = {"lower": reals.rat_str(enc.lower),
                "upper": reals.rat_str(enc.upper),
                "eps": reals.rat_str(enc.eps),
                "nodes_expanded": enc.nodes_expanded,
-               "cover": [_interval_pair(b) for b in cover.intervals],
+               "cover": _pairs(cover.intervals),
                "cover_width_bound": reals.rat_str(cover.delta)}
     if args.trace:
         payload["trace"] = [[reals.rat_str(lo), reals.rat_str(hi)]
@@ -264,7 +264,9 @@ def _enclosure_payload(enc, cover, args):
 
 
 def cmd_evt(args, limits):
+    from . import evt as evtmod, reals
     if args.budget is not None:
+        import dataclasses
         limits = dataclasses.replace(limits, bnb_node_budget=args.budget)
     e = reals.parse_expr(args.expr)
     d = reals.parse_domain(args.domain)
@@ -285,15 +287,17 @@ def cmd_evt(args, limits):
         branch = evtmod.locate(e, d, p, q, limits=limits)
         if isinstance(branch, evtmod.LeftBranch):
             _emit({"branch": "left", "claim": f"{reals.rat_str(p)} < max",
-                   "witness": _interval_pair(branch.witness),
+                   "witness": _pairs([branch.witness])[0],
                    "certified_bound": reals.rat_str(branch.bound)}, args)
         else:
             _emit({"branch": "right", "claim": f"max < {reals.rat_str(q)}",
                    "threshold": reals.rat_str(branch.threshold),
-                   "pieces": [_interval_pair(b) for b in branch.pieces]},
+                   "pieces": _pairs(branch.pieces)},
                   args)
         return EXIT_OK
     # validate
+    import random
+    from fractions import Fraction
     eps = reals.parse_rat(args.eps)
     enc, cover = evtmod.evt_maximize(e, d, eps, limits=limits)
     rng = random.Random(args.seed)
@@ -378,15 +382,17 @@ def build_parser():
     top = _Parser(
         prog="pointfree",
         description="Exact pointfree topology and certified maximization.")
+    top.leaves = {}  # (group, leaf) -> the leaf's parser, for parse_argv
     groups = top.add_subparsers(dest="command", required=True)
 
     def group(name, help, run, leaves, file=None):
         subs = groups.add_parser(name, help=help).add_subparsers(
             dest="sub", required=True)
         out = {leaf: subs.add_parser(leaf) for leaf in leaves.split()}
-        for sp in out.values():
+        for leaf, sp in out.items():
+            top.leaves[name, leaf] = sp
             sp.register("action", None, _Once)  # every argument with a value
-            sp.set_defaults(run=run)
+            sp.set_defaults(run=run, command=name, sub=leaf)
             sp.add_argument("--json", action="store_true",
                             help="machine-readable JSON output")
             if file:
@@ -441,11 +447,19 @@ def build_parser():
     return top
 
 
+def parse_argv(argv):
+    """argv parsed by the leaf its first two words name, as the walk down
+    the tree would; any other argv (help, a usage error) takes the walk."""
+    top = build_parser()
+    leaf = top.leaves.get(tuple(argv[:2]))
+    return top.parse_args(argv) if leaf is None else leaf.parse_args(argv[2:])
+
+
 def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
         sys.set_int_max_str_digits(MAX_INT_DIGITS)  # not PYTHONINTMAXSTRDIGITS
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         return args.run(args, load_limits())
     except (PointfreeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,6 +162,14 @@ class FrameHom:
 
 # --- coproducts / tensor ------------------------------------------------------
 
+def carrier_cap(size, limits=DEFAULT):
+    """Refuse a coproduct, or the closed-diagonal check, whose carrier f × g
+    has `size` pairs, more than the coproduct cap."""
+    if size > limits.coproduct_cap:
+        raise CapExceeded("coproduct carrier", size, limits.coproduct_cap,
+                          field="coproduct_cap")
+
+
 def coproduct(f, g, limits=DEFAULT):
     """Frame coproduct f ⊕ g ≅ D(J(f) × J(g)), the downsets of the product of
     the join-irreducible posets (finite frames are spatial; Johnstone,
@@ -173,10 +181,7 @@ def coproduct(f, g, limits=DEFAULT):
     inj2, rect) with the two coproduct injections and the basic-rectangle
     map rect(u, v) = u ⊕ v.
     """
-    size = len(f.elements) * len(g.elements)
-    if size > limits.coproduct_cap:
-        raise CapExceeded("coproduct carrier", size, limits.coproduct_cap,
-                          field="coproduct_cap")
+    carrier_cap(len(f.elements) * len(g.elements), limits)
     # J sorted by |J ∩ ↓j|: the pairs then run along a linear extension
     jf, jg = (sorted(h.lower_covers, key=lambda j: len(h.j_below[j]))
               for h in (f, g))
@@ -206,14 +211,6 @@ def coproduct(f, g, limits=DEFAULT):
 
 # --- Hausdorff ----------------------------------------------------------------
 
-def diagonal_cap(size, limits=DEFAULT):
-    """Refuse the closed-diagonal check on a frame of `size` elements when
-    the carrier f × f of its witness exceeds the coproduct cap."""
-    if size ** 2 > limits.coproduct_cap:
-        raise CapExceeded("coproduct carrier", size ** 2, limits.coproduct_cap,
-                          field="coproduct_cap")
-
-
 def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):
     """Whether the diagonal of f ⊕ f is closed, from the join-primes J of f.
     Returns (verdict, witness or None).
@@ -224,9 +221,9 @@ def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):
     Locales*).  The one candidate witness is δ_*(⊥), the largest element
     of f ⊕ f that the codiagonal sends to ⊥: the pairs (u, v) with
     u ∧ v = ⊥.  It is a subset of f × f, so |f|² is held to the coproduct
-    cap (diagonal_cap).
+    cap (carrier_cap).
     """
-    diagonal_cap(len(elements), limits)
+    carrier_cap(len(elements) ** 2, limits)
     if any(a != b and le(a, b) for a in join_primes for b in join_primes):
         return False, None
     return True, frozenset((u, v) for u in elements for v in elements

@@ -588,6 +588,33 @@ def test_truncations_that_bind_nothing_are_parse_errors(capsys, argv, name):
     assert err.count("\n") == 1
 
 
+ENGINE = {"evt", "reals", "frames", "order", "presentations", "theories"}
+
+
+def engine_loaded(*argv):
+    """The engine modules a fresh interpreter holds once it has imported
+    the CLI, built its parser and, given argv, answered it."""
+    code = ("import sys, pointfree.cli as cli; cli.build_parser(); "
+            "sys.argv[1:] and cli.main(sys.argv[1:]); "
+            "print(*(m for m in sys.modules if m.startswith('pointfree.')))")
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          capture_output=True, text=True, cwd=ROOT,
+                          timeout=60)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    loaded = done.stdout.splitlines()[-1].split()
+    return ENGINE & {m.removeprefix("pointfree.") for m in loaded}
+
+
+def test_each_subcommand_imports_only_the_engine_it_reads():
+    """Building the parser loads no engine module; evt loads only the
+    maximizer and the reals, a frame query neither of those."""
+    assert engine_loaded() == set()
+    assert engine_loaded("evt", "max", "--expr", "x*(1-x)",
+                         "--domain", "[0,1]") == {"evt", "reals"}
+    assert engine_loaded("frame", "points", THY / "cantor1.pres") == {
+        "frames", "order", "presentations"}
+
+
 def test_help_still_exits_zero():
     for argv in (["--help"], ["evt", "--help"]):
         done = subprocess.run([sys.executable, "-m", "pointfree.cli"] + argv,

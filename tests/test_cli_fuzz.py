@@ -5,7 +5,9 @@ arguments with random values, and small random `.pres`, `.thy`, `.lat` and
 POINTFREE_CONFIG bodies, random bytes included.  Every run must exit 0-3
 without a traceback within the deadline, a refusal must say so in one
 `error:` line, and an argument owned by another subcommand must be a usage
-error.  Drawn sizes stay small (at most four generators, degree at most 27,
+error.  Each drawn argv, and each golden one, must parse the same on the
+route `main` takes, through the leaf its first two words name, as on the
+walk down the whole tree.  Drawn sizes stay small (at most four generators, degree at most 27,
 node budgets at most 300), because a run in this process that hangs cannot
 be stopped.
 
@@ -23,6 +25,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -32,9 +36,12 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pointfree.cli import build_parser, main
+from pointfree.cli import build_parser, main, parse_argv
+from pointfree.errors import ParseError
 
-THY = Path(__file__).resolve().parents[1] / "theories"
+ROOT = Path(__file__).resolve().parents[1]
+THY = ROOT / "theories"
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
 def _subparsers(parser):
@@ -449,7 +456,24 @@ EXAMPLES = [
 ]
 
 
+def parsed(parse, argv):
+    """What parse makes of argv: the namespace as a dict, the message of
+    its usage error, or the exit code of its help."""
+    try:
+        return vars(parse(argv))
+    except ParseError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code
+
+
+def check_dispatch(argv):
+    assert parsed(parse_argv, argv) == parsed(build_parser().parse_args,
+                                              argv), argv
+
+
 def check(case):
+    check_dispatch(case.argv)
     code, out, err = run_case(case)
     assert code in (0, 1, 2, 3) and "Traceback" not in err
     if case.want is not None:
@@ -511,6 +535,32 @@ def test_cli_fuzz_reaches_each_channel_with_a_huge_integer(channel):
         assert not ARGPARSE_INVALID.search(check(case))
 
     run()
+
+
+def test_main_dispatches_on_each_leaf_of_the_tree():
+    assert build_parser().leaves == LEAVES and len(LEAVES) == 14
+
+
+# usage errors, which take the walk down the tree on both routes
+USAGE = [[], ["frame"], ["nope", "points"], ["frame", "nope", "in.pres"],
+         ["frame", "--json", "points", "in.pres"], ["evt", "--eps", "1"]]
+
+
+@pytest.mark.parametrize("argv", [g["argv"] + ["--json"] for g in GOLDEN]
+                         + USAGE, ids=" ".join)
+def test_golden_argv_parse_the_same_on_both_routes(argv):
+    check_dispatch(argv)
+
+
+def test_the_module_entry_point_reads_sys_argv():
+    """`python -m pointfree.cli` calls main() with no argv, which reads
+    sys.argv: its answer is the golden one."""
+    argv = ["frame", "points", "theories/cantor1.pres"]
+    (want,) = [g["stdout"] for g in GOLDEN if g["argv"] == argv]
+    done = subprocess.run([sys.executable, "-m", "pointfree.cli", *argv,
+                           "--json"], capture_output=True, text=True,
+                          cwd=ROOT, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
 
 @pytest.mark.parametrize(

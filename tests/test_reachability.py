@@ -5,8 +5,8 @@ function or method the bench tracer wraps (`bench/tracing.py` LAYERS and
 METHODS).  Code that only its own tests reach is deleted, not kept.
 
 Reachability is by name over the ASTs.  A name resolves through its
-module's definitions and `from` imports; `module.name` through a module
-alias; any other `.attr` reaches every method of that name on a reached
+module's definitions and `from` imports, those inside a function body
+included; `module.name` through a module alias; any other `.attr` reaches every method of that name on a reached
 class.  `__init__` and `__post_init__` are reached with their class, and
 module dunders such as `__version__` count as reached.  Any other dunder
 method is run by Python, not named, so it is reached with its class only
@@ -49,6 +49,8 @@ class Program:
             self.read_import(mod, node)
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             self.defs[mod, node.name] = node
+            for inner in ast.walk(node):  # imports run when the body runs
+                self.read_import(mod, inner)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
@@ -199,3 +201,12 @@ def test_the_walk_reports_what_no_root_reaches():
         "n": "def helper():\n    return 1\ndef orphan():\n    pass\n"})
     assert program.unreached([("m", "used")], implicit={"m.C.__eq__"}) == [
         "m.C.__str__", "m.C.other", "m.unused", "n.orphan"]
+
+
+def test_the_walk_follows_imports_inside_a_function():
+    program = Program({
+        "m": "def f():\n    from . import n\n    return n.g()\n"
+             "def h():\n    from .n import k as kk\n    return kk()\n",
+        "n": "def g():\n    pass\ndef k():\n    pass\ndef orphan():\n"
+             "    pass\n"})
+    assert program.unreached([("m", "f"), ("m", "h")]) == ["n.orphan"]
