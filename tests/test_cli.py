@@ -594,8 +594,10 @@ ENGINE = {"evt", "reals", "frames", "order", "presentations", "theories"}
 def engine_loaded(*argv):
     """The engine modules a fresh interpreter holds once it has imported
     the CLI, built its parser and, given argv, answered it."""
-    code = ("import sys, pointfree.cli as cli; cli.build_parser(); "
-            "sys.argv[1:] and cli.main(sys.argv[1:]); "
+    code = ("import sys, pointfree.cli as cli\n"
+            "cli.build_parser()\n"
+            "if sys.argv[1:]:\n"
+            "    cli.main(sys.argv[1:])\n"
             "print(*(m for m in sys.modules if m.startswith('pointfree.')))")
     done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           capture_output=True, text=True, cwd=ROOT,

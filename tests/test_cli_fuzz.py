@@ -7,9 +7,9 @@ without a traceback within the deadline, a refusal must say so in one
 `error:` line, and an argument owned by another subcommand must be a usage
 error.  Each drawn argv, and each golden one, must parse the same on the
 route `main` takes, through the leaf its first two words name, as on the
-walk down the whole tree.  Drawn sizes stay small (at most four generators, degree at most 27,
-node budgets at most 300), because a run in this process that hangs cannot
-be stopped.
+walk down the whole tree.  Drawn sizes stay small (at most four
+generators, degree at most 27, node budgets at most 300), because a run in
+this process that hangs cannot be stopped.
 
 A second fuzz puts a huge integer, of 4,299 to 5,001 digits, into each
 integer channel in turn: an integer option, a `.thy` bound, index or side

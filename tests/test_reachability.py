@@ -6,12 +6,13 @@ METHODS).  Code that only its own tests reach is deleted, not kept.
 
 Reachability is by name over the ASTs.  A name resolves through its
 module's definitions and `from` imports, those inside a function body
-included; `module.name` through a module alias; any other `.attr` reaches every method of that name on a reached
-class.  `__init__` and `__post_init__` are reached with their class, and
-module dunders such as `__version__` count as reached.  Any other dunder
-method is run by Python, not named, so it is reached with its class only
-when IMPLICIT names the library caller that invokes it (by an operator,
-`str`, a call or a missing key), and that caller must be reached itself.
+included; `module.name` through a module alias; any other `.attr` reaches
+every method of that name on a reached class.  `__init__` and
+`__post_init__` are reached with their class, and module dunders such as
+`__version__` count as reached.  Any other dunder method is run by
+Python, not named, so it is reached with its class only when IMPLICIT
+names the library caller that invokes it (by an operator, `str`, a call
+or a missing key), and that caller must be reached itself.
 Top-level defs, classes, methods and assigned names are checked.
 """
 
