@@ -95,9 +95,7 @@ def parsed_input(kind, text, truncate, limits):
         return theories.instantiate(theories.parse_theory(text),
                                     _parse_truncation(truncate), limits=limits)
     from . import presentations
-    p = presentations.parse_presentation_text(text)
-    presentations.check_generator_cap(p, limits)
-    return p
+    return presentations.parse_presentation_text(text, limits)
 
 
 def _load_presentation(path, truncate, limits):

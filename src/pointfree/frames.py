@@ -21,7 +21,7 @@ def frame_from_order(elements, le):
     """The frame of the elements, in sort_key order, under lattice order le."""
     elems = sorted(elements, key=sort_key)
     leq = [(a, b) for a in elems for b in elems if le(a, b)]
-    return FiniteFrame(elems, leq, check_distributive=False)
+    return FiniteFrame(elems, leq)
 
 
 def enumerate_frame(p, limits=DEFAULT):
@@ -244,7 +244,7 @@ def is_compact_presentation(p, limits=DEFAULT):
     an upper bound of all its members (taking bounds pairwise), which is
     its join; so a directed cover of top contains top.  Only generator_cap
     is checked; nothing is stabilized and no element is listed."""
-    check_generator_cap(p, limits)
+    check_generator_cap(p.generators, limits)
     return {"certificate": "finite frame: every directed cover of top "
                            "contains top",
             "compact": True, "verified": True}

@@ -99,9 +99,9 @@ class DistLattice:
     Meets and joins are read off the order: ↓(a ∧ b) = ↓a ∩ ↓b, so the meet
     is the element whose down-set mask is the intersection, and there is
     none when the common lower bounds have no greatest one.  Joins use
-    up-set masks the same way."""
+    up-set masks the same way.  parse_lattice_text checks distributivity."""
 
-    def __init__(self, elements, leq_pairs, check_distributive=True):
+    def __init__(self, elements, leq_pairs):
         self.elements = elems = tuple(elements)
         self._index = index = {e: i for i, e in enumerate(elems)}
         if len(index) != len(elems):
@@ -131,8 +131,6 @@ class DistLattice:
         if full not in above or full not in below:
             raise PointfreeError("lattice lacks a unique bottom or top")
         self.bottom, self.top = above[full], below[full]
-        if check_distributive and (w := self.distributivity_witness()):
-            raise NotDistributive(w)
 
     def le(self, a, b):
         return self._down[b] >> self._index[a] & 1 == 1
@@ -230,7 +228,7 @@ def downset_lattice(p, limits=DEFAULT):
                           field="poset_cap")
     downs = enumerate_downsets(p)
     leq = [(a, b) for a in downs for b in downs if a <= b]
-    return DistLattice(downs, leq, check_distributive=False)
+    return DistLattice(downs, leq)
 
 
 def join_irreducibles(l):
@@ -299,4 +297,7 @@ def parse_lattice_text(text, limits=DEFAULT):
         p = Poset.from_relation(elements, pairs)
     except PointfreeError as exc:
         raise ParseError(str(exc))
-    return DistLattice(p.elements, p.leq)
+    lattice = DistLattice(p.elements, p.leq)
+    if w := lattice.distributivity_witness():
+        raise NotDistributive(w)
+    return lattice

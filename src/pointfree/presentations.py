@@ -22,55 +22,49 @@ from .order import count_downsets
 TOP_MEET = frozenset()
 
 
-def meet_key(m):
-    return (len(m), tuple(sorted(m)))
-
-
 def meet_str(m):
     return "top" if not m else " & ".join(sorted(m))
 
 
-def cideal_key(members):
-    return (len(members), tuple(sorted(map(meet_key, members))))
-
-
 @dataclass(frozen=True)
 class FramePresentation:
-    """Generators plus cover rules lhs <= \\/rhs."""
+    """Sorted generators plus cover rules lhs <= \\/rhs, each side a mask
+    over the generators: bit i is generators[i]."""
 
     generators: tuple
-    covers: frozenset  # pairs (lhs: frozenset, rhs: frozenset of frozensets)
-
-    def __post_init__(self):
-        gens = set(self.generators)
-        reserved = sorted(gens & {"bot", "top"})  # the keywords for ⊥ and ⊤
-        if reserved:
-            raise ParseError(f"generator {reserved[0]!r} is reserved: 'top' "
-                             "and 'bot' name the top and bottom elements")
-        for lhs, rhs in self.covers:
-            if not lhs <= gens or not all(t <= gens for t in rhs):
-                raise ParseError("cover rule mentions undeclared generator")
+    rules: frozenset  # pairs (lhs: int, rhs: frozenset of ints)
 
     @classmethod
     def make(cls, generators, covers):
+        """The one conversion of generator names and covers to masks."""
         gens = tuple(sorted(set(generators)))
-        rules = frozenset((frozenset(lhs), frozenset(frozenset(t) for t in rhs))
-                          for lhs, rhs in covers)
+        if reserved := {"bot", "top"}.intersection(gens):  # ⊥ and ⊤
+            raise ParseError(f"generator {min(reserved)!r} is reserved: 'top' "
+                             "and 'bot' name the top and bottom elements")
+        bit = {g: 1 << i for i, g in enumerate(gens)}
+
+        def mask(m):
+            return functools.reduce(int.__or__, map(bit.__getitem__, m), 0)
+        try:
+            rules = frozenset((mask(lhs), frozenset(map(mask, rhs)))
+                              for lhs, rhs in covers)
+        except KeyError:
+            named = {g for lhs, rhs in covers for m in (lhs, *rhs) for g in m}
+            raise ParseError("cover rule mentions undeclared generator "
+                             f"{min(named.difference(bit))!r}") from None
         return cls(gens, rules)
 
     def all_meets(self):
         """Every formal meet, in meet_key order."""
-        return _all_meets(sorted(self.generators))
+        return _all_meets(self.generators)
 
     @functools.cached_property
-    def rules(self):
-        """Each cover as (left side, right-side meets), masks over the bits
-        of the sorted generators."""
-        bit = {g: 1 << i for i, g in enumerate(sorted(self.generators))}
-
-        def meet(m):
-            return sum(bit[g] for g in m)
-        return [(meet(c), [meet(t) for t in ts]) for c, ts in self.covers]
+    def covers(self):
+        """The rules as name sets: (lhs, frozenset of right-side meets)."""
+        def names(m):
+            return frozenset(self.generators[i] for i in set_bits(m))
+        return frozenset((names(lhs), frozenset(map(names, rhs)))
+                         for lhs, rhs in self.rules)
 
     @functools.cached_property
     def frame(self):
@@ -79,35 +73,34 @@ class FramePresentation:
 
 
 def _all_meets(gens):
-    """Every formal meet over the sorted generators, in meet_key order."""
+    """Every formal meet over the sorted generators, in meet_key order: by
+    number of generators, then by their sorted names."""
     return [frozenset(c) for n in range(len(gens) + 1)
             for c in combinations(gens, n)]
 
 
-def check_generator_cap(p, limits=DEFAULT):
-    """Refuse a presentation with more than generator_cap generators: its
-    C-ideals are masks over 2^g formal meets."""
-    if len(p.generators) > limits.generator_cap:
-        raise CapExceeded("generators", len(p.generators),
+def check_generator_cap(generators, limits=DEFAULT):
+    """Refuse more than generator_cap generators: a C-ideal is a mask over
+    2^g formal meets, and each cover mask has a bit per generator."""
+    if len(generators) > limits.generator_cap:
+        raise CapExceeded("generators", len(generators),
                           limits.generator_cap, field="generator_cap")
 
 
 def presented_frame(p, limits=DEFAULT):
     """p.frame, once p is within generator_cap."""
-    check_generator_cap(p, limits)
+    check_generator_cap(p.generators, limits)
     return p.frame
 
 
 def stabilize(p, limits=DEFAULT):
     """Meet-stabilize: close the rules under meeting both sides with every
-    formal meet.  Idempotent on the covers.  Only `theory compile`, which
+    formal meet u.  Idempotent on the rules.  Only `theory compile`, which
     prints them, needs the stabilized rules: they have the same models."""
-    check_generator_cap(p, limits)
-    rules = set(p.covers)
-    for u in p.all_meets():
-        for lhs, rhs in p.covers:
-            rules.add((u | lhs, frozenset(u | t for t in rhs)))
-    return FramePresentation(p.generators, frozenset(rules))
+    check_generator_cap(p.generators, limits)
+    return FramePresentation(p.generators, frozenset(
+        (u | lhs, frozenset([u | t for t in rhs]))
+        for u in range(1 << len(p.generators)) for lhs, rhs in p.rules))
 
 
 def set_bits(mask):
@@ -208,7 +201,7 @@ class PresentedFrame:
     key = staticmethod(_key)
 
     def __init__(self, p):
-        self.generators = gens = sorted(p.generators)
+        self.generators = gens = list(p.generators)
         self.rules = p.rules
         self.bit = {g: i for i, g in enumerate(gens)}
         # larger models first: j_P < j_Q exactly when Q is a proper subset
@@ -391,32 +384,33 @@ def check_positivity_certificate(p, positives, limits=DEFAULT):
     every formal meet outside the set saturates to bottom, that is, is
     held by no model.  Given (i), (iii) holds when every model, as the
     meet of its generators, is a candidate: a meet held by a model lies
-    inside it.  The covers are read as given, and the models are those of
-    the frame that p keeps.
+    inside it.  The candidates are made masks once, the covers are read as
+    given, and the models are those of the frame that p keeps.
     """
     frame = presented_frame(p, limits)
-    positives = {frozenset(m) for m in positives}
-    gens = frame.generators  # sorted, the bits of the models
-    if not all(m.issubset(gens) for m in positives):
+    positives = [frozenset(m) for m in positives]
+    if not all(m.issubset(frame.bit) for m in positives):
         raise ParseError("candidate set mentions unknown formal meets")
+    positives = {sum(1 << frame.bit[g] for g in m) for m in positives}
     # (i) upward closed: formal-meet order is reverse inclusion, so it is
     # enough that dropping any one generator stays positive
-    if any(m - {g} not in positives for m in positives for g in m):
+    if any(m & ~(1 << i) not in positives
+           for m in positives for i in set_bits(m)):
         return False
     # (ii) a positive meet inside a left side meets a right side positively
-    if any(lhs <= m and not any(m | t in positives for t in rhs)
-           for lhs, rhs in p.covers for m in positives):
+    if any(lhs & ~m == 0 and not any(m | t in positives for t in rhs)
+           for lhs, rhs in p.rules for m in positives):
         return False
     # (iii) every model's own meet is positive
-    return all(frozenset(gens[i] for i in set_bits(q)) in positives
-               for q in frame.models)
+    return all(q in positives for q in frame.models)
 
 
 # --- text format ------------------------------------------------------------
 
-def parse_presentation_text(text):
+def parse_presentation_text(text, limits=DEFAULT):
     """Parse the line format: `gen a b`, `rel a & b <= c | d`, `rel top <= a`,
-    `rel a <= bot`.  Returns an unstabilized FramePresentation."""
+    `rel a <= bot`.  Returns an unstabilized FramePresentation, once its
+    generators are counted against generator_cap: no mask is built before."""
     gens = []
     covers = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -424,23 +418,28 @@ def parse_presentation_text(text):
         if not line:
             continue
         if line.startswith("gen "):
-            gens.extend(line[4:].split())
+            names = line[4:].split()
+            if bad := [n for n in names if not _is_name(n)]:
+                raise ParseError(f"bad generator name {bad[0]!r}", line=lineno)
+            gens += names
         elif line.startswith("rel "):
             body = line[4:]
             if "<=" not in body:
                 raise ParseError("relation needs '<='", line=lineno)
             lhs_s, rhs_s = body.split("<=", 1)
             lhs = _parse_meet(lhs_s, lineno)
-            rhs_s = rhs_s.strip()
-            if rhs_s == "bot":
-                rhs = frozenset()
-            else:
-                rhs = frozenset(_parse_meet(part, lineno)
-                                for part in rhs_s.split("|"))
+            rhs = [] if rhs_s.strip() == "bot" else [
+                _parse_meet(part, lineno) for part in rhs_s.split("|")]
             covers.append((lhs, rhs))
         else:
             raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno)
+    check_generator_cap(set(gens), limits)
     return FramePresentation.make(gens, covers)
+
+
+def _is_name(text):
+    """Whether text names a generator: letters, digits and underscores."""
+    return text.replace("_", "").isalnum()
 
 
 def _parse_meet(text, lineno):
@@ -448,16 +447,19 @@ def _parse_meet(text, lineno):
     if text == "top":
         return TOP_MEET
     names = [part.strip() for part in text.split("&")]
-    if any(not n or not n.replace("_", "").isalnum() for n in names):
+    if not all(map(_is_name, names)):
         raise ParseError(f"bad formal meet {text!r}", line=lineno)
     return frozenset(names)
 
 
 def presentation_text(p):
+    """The line format, the rules and each right side in meet_key order."""
+    @functools.cache
+    def key(m):  # the meet_key of mask m, then its name
+        names = tuple(p.generators[i] for i in set_bits(m))
+        return (len(names), names), " & ".join(names) or "top"
     lines = ["gen " + " ".join(p.generators)]
-    for lhs, rhs in sorted(p.covers, key=lambda c: (meet_key(c[0]),
-                                                    cideal_key(c[1]))):
-        rhs_s = "bot" if not rhs else " | ".join(
-            meet_str(t) for t in sorted(rhs, key=meet_key))
-        lines.append(f"rel {meet_str(lhs)} <= {rhs_s}")
+    for (_, lhs), _, rhs in sorted((key(lhs), len(rhs), sorted(map(key, rhs)))
+                                   for lhs, rhs in p.rules):
+        lines.append(f"rel {lhs} <= {' | '.join(n for _, n in rhs) or 'bot'}")
     return "\n".join(lines) + "\n"

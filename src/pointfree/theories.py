@@ -14,7 +14,7 @@ from math import prod
 
 from .config import DEFAULT
 from .errors import MAX_INT_DIGITS, CapExceeded, ParseError
-from .presentations import TOP_MEET, FramePresentation, stabilize
+from .presentations import FramePresentation, stabilize
 
 
 # --- AST ---------------------------------------------------------------------
@@ -411,8 +411,7 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
     covers = set()
     for ax, (ns, js) in zip(ast.axioms, spans):
         if not (ax.binders or ax.joins or ax.conds):  # its one instance
-            covers.add((frozenset(_atom_gen(a, {}) for a in ax.lhs)
-                        or TOP_MEET,
+            covers.add((frozenset(_atom_gen(a, {}) for a in ax.lhs),
                         frozenset(frozenset(_atom_gen(a, {}) for a in c)
                                   for c in ax.rhs)))
             continue
@@ -423,7 +422,7 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
             if not all(_CMP[op](_subst(a, env), _subst(b, env))
                        for a, op, b in ax.conds):
                 continue
-            lhs = frozenset(_atom_gen(a, env) for a in ax.lhs) or TOP_MEET
+            lhs = frozenset(_atom_gen(a, env) for a in ax.lhs)
             rhs = set()
             for jvalues in product(*map(range, js)):
                 jenv = dict(env, **dict(zip(jnames, jvalues)))

@@ -1,6 +1,10 @@
 """The frame algorithms that theorems replaced, kept as independent
 oracles for them.
 
+- For the cover masks of a presentation (`presentations.stabilize` and
+  `presentation_text`): meet-stabilization on frozensets of generator
+  names, and the printer that sorts the covers by `meet_key`.  The
+  oracles below stabilize with the former, not with the masks.
 - For the join-primes J of the bitmask engine, which come from a search
   for models (`presentations.find_models`): the scan of all 2^g principal
   C-ideals of the stabilized presentation for those that the principals
@@ -52,8 +56,40 @@ from pointfree.config import DEFAULT
 from pointfree.errors import CapExceeded, ParseError, PointfreeError
 from pointfree.frames import FiniteFrame, FrameHom, frame_from_order
 from pointfree.order import enumerate_downsets, sort_key
-from pointfree.presentations import (find_models, meet_str, set_bits,
-                                     stabilize)
+from pointfree.presentations import (FramePresentation, find_models,
+                                     meet_str, set_bits)
+
+
+# --- covers as name sets ---------------------------------------------------------
+
+def meet_key(m):
+    """The meet_key order of formal meets: by size, then sorted names."""
+    return (len(m), tuple(sorted(m)))
+
+
+def cideal_key(members):
+    return (len(members), tuple(sorted(map(meet_key, members))))
+
+
+def stabilize(p):
+    """Meet both sides of every cover with every formal meet, on the
+    covers as name sets."""
+    rules = set(p.covers)
+    for u in p.all_meets():
+        for lhs, rhs in p.covers:
+            rules.add((u | lhs, frozenset(u | t for t in rhs)))
+    return FramePresentation.make(p.generators, rules)
+
+
+def presentation_text(p):
+    """The line format, sorted on the covers as name sets."""
+    lines = ["gen " + " ".join(p.generators)]
+    for lhs, rhs in sorted(p.covers, key=lambda c: (meet_key(c[0]),
+                                                    cideal_key(c[1]))):
+        rhs_s = "bot" if not rhs else " | ".join(
+            meet_str(t) for t in sorted(rhs, key=meet_key))
+        lines.append(f"rel {meet_str(lhs)} <= {rhs_s}")
+    return "\n".join(lines) + "\n"
 
 
 def closure(p):

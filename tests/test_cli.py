@@ -216,6 +216,15 @@ def test_exit_code_parse_errors(capsys, tmp_path):
     assert code == 1  # missing --p/--q
 
 
+def test_a_bad_generator_name_is_refused_at_its_line(capsys, tmp_path):
+    """`gen x-y` was accepted, and `frame leq` then printed names such as
+    `a&b & x-y`, which read back as other meets."""
+    bad = tmp_path / "bad.pres"
+    bad.write_text("gen a b\ngen a&b c|d x-y\n")
+    assert run(capsys, "frame", "leq", bad, "x-y", "top") == \
+        (1, "", "error: bad generator name 'a&b' at line 2\n")
+
+
 def test_exit_code_cap_exceeded(capsys, tmp_path):
     big = tmp_path / "big.pres"
     big.write_text("gen " + " ".join(f"g{i}" for i in range(9)) + "\n")

@@ -126,7 +126,7 @@ def test_hausdorff_matches_the_witness_search_on_random_presentations(p):
 
 def test_frame_law_is_binary_distributivity():
     m3 = m3_diamond_poset()
-    f = FiniteFrame(m3.elements, m3.leq, check_distributive=False)
+    f = FiniteFrame(m3.elements, m3.leq)
     assert f.distributivity_witness() is not None
     assert not frame_oracles.check_frame_distributivity(f)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import frame_oracles
+from frame_oracles import meet_key
 from conftest import cantor_presentation, free_presentation, order_pairs
 import pointfree
 from pointfree import frames
@@ -25,7 +26,7 @@ from pointfree.frames import PresentedFrame, enumerate_frame, points
 from pointfree.order import sort_key
 from pointfree.presentations import (TOP_MEET, FramePresentation,
                                      check_positivity_certificate,
-                                     find_models, meet_key, meet_str,
+                                     find_models, meet_str,
                                      presented_frame, saturate, set_bits,
                                      stabilize)
 

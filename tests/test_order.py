@@ -209,7 +209,7 @@ def small_lattices():
             leq = (set(p.leq) | {("0", e) for e in elems}
                    | {(e, "1") for e in elems})
             try:
-                out.append(DistLattice(elems, leq, check_distributive=False))
+                out.append(DistLattice(elems, leq))
             except PointfreeError:  # some pair has no unique meet or join
                 pass
     return out
@@ -231,7 +231,7 @@ def test_tables_from_masks_match_the_bound_scan(p, rng):
     leq = (set(p.leq) | {("0", e) for e in elems} | {(e, "1") for e in elems})
     want = lattice_tables(elems, leq)
     try:
-        l = DistLattice(elems, leq, check_distributive=False)
+        l = DistLattice(elems, leq)
     except PointfreeError as exc:
         assert isinstance(want, PointfreeError) and str(exc) == str(want)
         return
@@ -247,7 +247,7 @@ def test_tables_from_masks_refuse_the_first_pair():
            | {(x, y) for x in "ab" for y in "cd"})
     with pytest.raises(PointfreeError,
                        match="^join of a and b does not exist uniquely$"):
-        DistLattice(elems, leq, check_distributive=False)
+        DistLattice(elems, leq)
     assert str(lattice_tables(elems, leq)) == \
         "join of a and b does not exist uniquely"
 
@@ -288,7 +288,7 @@ def test_birkhoff_iso_examples():
 
 def test_birkhoff_rejects_nondistributive_with_witness():
     p = m3_diamond_poset()
-    lat = DistLattice(p.elements, p.leq, check_distributive=False)
+    lat = DistLattice(p.elements, p.leq)
     with pytest.raises(NotDistributive) as err:
         birkhoff_iso(lat)
     a, b, c = err.value.witness

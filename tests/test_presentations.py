@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frame_oracles
 from conftest import cantor_presentation, free_presentation
 from pointfree.config import Limits
 from pointfree.errors import CapExceeded, MixedPresentations, ParseError
@@ -239,5 +240,69 @@ def test_parse_presentation_errors_carry_line_numbers():
         parse_presentation_text("huh a\n")
     with pytest.raises(ParseError):
         parse_presentation_text("gen a\nrel & <= a\n")
-    with pytest.raises(ParseError):
-        parse_presentation_text("gen a\nrel b <= a\n")  # undeclared generator
+    with pytest.raises(ParseError, match="^cover rule mentions undeclared "
+                       "generator 'b'$"):
+        parse_presentation_text("gen a\nrel b <= a\n")
+    with pytest.raises(ParseError, match="^cover rule mentions undeclared "
+                       "generator 'b'$"):  # the least undeclared name
+        FramePresentation.make(["a"], [({"a"}, [{"c"}, {"b"}])])
+
+
+@pytest.mark.parametrize("text, name, line", [
+    ("gen a&b c|d x-y\n", "a&b", 1),
+    ("gen a b_2\ngen c x-y\nrel a <= c\n", "x-y", 2),
+    ("rel a <= top\ngen a\ngen b.\n", "b.", 3)])
+def test_generator_names_follow_the_meet_name_rule(text, name, line):
+    """A `gen` name is letters, digits and underscores, as in a formal
+    meet, so that every printed meet reads back as the same meet."""
+    with pytest.raises(ParseError) as err:
+        parse_presentation_text(text)
+    assert (err.value.message, err.value.line) == \
+        (f"bad generator name {name!r}", line)
+    p = parse_presentation_text("gen a_1 B2 _x\nrel a_1 & _x <= B2\n")
+    assert p.generators == ("B2", "_x", "a_1")
+
+
+def test_generators_are_counted_before_any_mask_is_built(monkeypatch):
+    """A cover mask has a bit per generator, so the parser refuses past
+    generator_cap before it calls make: the masks of a 794 KB file of
+    100,000 generators and 5,000 rules take about 800 MB.  The count
+    comes before the undeclared generator on the rel line."""
+    text = "gen " + " ".join(f"g{i}" for i in range(9)) + "\nrel z <= g0\n"
+    with monkeypatch.context() as m:
+        m.setattr(FramePresentation, "make", None)
+        with pytest.raises(CapExceeded, match=r"^generators has size 9, "
+                           r"exceeding cap 8 \(generator_cap\)$"):
+            parse_presentation_text(text)
+    with pytest.raises(ParseError, match="undeclared generator 'z'"):
+        parse_presentation_text(text, Limits(generator_cap=9))
+
+
+@st.composite
+def name_covers(draw):
+    """0 to 5 generator names, unsorted, and covers on them as name
+    collections: top left sides, bot right sides and repeated covers."""
+    names = draw(st.permutations(["b", "a_1", "z", "c2", "A"]))
+    gens = names[:draw(st.integers(0, 5))]
+    meet = st.frozensets(st.sampled_from(gens), max_size=3) if gens \
+        else st.just(frozenset())
+    covers = draw(st.lists(st.tuples(meet, st.lists(meet, max_size=3)),
+                           max_size=6))
+    if covers:
+        covers += draw(st.lists(st.sampled_from(covers), max_size=2))
+    return gens, covers
+
+
+@settings(max_examples=300, deadline=None)
+@given(name_covers())
+def test_cover_masks_match_the_name_set_oracles(gens_covers):
+    """make's masks read back as the covers given; stabilize and
+    presentation_text on the masks equal the name-set oracles."""
+    gens, covers = gens_covers
+    p = FramePresentation.make(gens, covers)
+    assert p.covers == {(frozenset(lhs), frozenset(map(frozenset, rhs)))
+                        for lhs, rhs in covers}
+    s = stabilize(p)
+    assert s == frame_oracles.stabilize(p)
+    for q in (p, s):
+        assert presentation_text(q) == frame_oracles.presentation_text(q)

@@ -415,6 +415,15 @@ def test_axiom_instance_cap_counts_for_and_some_binders():
         compile_theory(ast, trunc, limits=Limits(axiom_instance_cap=15))
 
 
+def test_an_index_outside_its_family_names_the_generator():
+    """z[i] for i<5 instantiates z2, z3 and z4, which z[i] for i<2 does not
+    declare; the least such name is the one reported."""
+    ast = parse_theory("prop z[i] for i<2;\naxiom z[i] |- false for i<5;\n")
+    with pytest.raises(ParseError, match="^cover rule mentions undeclared "
+                       "generator 'z2'$"):
+        models(ast)
+
+
 def test_compile_side_conditions_filter_instances():
     p = compile_theory(parse_theory(SURJ_SRC), trunc={"n": 1, "X": 2})
     # functionality fires only for v != w, in both orders
