@@ -32,59 +32,94 @@ def canon(items):
     return tuple(sorted(set(items), key=sort_key))
 
 
+def set_bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _down_masks(elements, pairs):
+    """({e: position}, {e: mask of ↓e}) from the pairs (a, b), a <= b, in
+    the order given; the first naming an unknown element is refused."""
+    index = {e: i for i, e in enumerate(elements)}
+    down = dict.fromkeys(elements, 0)
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise PointfreeError(
+                f"leq pair ({a}, {b}) mentions unknown element")
+        down[b] |= 1 << index[a]
+    return index, down
+
+
+class _Order:
+    """The down-set masks (`_down_masks`) of `Poset` and `DistLattice`."""
+
+    def le(self, a, b):
+        return self._down[b] >> self._index[a] & 1 == 1
+
+    def _lower_cover_mask(self, e):
+        """The mask of the maximal elements strictly below e."""
+        strict = self._down[e] & ~(1 << self._index[e])
+        under = 0
+        for i in set_bits(strict):
+            under |= self._down[self.elements[i]] & ~(1 << i)
+        return strict & ~under
+
+    def hasse_edges(self):
+        """Covering pairs (a, b): a < b with nothing strictly between."""
+        edges = [(self.elements[i], b) for b in self.elements
+                 for i in set_bits(self._lower_cover_mask(b))]
+        return sorted(edges, key=lambda e: (sort_key(e[0]), sort_key(e[1])))
+
+    def subposet(self, subset):
+        subset = canon(subset)
+        return Poset(subset, frozenset((a, b) for a in subset for b in subset
+                                       if self.le(a, b)))
+
+
 @dataclass(frozen=True)
-class Poset:
-    """A finite poset: elements plus a reflexive-antisymmetric-transitive leq."""
+class Poset(_Order):
+    """A finite poset: elements plus a reflexive-antisymmetric-transitive
+    leq.  Each check names its first failure in element order."""
 
     elements: tuple
     leq: frozenset  # pairs (a, b) with a <= b
 
     def __post_init__(self):
-        elems = set(self.elements)
-        for a, b in self.leq:
-            if a not in elems or b not in elems:
-                raise PointfreeError(f"leq pair ({a}, {b}) mentions unknown element")
-        for a in elems:
-            if (a, a) not in self.leq:
+        index, down = _down_masks(self.elements, self.leq)
+        self.__dict__.update(_index=index, _down=down)  # frozen dataclass
+        elems = self.elements
+        for a, m in down.items():
+            if not m >> index[a] & 1:
                 raise PointfreeError(f"leq not reflexive at {a}")
-        for a, b in self.leq:
-            if a != b and (b, a) in self.leq:
-                raise PointfreeError(f"leq not antisymmetric on {a}, {b}")
-        for a, b in self.leq:
-            for c in elems:
-                if (b, c) in self.leq and (a, c) not in self.leq:
-                    raise PointfreeError(f"leq not transitive via {a} <= {b} <= {c}")
+        for a, m in down.items():
+            for j in set_bits(m & ~(1 << index[a])):
+                if self.le(a, elems[j]):
+                    raise PointfreeError(
+                        f"leq not antisymmetric on {a}, {elems[j]}")
+        for c, m in down.items():
+            for j in set_bits(m):
+                if missing := down[elems[j]] & ~m:
+                    a = elems[next(set_bits(missing))]
+                    raise PointfreeError(
+                        f"leq not transitive via {a} <= {elems[j]} <= {c}")
 
     @classmethod
     def from_relation(cls, elements, pairs):
         """Build from an arbitrary relation, taking reflexive-transitive
-        closure by Warshall: step k adds up(k) to every up-set holding k."""
+        closure by Warshall on masks: step k adds ↓k to every ↓x holding k."""
         elements = canon(elements)
-        up = {a: {a} for a in elements}
-        for a, b in pairs:
-            up.setdefault(a, set()).add(b)
-        for k in elements:
-            for s in up.values():
-                if k in s:
-                    s |= up[k]
-        return cls(elements, frozenset((a, b) for a, s in up.items()
-                                       for b in s))
-
-    def le(self, a, b):
-        return (a, b) in self.leq
-
-    def hasse_edges(self):
-        """Covering pairs (a, b): a < b with nothing strictly between."""
-        edges = []
-        for a in self.elements:
-            for b in self.elements:
-                if a == b or not self.le(a, b):
-                    continue
-                if any(c not in (a, b) and self.le(a, c) and self.le(c, b)
-                       for c in self.elements):
-                    continue
-                edges.append((a, b))
-        return sorted(edges, key=lambda e: (sort_key(e[0]), sort_key(e[1])))
+        _, down = _down_masks(elements, pairs)
+        for k, e in enumerate(elements):
+            down[e] |= 1 << k  # reflexive: adds no other pair below
+            for x, m in down.items():
+                if m >> k & 1:
+                    down[x] = m | down[e]
+        return cls(elements, frozenset((elements[i], b)
+                                       for b, m in down.items()
+                                       for i in set_bits(m)))
 
 
 class _ElementMap(dict):
@@ -92,25 +127,23 @@ class _ElementMap(dict):
         raise PointfreeError(f"unknown element {u!r}")
 
 
-class DistLattice:
+class DistLattice(_Order):
     """Finite bounded distributive lattice, given by its elements and order.
 
-    Each element e keeps its down-set mask ↓e over the element positions.
-    Meets and joins are read off the order: ↓(a ∧ b) = ↓a ∩ ↓b, so the meet
-    is the element whose down-set mask is the intersection, and there is
+    Meets and joins are read off the down-set masks: ↓(a ∧ b) = ↓a ∩ ↓b, so
+    the meet is the element whose mask is the intersection, and there is
     none when the common lower bounds have no greatest one.  Joins use
     up-set masks the same way.  parse_lattice_text checks distributivity."""
 
     def __init__(self, elements, leq_pairs):
         self.elements = elems = tuple(elements)
-        self._index = index = {e: i for i, e in enumerate(elems)}
+        self._index, self._down = index, down = _down_masks(elems, leq_pairs)
         if len(index) != len(elems):
             raise PointfreeError("duplicate lattice elements")
-        self._down = down = dict.fromkeys(elems, 0)
         up = dict.fromkeys(elems, 0)
-        for a, b in leq_pairs:
-            down[b] |= 1 << index[a]
-            up[a] |= 1 << index[b]
+        for b, m in down.items():
+            for i in set_bits(m):
+                up[elems[i]] |= 1 << index[b]
         below = {m: e for e, m in down.items()}
         if len(below) < len(elems):  # two elements with one down-set
             raise PointfreeError("leq is not antisymmetric")
@@ -132,17 +165,14 @@ class DistLattice:
             raise PointfreeError("lattice lacks a unique bottom or top")
         self.bottom, self.top = above[full], below[full]
 
-    def le(self, a, b):
-        return self._down[b] >> self._index[a] & 1 == 1
-
     @functools.cached_property
     def lower_covers(self):
-        """J in element order, each j mapped to its unique lower cover
-        j⁻ = ⋁{x < j}: the j with j⁻ ≠ j, which rules out ⊥."""
-        below = {j: self.join_all(x for x in self.elements
-                                  if x != j and self.le(x, j))
-                 for j in self.elements}
-        return {j: lower for j, lower in below.items() if lower != j}
+        """J in element order, each j mapped to j⁻: the j with exactly one
+        lower cover.  ⋁{x < j} joins j's lower covers, so it is j when there
+        are none (j = ⊥) or two (each lies strictly below their join)."""
+        covers = {j: self._lower_cover_mask(j) for j in self.elements}
+        return {j: self.elements[m.bit_length() - 1]
+                for j, m in covers.items() if m.bit_count() == 1}
 
     @functools.cached_property
     def j_below(self):
@@ -175,11 +205,6 @@ class DistLattice:
                     return (j, r, x)
                 r = self.join(r, x)
         return None
-
-    def subposet(self, subset):
-        subset = canon(subset)
-        return Poset(subset, frozenset((a, b) for a in subset for b in subset
-                                       if self.le(a, b)))
 
 
 def enumerate_downsets(poset):

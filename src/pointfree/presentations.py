@@ -16,7 +16,7 @@ from itertools import combinations, compress
 
 from .config import DEFAULT
 from .errors import CapExceeded, MixedPresentations, ParseError, PointfreeError
-from .order import count_downsets
+from .order import count_downsets, set_bits
 
 
 TOP_MEET = frozenset()
@@ -101,14 +101,6 @@ def stabilize(p, limits=DEFAULT):
     return FramePresentation(p.generators, frozenset(
         (u | lhs, frozenset([u | t for t in rhs]))
         for u in range(1 << len(p.generators)) for lhs, rhs in p.rules))
-
-
-def set_bits(mask):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # --- models -------------------------------------------------------------------

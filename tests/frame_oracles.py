@@ -20,8 +20,8 @@ oracles for them.
   rule until nothing changes, on frozensets of formal meets.
 - For the bitmask engine: pairwise join closure of the principal
   C-ideals, the literal join-irreducible-and-prime points scan with its
-  filter checks, and Hasse edges from the enumerated frame's Poset.  They
-  run on the frozenset C-ideals of the fixpoint above, not on bitmasks.
+  filter checks, and the Hasse edge scan below.  They run on the
+  frozenset C-ideals of the fixpoint above, not on bitmasks.
 - For the congruences as subsets S of J (`frames.Congruence`): the
   partition of all elements into classes, checked to cover the frame;
   generation by union-find closed under meeting and joining both sides
@@ -40,6 +40,9 @@ oracles for them.
   and up-set masks of its order: the scan of the common lower (upper)
   bounds for one above (below) all the others, O(n) order lookups per
   candidate.
+- For the down-set masks that `Poset` and `DistLattice` keep of their
+  order: the poset checks as scans of the pair set, the O(n³) scan for
+  covering pairs, and J with j⁻ = ⋁{x < j} joined up through the tables.
 - For the join-prime certificate of distributivity, Birkhoff's theorem and
   the homomorphism check on J (`DistLattice.distributivity_witness`,
   `order.birkhoff_iso`, `frames.FrameHom`): the triple scan of the
@@ -296,7 +299,7 @@ def enumerate_frame(p):
 
 
 def hasse_edges(f):
-    return f.subposet(f.elements).hasse_edges()
+    return hasse_scan(f.elements, f.le)
 
 
 def points(f):
@@ -700,3 +703,52 @@ def is_frame_hom(source, target, mapping):
             and all(h[source.meet(a, b)] == target.meet(h[a], h[b])
                     and h[source.join(a, b)] == target.join(h[a], h[b])
                     for a in source.elements for b in source.elements))
+
+
+# --- posets, Hasse edges and lower covers by scan -------------------------------
+
+def check_poset_by_scan(elements, leq):
+    """Raise the PointfreeError of `Poset(elements, leq)`, or return None,
+    from pair lookups: a pair naming an unknown element in the order leq
+    lists them, then the first element not reflexive, the first pair in
+    element order on both sides of a cycle, and the first (c, b, a) in
+    element order with a <= b <= c but not a <= c."""
+    for a, b in leq:
+        if a not in elements or b not in elements:
+            raise PointfreeError(
+                f"leq pair ({a}, {b}) mentions unknown element")
+    for a in elements:
+        if (a, a) not in leq:
+            raise PointfreeError(f"leq not reflexive at {a}")
+    for a in elements:
+        for b in elements:
+            if a != b and (a, b) in leq and (b, a) in leq:
+                raise PointfreeError(f"leq not antisymmetric on {a}, {b}")
+    for c in elements:
+        for b in elements:
+            for a in elements:
+                if (b, c) in leq and (a, b) in leq and (a, c) not in leq:
+                    raise PointfreeError(
+                        f"leq not transitive via {a} <= {b} <= {c}")
+
+
+def hasse_scan(elements, le):
+    """Covering pairs (a, b), a < b with no c strictly between, sorted:
+    O(n³)."""
+    edges = []
+    for a in elements:
+        for b in elements:
+            if a == b or not le(a, b):
+                continue
+            if any(c not in (a, b) and le(a, c) and le(c, b)
+                   for c in elements):
+                continue
+            edges.append((a, b))
+    return sorted(edges, key=lambda e: (sort_key(e[0]), sort_key(e[1])))
+
+
+def lower_covers_by_joins(l):
+    """{j: ⋁{x < j}} in element order, over the j with ⋁{x < j} ≠ j."""
+    below = {j: l.join_all(x for x in l.elements if x != j and l.le(x, j))
+             for j in l.elements}
+    return {j: lower for j, lower in below.items() if lower != j}

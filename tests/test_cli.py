@@ -894,6 +894,27 @@ def test_byte_identical_json_across_processes(cmd):
     json.loads(a.stdout)  # well-formed
 
 
+@pytest.mark.parametrize("text, message", [
+    ("elements: a b c d\nleq: a<b b<c c<a c<d\n",
+     "leq not antisymmetric on a, b"),
+    ("elements: a b\nleq: a<zz y<b\n",
+     "leq pair (a, zz) mentions unknown element")],
+    ids=["cycle", "unknown element"])
+def test_lat_refusals_across_hash_seeds(tmp_path, text, message):
+    """A `.lat` refusal names the first bad pair in element order (a cycle)
+    or in file order (an unknown element), not in the iteration order of
+    a set of strings: one message under six string-hash seeds."""
+    lat = tmp_path / "bad.lat"
+    lat.write_text(text)
+    for seed in "123456":
+        done = subprocess.run(
+            [sys.executable, "-m", "pointfree.cli", "stone", "spectrum",
+             str(lat)], capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", f"error: {message}\n"), seed
+
+
 # --- golden output -----------------------------------------------------------------
 
 # --json stdout and exit codes recorded from the code before the bitmask

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import boolean4, chain, m3_diamond_poset, three_chain
-from frame_oracles import (birkhoff_round_trips,
-                           distributivity_witness as triple_scan,
-                           is_directed, lattice_tables)
+from frame_oracles import (birkhoff_round_trips, check_poset_by_scan,
+                           distributivity_witness as triple_scan, hasse_scan,
+                           is_directed, lattice_tables, lower_covers_by_joins)
 from pointfree.config import DEFAULT, Limits
 from pointfree.errors import (CapExceeded, NotDistributive, ParseError,
                               PointfreeError)
@@ -40,6 +40,13 @@ def test_poset_validation():
                                      ("a", "b"), ("b", "a")]))
     with pytest.raises(PointfreeError):
         Poset(("a",), frozenset())  # not reflexive
+    with pytest.raises(PointfreeError,
+                       match=r"^leq not transitive via a <= b <= c$"):
+        Poset(("a", "b", "c"), frozenset([("a", "a"), ("b", "b"), ("c", "c"),
+                                          ("a", "b"), ("b", "c")]))
+    with pytest.raises(PointfreeError, match=r"^leq pair \(a, zz\) mentions "
+                                             r"unknown element$"):
+        Poset(("a", "b"), frozenset([("a", "a"), ("b", "b"), ("a", "zz")]))
 
 
 def test_from_relation_takes_transitive_closure():
@@ -72,26 +79,49 @@ def relations(n):
             lambda ps: [(names[a], names[b]) for a, b in ps]))
 
 
+def refusal(build, *args):
+    """build(*args), or the text of the PointfreeError it raises."""
+    try:
+        return build(*args)
+    except PointfreeError as exc:
+        return str(exc)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @example((["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]))
 @given(st.integers(1, 8).flatmap(relations))
 def test_warshall_closure_matches_the_fixpoint_oracle(case):
-    """The same Poset, or on a cycle both refuse as not antisymmetric (the
-    pair named follows set order, so it may differ)."""
-    def run(build):
-        try:
-            return build(*case)
-        except PointfreeError as exc:
-            return str(exc).split(" on ")[0]
-    got = run(Poset.from_relation)
-    assert got == run(closure_fixpoint)
-    assert isinstance(got, Poset) or got == "leq not antisymmetric"
+    """The same Poset, or on a cycle both refuse as not antisymmetric on
+    the same first pair in element order."""
+    got = refusal(Poset.from_relation, *case)
+    assert got == refusal(closure_fixpoint, *case)
+    assert isinstance(got, Poset) or got.startswith("leq not antisymmetric")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 8).flatmap(relations), st.booleans())
+def test_poset_checks_on_masks_match_the_pair_scans(case, reflexive):
+    """A relation, with its diagonal or without, as the leq of a Poset: the
+    checks on down-set masks refuse with the text of the pair scans, or
+    both accept."""
+    names, pairs = case
+    leq = frozenset(pairs) | {(a, a) for a in names if reflexive}
+    want = refusal(check_poset_by_scan, names, leq)
+    got = refusal(Poset, tuple(names), leq)
+    assert got == want or want is None and isinstance(got, Poset)
 
 
 def test_from_relation_refuses_a_pair_with_an_unknown_element():
-    for pairs in ([("a", "zz")], [("zz", "a")], [("a", "zz"), ("zz", "b")]):
-        with pytest.raises(PointfreeError, match="mentions unknown element"):
-            Poset.from_relation(["a", "b"], pairs)
+    """The first such pair as listed, whatever the hash order of its
+    names; a DistLattice refuses the same way."""
+    for pairs in ([("a", "zz")], [("zz", "a")], [("a", "zz"), ("zz", "b")],
+                  [("a", "zz"), ("y", "b")]):
+        a, b = pairs[0]
+        message = f"leq pair ({a}, {b}) mentions unknown element"
+        for build in (Poset.from_relation, DistLattice):
+            with pytest.raises(PointfreeError) as err:
+                build(["a", "b"], pairs)
+            assert str(err.value) == message
 
 
 def test_hasse_edges_drop_transitive_pairs():
@@ -217,6 +247,19 @@ def small_lattices():
 
 BOUNDED_POSETS = [p for n in range(5)
                   for p in all_posets([f"x{i}" for i in range(n)])]
+
+
+def test_covers_from_masks_match_the_scans():
+    """Hasse edges on every poset of at most 4 elements and every lattice
+    of at most 5 against the O(n³) scan, and J with its lower covers
+    against the j with ⋁{x < j} ≠ j, joined through the tables."""
+    for p in BOUNDED_POSETS:
+        assert p.hasse_edges() == hasse_scan(p.elements,
+                                             lambda a, b: (a, b) in p.leq)
+    for l in small_lattices():
+        assert l.hasse_edges() == hasse_scan(l.elements, l.le)
+        assert list(l.lower_covers.items()) == list(
+            lower_covers_by_joins(l).items())
 
 
 @settings(max_examples=300, deadline=None)
