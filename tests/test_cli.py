@@ -949,7 +949,10 @@ def test_lat_refusals_across_hash_seeds(tmp_path, text, message):
 # point (recorded from the Fraction-box searches): each max also with a
 # budget that runs out in cover refinement, each locate as a left branch,
 # a right branch, a close straddle and that straddle at budget 3 (exit 3,
-# stderr pinned).
+# stderr pinned).  theory models/parse/compile and frame points/elements/
+# overt (one accepted and one rejected certificate) on stone_chain3.thy,
+# an index-free Stone theory with tautologies (recorded from the code that
+# read every theory through the AST).
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text())
 
 
