@@ -92,8 +92,10 @@ def parsed_input(kind, text, truncate, limits):
         return order.parse_lattice_text(text, limits=limits)
     if kind == "thy":  # the theory is parsed before the truncation
         from . import theories
-        return theories.instantiate(theories.parse_theory(text),
-                                    _parse_truncation(truncate), limits=limits)
+        p = None if truncate else theories.flat_presentation(text, limits)
+        return p if p is not None else theories.instantiate(
+            theories.parse_theory(text), _parse_truncation(truncate),
+            limits=limits)
     from . import presentations
     return presentations.parse_presentation_text(text, limits)
 

@@ -94,11 +94,7 @@ class Poset(_Order):
         for a, m in down.items():
             if not m >> index[a] & 1:
                 raise PointfreeError(f"leq not reflexive at {a}")
-        for a, m in down.items():
-            for j in set_bits(m & ~(1 << index[a])):
-                if self.le(a, elems[j]):
-                    raise PointfreeError(
-                        f"leq not antisymmetric on {a}, {elems[j]}")
+        _check_antisymmetric(elems, index, down)
         for c, m in down.items():
             for j in set_bits(m):
                 if missing := down[elems[j]] & ~m:
@@ -108,18 +104,34 @@ class Poset(_Order):
 
     @classmethod
     def from_relation(cls, elements, pairs):
-        """Build from an arbitrary relation, taking reflexive-transitive
-        closure by Warshall on masks: step k adds ↓k to every ↓x holding k."""
-        elements = canon(elements)
-        _, down = _down_masks(elements, pairs)
-        for k, e in enumerate(elements):
-            down[e] |= 1 << k  # reflexive: adds no other pair below
-            for x, m in down.items():
-                if m >> k & 1:
-                    down[x] = m | down[e]
+        """Build from an arbitrary relation, ordered by its closure."""
+        elements, _, down = _closure(elements, pairs)
         return cls(elements, frozenset((elements[i], b)
                                        for b, m in down.items()
                                        for i in set_bits(m)))
+
+
+def _closure(elements, pairs):
+    """(the elements in canonical order, {e: position}, {e: mask of ↓e}) of
+    the reflexive-transitive closure of a relation, by Warshall on masks:
+    step k adds ↓k to every ↓x holding k."""
+    elements = canon(elements)
+    index, down = _down_masks(elements, pairs)
+    for k, e in enumerate(elements):
+        down[e] |= 1 << k  # reflexive: adds no other pair below
+        for x, m in down.items():
+            if m >> k & 1:
+                down[x] = m | down[e]
+    return elements, index, down
+
+
+def _check_antisymmetric(elems, index, down):
+    """Refuse a <= b <= a for a != b, at the first a in element order."""
+    for a, m in down.items():
+        for j in set_bits(m & ~(1 << index[a])):
+            if down[elems[j]] >> index[a] & 1:
+                raise PointfreeError(
+                    f"leq not antisymmetric on {a}, {elems[j]}")
 
 
 class _ElementMap(dict):
@@ -133,11 +145,15 @@ class DistLattice(_Order):
     Meets and joins are read off the down-set masks: ↓(a ∧ b) = ↓a ∩ ↓b, so
     the meet is the element whose mask is the intersection, and there is
     none when the common lower bounds have no greatest one.  Joins use
-    up-set masks the same way.  parse_lattice_text checks distributivity."""
+    up-set masks the same way.  parse_lattice_text checks distributivity,
+    and hands over the down-set masks {e: mask of ↓e} of its closure in
+    place of a pair set."""
 
-    def __init__(self, elements, leq_pairs):
+    def __init__(self, elements, leq_pairs=(), down=None):
         self.elements = elems = tuple(elements)
-        self._index, self._down = index, down = _down_masks(elems, leq_pairs)
+        index, listed = _down_masks(elems, leq_pairs)
+        self._index, self._down = index, down = (
+            index, listed if down is None else down)
         if len(index) != len(elems):
             raise PointfreeError("duplicate lattice elements")
         up = dict.fromkeys(elems, 0)
@@ -318,11 +334,12 @@ def parse_lattice_text(text, limits=DEFAULT):
     size = len(set(elements))
     if size > limits.poset_cap:
         raise CapExceeded("lattice", size, limits.poset_cap, field="poset_cap")
-    try:
-        p = Poset.from_relation(elements, pairs)
+    try:  # the closure is reflexive and transitive; only this can fail
+        elements, index, down = _closure(elements, pairs)
+        _check_antisymmetric(elements, index, down)
     except PointfreeError as exc:
         raise ParseError(str(exc))
-    lattice = DistLattice(p.elements, p.leq)
+    lattice = DistLattice(elements, down=down)
     if w := lattice.distributivity_witness():
         raise NotDistributive(w)
     return lattice

@@ -132,7 +132,8 @@ def find_models(p):
     k: a meet holds where all its generators do, and a cover where its
     left side fails or a right-side meet holds.  A model of the covers is
     a model of their meet-stabilization, so the covers need not be
-    stabilized.
+    stabilized.  A tautology, a cover with a right-side meet inside its
+    left side, holds everywhere and is skipped.
     """
     containing, meets = _meet_table(len(p.generators))
     ok = every = (1 << len(meets)) - 1
@@ -144,8 +145,11 @@ def find_models(p):
     for lhs, rhs in p.rules:
         right = 0
         for t in rhs:
+            if t & ~lhs == 0:
+                break
             right |= holds(t)
-        ok &= right | ~holds(lhs)
+        else:
+            ok &= right | ~holds(lhs)
     return [meets[k] for k in set_bits(ok)]
 
 

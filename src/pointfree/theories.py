@@ -106,6 +106,9 @@ def _tokenize(text):
 
 
 _COMPARISONS = ("!=", "==", "<", "<=")
+# the names that _Parser.masks does not read as a proposition: the
+# keywords, and `top` and `bot`, which name the top and bottom elements
+_WORDS = frozenset("prop axiom true false some for if top bot".split())
 
 
 class _Parser:
@@ -116,8 +119,7 @@ class _Parser:
         self.text, self.toks, self.i = text, _TOKEN_RE.findall(text), 0
         if any(_kind(s) in ("rej", "bad") for s in set(self.toks)):
             _tokenize(text)  # raises at the first of them
-        # the index-free Atoms by name, one each; the indexed atoms read
-        self.atoms, self.indexed = {}, 0
+        self.atoms = {}  # the index-free Atoms by name, one each
 
     def fail(self, msg, i=None):
         """Raise msg at token i, by default the next one."""
@@ -169,7 +171,6 @@ class _Parser:
             if f.name in fams:
                 self.fail(f"duplicate proposition family {f.name!r}", i)
             fams[f.name] = f.bounds
-        self.flat = all(fams.get(s) == () for s in self.atoms)  # see resolve
         return TheoryAST(tuple(f for f, _ in families),
                          tuple([self.resolve(fams, *ax) for ax in axioms]))
 
@@ -199,9 +200,8 @@ class _Parser:
         return i, vars_
 
     def axiom(self):
-        """(first token, whether no atom is indexed, lhs, rhs, binders,
-        conds, joins), not checked."""
-        start, indexed = self.i, self.indexed
+        """(first token, lhs, rhs, binders, conds, joins), not checked."""
+        start = self.i
         self.i += 1  # axiom
         lhs = self.conjunction()
         self.expect("|-")
@@ -213,7 +213,7 @@ class _Parser:
         binders = self.listof(self.binder) if self.skip("for") else ()
         conds = self.listof(self.cond) if self.skip("if") else ()
         self.expect(";")
-        return start, indexed == self.indexed, lhs, rhs, binders, conds, joins
+        return start, lhs, rhs, binders, conds, joins
 
     def conjunction(self):
         """Atoms joined by `&`, () for `true`.  An index-free atom is built
@@ -233,7 +233,6 @@ class _Parser:
                     idx.append(self.iexpr())
                     self.expect("]")
                 a = Atom(s, tuple(idx))
-                self.indexed += bool(idx)
                 if not idx:
                     atoms[s] = a
             out.append(a)
@@ -272,20 +271,79 @@ class _Parser:
         self.i += 1
         return (a, op, self.iexpr())
 
+    # index-free theories ----------------------------------------------------
+
+    def masks(self, limits=DEFAULT):
+        """The presentation of an index-free theory, read off the tokens
+        straight into masks: `prop` lists of names, then axioms whose left
+        side is `true` or a meet (`&`) of declared names, and whose right
+        side is `false` or a join (`|`) of such meets.  None at the first
+        token outside that shape (an index, a binder, a keyword out of
+        place, a name declared twice or after an axiom, `top` or `bot`) or
+        at a count over a cap: parse_theory and instantiate then read the
+        text, and raise what there is to raise."""
+        toks, k, names = self.toks, 0, []
+        while toks[k] == "prop":
+            while _kind(toks[k + 1]) == "name" and toks[k + 1] not in _WORDS:
+                names.append(toks[k + 1])
+                k += 2
+                if toks[k] != ",":
+                    break
+            if toks[k] != ";":
+                return None
+            k += 1
+        gens = tuple(sorted(names))
+        bit = {g: 1 << n for n, g in enumerate(gens)}
+        if len(bit) < len(gens) or len(gens) > limits.generator_cap:
+            return None
+
+        def meet(k):
+            """(the mask of the meet of names from token k, the token after
+            it), or (None, k)."""
+            m = 0
+            while (b := bit.get(toks[k])) is not None:
+                m |= b
+                if toks[k + 1] != "&":
+                    return m, k + 1
+                k += 2
+            return None, k
+
+        rules, axioms = set(), 0
+        while toks[k] == "axiom":
+            lhs, k = (0, k + 2) if toks[k + 1] == "true" else meet(k + 1)
+            if lhs is None or toks[k] != "|-":
+                return None
+            rhs = set()
+            if toks[k + 1] == "false":
+                k += 2
+            else:
+                while True:
+                    t, k = meet(k + 1)
+                    if t is None:
+                        return None
+                    rhs.add(t)
+                    if toks[k] != "|":
+                        break
+            if toks[k] != ";":
+                return None
+            rules.add((lhs, frozenset(rhs)))
+            k, axioms = k + 1, axioms + 1
+        if toks[k] or axioms > limits.axiom_instance_cap:
+            return None
+        return FramePresentation(gens, frozenset(rules))
+
     # checks -------------------------------------------------------------
 
-    def resolve(self, fams, start, plain, lhs, rhs, binders, conds, joins):
+    def resolve(self, fams, start, lhs, rhs, binders, conds, joins):
         """Check an axiom's binders, each atom (known family, index count,
         no `some` variable on the left) and its side conditions, inferring
-        the universal binders it leaves implicit from the families' bounds.
-        If every index-free atom names a family without indices (flat), an
-        axiom with no indexed atom has no atom left to check."""
+        the universal binders it leaves implicit from the families' bounds."""
         explicit = some = {}
         inferred = {}
         if binders or joins:
             self.distinct(joins + binders, start)
             explicit, some = dict(binders), dict(joins)
-        for atom in () if plain and self.flat else chain(lhs, *rhs):
+        for atom in chain(lhs, *rhs):
             bounds = fams.get(atom.name)
             if bounds is None or len(bounds) != len(atom.indices):
                 self.fail(f"unknown proposition {atom.name!r}" if bounds is None
@@ -339,6 +397,12 @@ class _Parser:
 
 def parse_theory(text):
     return _Parser(text).theory()
+
+
+def flat_presentation(text, limits=DEFAULT):
+    """The presentation of an index-free theory read straight to masks, or
+    None (_Parser.masks)."""
+    return _Parser(text).masks(limits)
 
 
 def pretty_print(ast):
@@ -410,11 +474,6 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
                           limits.axiom_instance_cap, field="axiom_instance_cap")
     covers = set()
     for ax, (ns, js) in zip(ast.axioms, spans):
-        if not (ax.binders or ax.joins or ax.conds):  # its one instance
-            covers.add((frozenset(_atom_gen(a, {}) for a in ax.lhs),
-                        frozenset(frozenset(_atom_gen(a, {}) for a in c)
-                                  for c in ax.rhs)))
-            continue
         names = [v for v, _ in ax.binders]
         jnames = [v for v, _ in ax.joins]
         for values in product(*map(range, ns)):

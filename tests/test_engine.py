@@ -200,6 +200,35 @@ def test_model_search_matches_the_principal_scan_on_examples(p):
     check_search_against_principal_scan(p)
 
 
+@st.composite
+def with_tautologies(draw):
+    """A presentation, and it again with tautologies added: covers with a
+    right-side meet inside the left side (top inside any)."""
+    p = draw(presentations())
+    meet = st.frozensets(st.sampled_from(p.generators), max_size=3)
+    added = []
+    for lhs in draw(st.lists(meet, min_size=1, max_size=4)):
+        inside = draw(st.frozensets(st.sampled_from(sorted(lhs)))
+                      if lhs else st.just(frozenset()))
+        added.append((lhs, {inside, *draw(st.frozensets(meet, max_size=2))}))
+    return p, FramePresentation.make(p.generators, [*p.covers, *added])
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_tautologies())
+def test_model_search_skips_tautologies(pair):
+    """The search skips the tautologies, which every assignment satisfies:
+    its models are the principal scan's points, and those without them;
+    points() checks each against every cover, the tautologies included."""
+    p, q = pair
+    assert any(t & ~lhs == 0 for lhs, rhs in q.rules for t in rhs)
+    _, pts, _ = frame_oracles.principal_scan(q)
+    assert sorted([q.generators[i] for i in set_bits(m)]
+                  for m in find_models(q)) == sorted(pts)
+    assert find_models(q) == find_models(p)
+    assert PresentedFrame(q).points() == PresentedFrame(p).points()
+
+
 def test_model_search_reads_the_covers_as_given():
     """A model of the covers is one of their meet-stabilization, so the
     search finds the same models either way.  Cantor N=2 has four, over

@@ -422,6 +422,45 @@ def test_parse_lattice_text_distributivity_check():
         parse_lattice_text(m3)
 
 
+def lattice_through_a_poset(names, pairs):
+    """The .lat path that validated each order twice: a Poset from the
+    relation, a DistLattice on its pair set, then distributivity."""
+    try:
+        p = Poset.from_relation(names, pairs)
+    except PointfreeError as exc:
+        raise ParseError(str(exc))
+    lattice = DistLattice(p.elements, p.leq)
+    if w := lattice.distributivity_witness():
+        raise NotDistributive(w)
+    return lattice
+
+
+def lattice_outcome(build, *args):
+    try:
+        lat = build(*args)
+    except PointfreeError as exc:
+        return type(exc).__name__, str(exc)
+    return (lat.elements, lat.meet_table, lat.join_table, lat.bottom,
+            lat.top, lat.lower_covers)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example((["e0", "e1"], [("e0", "e1"), ("e1", "e0")]), False)
+@given(st.integers(1, 6).flatmap(relations), st.booleans())
+def test_parse_lattice_text_matches_the_path_through_a_poset(case, bounded):
+    """parse_lattice_text hands the closed masks to DistLattice with no
+    Poset and no pair set: the same lattice, or the same refusal, as
+    through a Poset and its pairs."""
+    names, pairs = case
+    if bounded:  # a least and a greatest element: more of them lattices
+        pairs += [("bot", n) for n in names] + [(n, "top") for n in names]
+        names = [*names, "bot", "top"]
+    text = (f"elements: {' '.join(names)}\n"
+            f"leq: {' '.join(f'{a}<{b}' for a, b in pairs)}\n")
+    assert lattice_outcome(parse_lattice_text, text) == \
+        lattice_outcome(lattice_through_a_poset, names, pairs)
+
+
 def test_parse_lattice_text_refuses_before_building():
     """The elements line is counted against poset_cap before the O(n^4)
     order and table build, which takes tens of seconds at 150 elements."""

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cantor_presentation, three_chain, boolean4
+from pointfree.cli import parsed_input
 from pointfree.config import Limits
-from pointfree.errors import CapExceeded, ParseError
+from pointfree.errors import CapExceeded, ParseError, PointfreeError
 from pointfree.frames import FrameHom, enumerate_frame
 from pointfree.order import prime_filters
 from pointfree.presentations import (presentation_text, saturate,
@@ -446,6 +447,102 @@ def test_truncation_embeds_monotonically():
         hom = FrameHom(f_small, f_big, mapping)
         assert len(set(mapping.values())) == len(mapping)
         assert hom.mapping[f_small.top] == f_big.top
+
+
+# --- index-free theories read to masks -------------------------------------------
+
+FLAT = {"sierpinski.thy", "stone_chain3.thy"}  # the index-free files
+FLAT_BASES = [THY_TEXTS[[p.name for p in THY_PATHS].index(n)]
+              for n in sorted(FLAT)] + [
+    "prop a, b, c;\naxiom a & b |- c | a & c;\naxiom true |- a | b & c;\n"
+    "axiom c & c |- false;\n"]
+# one token or phrase put into an index-free text, each outside the shape
+# the mask loop reads: an index, binders, `true` in a disjunction, an
+# undeclared name, a second or a late `prop`, a reserved name, a rejected
+# connective, a keyword out of place
+FLAT_PIECES = ["[0]", "some v<2.", "| true", "true |", "& zz", "zz", "prop a;",
+               "prop f_m;", "prop top;", "prop bot;", "~", "for k<1", "if 0<1",
+               ",", "false", "|-", "axiom", "prop"]
+
+
+def flat_mutant(base, piece, k):
+    """base with piece put before its k-th token, or cut there (None)."""
+    starts = [m.start() for m in re.finditer(r"\|-|\w+|\S", base)]
+    at = [*starts, len(base)][k % (len(starts) + 1)]
+    return base[:at] if piece is None else f"{base[:at]}{piece} {base[at:]}"
+
+
+flat_texts = st.one_of(st.sampled_from(FLAT_BASES), st.builds(
+    flat_mutant, st.sampled_from(FLAT_BASES),
+    st.sampled_from([*FLAT_PIECES, None]), st.integers(0, 10 ** 3)))
+# stone_chain3.thy has 3 generators and 36 axioms: each cap once at its
+# size and once just below it
+MASK_LIMITS = [Limits(), Limits(generator_cap=3, axiom_instance_cap=36),
+               Limits(generator_cap=2), Limits(axiom_instance_cap=35),
+               Limits(generator_cap=1, axiom_instance_cap=2)]
+
+
+def presentation_outcome(f):
+    """f(), or the type, text, line and column of the error it raises."""
+    try:
+        return f()
+    except PointfreeError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "col", None))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@example("prop a, b;\naxiom a & b |- a | b & a;\n", Limits())
+@example("prop top;\naxiom top |- false;\n", Limits())
+@example("prop a;\naxiom a |- false;\nprop b;\n", Limits())
+@example("axiom a |- false;\nprop a;\n", Limits())
+@given(st.one_of(theory_texts, flat_texts), st.sampled_from(MASK_LIMITS))
+def test_masks_agree_with_the_general_path(text, limits):
+    """The mask loop declines a text (None) or gives the presentation that
+    parse_theory and instantiate give, and `parsed_input` answers or
+    refuses as they do, with the same error type, message, line and
+    column, under default and under small caps."""
+    general = presentation_outcome(
+        lambda: instantiate(parse_theory(text), {}, limits))
+    masks = presentation_outcome(lambda: _Parser(text).masks(limits))
+    assert masks is None or masks == general
+    assert presentation_outcome(lambda: parsed_input.__wrapped__(
+        "thy", text, "", limits)) == general
+
+
+def test_masks_read_and_decline_the_flat_corpus():
+    """The flat texts above reach every side of the mask loop: it reads
+    some to a presentation, declines some that the general path reads and
+    some that it refuses, and the tokenizer refuses some first."""
+    seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              database=None)
+    @given(flat_texts)
+    def tally(text):
+        general = presentation_outcome(lambda: instantiate(parse_theory(text)))
+        masks = presentation_outcome(lambda: _Parser(text).masks())
+        seen.add((type(masks).__name__, type(general).__name__))
+
+    tally()
+    assert seen == {("FramePresentation", "FramePresentation"),
+                    ("NoneType", "FramePresentation"),
+                    ("NoneType", "tuple"), ("tuple", "tuple")}
+
+
+@pytest.mark.parametrize("path", THY_PATHS, ids=[p.name for p in THY_PATHS])
+def test_masks_decline_every_indexed_theory_file(path):
+    """The loop reads the index-free files of theories/, also with each cap
+    at the file's size, and declines every other one."""
+    text = path.read_text()
+    p = _Parser(text).masks()
+    if path.name in FLAT:
+        assert p == instantiate(parse_theory(text))
+        assert p == _Parser(text).masks(Limits(
+            generator_cap=len(p.generators),
+            axiom_instance_cap=len(parse_theory(text).axioms)))
+    else:
+        assert p is None
 
 
 # --- models ----------------------------------------------------------------------
