@@ -68,14 +68,23 @@ def _check_size(c, d, eps, limits):
             raise CapExceeded(what, size, getattr(limits, field), field=field)
 
 
+MEMO_ENTRIES = 4096  # the most box bounds a memoizing _Grid keeps
+
+
 class _Grid:
     """The dyadic boxes of a domain for a compiled expression e.  With D the
     lcm of the denominators of the domain's endpoints, the box (a, b, k) is
     [a/(D 2^k), b/(D 2^k)], its halves are (2a, a+b, k+1) and (a+b, 2b, k+1),
-    and the kernel bounds it in numerators over scale(k) = C 2^(k deg)."""
+    and the kernel bounds it in numerators over scale(k) = C 2^(k deg).
 
-    def __init__(self, e, d):
+    With memo, the grid keeps the bounds of the first MEMO_ENTRIES boxes it
+    bounds, the top of the tree that every search starts from, and hands
+    them out again: a box's bounds depend on e, the domain and the box
+    alone, not on what a search compares them with."""
+
+    def __init__(self, e, d, memo=False):
         self.e, self.deg = e, e.degree
+        self.memo = {} if memo else None
         self.den = math.lcm(*(x.denominator for c in d.components
                               for x in (c.lo, c.hi)))
         self.roots = [(c.lo.numerator * (self.den // c.lo.denominator),
@@ -86,10 +95,18 @@ class _Grid:
 
     def bounds(self, a, b, k):
         """(lo, hi, F(m) or None) of the box (a, b, k) over scale(k)."""
+        memo = self.memo
+        if memo is not None:
+            out = memo.get((a, b, k))
+            if out is not None:
+                return out
         pws = self.pws
         while len(pws) <= k:  # the powers of D 2^j at depth j
             pws.append([p << (i * len(pws)) for i, p in enumerate(pws[0])])
-        return eval_numerators(self.e, a, b, pws[k])
+        out = eval_numerators(self.e, a, b, pws[k])
+        if memo is not None and len(memo) < MEMO_ENTRIES:
+            memo[a, b, k] = out
+        return out
 
     def scale(self, k):
         return self.c << (k * self.deg)
@@ -237,11 +254,10 @@ def evt_maximize(e, d, eps, limits=DEFAULT):
 # a search where it stopped.  A fresh generator runs to its first split
 # request on the first `next`; each later `next` grants one split.
 
-def _witness_steps(e, d, q):
+def _witness_steps(grid, q):
     """Best-first on the interval upper bound, so the search concentrates
     where the maximum can live; returns (box, interval lower bound) for the
     first box whose lower bound clears q, or None once no box is left."""
-    grid = _Grid(e, d)
     heap = _Heap(grid)
     qn, qd = q.numerator, q.denominator
 
@@ -270,10 +286,9 @@ def _witness_steps(e, d, q):
     return None
 
 
-def _cover_steps(e, d, q):
+def _cover_steps(grid, q):
     """Depth first, left to right; returns the pieces, each with interval
     upper bound below q, or None at a point box that is not below q."""
-    grid = _Grid(e, d)
     qn, qd = q.numerator, q.denominator
     stack = [(a, b, 0) for a, b in reversed(grid.roots)]
     pieces = []
@@ -308,7 +323,7 @@ def _search(steps, e, d, q, budget):
     if budget < 1:
         raise PointfreeError("budget must be at least 1")
     # one `next` to start, then one per split
-    return _advance(steps(compile_expr(e), d, q), budget + 1)
+    return _advance(steps(_Grid(compile_expr(e), d), q), budget + 1)
 
 
 def positive_witness(e, d, q, budget):
@@ -345,7 +360,7 @@ class RightBranch:
     pieces: tuple
 
 
-def locate(e, d, p, q, limits=DEFAULT):
+def locate(e, d, p, q, limits=DEFAULT, grid=None):
     """Constructive locatedness: decide p < max or max < q with certificates.
 
     Alternates one positivity search against p and one cover search against
@@ -356,6 +371,10 @@ def locate(e, d, p, q, limits=DEFAULT):
     branch must certify:
     if the maximum exceeds p a witness box eventually appears, and otherwise
     the maximum is below q', so a finite subdivision eventually certifies it.
+
+    Both searches bound their boxes on one memoizing grid: grid if given
+    (a _Grid of e and d with a memo, shared with other locates), else a
+    fresh one.
     """
     p, q = Fraction(p), Fraction(q)
     if p >= q:
@@ -364,8 +383,10 @@ def locate(e, d, p, q, limits=DEFAULT):
     _check_size(e, d, q - p, limits)  # q - p plays the part of eps
     threshold = (p + q) / 2
     limit = limits.bnb_node_budget
-    witness = _witness_steps(e, d, p)
-    cover = _cover_steps(e, d, threshold)
+    if grid is None:
+        grid = _Grid(e, d, memo=True)
+    witness = _witness_steps(grid, p)
+    cover = _cover_steps(grid, threshold)
     budget, granted = 0, -1  # each search takes one `next` to start
     while budget < limit:
         budget = min(2 * budget or 1, limit)
@@ -386,10 +407,12 @@ def cut_validate(enc, probes, e, d, limits=DEFAULT):
     For each probe (p, q) with p < q, the returned branch must be consistent
     with the enclosure: a left branch (p < max) requires p < upper, a right
     branch (max < q) requires lower < q.  Also re-checks every certificate
-    and the monotonicity of the recorded bound trace.
+    and the monotonicity of the recorded bound trace.  The probes' locates
+    share one memoizing grid; the re-checks evaluate afresh.
     """
     e = compile_expr(e)
     _check_size(e, d, enc.eps, limits)
+    grid = _Grid(e, d, memo=True)
     probes = list(probes)
     failures = []
     for k, (p, q) in enumerate(probes):
@@ -397,7 +420,7 @@ def cut_validate(enc, probes, e, d, limits=DEFAULT):
         if p >= q:
             failures.append({"probe": k, "reason": "p >= q"})
             continue
-        branch = locate(e, d, p, q, limits=limits)
+        branch = locate(e, d, p, q, limits=limits, grid=grid)
         if isinstance(branch, LeftBranch):
             if eval_interval(e, branch.witness).lo <= p:
                 failures.append({"probe": k, "reason": "left certificate "

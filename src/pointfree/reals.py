@@ -300,11 +300,11 @@ def eval_numerators(c, a, b, pw):
     if a == b:
         v = _naive(code, a, a, pw)[0] << (d + 1)
         return v, v, v
-    vl, vh, dl, dh = _centered(code, a, b, pw)
+    vl, vh, dl, dh, fm = _centered(code, a, b, pw)
     # Over K D^d 2^(d+1): the naive form is v * 2^(d+1); F(m) is 2 fm with
     # fm over K (2D)^d; and r|F'(X)| = (b - a)/(2D) * max(-dl, dh)/(K
     # D^(d-1)) is (b - a) max(-dl, dh) * 2^d, which is 0 when d = 0 (F' = 0)
-    fm = 2 * _naive(code, a + b, a + b, [p << i for i, p in enumerate(pw)])[0]
+    fm *= 2
     spread = ((b - a) * max(-dl, dh)) << d
     return (max(vl << (d + 1), fm - spread), min(vh << (d + 1), fm + spread),
             fm)
@@ -376,61 +376,65 @@ def _naive(code, a, b, pw):
 
 
 def _centered(code, a, b, pw):
-    """Numerators (value lo, value hi, derivative lo, derivative hi) at the
-    root: the naive enclosure and an enclosure of its Clarke gradient."""
+    """Numerators (value lo, value hi, derivative lo, derivative hi,
+    midpoint value) at the root: the naive enclosure, an enclosure of its
+    Clarke gradient, and the value at m = (a+b)/(2D) over K (2D)^d, so the
+    rescaling of + - min max is (K/K_a)(2D)^(d-d_a), fa << ea."""
     stack = []
     push, pop = stack.append, stack.pop
     for op, arg, ka, ea, kb, eb in code:
         if op == _X:
-            push((a, b, 1, 1))
+            push((a, b, 1, 1, a + b))
         elif op == _C:
-            push((arg, arg, 0, 0))
+            push((arg, arg, 0, 0, arg))
         elif op >= _ADD:
-            (bl, bh, dbl, dbh), (al, ah, dal, dah) = pop(), pop()
+            (bl, bh, dbl, dbh, bm), (al, ah, dal, dah, am) = pop(), pop()
             fa, fb = ka * pw[ea], kb * pw[eb]
             al, ah, dal, dah = al * fa, ah * fa, dal * fa, dah * fa
             bl, bh, dbl, dbh = bl * fb, bh * fb, dbl * fb, dbh * fb
+            am, bm = am * fa << ea, bm * fb << eb
             if op == _ADD:
-                push((al + bl, ah + bh, dal + dbl, dah + dbh))
+                push((al + bl, ah + bh, dal + dbl, dah + dbh, am + bm))
             elif op == _SUB:
-                push((al - bh, ah - bl, dal - dbh, dah - dbl))
+                push((al - bh, ah - bl, dal - dbh, dah - dbl, am - bm))
             elif op == _MIN:
-                vl, vh = min(al, bl), min(ah, bh)
+                vl, vh, m = min(al, bl), min(ah, bh), min(am, bm)
                 if ah <= bl:
-                    push((vl, vh, dal, dah))
+                    push((vl, vh, dal, dah, m))
                 elif bh <= al:
-                    push((vl, vh, dbl, dbh))
+                    push((vl, vh, dbl, dbh, m))
                 else:
-                    push((vl, vh, min(dal, dbl), max(dah, dbh)))
+                    push((vl, vh, min(dal, dbl), max(dah, dbh), m))
             else:
-                vl, vh = max(al, bl), max(ah, bh)
+                vl, vh, m = max(al, bl), max(ah, bh), max(am, bm)
                 if al >= bh:
-                    push((vl, vh, dal, dah))
+                    push((vl, vh, dal, dah, m))
                 elif bl >= ah:
-                    push((vl, vh, dbl, dbh))
+                    push((vl, vh, dbl, dbh, m))
                 else:
-                    push((vl, vh, min(dal, dbl), max(dah, dbh)))
+                    push((vl, vh, min(dal, dbl), max(dah, dbh), m))
         elif op == _MUL:
-            (bl, bh, dbl, dbh), (al, ah, dal, dah) = pop(), pop()
+            (bl, bh, dbl, dbh, bm), (al, ah, dal, dah, am) = pop(), pop()
             l1, h1 = _mul(dal, dah, bl, bh)
             l2, h2 = _mul(al, ah, dbl, dbh)
-            push((*_mul(al, ah, bl, bh), l1 + l2, h1 + h2))
+            push((*_mul(al, ah, bl, bh), l1 + l2, h1 + h2, am * bm))
         elif op == _POW:
-            l, h, dl, dh = pop()  # arg >= 1: a^0 compiles to a constant
+            l, h, dl, dh, m = pop()  # arg >= 1: a^0 compiles to a constant
             pl, ph = _pow(l, h, arg - 1)
-            push((*_pow(l, h, arg), *_mul(arg * pl, arg * ph, dl, dh)))
+            push((*_pow(l, h, arg), *_mul(arg * pl, arg * ph, dl, dh),
+                  m ** arg))
         elif op == _NEG:
-            l, h, dl, dh = pop()
-            push((-h, -l, -dh, -dl))
+            l, h, dl, dh, m = pop()
+            push((-h, -l, -dh, -dl, -m))
         else:  # abs
-            l, h, dl, dh = pop()
+            l, h, dl, dh, m = pop()
             if l >= 0:
-                push((l, h, dl, dh))
+                push((l, h, dl, dh, m))
             elif h <= 0:
-                push((-h, -l, -dh, -dl))
+                push((-h, -l, -dh, -dl, -m))
             else:
                 slope = max(-dl, dh)
-                push((0, max(-l, h), -slope, slope))
+                push((0, max(-l, h), -slope, slope, abs(m)))
     return stack[0]
 
 

@@ -7,11 +7,18 @@ derivative and no midpoint.  It is the exact range when x occurs at most
 once (Moore's single-use theorem) and otherwise overestimates by O(width).
 `point_value` and `centered_enclosure` are the evaluators `reals` used
 before the kernel, node by node in `Fraction`s: the kernel must give the
-same rational endpoints."""
+same rational endpoints.
+
+`two_pass_numerators` is the integer kernel as it was before the centered
+form carried the midpoint's value: the centered pass, then a second, naive
+pass at the midpoint (a+b)/(2D) on the powers of 2D.  `eval_numerators`
+must give the same numerators in one pass."""
 
 from fractions import Fraction
 
-from pointfree.reals import Abs, BinOp, Const, Neg, Pow, Var
+from pointfree import reals
+from pointfree.reals import (_ADD, _C, _MIN, _MUL, _NEG, _POW, _SUB, _X, Abs,
+                             BinOp, Const, Neg, Pow, Var)
 
 
 def naive_enclosure(e, lo, hi):
@@ -150,3 +157,81 @@ def _value_and_slope(e, lo, hi):
         if bl >= ah:
             return vl, vh, dbl, dbh
     return vl, vh, min(dal, dbl), max(dah, dbh)
+
+
+def two_pass_numerators(c, a, b, pw):
+    """(lo, hi, F(m)) of `reals.eval_numerators` on the box [a/D, b/D], pw
+    the powers of D, with F(m) from a naive pass at the midpoint."""
+    code, _ = c.program
+    if c.x_uses <= 1:
+        return (*reals._naive(code, a, b, pw), None)
+    d = c.degree
+    if a == b:
+        v = reals._naive(code, a, a, pw)[0] << (d + 1)
+        return v, v, v
+    vl, vh, dl, dh = _centered_numerators(code, a, b, pw)
+    fm = 2 * reals._naive(code, a + b, a + b,
+                          [p << i for i, p in enumerate(pw)])[0]
+    spread = ((b - a) * max(-dl, dh)) << d
+    return (max(vl << (d + 1), fm - spread), min(vh << (d + 1), fm + spread),
+            fm)
+
+
+def _centered_numerators(code, a, b, pw):
+    """Numerators (value lo, value hi, derivative lo, derivative hi) at the
+    root of the compiled program code on [a, b] over D."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg, ka, ea, kb, eb in code:
+        if op == _X:
+            push((a, b, 1, 1))
+        elif op == _C:
+            push((arg, arg, 0, 0))
+        elif op >= _ADD:
+            (bl, bh, dbl, dbh), (al, ah, dal, dah) = pop(), pop()
+            fa, fb = ka * pw[ea], kb * pw[eb]
+            al, ah, dal, dah = al * fa, ah * fa, dal * fa, dah * fa
+            bl, bh, dbl, dbh = bl * fb, bh * fb, dbl * fb, dbh * fb
+            if op == _ADD:
+                push((al + bl, ah + bh, dal + dbl, dah + dbh))
+            elif op == _SUB:
+                push((al - bh, ah - bl, dal - dbh, dah - dbl))
+            elif op == _MIN:
+                vl, vh = min(al, bl), min(ah, bh)
+                if ah <= bl:
+                    push((vl, vh, dal, dah))
+                elif bh <= al:
+                    push((vl, vh, dbl, dbh))
+                else:
+                    push((vl, vh, min(dal, dbl), max(dah, dbh)))
+            else:
+                vl, vh = max(al, bl), max(ah, bh)
+                if al >= bh:
+                    push((vl, vh, dal, dah))
+                elif bl >= ah:
+                    push((vl, vh, dbl, dbh))
+                else:
+                    push((vl, vh, min(dal, dbl), max(dah, dbh)))
+        elif op == _MUL:
+            (bl, bh, dbl, dbh), (al, ah, dal, dah) = pop(), pop()
+            l1, h1 = reals._mul(dal, dah, bl, bh)
+            l2, h2 = reals._mul(al, ah, dbl, dbh)
+            push((*reals._mul(al, ah, bl, bh), l1 + l2, h1 + h2))
+        elif op == _POW:
+            l, h, dl, dh = pop()
+            pl, ph = reals._pow(l, h, arg - 1)
+            push((*reals._pow(l, h, arg),
+                  *reals._mul(arg * pl, arg * ph, dl, dh)))
+        elif op == _NEG:
+            l, h, dl, dh = pop()
+            push((-h, -l, -dh, -dl))
+        else:  # abs
+            l, h, dl, dh = pop()
+            if l >= 0:
+                push((l, h, dl, dh))
+            elif h <= 0:
+                push((-h, -l, -dh, -dl))
+            else:
+                slope = max(-dl, dh)
+                push((0, max(-l, h), -slope, slope))
+    return stack[0]

@@ -480,9 +480,10 @@ def test_integer_boxes_equal_the_fraction_box_oracle(case):
                                                        limits=limits)))
     if budget >= 1:
         for steps in ("_witness_steps", "_cover_steps"):
+            # the oracle's searches take (e, d, q), evt's a grid and q
+            oracle = getattr(evt_oracles, steps)(compile_expr(e), d, q)
             assert (evt._search(getattr(evt, steps), e, d, q, budget)
-                    == evt._search(getattr(evt_oracles, steps), e, d, q,
-                                   budget))
+                    == evt._advance(oracle, budget + 1))
 
 
 # --- work done once -----------------------------------------------------------------
@@ -526,17 +527,88 @@ def test_evt_maximize_evaluates_each_box_once(monkeypatch, src, dom, eps):
      10 ** 6),
     ("max(x*(1-x), 1/4 - (x-1/4)^2)", UNIT, F(1, 4), F(3, 10), 10 ** 6),
     ("x*(1-x)", UNIT, F(1, 4) - F(1, 10 ** 9), F(1, 4) + F(1, 10 ** 9), 64)])
-def test_locate_evaluates_each_box_once_per_search(monkeypatch, src, dom, p,
-                                                   q, limit):
-    """Within one locate, each of its two searches evaluates a box at most
-    once over all rounds, and nothing is evaluated outside them."""
+def test_locate_evaluates_each_box_once(monkeypatch, src, dom, p, q, limit):
+    """Within one locate, a box is evaluated at most once over both of its
+    searches and all rounds, and nothing is evaluated outside them."""
     splits, active = record_searches(monkeypatch)
     seen = record_evaluations(monkeypatch, active)
     outcome(lambda: locate(parse_expr(src), dom, p, q,
                            limits=Limits(bnb_node_budget=limit)))
     assert len(splits) == 2 and max(splits) > 4  # several rounds
     assert all(len(tag) == 1 for tag, _ in seen)
+    assert_once([box for _, box in seen])
+
+
+def validate_probes(enc, count, seed):
+    """count probes (p, q) around the enclosure, of widths 1/10^3 down to
+    1/10^6, so that the locates split the top of the tree many times."""
+    rng = random.Random(seed)
+    probes = []
+    for _ in range(count):
+        w = F(1, 10 ** rng.randrange(3, 7))
+        p = enc.lower + w * rng.randrange(-20, 20)
+        probes.append((p, p + w * rng.randrange(1, 4)))
+    return probes
+
+
+@pytest.mark.parametrize("src, dom", [
+    ("x*(1-x)", domain_of((0, 1), (2, 3))),
+    ("max(x*(1-x), 1/4 - (x-1/4)^2)", UNIT),
+    ("x^3 - x", domain_of((-2, 2)))])
+def test_cut_validate_evaluates_each_box_once(monkeypatch, src, dom):
+    """The locates of one cut_validate evaluate a box at most once across
+    all its probes; the re-checks of the certificates do not go through
+    the grid."""
+    e = parse_expr(src)
+    enc, _ = evt_maximize(e, dom, F(1, 10 ** 6))
+    seen = record_evaluations(monkeypatch, [])
+    report = cut_validate(enc, validate_probes(enc, 20, 0), e, dom)
+    assert report["ok"] and report["probes"] == 20
     assert_once(seen)
+
+
+def test_cut_validate_rechecks_without_the_grid(monkeypatch):
+    """A kernel that bounds every box of the grid far below its values
+    gets right branches through the searches; the re-checks evaluate the
+    pieces afresh and refuse them."""
+    e = parse_expr("x*(1 - x)")
+    enc, _ = evt_maximize(e, UNIT, F(1, 1000))
+    monkeypatch.setattr(evt, "eval_numerators",
+                        lambda c, a, b, pw: (-1, -1, None))
+    report = cut_validate(enc, [(F(1, 10), F(1, 5))], e, UNIT)
+    assert not report["ok"]
+    assert {"probe": 0, "reason": "right certificate piece not below "
+            "threshold"} in report["failures"]
+
+
+def test_validate_memo_keeps_at_most_memo_entries(monkeypatch):
+    """With room for 4 bounds, one grid serves a long validate, holds 4
+    and gives the report and the branches of the restarting oracle, which
+    bounds every box afresh."""
+    e = parse_expr("max(x*(1-x), 1/4 - (x-1/4)^2)")
+    enc, _ = evt_maximize(e, UNIT, F(1, 10 ** 6))
+    probes = validate_probes(enc, 60, 1)
+    full = cut_validate(enc, probes, e, UNIT)
+    grids, branches = [], []
+    grid, inner = evt._Grid, evt.locate
+
+    class RecordingGrid(grid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            grids.append(self)
+
+    def recording(*args, **kwargs):
+        branches.append(inner(*args, **kwargs))
+        return branches[-1]
+
+    monkeypatch.setattr(evt, "MEMO_ENTRIES", 4)
+    monkeypatch.setattr(evt, "_Grid", RecordingGrid)
+    monkeypatch.setattr(evt, "locate", recording)
+    seen = record_evaluations(monkeypatch, [])
+    assert cut_validate(enc, probes, e, UNIT) == full
+    assert full["ok"] and full["probes"] == 60
+    assert len(grids) == 1 and len(grids[0].memo) == 4 < len(set(seen))
+    assert branches == [evt_oracles.locate(e, UNIT, p, q) for p, q in probes]
 
 
 def count_fractions(monkeypatch):

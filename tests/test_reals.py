@@ -1,15 +1,18 @@
 """Exact rational arithmetic and interval evaluation."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from interval_oracles import centered_enclosure, naive_enclosure, point_value
+from interval_oracles import (centered_enclosure, naive_enclosure, point_value,
+                              two_pass_numerators)
 from pointfree.errors import ParseError, PointfreeError
 from pointfree.reals import (MAX_EXPR_DEPTH, Abs, BinOp, Const, Domain, Neg,
                              Pow, RatInterval, Var, compile_expr, domain_of,
-                             eval_interval, eval_point, interval, parse_domain,
+                             eval_interval, eval_numerators, eval_point,
+                             interval, parse_domain,
                              parse_expr, parse_rat, rat_decimal, rat_str)
 
 
@@ -264,6 +267,34 @@ def test_kernel_equals_the_fraction_evaluator(e, box):
         v = eval_point(c, x)
         assert type(v) is F and v == point_value(e, x)
     assert eval_interval(e, box) == eval_interval(c, box)  # compiled on the fly
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_exprs(), kernel_boxes())
+@example(parse_expr("x*(1 - x)"), interval(F(-2), F(-1, 3)))
+@example(parse_expr("abs(x - 1/2)*x - 3/7"), MIXED)
+@example(parse_expr("min(x - 1/2, 1/2 - x)*x"), interval(F(-1, 9), F(1)))
+@example(parse_expr("max(x, 1 - x) + x"), MIXED)
+@example(parse_expr("(2/3*x - 1/5)^3 - x^0*x"), interval(F(-5, 3), F(-1, 7)))
+@example(parse_expr("x^0 + x^0"), MIXED)
+@example(parse_expr("(x - x)^0 + x*x"), interval(F(-1, 3), F(-1, 3)))
+@example(parse_expr("max(x*x, 1/4)"), interval(F(-1), F(-1, 5)))
+@example(parse_expr("(x + x)^1"), interval(F(0), F(1, 21)))
+def test_one_pass_kernel_equals_the_two_pass_kernel(e, box):
+    """eval_numerators gives the numerators (lo, hi, F(m)) of the kernel
+    that bounded the midpoint in a second pass, on the box and its halves;
+    F(m) over the scale is the value at the midpoint."""
+    c = compile_expr(e)
+    lo, mid, hi = box.lo, box.midpoint(), box.hi
+    for sub in [box, interval(lo, mid), interval(mid, hi)]:
+        den = math.lcm(sub.lo.denominator, sub.hi.denominator)
+        a, b = sub.lo * den, sub.hi * den
+        pw = [den ** i for i in range(c.degree + 1)]
+        out = eval_numerators(c, a.numerator, b.numerator, pw)
+        assert out == two_pass_numerators(c, a.numerator, b.numerator, pw)
+        if out[2] is not None:
+            assert (F(out[2], c.scale(pw[-1]))
+                    == eval_point(c, sub.midpoint()))
 
 
 def test_compile_reads_degree_and_uses():
