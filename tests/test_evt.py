@@ -589,10 +589,9 @@ def test_validate_memo_keeps_at_most_memo_entries(monkeypatch):
     enc, _ = evt_maximize(e, UNIT, F(1, 10 ** 6))
     probes = validate_probes(enc, 60, 1)
     full = cut_validate(enc, probes, e, UNIT)
-    grids, branches = [], []
-    grid, inner = evt._Grid, evt.locate
+    grids, branches, inner = [], [], evt.locate
 
-    class RecordingGrid(grid):
+    class RecordingGrid(evt._Grid):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             grids.append(self)
