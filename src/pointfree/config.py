@@ -5,14 +5,14 @@ module consults a single Limits record instead of hard-coding caps.  The
 defaults can be overridden by a JSON file named by the POINTFREE_CONFIG
 environment variable.  A function that enforces a cap or budget takes the
 whole record as its `limits` keyword (DEFAULT when omitted) and reads its
-own field.
+own field; a cap is refused only through Limits.check, which names it.
 """
 
 import json
 import os
 from dataclasses import dataclass, fields
 
-from .errors import MAX_INT_DIGITS, ParseError
+from .errors import MAX_INT_DIGITS, CapExceeded, ParseError
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,12 @@ class Limits:
     axiom_instance_cap: int = 65536  # max axiom instances a theory compiles to
     element_cap: int = 4096      # max frame elements listed, and sub-counts with one top per count
     constant_bit_cap: int = 4096  # max bits in the constants of an evt expression, counted through + - * ^
+
+    def check(self, what, size, field):
+        """Refuse `size` of `what` past the cap `field` of this record: the
+        one place a CapExceeded is raised, naming the size, cap and field."""
+        if size > (cap := getattr(self, field)):
+            raise CapExceeded(what, size, cap, field)
 
 
 def read_input(path):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT
-from .errors import BudgetExhausted, CapExceeded, PointfreeError
+from .errors import BudgetExhausted, PointfreeError
 from .reals import (RatInterval, compile_expr, eval_interval, eval_numerators,
                     eval_point, rat_bits)
 
@@ -58,14 +58,11 @@ def _check_size(c, d, eps, limits):
     before any power is computed: its values grow in bit size with both, and
     with the degree times the bits of the domain's endpoints and of eps."""
     ends = max(rat_bits(b) for box in d.components for b in (box.lo, box.hi))
-    for what, size, field in (
-            ("expression degree", c.degree, "degree_cap"),
-            ("constant bits", c.constant_bits, "constant_bit_cap"),
-            ("value bits",
-             c.constant_bits + c.degree * (ends + rat_bits(eps)),
-             "constant_bit_cap")):
-        if size > getattr(limits, field):
-            raise CapExceeded(what, size, getattr(limits, field), field=field)
+    limits.check("expression degree", c.degree, "degree_cap")
+    limits.check("constant bits", c.constant_bits, "constant_bit_cap")
+    limits.check("value bits",
+                 c.constant_bits + c.degree * (ends + rat_bits(eps)),
+                 "constant_bit_cap")
 
 
 MEMO_ENTRIES = 4096  # the most box bounds a memoizing _Grid keeps

@@ -9,8 +9,7 @@ import functools
 from dataclasses import dataclass
 
 from .config import DEFAULT
-from .errors import (CapExceeded, NotDistributive, ParseError,
-                     PointfreeError)
+from .errors import NotDistributive, ParseError, PointfreeError
 
 
 def sort_key(x):
@@ -255,8 +254,8 @@ def count_downsets(below, s, memo, limits=DEFAULT, field="element_cap"):
             memo[t] = memo[a] + memo[b]
             added[k] += 1
             if added[k] > cap:
-                raise CapExceeded("down-set sub-counts with one top",
-                                  added[k], cap, field=field)
+                limits.check("down-set sub-counts with one top", added[k],
+                             field)
         else:
             stack += (t, a, b)
     return memo[s]
@@ -264,9 +263,7 @@ def count_downsets(below, s, memo, limits=DEFAULT, field="element_cap"):
 
 def downset_lattice(p, limits=DEFAULT):
     """The lattice of downsets of p ordered by inclusion."""
-    if len(p.elements) > limits.poset_cap:
-        raise CapExceeded("poset", len(p.elements), limits.poset_cap,
-                          field="poset_cap")
+    limits.check("poset", len(p.elements), "poset_cap")
     downs = enumerate_downsets(p)
     leq = [(a, b) for a in downs for b in downs if a <= b]
     return DistLattice(downs, leq)
@@ -331,9 +328,7 @@ def parse_lattice_text(text, limits=DEFAULT):
     meets and joins are read off the order and must exist uniquely.  The
     names on the elements line are counted against poset_cap first."""
     elements, pairs = read_poset_text(text)
-    size = len(set(elements))
-    if size > limits.poset_cap:
-        raise CapExceeded("lattice", size, limits.poset_cap, field="poset_cap")
+    limits.check("lattice", len(set(elements)), "poset_cap")
     try:  # the closure is reflexive and transitive; only this can fail
         elements, index, down = _closure(elements, pairs)
         _check_antisymmetric(elements, index, down)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 
 from .config import DEFAULT
-from .errors import CapExceeded, MixedPresentations, ParseError, PointfreeError
+from .errors import MixedPresentations, ParseError, PointfreeError
 from .order import count_downsets, set_bits
 
 
@@ -79,17 +79,15 @@ def _all_meets(gens):
             for c in combinations(gens, n)]
 
 
-def check_generator_cap(generators, limits=DEFAULT):
+def check_generator_cap(count, limits=DEFAULT):
     """Refuse more than generator_cap generators: a C-ideal is a mask over
     2^g formal meets, and each cover mask has a bit per generator."""
-    if len(generators) > limits.generator_cap:
-        raise CapExceeded("generators", len(generators),
-                          limits.generator_cap, field="generator_cap")
+    limits.check("generators", count, "generator_cap")
 
 
 def presented_frame(p, limits=DEFAULT):
     """p.frame, once p is within generator_cap."""
-    check_generator_cap(p.generators, limits)
+    check_generator_cap(len(p.generators), limits)
     return p.frame
 
 
@@ -97,7 +95,7 @@ def stabilize(p, limits=DEFAULT):
     """Meet-stabilize: close the rules under meeting both sides with every
     formal meet u.  Idempotent on the rules.  Only `theory compile`, which
     prints them, needs the stabilized rules: they have the same models."""
-    check_generator_cap(p.generators, limits)
+    check_generator_cap(len(p.generators), limits)
     return FramePresentation(p.generators, frozenset(
         (u | lhs, frozenset([u | t for t in rhs]))
         for u in range(1 << len(p.generators)) for lhs, rhs in p.rules))
@@ -280,10 +278,8 @@ class PresentedFrame:
         Listed from the top down: dropping from v a model k none of whose
         proper submodels is in v leaves the element u below it, and the
         C-ideal of u is that of v less the formal meets inside model k."""
-        count = self.count_downsets(limits)
-        if count > limits.element_cap:
-            raise CapExceeded("frame elements", count, limits.element_cap,
-                              field="element_cap")
+        limits.check("frame elements", self.count_downsets(limits),
+                     "element_cap")
         held = self._held
         above = [sum(1 << k for k, b in enumerate(self._below) if b >> i & 1)
                  for i in range(len(held))]  # J-indices strictly above i
@@ -413,13 +409,16 @@ def parse_presentation_text(text, limits=DEFAULT):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("gen "):
-            names = line[4:].split()
+        word = line.split(maxsplit=1)[0]
+        body = line[len(word):]
+        if word == "gen":
+            names = body.split()
+            if not names:
+                raise ParseError("gen needs a generator name", line=lineno)
             if bad := [n for n in names if not _is_name(n)]:
                 raise ParseError(f"bad generator name {bad[0]!r}", line=lineno)
             gens += names
-        elif line.startswith("rel "):
-            body = line[4:]
+        elif word == "rel":
             if "<=" not in body:
                 raise ParseError("relation needs '<='", line=lineno)
             lhs_s, rhs_s = body.split("<=", 1)
@@ -428,8 +427,8 @@ def parse_presentation_text(text, limits=DEFAULT):
                 _parse_meet(part, lineno) for part in rhs_s.split("|")]
             covers.append((lhs, rhs))
         else:
-            raise ParseError(f"unknown directive {line.split()[0]!r}", line=lineno)
-    check_generator_cap(set(gens), limits)
+            raise ParseError(f"unknown directive {word!r}", line=lineno)
+    check_generator_cap(len(set(gens)), limits)
     return FramePresentation.make(gens, covers)
 
 

@@ -13,8 +13,8 @@ from itertools import chain, product
 from math import prod
 
 from .config import DEFAULT
-from .errors import MAX_INT_DIGITS, CapExceeded, ParseError
-from .presentations import FramePresentation, stabilize
+from .errors import MAX_INT_DIGITS, ParseError
+from .presentations import FramePresentation, check_generator_cap, stabilize
 
 
 # --- AST ---------------------------------------------------------------------
@@ -458,9 +458,7 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
     bounds = [[_resolve_bound(b, trunc) for b in f.bounds]
               for f in ast.families]
     count = sum(prod(bs) for bs in bounds)  # checked before naming any
-    if count > limits.generator_cap:
-        raise CapExceeded("generators", count, limits.generator_cap,
-                          field="generator_cap")
+    check_generator_cap(count, limits)
     gens = [generator_name(f.name, idx) for f, bs in zip(ast.families, bounds)
             for idx in product(*map(range, bs))]
     if len(set(gens)) != len(gens):
@@ -469,9 +467,7 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
               [_resolve_bound(b, trunc) for _, b in ax.joins])
              for ax in ast.axioms]
     instances = sum(prod(ns) * prod(js) for ns, js in spans)
-    if instances > limits.axiom_instance_cap:
-        raise CapExceeded("axiom instances", instances,
-                          limits.axiom_instance_cap, field="axiom_instance_cap")
+    limits.check("axiom instances", instances, "axiom_instance_cap")
     covers = set()
     for ax, (ns, js) in zip(ast.axioms, spans):
         names = [v for v, _ in ax.binders]

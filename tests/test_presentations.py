@@ -248,6 +248,22 @@ def test_parse_presentation_errors_carry_line_numbers():
         FramePresentation.make(["a"], [({"a"}, [{"c"}, {"b"}])])
 
 
+def test_directive_word_ends_at_any_whitespace():
+    """`gen` and `rel` may be followed by a tab, as the rest of a line may
+    be spaced by any whitespace; a bare word is refused by what it lacks."""
+    assert parse_presentation_text("gen\tz0  u0\nrel\tz0 & u0 <= bot\n"
+                                   "rel top\t<= z0 | u0\n") == \
+        cantor_presentation(1)
+    for text, message, line in [("gen a\ngen # none\n",
+                                  "gen needs a generator name", 2),
+                                 ("gen a\nrel\n", "relation needs '<='", 2),
+                                 ("gen a\ngenerator a\n",
+                                  "unknown directive 'generator'", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_presentation_text(text)
+        assert (err.value.message, err.value.line) == (message, line)
+
+
 @pytest.mark.parametrize("text, name, line", [
     ("gen a&b c|d x-y\n", "a&b", 1),
     ("gen a b_2\ngen c x-y\nrel a <= c\n", "x-y", 2),
