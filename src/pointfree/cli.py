@@ -45,7 +45,7 @@ def _text_lines(payload, prefix=""):
 
 
 def _fmt(value):
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
 
@@ -163,10 +163,8 @@ def cmd_frame(args, limits):
     frame = p.frame
     if args.sub == "elements":
         elems, edges = frame.elements(limits)
-        names = {e: frame.name(e) for e in elems}
-        _emit({"count": len(elems),
-               "hasse_edges": [[names[a], names[b]] for a, b in edges]},
-              args)
+        _emit({"count": len(elems), "elements": list(map(frame.name, elems)),
+               "hasse_edges": edges}, args)
         return EXIT_OK
     if args.sub == "points":
         pts = frame.points()

@@ -55,8 +55,10 @@ class FramePresentation:
         return cls(gens, rules)
 
     def all_meets(self):
-        """Every formal meet, in meet_key order."""
-        return _all_meets(self.generators)
+        """Every formal meet, in meet_key order: by number of generators,
+        then by their sorted names."""
+        return [frozenset(c) for n in range(len(self.generators) + 1)
+                for c in combinations(self.generators, n)]
 
     @functools.cached_property
     def covers(self):
@@ -70,13 +72,6 @@ class FramePresentation:
     def frame(self):
         """The PresentedFrame of this presentation, built once."""
         return PresentedFrame(self)
-
-
-def _all_meets(gens):
-    """Every formal meet over the sorted generators, in meet_key order: by
-    number of generators, then by their sorted names."""
-    return [frozenset(c) for n in range(len(gens) + 1)
-            for c in combinations(gens, n)]
 
 
 def check_generator_cap(count, limits=DEFAULT):
@@ -102,13 +97,6 @@ def stabilize(p, limits=DEFAULT):
 
 
 # --- models -------------------------------------------------------------------
-
-def _breaks(rules, true, false):
-    """Whether some rule has its left side true and every right-side meet
-    holding a false generator, so no model extends (true, false)."""
-    return any(lhs & ~true == 0 and all(t & false for t in rhs)
-               for lhs, rhs in rules)
-
 
 @functools.lru_cache(maxsize=8)
 def _meet_table(g):
@@ -151,12 +139,13 @@ def find_models(p):
     return [meets[k] for k in set_bits(ok)]
 
 
-def _inside(q, g):
-    """The formal meets inside model q of g generators, as a mask in
-    meet_key order."""
-    containing, meets = _meet_table(g)
-    return (1 << len(meets)) - 1 & ~functools.reduce(int.__or__, (
-        c for i, c in enumerate(containing) if not q >> i & 1), 0)
+def _inside(q):
+    """The formal meets inside model q, as a mask in subset order: the
+    empty meet, doubled by a shift for each generator of q."""
+    inside = 1
+    for i in set_bits(q):
+        inside |= inside << (1 << i)
+    return inside
 
 
 _SWAP = str.maketrans("01", "10")
@@ -186,9 +175,9 @@ class PresentedFrame:
     and inclusion.  models(m) of a formal meet is the AND of its
     generators' masks `holds`, and models(join of meets) the OR of those.
     The C-ideal of an up-set U is {m : models(m) ⊆ U}, a mask over the
-    formal meets in meet_key order: the meets outside it lie inside a
-    model outside U.  C-ideal masks are built only to order elements
-    (`key`) and to name them.
+    formal meets in subset order, the meet of generator set s at bit s:
+    the meets outside it lie inside a model outside U.  C-ideal masks are
+    built only to order elements (`key`) and to name them by their basis.
     """
 
     bottom = 0
@@ -202,8 +191,12 @@ class PresentedFrame:
         # of P, so find_models' meet_key order reversed is a linear
         # extension of J
         self.models = models = find_models(p)[::-1]
-        self._held = [_inside(q, len(gens)) for q in models]  # meets inside
-        self.full = (1 << (1 << len(gens))) - 1  # every formal meet
+        self._held = list(map(_inside, models))  # the meets inside each
+        self.full = full = (1 << (1 << len(gens))) - 1  # every formal meet
+        # without[i]: the meets without generator i, runs of 2^i set and
+        # 2^i clear bits, which is full divided by 2^(2^i) + 1
+        self._without = [full // ((1 << (1 << i)) + 1)
+                         for i in range(len(gens))]
         self.top = (1 << len(models)) - 1
         # holds[i]: the models holding generator i
         self.holds = [sum(1 << k for k, q in enumerate(models) if q >> i & 1)
@@ -235,7 +228,7 @@ class PresentedFrame:
             self.holds.__getitem__, set_bits(self.models[k])), self.top)
 
     def mask(self, u):
-        """The C-ideal of element u as a mask, kept once built."""
+        """The C-ideal of u as a mask in subset order, kept once built."""
         if u not in self._masks:
             self._masks[u] = self.full & ~functools.reduce(int.__or__, map(
                 self._held.__getitem__, set_bits(self.top & ~u)), 0)
@@ -243,24 +236,32 @@ class PresentedFrame:
 
     @functools.cached_property
     def meets(self):
-        """Every formal meet in meet_key order, one per bit of a mask."""
-        return _all_meets(self.generators)
+        """Every formal meet in subset order, one per bit of a mask."""
+        return [frozenset(compress(self.generators, _flags(s)))
+                for s in range(self.full.bit_length())]
 
     @functools.cached_property
-    def names(self):
-        # read off the sorted generators, not by meet_str, which sorts
-        # each meet again
-        return [" & ".join(c) or "top" for n in range(len(self.generators) + 1)
-                for c in combinations(self.generators, n)]
+    def _ranked(self):
+        """Each formal meet's meet_key rank by its bit, and names by rank."""
+        keyed = _meet_table(len(self.generators))[1]
+        return (sorted(range(len(keyed)), key=keyed.__getitem__),
+                [" & ".join(compress(self.generators, _flags(s))) or "top"
+                 for s in keyed])
 
     def members(self, u):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
         return frozenset(compress(self.meets, _flags(self.mask(u))))
 
     def name(self, u):
-        """The C-ideal of an up-set, its members in meet_key order."""
-        return "{" + ", ".join(compress(self.names,
-                                        _flags(self.mask(u)))) + "}"
+        """The C-ideal I of an up-set named by its basis in meet_key order,
+        the members with no proper sub-meet in I: (I & W_i) << 2^i, W_i
+        the meets without generator i, holds the others with i."""
+        ideal = basis = self.mask(u)
+        for i, without in enumerate(self._without):
+            basis &= ~((ideal & without) << (1 << i))
+        rank, names = self._ranked
+        return "{" + ", ".join(map(names.__getitem__, sorted(
+            map(rank.__getitem__, set_bits(basis))))) + "}"
 
     @property
     def join_primes(self):
@@ -272,8 +273,8 @@ class PresentedFrame:
         return count_downsets(self._below, self.top, {0: 1}, limits)
 
     def elements(self, limits=DEFAULT):
-        """All elements in key order, and the Hasse edges u ⋖ v sorted by
-        the keys of their ends, once |D(J)| is within element_cap.
+        """All elements in key order, and the Hasse edges u ⋖ v as index
+        pairs into them, sorted, once |D(J)| is within element_cap.
 
         Listed from the top down: dropping from v a model k none of whose
         proper submodels is in v leaves the element u below it, and the
@@ -298,8 +299,7 @@ class PresentedFrame:
         self._masks.update(masks)
         elems = sorted(masks, key=lambda e: _key(masks[e]))
         rank = {e: r for r, e in enumerate(elems)}
-        edges.sort(key=lambda uv: (rank[uv[0]], rank[uv[1]]))
-        return elems, edges
+        return elems, sorted([(rank[u], rank[v]) for u, v in edges])
 
     def points(self):
         """Each point as the sorted list of generators of its model, in the
@@ -310,7 +310,9 @@ class PresentedFrame:
         """
         gens, out = self.generators, []
         for q in reversed(self.models):
-            if _breaks(self.rules, q, ~q):
+            # a cover whose left side lies in q has a right-side meet in q
+            if any(lhs & ~q == 0 and all(t & ~q for t in rhs)
+                   for lhs, rhs in self.rules):
                 raise PointfreeError("point violates a cover")
             out.append([g for i, g in enumerate(gens) if q >> i & 1])
         return out
@@ -339,7 +341,7 @@ class CIdeal:
 
     @property
     def mask(self):
-        """The members as a mask over the formal meets in meet_key order."""
+        """The members as a mask in subset order (PresentedFrame)."""
         return self.presentation.frame.mask(self.models)
 
     @property

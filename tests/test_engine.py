@@ -19,6 +19,7 @@ import frame_oracles
 from frame_oracles import meet_key
 from conftest import cantor_presentation, free_presentation, order_pairs
 import pointfree
+import pointfree.theories  # patched below; no other import here loads it
 from pointfree import frames
 from pointfree.cli import main, parsed_input
 from pointfree.errors import CapExceeded, PointfreeError
@@ -54,6 +55,25 @@ def presentations(draw):
     return FramePresentation.make(gens, rules)
 
 
+def subset_mask(p, meets):
+    """Distinct formal meets as a mask in subset order, the meet of
+    generator set s at bit s: the layout of the engine's C-ideal masks."""
+    bit = {g: 1 << i for i, g in enumerate(p.generators)}
+    return sum(1 << sum(map(bit.get, m)) for m in meets)
+
+
+def basis(members):
+    """The maximal members of a C-ideal: none of their proper sub-meets
+    is a member."""
+    return {m for m in members if not any(m - {g} in members for g in m)}
+
+
+def name_meets(name):
+    """The formal meets a C-ideal name lists, in its order."""
+    return [TOP_MEET if part == "top" else frozenset(part.split(" & "))
+            for part in name[1:-1].split(", ") if part]
+
+
 def oracle_listing(p, f):
     """Each oracle point as the sorted generators it contains."""
     gen_map = {g: frame_oracles.saturate(p, [frozenset([g])])
@@ -82,27 +102,32 @@ def test_model_sets_match_the_horn_closure(p, data):
     """Saturation, joins, generator images, bottom, top, order, names
     and positivity verdicts on model sets, on the
     covers as given and stabilized, against the Horn closure of the
-    stabilized presentation."""
+    stabilized presentation: its masks moved to subset order, and each
+    name the maximal members of its C-ideal in meet_key order."""
     q = stabilize(p)
     h = frame_oracles.closure(q)
     seeds = data.draw(st.lists(st.sets(st.sampled_from(h.meets), max_size=4),
                                min_size=2, max_size=4))
     want = [h.saturate(h.mask(seed)) for seed in seeds]
+
+    def layout(mask):  # an oracle mask, over meets in meet_key order
+        return subset_mask(q, h.cideal(mask))
     for r in (p, q):
         cs = [saturate(r, seed) for seed in seeds]
-        assert [c.mask for c in cs] == want
-        assert saturate(r, []).mask == h.bottom
-        assert saturate(r, [TOP_MEET]).mask == h.top
+        assert [c.mask for c in cs] == list(map(layout, want))
+        assert saturate(r, []).mask == layout(h.bottom)
+        assert saturate(r, [TOP_MEET]).mask == layout(h.top)
         for g in r.generators:
             assert saturate(r, [frozenset([g])]).mask == \
-                h.saturate(h.mask([frozenset([g])]))
+                layout(h.saturate(h.mask([frozenset([g])])))
         assert saturate(r, set().union(*seeds)).mask == \
-            h.saturate(functools.reduce(int.__or__, want))
+            layout(h.saturate(functools.reduce(int.__or__, want)))
         a, b = cs[0], cs[-1]
         wa, wb = want[0], want[-1]
         assert (a <= b) == (wa & ~wb == 0)
         assert str(a) == "{" + ", ".join(
-            meet_str(m) for m in sorted(h.cideal(wa), key=meet_key)) + "}"
+            meet_str(m) for m in sorted(basis(h.cideal(wa)),
+                                        key=meet_key)) + "}"
     # the positive meets, those outside bottom, and mutants of them
     positive = {m for m, down in zip(h.meets, h.down) if down & ~h.bottom}
     flips = data.draw(st.sets(st.sampled_from(h.meets), max_size=2))
@@ -176,14 +201,17 @@ def by_size(pts):
 
 
 def check_search_against_principal_scan(p):
-    """J masks, points in meet_key order and nontriviality from the model
-    search, on the covers as given and stabilized, against the principal
-    scan; and J kept along a linear extension, which counting needs: each
-    join-prime has only lower indices strictly below it."""
+    """J masks (moved to subset order), points in meet_key order and
+    nontriviality from the model search, on the covers as given and
+    stabilized, against the principal scan; and J kept along a linear
+    extension, which counting needs: each join-prime has only lower
+    indices strictly below it."""
     js, pts, nontrivial = frame_oracles.principal_scan(p)
     for q in (p, stabilize(p)):
         engine = PresentedFrame(q)
-        assert {engine.mask(j) for j in engine.join_primes} == set(js)
+        assert {engine.mask(j) for j in engine.join_primes} == \
+            {subset_mask(p, map(p.all_meets().__getitem__, set_bits(j)))
+             for j in js}
         assert engine.points() == by_size(pts)
         assert bool(pts) == nontrivial == (engine.bottom != engine.top)
         assert all(below >> k == 0 for k, below in enumerate(engine._below))
@@ -318,15 +346,25 @@ def test_cantor_six_models_in_process(tmp_path, monkeypatch, capsys):
     assert len(ms) == 64 and ms[0] == ["u0", "u1", "u2", "u3", "u4", "u5"]
 
 
+def oracle_elements(p, oracle):
+    """The oracle's C-ideals in the engine's order: by the key of their
+    masks in subset order."""
+    return sorted(oracle.elements,
+                  key=lambda c: PresentedFrame.key(subset_mask(p, c)))
+
+
 def check_against_oracles(p):
+    """Elements in key order and the Hasse edges as index pairs into them,
+    points, nontriviality, and enumerate_frame, against the oracles."""
     p = stabilize(p)
     engine = PresentedFrame(p)
     oracle = frame_oracles.enumerate_frame(p)
     elems, edges = engine.elements()
-    assert [engine.members(e) for e in elems] == \
-        sorted(oracle.elements, key=sort_key)
-    assert [(engine.members(a), engine.members(b)) for a, b in edges] == \
-        frame_oracles.hasse_edges(oracle)
+    want = oracle_elements(p, oracle)
+    assert [engine.members(e) for e in elems] == want
+    position = {c: i for i, c in enumerate(want)}
+    assert edges == sorted((position[a], position[b])
+                           for a, b in frame_oracles.hasse_edges(oracle))
     assert engine.points() == by_size(oracle_listing(p, oracle))
     assert (engine.bottom != engine.top) == (oracle.bottom != oracle.top)
     frame, _ = enumerate_frame(p)
@@ -341,6 +379,33 @@ def test_engine_matches_oracles_on_random_presentations(p):
     # at most 2^6 elements, so the O(n³) oracles stay quick
     assume(len(PresentedFrame(p).join_primes) <= 6)
     check_against_oracles(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_names_are_bases_unique_per_frame(p):
+    """Each element is named by its basis: the maximal members of its
+    C-ideal, in meet_key order, whose downset the oracle saturates to the
+    C-ideal itself.  Names are unique per frame, and each edge [i, j] has
+    i < j and is a covering pair of the oracle frame."""
+    assume(len(PresentedFrame(p).join_primes) <= 6)
+    q = stabilize(p)
+    h = frame_oracles.closure(q)
+    oracle = frame_oracles.enumerate_frame(q)
+    engine = PresentedFrame(p)
+    elems, edges = engine.elements()
+    names = list(map(engine.name, elems))
+    assert len(set(names)) == len(names)
+    for e, name in zip(elems, names):
+        meets = name_meets(name)
+        assert meets == sorted(basis(engine.members(e)), key=meet_key)
+        assert h.cideal(h.saturate(h.mask(meets))) == engine.members(e)
+        assert engine.members(e) in oracle.elements
+    covers = set(frame_oracles.hasse_edges(oracle))
+    assert all(i < j and (engine.members(elems[i]),
+                          engine.members(elems[j])) in covers
+               for i, j in edges)
+    assert len(edges) == len(covers)
 
 
 @pytest.mark.parametrize("p", [free_presentation(1), free_presentation(3),
