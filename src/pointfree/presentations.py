@@ -101,11 +101,13 @@ def stabilize(p, limits=DEFAULT):
 @functools.lru_cache(maxsize=8)
 def _meet_table(g):
     """For g generators, the mask of the formal meets (in meet_key order)
-    that contain each generator, and each meet as a mask of generators."""
+    that contain each generator, each meet as a mask of generators, and
+    the place in meet_key order of the meet of each mask."""
     meets = tuple(sum(1 << i for i in c) for n in range(g + 1)
                   for c in combinations(range(g), n))
     return tuple(int("".join(str(m >> i & 1) for m in reversed(meets)), 2)
-                 for i in range(g)), meets
+                 for i in range(g)), meets, sorted(range(len(meets)),
+                                                   key=meets.__getitem__)
 
 
 def find_models(p):
@@ -121,7 +123,7 @@ def find_models(p):
     stabilized.  A tautology, a cover with a right-side meet inside its
     left side, holds everywhere and is skipped.
     """
-    containing, meets = _meet_table(len(p.generators))
+    containing, meets, _ = _meet_table(len(p.generators))
     ok = every = (1 << len(meets)) - 1
 
     def holds(m):
@@ -152,9 +154,9 @@ _SWAP = str.maketrans("01", "10")
 
 
 def _key(mask):
-    """The sort_key order of C-ideal masks: by size, then the mask holding
-    the lowest bit where two differ first (their bit strings read from the
-    lowest bit, 0 and 1 swapped; of one size, neither is a prefix)."""
+    """The order of elements by their C-ideal masks: by size, then the mask
+    holding the lowest bit where two differ first (their bit strings read
+    from the lowest bit, 0 and 1 swapped; of one size, neither a prefix)."""
     return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP)
 
 
@@ -193,14 +195,15 @@ class PresentedFrame:
         self.models = models = find_models(p)[::-1]
         self._held = list(map(_inside, models))  # the meets inside each
         self.full = full = (1 << (1 << len(gens))) - 1  # every formal meet
-        # without[i]: the meets without generator i, runs of 2^i set and
-        # 2^i clear bits, which is full divided by 2^(2^i) + 1
-        self._without = [full // ((1 << (1 << i)) + 1)
+        # (W_i, 2^i) for each generator i: W_i, the meets without i, is
+        # runs of 2^i set and 2^i clear bits, full divided by 2^(2^i) + 1
+        self._without = [(full // ((1 << (1 << i)) + 1), 1 << i)
                          for i in range(len(gens))]
         self.top = (1 << len(models)) - 1
         # holds[i]: the models holding generator i
         self.holds = [sum(1 << k for k, q in enumerate(models) if q >> i & 1)
                       for i in range(len(gens))]
+        self._names = {}  # the name of each up-set, kept once built
         self._masks = {}
         # below[k]: the J-indices strictly below J[k], all less than k: the
         # models containing model k, less k
@@ -235,33 +238,30 @@ class PresentedFrame:
         return self._masks[u]
 
     @functools.cached_property
-    def meets(self):
-        """Every formal meet in subset order, one per bit of a mask."""
-        return [frozenset(compress(self.generators, _flags(s)))
-                for s in range(self.full.bit_length())]
-
-    @functools.cached_property
     def _ranked(self):
         """Each formal meet's meet_key rank by its bit, and names by rank."""
-        keyed = _meet_table(len(self.generators))[1]
-        return (sorted(range(len(keyed)), key=keyed.__getitem__),
-                [" & ".join(compress(self.generators, _flags(s))) or "top"
-                 for s in keyed])
+        gens = self.generators
+        return _meet_table(len(gens))[2], [
+            " & ".join(c) or "top" for n in range(len(gens) + 1)
+            for c in combinations(gens, n)]
 
     def members(self, u):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
-        return frozenset(compress(self.meets, _flags(self.mask(u))))
+        return frozenset(frozenset(compress(self.generators, _flags(s)))
+                         for s in set_bits(self.mask(u)))
 
     def name(self, u):
         """The C-ideal I of an up-set named by its basis in meet_key order,
         the members with no proper sub-meet in I: (I & W_i) << 2^i, W_i
         the meets without generator i, holds the others with i."""
-        ideal = basis = self.mask(u)
-        for i, without in enumerate(self._without):
-            basis &= ~((ideal & without) << (1 << i))
-        rank, names = self._ranked
-        return "{" + ", ".join(map(names.__getitem__, sorted(
-            map(rank.__getitem__, set_bits(basis))))) + "}"
+        if u not in self._names:
+            ideal = basis = self.mask(u)
+            for without, shift in self._without:
+                basis &= ~((ideal & without) << shift)
+            rank, names = self._ranked
+            self._names[u] = "{" + ", ".join(map(names.__getitem__, sorted(
+                compress(rank, _flags(basis))))) + "}"
+        return self._names[u]
 
     @property
     def join_primes(self):
@@ -284,9 +284,7 @@ class PresentedFrame:
         held = self._held
         above = [sum(1 << k for k, b in enumerate(self._below) if b >> i & 1)
                  for i in range(len(held))]  # J-indices strictly above i
-        masks = {self.top: self.full}
-        edges = []
-        stack = [self.top]
+        masks, edges, stack = {self.top: self.full}, [], [self.top]
         while stack:
             v = stack.pop()
             for k in set_bits(v):
