@@ -238,12 +238,13 @@ class PresentedFrame:
         return self._masks[u]
 
     @functools.cached_property
-    def _ranked(self):
-        """Each formal meet's meet_key rank by its bit, and names by rank."""
+    def _named(self):
+        """Names of the formal meets by bit, and each name's meet_key rank."""
         gens = self.generators
-        return _meet_table(len(gens))[2], [
-            " & ".join(c) or "top" for n in range(len(gens) + 1)
-            for c in combinations(gens, n)]
+        names = [" & ".join(c) or "top" for n in range(len(gens) + 1)
+                 for c in combinations(gens, n)]
+        return ([names[r] for r in _meet_table(len(gens))[2]],
+                {name: r for r, name in enumerate(names)})
 
     def members(self, u):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
@@ -258,9 +259,9 @@ class PresentedFrame:
             ideal = basis = self.mask(u)
             for without, shift in self._without:
                 basis &= ~((ideal & without) << shift)
-            rank, names = self._ranked
-            self._names[u] = "{" + ", ".join(map(names.__getitem__, sorted(
-                compress(rank, _flags(basis))))) + "}"
+            names, rank = self._named
+            self._names[u] = "{" + ", ".join(sorted(compress(
+                names, _flags(basis)), key=rank.__getitem__)) + "}"
         return self._names[u]
 
     @property
