@@ -100,14 +100,18 @@ def stabilize(p, limits=DEFAULT):
 
 @functools.lru_cache(maxsize=8)
 def _meet_table(g):
-    """For g generators, the mask of the formal meets (in meet_key order)
-    that contain each generator, each meet as a mask of generators, and
-    the place in meet_key order of the meet of each mask."""
+    """For g generators: the mask of the formal meets (in meet_key order)
+    that contain each generator; each meet as a mask of generators; the
+    place in meet_key order of the meet of each mask; and (W_i, 2^i) for
+    each generator i, W_i the meets without i in subset order: runs of
+    2^i set and 2^i clear bits, every meet divided by 2^(2^i) + 1."""
     meets = tuple(sum(1 << i for i in c) for n in range(g + 1)
                   for c in combinations(range(g), n))
-    return tuple(int("".join(str(m >> i & 1) for m in reversed(meets)), 2)
-                 for i in range(g)), meets, sorted(range(len(meets)),
-                                                   key=meets.__getitem__)
+    every = (1 << len(meets)) - 1
+    return (tuple(int("".join(str(m >> i & 1) for m in reversed(meets)), 2)
+                  for i in range(g)), meets,
+            sorted(range(len(meets)), key=meets.__getitem__),
+            tuple((every // ((1 << (1 << i)) + 1), 1 << i) for i in range(g)))
 
 
 def find_models(p):
@@ -123,7 +127,7 @@ def find_models(p):
     stabilized.  A tautology, a cover with a right-side meet inside its
     left side, holds everywhere and is skipped.
     """
-    containing, meets, _ = _meet_table(len(p.generators))
+    containing, meets, *_ = _meet_table(len(p.generators))
     ok = every = (1 << len(meets)) - 1
 
     def holds(m):
@@ -194,11 +198,7 @@ class PresentedFrame:
         # extension of J
         self.models = models = find_models(p)[::-1]
         self._held = list(map(_inside, models))  # the meets inside each
-        self.full = full = (1 << (1 << len(gens))) - 1  # every formal meet
-        # (W_i, 2^i) for each generator i: W_i, the meets without i, is
-        # runs of 2^i set and 2^i clear bits, full divided by 2^(2^i) + 1
-        self._without = [(full // ((1 << (1 << i)) + 1), 1 << i)
-                         for i in range(len(gens))]
+        self.full = (1 << (1 << len(gens))) - 1  # every formal meet
         self.top = (1 << len(models)) - 1
         # holds[i]: the models holding generator i
         self.holds = [sum(1 << k for k, q in enumerate(models) if q >> i & 1)
@@ -238,13 +238,11 @@ class PresentedFrame:
         return self._masks[u]
 
     @functools.cached_property
-    def _named(self):
-        """Names of the formal meets by bit, and each name's meet_key rank."""
-        gens = self.generators
-        names = [" & ".join(c) or "top" for n in range(len(gens) + 1)
-                 for c in combinations(gens, n)]
-        return ([names[r] for r in _meet_table(len(gens))[2]],
-                {name: r for r, name in enumerate(names)})
+    def _meet_names(self):
+        """The name of each formal meet in meet_key order, read off the
+        sorted generators, not by meet_str, which sorts each meet again."""
+        return [" & ".join(c) or "top" for n in range(len(self.generators) + 1)
+                for c in combinations(self.generators, n)]
 
     def members(self, u):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
@@ -257,11 +255,12 @@ class PresentedFrame:
         the meets without generator i, holds the others with i."""
         if u not in self._names:
             ideal = basis = self.mask(u)
-            for without, shift in self._without:
-                basis &= ~((ideal & without) << shift)
-            names, rank = self._named
-            self._names[u] = "{" + ", ".join(sorted(compress(
-                names, _flags(basis)), key=rank.__getitem__)) + "}"
+            *_, rank, without = _meet_table(len(self.generators))
+            for w, shift in without:
+                basis &= ~((ideal & w) << shift)
+            self._names[u] = "{" + ", ".join(map(
+                self._meet_names.__getitem__,
+                sorted(compress(rank, _flags(basis))))) + "}"
         return self._names[u]
 
     @property
