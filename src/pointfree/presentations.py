@@ -199,6 +199,7 @@ class PresentedFrame:
         self.models = models = find_models(p)[::-1]
         self._held = list(map(_inside, models))  # the meets inside each
         self.full = (1 << (1 << len(gens))) - 1  # every formal meet
+        self._rank, self._without = _meet_table(len(gens))[2:]  # for names
         self.top = (1 << len(models)) - 1
         # holds[i]: the models holding generator i
         self.holds = [sum(1 << k for k, q in enumerate(models) if q >> i & 1)
@@ -255,12 +256,11 @@ class PresentedFrame:
         the meets without generator i, holds the others with i."""
         if u not in self._names:
             ideal = basis = self.mask(u)
-            *_, rank, without = _meet_table(len(self.generators))
-            for w, shift in without:
+            for w, shift in self._without:
                 basis &= ~((ideal & w) << shift)
             self._names[u] = "{" + ", ".join(map(
                 self._meet_names.__getitem__,
-                sorted(compress(rank, _flags(basis))))) + "}"
+                sorted(compress(self._rank, _flags(basis))))) + "}"
         return self._names[u]
 
     @property
