@@ -251,9 +251,9 @@ class PresentedFrame:
                          for s in set_bits(self.mask(u)))
 
     def name(self, u):
-        """The C-ideal I of an up-set named by its basis in meet_key order,
-        the members with no proper sub-meet in I: (I & W_i) << 2^i, W_i
-        the meets without generator i, holds the others with i."""
+        """The name of an up-set: the basis of its C-ideal I, the members
+        with no proper sub-meet in I, in meet_key order.  The others are
+        the OR over i of (I & W_i) << 2^i, W_i the meets without i."""
         if u not in self._names:
             ideal = basis = self.mask(u)
             for w, shift in self._without:
