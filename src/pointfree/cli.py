@@ -170,12 +170,11 @@ def cmd_frame(args, limits):
         pts = frame.points()
         _emit({"count": len(pts), "points": pts}, args)
         return EXIT_OK
-    # hausdorff: |f| = |D(J)|, counted before the elements are listed
+    # hausdorff: |f| = |D(J)|, counted once, before the elements are listed
     frames.carrier_cap(frame.count_downsets(limits) ** 2, limits)
     elems, _ = frame.elements(limits)
     verdict, witness = frames.closed_diagonal(
-        elems, frame.join_primes, frame.le, int.__and__, frame.bottom,
-        limits=limits)
+        elems, frame.join_primes, frame.le, int.__and__, frame.bottom)
     payload = {"hausdorff": verdict}
     if witness is not None:
         payload["witness"] = sorted(
@@ -442,15 +441,60 @@ def build_parser():
                                 "10000")
     ev["validate"].add_argument("--seed", type=_integer, default=0,
                                 help="probe generator seed")
+    for sp in top.leaves.values():  # the leaf's actions, --help left out
+        acts = [a for a in sp._actions if a.default is not argparse.SUPPRESS]
+        sp.table = ({s: a for a in acts for s in a.option_strings},
+                    [a for a in acts if not a.option_strings],
+                    {a.dest for a in acts if a.required},
+                    {**{a.dest: a.default for a in acts}, **sp._defaults})
     return top
 
 
+def _read(table, words):
+    """The namespace the leaf's parser gives words, read off its action
+    table, when each is a positional, a bare store_true flag, or a flag
+    with its value after `=` or in the next word; else None, as for a word
+    or spaced value that starts with `-`, a repeated option, a type that
+    raises or a missing argument."""
+    flags, positionals, required, defaults = table
+    args, given = argparse.Namespace(), set()
+    ns = vars(args)
+    ns.update(defaults)
+    words, left = iter(words), iter(positionals)
+    for word in words:
+        if word[:1] != "-":
+            action, value = next(left, None), word
+        else:
+            flag, eq, value = word.partition("=")
+            action = flags.get(flag)
+            if action is not None and action.nargs == 0 and not eq:
+                ns[action.dest] = action.const  # argparse takes a repeat
+                continue
+            if not eq and (value := next(words, "-"))[:1] == "-":
+                return None
+        if action is None or action.nargs == 0 or action.dest in given:
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        ns[action.dest] = value
+        given.add(action.dest)  # as _Once records it
+    if not required <= given:
+        return None
+    if given:
+        ns["given_"] = given
+    return args
+
+
 def parse_argv(argv):
-    """argv parsed by the leaf its first two words name, as the walk down
-    the tree would; any other argv (help, a usage error) takes the walk."""
-    top = build_parser()
-    leaf = top.leaves.get(tuple(argv[:2]))
-    return top.parse_args(argv) if leaf is None else leaf.parse_args(argv[2:])
+    """argv read off the action table of the leaf its first two words
+    name, as that leaf's parser would read it; any other argv (help, a
+    usage error, an odd spelling) takes the walk down the tree."""
+    leaf = build_parser().leaves.get(tuple(argv[:2]))
+    args = None if leaf is None else _read(leaf.table, argv[2:])
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

@@ -207,7 +207,7 @@ def coproduct(f, g, limits=DEFAULT):
 
 # --- Hausdorff ----------------------------------------------------------------
 
-def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):
+def closed_diagonal(elements, join_primes, le, meet, bottom):
     """Whether the diagonal of f ⊕ f is closed, from the join-primes J of f.
     Returns (verdict, witness or None).
 
@@ -216,10 +216,9 @@ def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):
     discrete, that is when J is an antichain (Picado & Pultr, *Frames and
     Locales*).  The one candidate witness is δ_*(⊥), the largest element
     of f ⊕ f that the codiagonal sends to ⊥: the pairs (u, v) with
-    u ∧ v = ⊥.  It is a subset of f × f, so |f|² is held to the coproduct
-    cap (carrier_cap).
+    u ∧ v = ⊥.  It is a subset of f × f, so the caller holds |f|² to the
+    coproduct cap (carrier_cap) first.
     """
-    carrier_cap(len(elements) ** 2, limits)
     if any(a != b and le(a, b) for a in join_primes for b in join_primes):
         return False, None
     return True, frozenset((u, v) for u in elements for v in elements
@@ -227,9 +226,11 @@ def closed_diagonal(elements, join_primes, le, meet, bottom, limits=DEFAULT):
 
 
 def is_hausdorff(f, limits=DEFAULT):
-    """Closed diagonal: (verdict, witness or None), see closed_diagonal."""
+    """Closed diagonal: (verdict, witness or None), see closed_diagonal,
+    once |f|² is within the coproduct cap."""
+    carrier_cap(len(f.elements) ** 2, limits)
     return closed_diagonal(f.elements, f.lower_covers, f.le, f.meet,
-                           f.bottom, limits=limits)
+                           f.bottom)
 
 
 # --- positivity / compactness --------------------------------------------------

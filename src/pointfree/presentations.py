@@ -169,9 +169,9 @@ class PresentedFrame:
     covers: a finite frame is spatial, so u ≤ v exactly when every model
     of u is a model of v.  Built once per presentation (p.frame); it keeps
     nothing that depends on a query, and the methods that count take the
-    limits and a fresh memo per call.  It keeps the cover masks
-    (`p.rules`), not the presentation, which holds it: a cycle would leave
-    each dropped input to the cyclic garbage collector.
+    limits and a fresh memo per call, keeping |D(J)| by limits.  It keeps
+    the cover masks (`p.rules`), not the presentation, which holds it: a
+    cycle would leave each dropped input to the cyclic garbage collector.
 
     Each model P gives the join-prime j_P, the formal meets m such that
     every model holding m holds P, and j_P ≤ j_Q exactly when Q ⊆ P.  The
@@ -205,6 +205,7 @@ class PresentedFrame:
         self.holds = [sum(1 << k for k, q in enumerate(models) if q >> i & 1)
                       for i in range(len(gens))]
         self._names = {}  # the name of each up-set, kept once built
+        self._counts = {}  # |D(J)| by limits, kept once counted
         self._masks = {}
         # below[k]: the J-indices strictly below J[k], all less than k: the
         # models containing model k, less k
@@ -270,7 +271,10 @@ class PresentedFrame:
 
     def count_downsets(self, limits=DEFAULT):
         """|D(J)|, the number of elements."""
-        return count_downsets(self._below, self.top, {0: 1}, limits)
+        if limits not in self._counts:
+            self._counts[limits] = count_downsets(self._below, self.top,
+                                                  {0: 1}, limits)
+        return self._counts[limits]
 
     def elements(self, limits=DEFAULT):
         """All elements in key order, and the Hasse edges u ⋖ v as index

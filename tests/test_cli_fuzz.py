@@ -69,6 +69,8 @@ def owned(parser):
 LEAVES = leaves()
 ARGUMENTS = {name: action for sp in LEAVES.values()  # all, by name
              for name, action in owned(sp).items()}
+VALUED = {name for name, action in ARGUMENTS.items()  # flags with a value
+          if action.option_strings and action.nargs != 0}
 
 # one well-formed value per argument name, for arguments passed to a
 # subcommand that does not own them
@@ -106,6 +108,7 @@ def mostly(good, bad, one_in=6):
 
 
 junk = st.text(max_size=8)
+dashed = st.sampled_from(["-1/2", "-x", "- x", "-5"])  # `-` first
 GENS = ["z0", "u0", "z1", "u1"]  # also the generators of a theory at N=2
 
 
@@ -308,6 +311,7 @@ def cases(draw, huge_in=None):
     parser = LEAVES[group, leaf]
     files = {}
     positionals, options = [], []  # the words of each argument
+    odd = st.one_of(junk, dashed)
     for name, action in owned(parser).items():
         if name == "file":
             if huge_in in THY_CHANNELS:
@@ -318,7 +322,7 @@ def cases(draw, huge_in=None):
             files["in" + ext] = draw(text)
             positionals.append(["in" + ext])
         elif not action.option_strings:
-            positionals.append([draw(mostly(VALUES[name], junk))])
+            positionals.append([draw(mostly(VALUES[name], odd))])
         elif action.nargs == 0:
             if draw(st.booleans()):
                 options.append([name])
@@ -326,9 +330,22 @@ def cases(draw, huge_in=None):
             options.append(tokens(name, draw(HUGE[name])))
         elif action.required or draw(st.booleans()) or (
                 name == "--truncate" and "in.thy" in files):
-            options.append(tokens(name, draw(mostly(VALUES[name], junk))))
-    words = positionals + draw(st.permutations(options))
+            options.append(tokens(name, draw(mostly(VALUES[name], odd))))
     want = None
+    if huge_in is None:  # `--flag=value`, and once in a few a repeat
+        options = [[f"{ws[0]}={ws[1]}"] if len(ws) == 2
+                   and draw(st.booleans()) else ws for ws in options]
+        if options and draw(st.integers(0, 4)) == 4:
+            again = draw(st.sampled_from(options))
+            options.append(again)
+            if ARGUMENTS[again[0].partition("=")[0]].nargs != 0:
+                want = 1  # a store_true flag may repeat
+    words = draw(st.permutations(options))
+    at = 0  # the positionals in their order, among the options
+    for ws in positionals:
+        at = draw(st.integers(at, len(words)))
+        words.insert(at, ws)
+        at += 1
     if huge_in is None and draw(st.integers(0, 4)) == 4:
         # one argument of another subcommand
         name = draw(st.sampled_from(foreign(group, parser)))
@@ -541,15 +558,54 @@ def test_main_dispatches_on_each_leaf_of_the_tree():
     assert build_parser().leaves == LEAVES and len(LEAVES) == 14
 
 
-# usage errors, which take the walk down the tree on both routes
+# usage errors, which take the walk down the tree on both routes, and odd
+# spellings the table route leaves to the walk
+EVT = ["evt", "max", "--expr", "x", "--domain", "[0,1]"]
 USAGE = [[], ["frame"], ["nope", "points"], ["frame", "nope", "in.pres"],
-         ["frame", "--json", "points", "in.pres"], ["evt", "--eps", "1"]]
+         ["frame", "--json", "points", "in.pres"], ["evt", "--eps", "1"],
+         EVT + ["--eps="], EVT + ["--eps=1=2"], EVT + ["--eps", "-1/2"],
+         EVT + ["--eps=-1/2"], EVT + ["--budget", "-5"], EVT + ["--json=1"],
+         ["evt", "max", "--expr", "-x", "--domain", "[0,1]"],
+         ["evt", "max", "--expr", "- x", "--domain", "[0,1]"],
+         ["frame", "points", "in.pres", "--json=1"],
+         ["frame", "points", "in.pres", "--json", "--json"],
+         ["frame", "leq", "in.pres", "--", "a", "top"],
+         ["frame", "leq", "in.pres", "a", "--", "top"],
+         ["frame", "points", "-h"], ["frame", "points", "in.pres", "-h"],
+         ["frame", "leq", "in.pres", "", "top"],
+         ["frame", "leq", "in.pres", "-", "top"],
+         ["frame", "leq", "in.pres", "a", "top", "bot"],
+         ["frame", "leq", "in.pres", "a"]]
 
 
 @pytest.mark.parametrize("argv", [g["argv"] + ["--json"] for g in GOLDEN]
                          + USAGE, ids=" ".join)
 def test_golden_argv_parse_the_same_on_both_routes(argv):
     check_dispatch(argv)
+
+
+def joined(argv):
+    """argv with each option's value after `=` in the option's word."""
+    out, words = [], iter(argv)
+    for word in words:
+        out.append(f"{word}={next(words)}" if word in VALUED else word)
+    return out
+
+
+WELL_FORMED = [g["argv"] + ["--json"] for g in GOLDEN if g["exit"] == 0]
+
+
+@pytest.mark.parametrize(
+    "argv", WELL_FORMED + [joined(a) for a in WELL_FORMED
+                           if joined(a) != a], ids=" ".join)
+def test_well_formed_argv_is_read_without_argparse(argv):
+    """Each golden argv that exits 0, spaced or with `=`, is read off its
+    leaf's action table: with argparse's parse_args made to raise, it
+    still parses, to the namespace of the walk."""
+    want = build_parser().parse_args(argv)
+    with mock.patch.object(argparse.ArgumentParser, "parse_args",
+                           side_effect=AssertionError("took the walk")):
+        assert parse_argv(argv) == want
 
 
 def test_the_module_entry_point_reads_sys_argv():
