@@ -454,8 +454,8 @@ def _read(table, words):
     """The namespace the leaf's parser gives words, read off its action
     table, when each is a positional, a bare store_true flag, or a flag
     with its value after `=` or in the next word; else None, as for a word
-    or spaced value that starts with `-`, a repeated option, a type that
-    raises or a missing argument."""
+    or spaced value that starts with `-`, a repeated option with a value,
+    a type that raises or a missing argument."""
     flags, positionals, required, defaults = table
     args, given = argparse.Namespace(), set()
     ns = vars(args)

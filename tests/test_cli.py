@@ -326,23 +326,23 @@ def test_hausdorff_counts_the_elements_and_checks_the_cap_once(capsys,
                                                               monkeypatch):
     """One query counts |D(J)| once and holds |f|² to the coproduct cap
     once, though both the cap and the listing need the count."""
-    calls = {"count": 0, "cap": 0}
+    calls = {"count_downsets": 0, "carrier_cap": 0}
 
-    def counted(name, fn):
+    def counted(module, name):
+        fn = getattr(module, name)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(pointfree.presentations, "count_downsets",
-                        counted("count", pointfree.presentations.count_downsets))
-    monkeypatch.setattr(pointfree.frames, "carrier_cap",
-                        counted("cap", pointfree.frames.carrier_cap))
+    counted(pointfree.presentations, "count_downsets")
+    counted(pointfree.frames, "carrier_cap")
     parsed_input.cache_clear()
     code, payload, _ = run_json(capsys, "frame", "hausdorff",
                                 THY / "surj.thy", "--truncate", "n=2,X=2")
     assert code == 0 and "hausdorff" in payload
-    assert calls == {"count": 1, "cap": 1}
+    assert calls == {"count_downsets": 1, "carrier_cap": 1}
 
 
 def test_stone_refuses_a_large_lattice_before_building_it(capsys, tmp_path):

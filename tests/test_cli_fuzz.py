@@ -338,8 +338,9 @@ def cases(draw, huge_in=None):
         if options and draw(st.integers(0, 4)) == 4:
             again = draw(st.sampled_from(options))
             options.append(again)
-            if ARGUMENTS[again[0].partition("=")[0]].nargs != 0:
-                want = 1  # a store_true flag may repeat
+            flag = again[0].partition("=")[0]
+            if ARGUMENTS[flag].nargs != 0:  # a store_true flag may repeat
+                want = 1
     words = draw(st.permutations(options))
     at = 0  # the positionals in their order, among the options
     for ws in positionals:
@@ -559,7 +560,7 @@ def test_main_dispatches_on_each_leaf_of_the_tree():
 
 
 # usage errors, which take the walk down the tree on both routes, and odd
-# spellings the table route leaves to the walk
+# spellings, which the table must read as the walk does or leave to it
 EVT = ["evt", "max", "--expr", "x", "--domain", "[0,1]"]
 USAGE = [[], ["frame"], ["nope", "points"], ["frame", "nope", "in.pres"],
          ["frame", "--json", "points", "in.pres"], ["evt", "--eps", "1"],
