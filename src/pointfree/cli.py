@@ -325,14 +325,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Once(argparse.Action):
-    """Stores a value, refusing a second occurrence of the argument."""
+    """Stores a value or a flag's const, refusing a second occurrence."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         given = vars(namespace).setdefault("given_", set())
         if self.dest in given:
             parser.error(f"argument {option_string}: given more than once")
         given.add(self.dest)
-        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest, self.const or values)
 
 
 def _non_negative(text):
@@ -389,6 +389,8 @@ def build_parser():
         for leaf, sp in out.items():
             top.leaves[name, leaf] = sp
             sp.register("action", None, _Once)  # every argument with a value
+            sp.register("action", "store_true", functools.partial(
+                _Once, nargs=0, const=True, default=False))
             sp.set_defaults(run=run, command=name, sub=leaf)
             sp.add_argument("--json", action="store_true",
                             help="machine-readable JSON output")
@@ -454,8 +456,8 @@ def _read(table, words):
     """The namespace the leaf's parser gives words, read off its action
     table, when each is a positional, a bare store_true flag, or a flag
     with its value after `=` or in the next word; else None, as for a word
-    or spaced value that starts with `-`, a repeated option with a value,
-    a type that raises or a missing argument."""
+    or spaced value that starts with `-`, a repeated option, a type that
+    raises or a missing argument."""
     flags, positionals, required, defaults = table
     args, given = argparse.Namespace(), set()
     ns = vars(args)
@@ -467,12 +469,11 @@ def _read(table, words):
         else:
             flag, eq, value = word.partition("=")
             action = flags.get(flag)
-            if action is not None and action.nargs == 0 and not eq:
-                ns[action.dest] = action.const  # argparse takes a repeat
-                continue
-            if not eq and (value := next(words, "-"))[:1] == "-":
+            if action is not None and action.nargs == 0:  # a bare flag
+                value = None if eq else action.const
+            elif not eq and (value := next(words, "-"))[:1] == "-":
                 return None
-        if action is None or action.nargs == 0 or action.dest in given:
+        if action is None or value is None or action.dest in given:
             return None
         if action.type is not None:
             try:

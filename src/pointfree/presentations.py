@@ -12,7 +12,7 @@ then inclusion, intersection and union.
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 from .config import DEFAULT
 from .errors import MixedPresentations, ParseError, PointfreeError
@@ -102,16 +102,17 @@ def stabilize(p, limits=DEFAULT):
 def _meet_table(g):
     """For g generators: the mask of the formal meets (in meet_key order)
     that contain each generator; each meet as a mask of generators; the
-    place in meet_key order of the meet of each mask; and (W_i, 2^i) for
-    each generator i, W_i the meets without i in subset order: runs of
-    2^i set and 2^i clear bits, every meet divided by 2^(2^i) + 1."""
+    place in meet_key order of the meet at each bit of key layout; and
+    (W_i, 2^i) for each generator i, W_i the meets without i, at the bits
+    whose numbers hold i: every meet divided by 2^(2^i) + 1, shifted."""
     meets = tuple(sum(1 << i for i in c) for n in range(g + 1)
                   for c in combinations(range(g), n))
     every = (1 << len(meets)) - 1
     return (tuple(int("".join(str(m >> i & 1) for m in reversed(meets)), 2)
                   for i in range(g)), meets,
-            sorted(range(len(meets)), key=meets.__getitem__),
-            tuple((every // ((1 << (1 << i)) + 1), 1 << i) for i in range(g)))
+            sorted(range(len(meets)), key=meets.__getitem__)[::-1],
+            tuple((every // ((1 << (1 << i)) + 1) << (1 << i), 1 << i)
+                  for i in range(g)))
 
 
 def find_models(p):
@@ -145,23 +146,13 @@ def find_models(p):
     return [meets[k] for k in set_bits(ok)]
 
 
-def _inside(q):
-    """The formal meets inside model q, as a mask in subset order: the
-    empty meet, doubled by a shift for each generator of q."""
-    inside = 1
+def _inside(q, g):
+    """The formal meets inside model q, in key layout: the empty meet at
+    bit 2^g - 1, doubled by a shift right for each generator of q."""
+    inside = 1 << (1 << g) - 1
     for i in set_bits(q):
-        inside |= inside << (1 << i)
+        inside |= inside >> (1 << i)
     return inside
-
-
-_SWAP = str.maketrans("01", "10")
-
-
-def _key(mask):
-    """The order of elements by their C-ideal masks: by size, then the mask
-    holding the lowest bit where two differ first (their bit strings read
-    from the lowest bit, 0 and 1 swapped; of one size, neither a prefix)."""
-    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP)
 
 
 class PresentedFrame:
@@ -181,13 +172,15 @@ class PresentedFrame:
     and inclusion.  models(m) of a formal meet is the AND of its
     generators' masks `holds`, and models(join of meets) the OR of those.
     The C-ideal of an up-set U is {m : models(m) ⊆ U}, a mask over the
-    formal meets in subset order, the meet of generator set s at bit s:
-    the meets outside it lie inside a model outside U.  C-ideal masks are
-    built only to order elements (`key`) and to name them by their basis.
+    formal meets in key layout, the meet of generator set s at bit
+    2^g - 1 - s: the meets outside it lie inside a model outside U.
+    C-ideal masks are built only to order elements (`key`) and to name
+    them by their basis.  In key layout the order of elements is integer
+    order: by size, then the larger mask first.
     """
 
     bottom = 0
-    key = staticmethod(_key)
+    key = staticmethod(lambda mask: (mask.bit_count(), -mask))
 
     def __init__(self, p):
         self.generators = gens = list(p.generators)
@@ -197,7 +190,7 @@ class PresentedFrame:
         # of P, so find_models' meet_key order reversed is a linear
         # extension of J
         self.models = models = find_models(p)[::-1]
-        self._held = list(map(_inside, models))  # the meets inside each
+        self._held = [_inside(q, len(gens)) for q in models]  # meets inside
         self.full = (1 << (1 << len(gens))) - 1  # every formal meet
         self._rank, self._without = _meet_table(len(gens))[2:]  # for names
         self.top = (1 << len(models)) - 1
@@ -233,7 +226,7 @@ class PresentedFrame:
             self.holds.__getitem__, set_bits(self.models[k])), self.top)
 
     def mask(self, u):
-        """The C-ideal of u as a mask in subset order, kept once built."""
+        """The C-ideal of u as a mask in key layout, kept once built."""
         if u not in self._masks:
             self._masks[u] = self.full & ~functools.reduce(int.__or__, map(
                 self._held.__getitem__, set_bits(self.top & ~u)), 0)
@@ -248,20 +241,28 @@ class PresentedFrame:
 
     def members(self, u):
         """The formal meets of the C-ideal of an up-set, as a frozenset."""
-        return frozenset(frozenset(compress(self.generators, _flags(s)))
-                         for s in set_bits(self.mask(u)))
+        gens = self.generators  # bit b: the meet of the generators b lacks
+        return frozenset(frozenset(g for i, g in enumerate(gens)
+                                   if not b >> i & 1)
+                         for b in set_bits(self.mask(u)))
 
     def name(self, u):
         """The name of an up-set: the basis of its C-ideal I, the members
         with no proper sub-meet in I, in meet_key order.  The others are
-        the OR over i of (I & W_i) << 2^i, W_i the meets without i."""
+        the OR over i of (I & W_i) >> 2^i, W_i the meets without i; each
+        basis bit is read off, lowest first, as its meet_key rank."""
         if u not in self._names:
             ideal = basis = self.mask(u)
             for w, shift in self._without:
-                basis &= ~((ideal & w) << shift)
+                basis &= ~((ideal & w) >> shift)
+            rank, ranks = self._rank, []
+            while basis:
+                low = basis & -basis
+                ranks.append(rank[low.bit_length() - 1])
+                basis ^= low
+            ranks.sort()
             self._names[u] = "{" + ", ".join(map(
-                self._meet_names.__getitem__,
-                sorted(compress(self._rank, _flags(basis))))) + "}"
+                self._meet_names.__getitem__, ranks)) + "}"
         return self._names[u]
 
     @property
@@ -290,16 +291,20 @@ class PresentedFrame:
                  for i in range(len(held))]  # J-indices strictly above i
         masks, edges, stack = {self.top: self.full}, [], [self.top]
         while stack:
-            v = stack.pop()
-            for k in set_bits(v):
+            v = w = stack.pop()
+            while w:
+                low = w & -w
+                w ^= low
+                k = low.bit_length() - 1
                 if not above[k] & v:
-                    u = v & ~(1 << k)
+                    u = v ^ low
                     if u not in masks:
                         masks[u] = masks[v] & ~held[k]
                         stack.append(u)
                     edges.append((u, v))
         self._masks.update(masks)
-        elems = sorted(masks, key=lambda e: _key(masks[e]))
+        key = self.key
+        elems = sorted(masks, key=lambda e: key(masks[e]))
         rank = {e: r for r, e in enumerate(elems)}
         return elems, sorted([(rank[u], rank[v]) for u, v in edges])
 
@@ -320,14 +325,6 @@ class PresentedFrame:
         return out
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _flags(mask):
-    """The bits of mask, lowest first, as bytes 0 and 1."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-
-
 @dataclass(frozen=True)
 class CIdeal:
     """One element of a presented frame: a saturated downset of formal meets.
@@ -343,7 +340,7 @@ class CIdeal:
 
     @property
     def mask(self):
-        """The members as a mask in subset order (PresentedFrame)."""
+        """The members as a mask in key layout (PresentedFrame)."""
         return self.presentation.frame.mask(self.models)
 
     @property

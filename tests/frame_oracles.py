@@ -36,6 +36,9 @@ oracles for them.
   (binary distributivity).
 - For compactness, which holds because a finite directed set holds its
   own join: the directed-cover scan for top.
+- For the order of elements (`PresentedFrame.key`, an integer key on
+  C-ideal masks in key layout): the string key on masks in subset order
+  that the engine read before.
 - For the meet and join tables that `DistLattice` reads off the down-set
   and up-set masks of its order: the scan of the common lower (upper)
   bounds for one above (below) all the others, O(n) order lookups per
@@ -72,6 +75,24 @@ def meet_key(m):
 
 def cideal_key(members):
     return (len(members), tuple(sorted(map(meet_key, members))))
+
+
+def subset_mask(generators, meets):
+    """Distinct formal meets as a mask in subset order, the meet of
+    generator set s at bit s, bit i of s standing for generators[i]."""
+    bit = {g: 1 << i for i, g in enumerate(generators)}
+    return sum(1 << sum(map(bit.get, m)) for m in meets)
+
+
+_SWAP = str.maketrans("01", "10")
+
+
+def element_key(mask):
+    """The order of elements by their C-ideal masks in subset order: by
+    size, then the mask holding the lowest bit where two differ first
+    (their bit strings read from the lowest bit, 0 and 1 swapped; of one
+    size, neither is a prefix of the other)."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP)
 
 
 def stabilize(p):

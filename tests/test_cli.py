@@ -374,9 +374,14 @@ def test_compile_refuses_before_naming_the_generators(capsys):
       "--truncate", "n=1,X=2"],
      "error: argument --truncate: given more than once\n"),
     (["evt", "max", "--expr", "x", "--domain", "[0,1]", "--eps", "1/10",
-      "--eps", "1/1000"], "error: argument --eps: given more than once\n")])
+      "--eps", "1/1000"], "error: argument --eps: given more than once\n"),
+    (["frame", "points", THY / "cantor1.pres", "--json", "--json"],
+     "error: argument --json: given more than once\n"),
+    (["evt", "max", "--expr", "x", "--domain", "[0,1]", "--trace", "--json",
+      "--trace"], "error: argument --trace: given more than once\n")])
 def test_a_repeated_binding_or_option_is_refused(capsys, argv, err):
-    """The last value once silently replaced the first."""
+    """The last value once silently replaced the first; a repeated flag
+    was once taken."""
     assert run(capsys, *argv) == (1, "", err)
 
 

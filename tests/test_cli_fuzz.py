@@ -338,9 +338,7 @@ def cases(draw, huge_in=None):
         if options and draw(st.integers(0, 4)) == 4:
             again = draw(st.sampled_from(options))
             options.append(again)
-            flag = again[0].partition("=")[0]
-            if ARGUMENTS[flag].nargs != 0:  # a store_true flag may repeat
-                want = 1
+            want = 1  # a repeated option, store_true flags too
     words = draw(st.permutations(options))
     at = 0  # the positionals in their order, among the options
     for ws in positionals:
@@ -570,6 +568,7 @@ USAGE = [[], ["frame"], ["nope", "points"], ["frame", "nope", "in.pres"],
          ["evt", "max", "--expr", "- x", "--domain", "[0,1]"],
          ["frame", "points", "in.pres", "--json=1"],
          ["frame", "points", "in.pres", "--json", "--json"],
+         EVT + ["--trace", "--json", "--trace"],
          ["frame", "leq", "in.pres", "--", "a", "top"],
          ["frame", "leq", "in.pres", "a", "--", "top"],
          ["frame", "points", "-h"], ["frame", "points", "in.pres", "-h"],

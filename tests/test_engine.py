@@ -55,11 +55,13 @@ def presentations(draw):
     return FramePresentation.make(gens, rules)
 
 
-def subset_mask(p, meets):
-    """Distinct formal meets as a mask in subset order, the meet of
-    generator set s at bit s: the layout of the engine's C-ideal masks."""
+def key_mask(p, meets):
+    """Distinct formal meets as a mask in key layout, the meet of
+    generator set s at bit 2^g - 1 - s: the layout of the engine's
+    C-ideal masks."""
     bit = {g: 1 << i for i, g in enumerate(p.generators)}
-    return sum(1 << sum(map(bit.get, m)) for m in meets)
+    last = (1 << len(p.generators)) - 1
+    return sum(1 << last - sum(map(bit.get, m)) for m in meets)
 
 
 def basis(members):
@@ -102,7 +104,7 @@ def test_model_sets_match_the_horn_closure(p, data):
     """Saturation, joins, generator images, bottom, top, order, names
     and positivity verdicts on model sets, on the
     covers as given and stabilized, against the Horn closure of the
-    stabilized presentation: its masks moved to subset order, and each
+    stabilized presentation: its masks moved to key layout, and each
     name the maximal members of its C-ideal in meet_key order."""
     q = stabilize(p)
     h = frame_oracles.closure(q)
@@ -111,7 +113,7 @@ def test_model_sets_match_the_horn_closure(p, data):
     want = [h.saturate(h.mask(seed)) for seed in seeds]
 
     def layout(mask):  # an oracle mask, over meets in meet_key order
-        return subset_mask(q, h.cideal(mask))
+        return key_mask(q, h.cideal(mask))
     for r in (p, q):
         cs = [saturate(r, seed) for seed in seeds]
         assert [c.mask for c in cs] == list(map(layout, want))
@@ -201,7 +203,7 @@ def by_size(pts):
 
 
 def check_search_against_principal_scan(p):
-    """J masks (moved to subset order), points in meet_key order and
+    """J masks (moved to key layout), points in meet_key order and
     nontriviality from the model search, on the covers as given and
     stabilized, against the principal scan; and J kept along a linear
     extension, which counting needs: each join-prime has only lower
@@ -210,7 +212,7 @@ def check_search_against_principal_scan(p):
     for q in (p, stabilize(p)):
         engine = PresentedFrame(q)
         assert {engine.mask(j) for j in engine.join_primes} == \
-            {subset_mask(p, map(p.all_meets().__getitem__, set_bits(j)))
+            {key_mask(p, map(p.all_meets().__getitem__, set_bits(j)))
              for j in js}
         assert engine.points() == by_size(pts)
         assert bool(pts) == nontrivial == (engine.bottom != engine.top)
@@ -269,10 +271,68 @@ def test_model_search_reads_the_covers_as_given():
 
 
 def test_key_orders_masks_as_their_sorted_members():
+    """Masks in key layout over 2^9 formal meets, bit b the meet of
+    generator set 511 - b, in the order of their members' generator sets,
+    sorted: by size, then the mask holding the least set where they
+    differ first."""
     masks = [0, 1, 2, 3, 5, 6, 9, 12, 0b1011, 0b1101, 0b0111, 1 << 300,
-             (1 << 300) | 1, (1 << 300) | 2]
+             (1 << 300) | 1, (1 << 300) | 2, 1 << 511, (1 << 512) - 1]
     assert sorted(masks, key=PresentedFrame.key) == sorted(
-        masks, key=lambda m: (m.bit_count(), tuple(set_bits(m))))
+        masks, key=lambda m: (m.bit_count(),
+                              sorted(511 - b for b in set_bits(m))))
+
+
+def mirror(mask, g):
+    """A mask over the 2^g formal meets moved between subset order and key
+    layout: bit s to bit 2^g - 1 - s, and back."""
+    return int(format(mask, f"0{1 << g}b")[::-1], 2)
+
+
+@st.composite
+def subset_masks(draw):
+    """Masks in subset order over the 2^g formal meets, g at most 8 (up to
+    256 bits): drawn ones, each with one set bit moved (a mask of the same
+    size), bottom and top."""
+    g = draw(st.integers(0, 8))
+    full = (1 << (1 << g)) - 1
+    masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=6))
+    for m in list(masks):
+        if 0 < m.bit_count() < 1 << g:
+            i = draw(st.sampled_from(list(set_bits(m))))
+            j = draw(st.sampled_from(list(set_bits(full & ~m))))
+            masks.append(m ^ 1 << i ^ 1 << j)
+    return g, masks + [0, full]
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_masks())
+@example((0, [1]))
+@example((2, [0b0110, 0b1001, 0b0101, 0b1010, 0b0011, 0b1100]))
+def test_key_orders_masks_as_the_string_key_oracle(case):
+    """PresentedFrame.key on masks in key layout orders every pair as the
+    string key of frame_oracles orders them in subset order."""
+    g, masks = case
+    engine = {m: PresentedFrame.key(mirror(m, g)) for m in masks}
+    oracle = {m: frame_oracles.element_key(m) for m in masks}
+    for a in masks:
+        for b in masks:
+            assert (engine[a] < engine[b]) == (oracle[a] < oracle[b])
+            assert (engine[a] == engine[b]) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_single_names_match_the_listed_names(p):
+    """The name of each up-set on a fresh frame, which has listed nothing
+    and so builds each C-ideal mask alone, is the name elements() gives
+    it, as is its mask."""
+    assume(PresentedFrame(p).count_downsets() <= 512)
+    listed = PresentedFrame(p)
+    elems, _ = listed.elements()
+    want = list(map(listed.name, elems))
+    fresh = PresentedFrame(p)
+    assert [fresh.name(u) for u in elems] == want
+    assert list(map(fresh.mask, elems)) == list(map(listed.mask, elems))
 
 
 @pytest.mark.parametrize("argv", [
@@ -347,10 +407,10 @@ def test_cantor_six_models_in_process(tmp_path, monkeypatch, capsys):
 
 
 def oracle_elements(p, oracle):
-    """The oracle's C-ideals in the engine's order: by the key of their
-    masks in subset order."""
-    return sorted(oracle.elements,
-                  key=lambda c: PresentedFrame.key(subset_mask(p, c)))
+    """The oracle's C-ideals in element order, by the string key of their
+    masks in subset order (frame_oracles.element_key)."""
+    return sorted(oracle.elements, key=lambda c: frame_oracles.element_key(
+        frame_oracles.subset_mask(p.generators, c)))
 
 
 def check_against_oracles(p):
