@@ -963,7 +963,9 @@ def test_lat_refusals_across_hash_seeds(tmp_path, text, message):
 # generator with its stderr, and accepted and rejected certificates on
 # cantor1.pres, free2.pres, cantor.thy N=2 and N=3 and surj.thy n=2,X=2.
 # theory compile on cantor.thy N=2, surj.thy n=2,X=2 and sierpinski.thy
-# (recorded once its rule order stopped following string hashing).  theory
+# (recorded once its rule order stopped following string hashing; those
+# on cantor, surj and stone_chain3.thy re-recorded once it printed the
+# covers as instantiated, not meet-stabilized).  theory
 # models on repeat.thy at N=3000000, refused by axiom_instance_cap (exit 2,
 # stderr pinned; recorded once the cap was added).  evt locate and evt
 # validate (recorded from the locate that restarted both searches at each
