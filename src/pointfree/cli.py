@@ -187,26 +187,24 @@ def cmd_frame(args, limits):
 
 def cmd_theory(args, limits):
     text = read_input(args.file)
-    if args.sub == "models":
-        p = parsed_input("thy", text, args.truncate, limits)
-        ms = p.frame.points()
-        # a finite frame is spatial: it is nontrivial when it has a point
-        _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
-              args)
-        return EXIT_OK
-    from . import presentations, theories
-    ast = theories.parse_theory(text)
     if args.sub == "parse":
+        from . import theories
+        ast = theories.parse_theory(text)
         _emit({"families": [f"{f.name}({', '.join(map(str, f.bounds))})"
                             for f in ast.families],
                "axioms": [str(ax) for ax in ast.axioms],
                "pretty": theories.pretty_print(ast)}, args)
         return EXIT_OK
-    # compile
-    p = theories.compile_theory(ast, _parse_truncation(args.truncate),
-                                limits=limits)
-    _emit({"generators": list(p.generators),
-           "presentation": presentations.presentation_text(p)}, args)
+    p = parsed_input("thy", text, args.truncate, limits)
+    if args.sub == "compile":  # the covers as instantiated present the frame
+        from . import presentations
+        _emit({"generators": list(p.generators),
+               "presentation": presentations.presentation_text(p)}, args)
+        return EXIT_OK
+    ms = p.frame.points()
+    # a finite frame is spatial: it is nontrivial when it has a point
+    _emit({"count": len(ms), "models": ms, "frame_nontrivial": bool(ms)},
+          args)
     return EXIT_OK
 
 

@@ -88,8 +88,8 @@ def presented_frame(p, limits=DEFAULT):
 
 def stabilize(p, limits=DEFAULT):
     """Meet-stabilize: close the rules under meeting both sides with every
-    formal meet u.  Idempotent on the rules.  Only `theory compile`, which
-    prints them, needs the stabilized rules: they have the same models."""
+    formal meet u.  Idempotent on the rules.  No query needs the stabilized
+    rules: they have the models, and so the frame, of the rules given."""
     check_generator_cap(len(p.generators), limits)
     return FramePresentation(p.generators, frozenset(
         (u | lhs, frozenset([u | t for t in rhs]))
@@ -267,8 +267,8 @@ class PresentedFrame:
 
     @property
     def join_primes(self):
-        """J in key order, each j_P as its element."""
-        return [self.up(k) for k in range(len(self.models))]
+        """J in key order, each j_P as its element, the up-set of model k."""
+        return [b | 1 << k for k, b in enumerate(self._below)]
 
     def count_downsets(self, limits=DEFAULT):
         """|D(J)|, the number of elements."""
@@ -454,7 +454,7 @@ def presentation_text(p):
     def key(m):  # the meet_key of mask m, then its name
         names = tuple(p.generators[i] for i in set_bits(m))
         return (len(names), names), " & ".join(names) or "top"
-    lines = ["gen " + " ".join(p.generators)]
+    lines = ["gen " + " ".join(p.generators)] if p.generators else []
     for (_, lhs), _, rhs in sorted((key(lhs), len(rhs), sorted(map(key, rhs)))
                                    for lhs, rhs in p.rules):
         lines.append(f"rel {lhs} <= {' | '.join(n for _, n in rhs) or 'bot'}")

@@ -488,7 +488,8 @@ def instantiate(ast, trunc=None, limits=DEFAULT):
 
 
 def compile_theory(ast, trunc=None, limits=DEFAULT):
-    """Instantiate every schema over its finite index ranges and stabilize."""
+    """Instantiate every schema and stabilize: the frame that instantiate
+    presents, by more rules.  No CLI path calls it."""
     return stabilize(instantiate(ast, trunc, limits=limits), limits=limits)
 
 

@@ -106,8 +106,9 @@ def stabilize(p):
 
 
 def presentation_text(p):
-    """The line format, sorted on the covers as name sets."""
-    lines = ["gen " + " ".join(p.generators)]
+    """The line format, sorted on the covers as name sets; no `gen` line
+    without generators."""
+    lines = ["gen " + " ".join(p.generators)] if p.generators else []
     for lhs, rhs in sorted(p.covers, key=lambda c: (meet_key(c[0]),
                                                     cideal_key(c[1]))):
         rhs_s = "bot" if not rhs else " | ".join(

@@ -207,7 +207,8 @@ def check_search_against_principal_scan(p):
     nontriviality from the model search, on the covers as given and
     stabilized, against the principal scan; and J kept along a linear
     extension, which counting needs: each join-prime has only lower
-    indices strictly below it."""
+    indices strictly below it, and is those and itself, the up-set of
+    its model."""
     js, pts, nontrivial = frame_oracles.principal_scan(p)
     for q in (p, stabilize(p)):
         engine = PresentedFrame(q)
@@ -217,6 +218,8 @@ def check_search_against_principal_scan(p):
         assert engine.points() == by_size(pts)
         assert bool(pts) == nontrivial == (engine.bottom != engine.top)
         assert all(below >> k == 0 for k, below in enumerate(engine._below))
+        assert engine.join_primes == list(map(engine.up,
+                                              range(len(engine.models))))
 
 
 @settings(max_examples=150, deadline=None)

@@ -313,7 +313,8 @@ def name_covers(draw):
 @given(name_covers())
 def test_cover_masks_match_the_name_set_oracles(gens_covers):
     """make's masks read back as the covers given; stabilize and
-    presentation_text on the masks equal the name-set oracles."""
+    presentation_text on the masks equal the name-set oracles, and the
+    text parses back to the presentation, with no generators too."""
     gens, covers = gens_covers
     p = FramePresentation.make(gens, covers)
     assert p.covers == {(frozenset(lhs), frozenset(map(frozenset, rhs)))
@@ -322,3 +323,4 @@ def test_cover_masks_match_the_name_set_oracles(gens_covers):
     assert s == frame_oracles.stabilize(p)
     for q in (p, s):
         assert presentation_text(q) == frame_oracles.presentation_text(q)
+        assert parse_presentation_text(presentation_text(q)) == q

@@ -1,6 +1,9 @@
 """Geometric-theory language: parsing, rejection of non-geometric syntax,
 compilation to presentations, models, and the builtin theories."""
 
+import contextlib
+import io
+import json
 import re
 from itertools import chain
 from pathlib import Path
@@ -9,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cantor_presentation, three_chain, boolean4
-from pointfree.cli import parsed_input
+from pointfree.cli import _parse_truncation, main, parsed_input
 from pointfree.config import Limits
 from pointfree.errors import CapExceeded, ParseError, PointfreeError
 from pointfree.frames import FrameHom, enumerate_frame
 from pointfree.order import prime_filters
-from pointfree.presentations import (presentation_text, saturate,
-                                     stabilize)
+from pointfree.presentations import (find_models, parse_presentation_text,
+                                     presentation_text, saturate, stabilize)
 from pointfree import theories
 from pointfree.theories import (Atom, Axiom, PropFamily, _line_col, _Parser,
                                 _tokenize, builtin, compile_theory,
@@ -543,6 +546,59 @@ def test_masks_decline_every_indexed_theory_file(path):
             axiom_instance_cap=len(parse_theory(text).axioms)))
     else:
         assert p is None
+
+
+# --- theory compile: the covers as instantiated ----------------------------------
+
+# the theory files with small truncations, as `--truncate` strings
+COMPILE_CASES = [(THY_TEXTS[[p.name for p in THY_PATHS].index(name)], trunc)
+                 for name, truncs in [
+                     ("cantor.thy", ["N=1", "N=2", "N=3"]),
+                     ("repeat.thy", ["N=1", "N=3"]),
+                     ("sierpinski.thy", [""]), ("stone_chain3.thy", [""]),
+                     ("surj.thy", ["n=1,X=1", "n=1,X=2", "n=2,X=1",
+                                   "n=2,X=2", "n=3,X=2"])]
+                 for trunc in truncs]
+
+
+def run_cli(tmp, name, text, *argv):
+    """main on text saved as tmp/name: the exit code, stdout and stderr."""
+    path = tmp / name
+    path.write_bytes(text.encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], argv[1], str(path), *argv[2:], "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@example(("axiom true |- false;", ""))
+@given(st.one_of(flat_texts.map(lambda text: (text, "")),
+                 st.sampled_from(COMPILE_CASES)))
+def test_compile_prints_covers_that_present_the_stabilized_frame(
+        tmp_path_factory, case):
+    """`theory compile` prints the covers as instantiate gives them; read
+    back, they have the models and the `frame elements` answer of the
+    stabilized presentation.  A theory that does not compile is refused
+    with compile_theory's error."""
+    text, truncate = case
+    tmp = tmp_path_factory.mktemp("compile")
+    code, out, err = run_cli(tmp, "t.thy", text, "theory", "compile",
+                             "--truncate", truncate)
+    trunc = _parse_truncation(truncate)
+    stable = presentation_outcome(
+        lambda: compile_theory(parse_theory(text), trunc))
+    if isinstance(stable, tuple):  # refused: its type, text, line and column
+        assert code in (1, 2)
+        assert (out, err) == ("", f"error: {stable[1]}\n")
+        return
+    assert code == 0 and err == ""
+    printed = json.loads(out)["presentation"]
+    q = parse_presentation_text(printed)
+    assert q == instantiate(parse_theory(text), trunc)
+    assert find_models(q) == find_models(stable)
+    assert run_cli(tmp, "q.pres", printed, "frame", "elements") == run_cli(
+        tmp, "s.pres", presentation_text(stable), "frame", "elements")
 
 
 # --- models ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from itertools import combinations
 from pointfree.cli import main
 from pointfree.config import DEFAULT
 from pointfree.presentations import (FramePresentation, find_models,
+                                     parse_presentation_text,
                                      presentation_text)
 
 
@@ -48,3 +49,30 @@ def test_elements_worst_case_prints_its_frame_in_under_two_megabytes(
     assert len(set(payload["elements"])) == DEFAULT.element_cap
     assert len(payload["hasse_edges"]) == 12 * 2 ** 11
     assert len(out.encode()) <= 2_000_000
+
+
+def compile_worst_case():
+    """8 generators (generator_cap) and one axiom with six binders, 32,768
+    instances (half of axiom_instance_cap): p[i] & p[j] covered by two
+    meets of two.  Meet-stabilized, its covers were 174,977 rules and
+    10.6 MB of JSON."""
+    return ("prop p[i] for i<8;\n"
+            "axiom p[i] & p[j] |- p[k] & p[l] | p[m] & p[n] "
+            "for i<8, j<8, k<8, l<4, m<4, n<4;\n")
+
+
+def test_compile_worst_case_prints_its_covers_in_under_a_megabyte(
+        tmp_path, capsys):
+    """`theory compile` prints the 7,740 distinct instantiated covers, 1,114
+    of them tautologies, which have 17 models."""
+    path = tmp_path / "worst.thy"
+    path.write_text(compile_worst_case())
+    assert main(["theory", "compile", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) <= 1_000_000
+    p = parse_presentation_text(json.loads(out)["presentation"])
+    assert len(p.generators) == DEFAULT.generator_cap
+    assert len(p.rules) == 7_740
+    assert sum(any(t & ~lhs == 0 for t in rhs)
+               for lhs, rhs in p.rules) == 1_114
+    assert len(find_models(p)) == 17
