@@ -961,7 +961,10 @@ def test_lat_refusals_across_hash_seeds(tmp_path, text, message):
 # on free2.pres and cantor.thy N=2.  frame leq and frame overt (recorded
 # from the rescanning saturate): bot, top and joins of meets, an unknown
 # generator with its stderr, and accepted and rejected certificates on
-# cantor1.pres, free2.pres, cantor.thy N=2 and N=3 and surj.thy n=2,X=2.
+# cantor1.pres, free2.pres, cantor.thy N=2 and N=3 and surj.thy n=2,X=2
+# (the overt refusal of an unknown candidate on cantor1.pres re-recorded
+# once every formal meet was read by one reader and refused its least
+# unknown generator by name).
 # theory compile on cantor.thy N=2, surj.thy n=2,X=2 and sierpinski.thy
 # (recorded once its rule order stopped following string hashing; those
 # on cantor, surj and stone_chain3.thy re-recorded once it printed the
