@@ -36,6 +36,9 @@ def _text_lines(payload, prefix=""):
         if isinstance(value, dict):
             yield f"{prefix}{key}:"
             yield from _text_lines(value, prefix + "  ")
+        elif isinstance(value, str) and "\n" in value:  # a block of lines
+            yield f"{prefix}{key}:"
+            yield from (f"{prefix}  {line}" for line in value.splitlines())
         elif isinstance(value, list):
             yield f"{prefix}{key}: ({len(value)})"
             for item in value:
@@ -118,38 +121,19 @@ def _load_presentation(path, truncate, limits):
     return parsed_input("thy" if theory else "pres", text, truncate, limits)
 
 
-def _parse_element_expr(p, text, limits):
-    """Expressions over generators: joins (`|`) of formal meets (`&`),
-    plus `bot` and `top`."""
-    from . import presentations
-    meets = []
-    for part in [] if text.strip() == "bot" else text.split("|"):
-        part = part.strip()
-        if part == "top":
-            meets.append(presentations.TOP_MEET)
-            continue
-        names = [n.strip() for n in part.split("&")]
-        for n in names:
-            if n not in p.generators:
-                raise ParseError(f"unknown generator {n!r}")
-        meets.append(frozenset(names))
-    return presentations.saturate(p, meets, limits)
-
-
 # --- frame --------------------------------------------------------------------
 
 def cmd_frame(args, limits):
     from . import frames, presentations
     p = _load_presentation(args.file, args.truncate, limits)
     if args.sub == "leq":
-        a = _parse_element_expr(p, args.lhs, limits)
-        b = _parse_element_expr(p, args.rhs, limits)
+        join, saturate = presentations.parse_join, presentations.saturate
+        a = saturate(p, join(args.lhs), limits)
+        b = saturate(p, join(args.rhs), limits)
         _emit({"lhs": str(a), "rhs": str(b), "leq": bool(a <= b)}, args)
         return EXIT_OK
     if args.sub == "overt":
-        meets = [presentations.TOP_MEET if part.strip() == "top"
-                 else frozenset(n.strip() for n in part.split("&"))
-                 for part in args.positive.split(",")]
+        meets = list(map(presentations.parse_meet, args.positive.split(",")))
         verdict = presentations.check_positivity_certificate(p, meets,
                                                              limits)
         _emit({"certificate_accepted": verdict,

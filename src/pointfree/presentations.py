@@ -20,10 +20,11 @@ from .order import count_downsets, set_bits
 
 
 TOP_MEET = frozenset()
+RESERVED = frozenset({"bot", "top"})  # name ⊥ and ⊤, never a generator
 
 
 def meet_str(m):
-    return "top" if not m else " & ".join(sorted(m))
+    return " & ".join(sorted(m)) or "top"
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class FramePresentation:
     def make(cls, generators, covers):
         """The one conversion of generator names and covers to masks."""
         gens = tuple(sorted(set(generators)))
-        if reserved := {"bot", "top"}.intersection(gens):  # ⊥ and ⊤
+        if reserved := RESERVED.intersection(gens):
             raise ParseError(f"generator {min(reserved)!r} is reserved: 'top' "
                              "and 'bot' name the top and bottom elements")
         bit = {g: 1 << i for i, g in enumerate(gens)}
@@ -185,7 +186,7 @@ class PresentedFrame:
     def __init__(self, p):
         self.generators = gens = list(p.generators)
         self.rules = p.rules
-        self.bit = {g: i for i, g in enumerate(gens)}
+        self.bit = {g: 1 << i for i, g in enumerate(gens)}  # mask bits
         # larger models first: j_P < j_Q exactly when Q is a proper subset
         # of P, so find_models' meet_key order reversed is a linear
         # extension of J
@@ -194,9 +195,9 @@ class PresentedFrame:
         self.full = (1 << (1 << len(gens))) - 1  # every formal meet
         self._rank, self._without = _meet_table(len(gens))[2:]  # for names
         self.top = (1 << len(models)) - 1
-        # holds[i]: the models holding generator i
-        self.holds = [sum(1 << k for k, q in enumerate(models) if q >> i & 1)
-                      for i in range(len(gens))]
+        # holds[b]: the models holding the generator at mask bit b
+        self.holds = {b: sum(1 << k for k, q in enumerate(models) if q & b)
+                      for b in self.bit.values()}
         self._names = {}  # the name of each up-set, kept once built
         self._counts = {}  # |D(J)| by limits, kept once counted
         self._masks = {}
@@ -208,22 +209,37 @@ class PresentedFrame:
     def le(a, b):
         return a & ~b == 0
 
-    def of_meets(self, meets):
-        """The up-set of models of the join of some formal meets."""
-        out = 0
-        for m in meets:
+    def meet_masks(self, meets):
+        """Each formal meet, a set of names, as a mask over the generators;
+        the least unknown name is refused, whatever the string hashing."""
+        meets, bit, masks = list(meets), self.bit, []
+        try:
+            for m in meets:  # loops, not map and sum: a meet has few names
+                mask = 0
+                for g in m:
+                    mask |= bit[g]
+                masks.append(mask)
+        except KeyError:
+            unknown = {g for m in meets for g in m}.difference(bit)
+            raise ParseError(f"unknown generator {min(unknown)!r}") from None
+        return masks
+
+    def models_of(self, masks):
+        """The up-set of models of the join of some formal meets, each a
+        mask over the generators: the OR of the ANDs of their `holds`."""
+        out, holds = 0, self.holds
+        for m in masks:
             held = self.top
-            for g in m:
-                if g not in self.bit:
-                    raise ParseError(f"unknown formal meet {meet_str(m)!r}")
-                held &= self.holds[self.bit[g]]
+            while m:
+                low = m & -m
+                held &= holds[low]
+                m ^= low
             out |= held
         return out
 
     def up(self, k):
         """The models containing model k: the up-set of its join-prime."""
-        return functools.reduce(int.__and__, map(
-            self.holds.__getitem__, set_bits(self.models[k])), self.top)
+        return self.models_of([self.models[k]])
 
     def mask(self, u):
         """The C-ideal of u as a mask in key layout, kept once built."""
@@ -234,9 +250,8 @@ class PresentedFrame:
 
     @functools.cached_property
     def _meet_names(self):
-        """The name of each formal meet in meet_key order, read off the
-        sorted generators, not by meet_str, which sorts each meet again."""
-        return [" & ".join(c) or "top" for n in range(len(self.generators) + 1)
+        """The name of each formal meet in meet_key order."""
+        return [meet_str(c) for n in range(len(self.generators) + 1)
                 for c in combinations(self.generators, n)]
 
     def members(self, u):
@@ -363,7 +378,8 @@ def _same(a, b):
 def saturate(p, seed, limits=DEFAULT):
     """Least C-ideal containing the given formal meets (a closure operator):
     the meets all of whose models hold one of them."""
-    return CIdeal(p, presented_frame(p, limits).of_meets(seed))
+    frame = presented_frame(p, limits)
+    return CIdeal(p, frame.models_of(frame.meet_masks(seed)))
 
 
 def check_positivity_certificate(p, positives, limits=DEFAULT):
@@ -381,10 +397,7 @@ def check_positivity_certificate(p, positives, limits=DEFAULT):
     given, and the models are those of the frame that p keeps.
     """
     frame = presented_frame(p, limits)
-    positives = [frozenset(m) for m in positives]
-    if not all(m.issubset(frame.bit) for m in positives):
-        raise ParseError("candidate set mentions unknown formal meets")
-    positives = {sum(1 << frame.bit[g] for g in m) for m in positives}
+    positives = set(frame.meet_masks(positives))
     # (i) upward closed: formal-meet order is reverse inclusion, so it is
     # enough that dropping any one generator stays positive
     if any(m & ~(1 << i) not in positives
@@ -422,11 +435,8 @@ def parse_presentation_text(text, limits=DEFAULT):
         elif word == "rel":
             if "<=" not in body:
                 raise ParseError("relation needs '<='", line=lineno)
-            lhs_s, rhs_s = body.split("<=", 1)
-            lhs = _parse_meet(lhs_s, lineno)
-            rhs = [] if rhs_s.strip() == "bot" else [
-                _parse_meet(part, lineno) for part in rhs_s.split("|")]
-            covers.append((lhs, rhs))
+            lhs, rhs = body.split("<=", 1)
+            covers.append((parse_meet(lhs, lineno), parse_join(rhs, lineno)))
         else:
             raise ParseError(f"unknown directive {word!r}", line=lineno)
     check_generator_cap(len(set(gens)), limits)
@@ -438,14 +448,27 @@ def _is_name(text):
     return text.replace("_", "").isalnum()
 
 
-def _parse_meet(text, lineno):
+def parse_meet(text, line=None):
+    """A formal meet, in a `rel` line as on the command line: `top`, or
+    names joined by `&`; `top` stands alone, as `bot` does in a join."""
     text = text.strip()
     if text == "top":
         return TOP_MEET
     names = [part.strip() for part in text.split("&")]
+    if reserved := RESERVED.intersection(names):
+        raise ParseError(f"reserved word {min(reserved)!r} must stand alone: "
+                         "'top' as a whole meet, 'bot' as a whole join",
+                         line=line)
     if not all(map(_is_name, names)):
-        raise ParseError(f"bad formal meet {text!r}", line=lineno)
+        raise ParseError(f"bad formal meet {text!r}", line=line)
     return frozenset(names)
+
+
+def parse_join(text, line=None):
+    """A join of formal meets, `m | m`, as the list of them; [] for `bot`."""
+    if text.strip() == "bot":
+        return []
+    return [parse_meet(part, line) for part in text.split("|")]
 
 
 def presentation_text(p):
@@ -453,7 +476,7 @@ def presentation_text(p):
     @functools.cache
     def key(m):  # the meet_key of mask m, then its name
         names = tuple(p.generators[i] for i in set_bits(m))
-        return (len(names), names), " & ".join(names) or "top"
+        return (len(names), names), meet_str(names)
     lines = ["gen " + " ".join(p.generators)] if p.generators else []
     for (_, lhs), _, rhs in sorted((key(lhs), len(rhs), sorted(map(key, rhs)))
                                    for lhs, rhs in p.rules):

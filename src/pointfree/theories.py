@@ -119,7 +119,6 @@ class _Parser:
         self.text, self.toks, self.i = text, _TOKEN_RE.findall(text), 0
         if any(_kind(s) in ("rej", "bad") for s in set(self.toks)):
             _tokenize(text)  # raises at the first of them
-        self.atoms = {}  # the index-free Atoms by name, one each
 
     def fail(self, msg, i=None):
         """Raise msg at token i, by default the next one."""
@@ -216,29 +215,19 @@ class _Parser:
         return start, lhs, rhs, binders, conds, joins
 
     def conjunction(self):
-        """Atoms joined by `&`, () for `true`.  An index-free atom is built
-        once per parse; after that the loop reads it from self.atoms."""
-        toks, atoms, out = self.toks, self.atoms, []
-        if self.skip("true"):
-            return ()
-        while True:
-            s = toks[self.i]
-            a = atoms.get(s)
-            self.i += 1
-            if a is None or toks[self.i] == "[":
-                if s in ("true", "false") or _kind(s) != "name":
-                    self.fail("expected an atomic proposition", self.i - 1)
-                idx = []
-                while self.skip("["):
-                    idx.append(self.iexpr())
-                    self.expect("]")
-                a = Atom(s, tuple(idx))
-                if not idx:
-                    atoms[s] = a
-            out.append(a)
-            if toks[self.i] != "&":
-                return tuple(out)
-            self.i += 1
+        """Atoms joined by `&`, () for `true`."""
+        return () if self.skip("true") else self.listof(self.atom, "&")
+
+    def atom(self):
+        s = self.toks[self.i]
+        if s in ("true", "false") or _kind(s) != "name":
+            self.fail("expected an atomic proposition")
+        self.i += 1
+        idx = []
+        while self.skip("["):
+            idx.append(self.iexpr())
+            self.expect("]")
+        return Atom(s, tuple(idx))
 
     def disjunction(self):
         if self.skip("false"):

@@ -811,6 +811,25 @@ def test_a_generator_named_top_or_bot_is_refused(capsys, tmp_path, name,
                    "name the top and bottom elements\n")
 
 
+@pytest.mark.parametrize("argv, word, at", [
+    (["frame", "leq", "free2.pres", "top & g", "g"], "top", ""),
+    (["frame", "leq", "free2.pres", "g", "g | bot"], "bot", ""),
+    (["frame", "overt", "free2.pres", "--positive", "top,g & bot"], "bot", ""),
+    (["frame", "points", "rule.pres"], "bot", " at line 2")],
+    ids=["leq meet", "leq join", "overt", "pres"])
+def test_a_reserved_word_inside_a_meet_or_join_is_refused_by_name(
+        capsys, tmp_path, argv, word, at):
+    """`top` is read only as a whole meet and `bot` only as a whole join:
+    inside a compound one, either was taken for a generator name, and
+    refused as `unknown generator 'top'` or `cover rule mentions
+    undeclared generator 'bot'`."""
+    (tmp_path / "rule.pres").write_text("gen a\nrel a <= a | bot\n")
+    file = (THY if argv[2] == "free2.pres" else tmp_path) / argv[2]
+    assert run(capsys, *argv[:2], file, *argv[3:]) == (
+        1, "", f"error: reserved word {word!r} must stand alone: 'top' as a "
+        f"whole meet, 'bot' as a whole join{at}\n")
+
+
 @pytest.mark.parametrize("argv", [["frame", "points"], ["theory", "models"],
                                   ["stone", "spectrum"]])
 def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):
@@ -891,6 +910,139 @@ def test_text_output_mentions_same_numbers(capsys):
     assert f"upper: {payload['upper']}" in text
 
 
+# one argv per subcommand, without --json: each list item, nested key and
+# line of a multi-line string sits indented under its key, and no blank
+# line follows a multi-line string
+TEXT_OUTPUT = {
+    ("frame", "elements", "theories/cantor1.pres"): """\
+count: 4
+elements: (4)
+  {u0 & z0}
+  {u0}
+  {z0}
+  {top}
+hasse_edges: (4)
+  [0, 1]
+  [0, 2]
+  [1, 3]
+  [2, 3]
+""",
+    ("frame", "leq", "theories/cantor1.pres", "z0", "z0 | u0"): """\
+leq: True
+lhs: {z0}
+rhs: {top}
+""",
+    ("frame", "points", "theories/cantor1.pres"): """\
+count: 2
+points: (2)
+  [u0]
+  [z0]
+""",
+    ("frame", "hausdorff", "theories/sierpinski.thy"): "hausdorff: False\n",
+    ("frame", "overt", "theories/cantor1.pres", "--positive",
+     "top,z0,u0"): """\
+candidates: (3)
+  top
+  u0
+  z0
+certificate_accepted: True
+""",
+    ("frame", "compact", "theories/cantor1.pres"): """\
+certificate: finite frame: every directed cover of top contains top
+compact: True
+verified: True
+""",
+    ("theory", "parse", "theories/cantor.thy"): """\
+axioms: (2)
+  axiom z[i] & u[i] |- false for i<N;
+  axiom true |- z[i] | u[i] for i<N;
+families: (2)
+  z(N)
+  u(N)
+pretty:
+  prop z[i] for i<N;
+  prop u[i] for i<N;
+  axiom z[i] & u[i] |- false for i<N;
+  axiom true |- z[i] | u[i] for i<N;
+""",
+    ("theory", "compile", "theories/cantor.thy", "--truncate", "N=1"): """\
+generators: (2)
+  u0
+  z0
+presentation:
+  gen u0 z0
+  rel top <= u0 | z0
+  rel u0 & z0 <= bot
+""",
+    ("theory", "models", "theories/cantor.thy", "--truncate", "N=1"): """\
+count: 2
+frame_nontrivial: True
+models: (2)
+  [u0]
+  [z0]
+""",
+    ("stone", "spectrum", "theories/chain3.lat"): """\
+count: 2
+prime_filters: (2)
+  [1]
+  [1, m]
+""",
+    ("stone", "birkhoff", "theories/chain3.lat"): """\
+downsets: 3
+irreducible_hasse: (1)
+  [m, 1]
+irreducibles: (2)
+  1
+  m
+isomorphism_verified: True
+""",
+    ("evt", "max", "--expr", "x*(1-x)", "--domain", "[0,1]", "--eps", "1/10",
+     "--decimal", "2"): """\
+approx_decimal:
+  digits: 2
+  lower: 0.25
+  note: decimal approximations; the rational fields are exact
+  upper: 0.30
+cover: (2)
+  [1/4, 1/2]
+  [1/2, 3/4]
+cover_width_bound: 2/5
+eps: 1/10
+lower: 1/4
+nodes_expanded: 3
+upper: 19/64
+""",
+    ("evt", "locate", "--expr", "x*(1-x)", "--domain", "[0,1]", "--p", "1/5",
+     "--q", "1/3"): """\
+branch: left
+certified_bound: 59/256
+claim: 1/5 < max
+witness: (2)
+  3/8
+  1/2
+""",
+    ("evt", "validate", "--expr", "x*(1-x)", "--domain", "[0,1]", "--eps",
+     "1/10", "--probes", "2"): """\
+failures: (0)
+lower: 1/4
+ok: True
+probes: 2
+trace_monotone: True
+upper: 19/64
+""",
+}
+
+
+def test_text_output_covers_every_subcommand():
+    assert {argv[:2] for argv in TEXT_OUTPUT} == set(build_parser().leaves)
+
+
+@pytest.mark.parametrize("argv", TEXT_OUTPUT, ids=" ".join)
+def test_text_output(capsys, argv):
+    args = [ROOT / a if a.startswith("theories/") else a for a in argv]
+    assert run(capsys, *args) == (0, TEXT_OUTPUT[argv], "")
+
+
 # --- determinism -----------------------------------------------------------------
 
 DETERMINISM_CMDS = [
@@ -941,6 +1093,24 @@ def test_lat_refusals_across_hash_seeds(tmp_path, text, message):
             env={**os.environ, "PYTHONHASHSEED": seed})
         assert (done.returncode, done.stdout, done.stderr) == (
             1, "", f"error: {message}\n"), seed
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["frame", "leq", "theories/cantor1.pres", "w & v", "top"], "v"),
+    (["frame", "overt", "theories/cantor1.pres", "--positive", "q & p"], "p")],
+    ids=["leq", "overt"])
+def test_an_unknown_generator_refusal_names_the_least_unknown_name(argv,
+                                                                   name):
+    """A meet naming two unknown generators is refused by the least of
+    them, not by the first in the iteration order of a set of strings:
+    one message under three string-hash seeds."""
+    for seed in "012":
+        done = subprocess.run(
+            [sys.executable, "-m", "pointfree.cli", *argv],
+            capture_output=True, text=True, cwd=ROOT,
+            env={**os.environ, "PYTHONHASHSEED": seed})
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", f"error: unknown generator {name!r}\n"), seed
 
 
 # --- golden output -----------------------------------------------------------------

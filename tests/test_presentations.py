@@ -12,6 +12,7 @@ from pointfree.config import Limits
 from pointfree.errors import CapExceeded, MixedPresentations, ParseError
 from pointfree.presentations import (TOP_MEET, CIdeal, FramePresentation,
                                      check_positivity_certificate,
+                                     parse_join, parse_meet,
                                      parse_presentation_text,
                                      presentation_text, saturate, stabilize)
 
@@ -246,6 +247,51 @@ def test_parse_presentation_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="^cover rule mentions undeclared "
                        "generator 'b'$"):  # the least undeclared name
         FramePresentation.make(["a"], [({"a"}, [{"c"}, {"b"}])])
+
+
+def test_one_reader_for_meets_and_joins():
+    """`rel` lines and the command line read formal meets and joins alike:
+    names joined by `&`, meets joined by `|`, `top` and `bot` alone."""
+    assert parse_meet(" top ") == TOP_MEET
+    assert parse_meet("b&a") == parse_meet(" a & b ") == frozenset("ab")
+    assert parse_join(" bot ") == []
+    assert parse_join("a | top|b & c") == [frozenset("a"), TOP_MEET,
+                                           frozenset("bc")]
+    for text, message in [("a &", "bad formal meet 'a &'"),
+                          ("", "bad formal meet ''"),
+                          ("a | x-y", "bad formal meet 'x-y'"),
+                          ("a | top & b", "reserved word 'top' must stand "
+                           "alone: 'top' as a whole meet, 'bot' as a whole "
+                           "join"),
+                          ("bot | a", "reserved word 'bot' must stand "
+                           "alone: 'top' as a whole meet, 'bot' as a whole "
+                           "join")]:
+        with pytest.raises(ParseError) as err:
+            parse_join(text, 7)
+        assert (err.value.message, err.value.line) == (message, 7)
+
+
+@pytest.mark.parametrize("rule, word", [
+    ("a <= a | bot", "bot"), ("bot <= a", "bot"), ("top & a <= a", "top"),
+    ("a <= a | top & a", "top"), ("a <= bot & a", "bot")])
+def test_a_reserved_word_in_a_rule_is_refused_at_its_line(rule, word):
+    """Inside a compound meet or join, `top` or `bot` was read as a name,
+    and refused as an undeclared generator."""
+    with pytest.raises(ParseError) as err:
+        parse_presentation_text(f"gen a\nrel {rule}\n")
+    assert (err.value.message, err.value.line) == (
+        f"reserved word {word!r} must stand alone: 'top' as a whole meet, "
+        "'bot' as a whole join", 2)
+
+
+def test_an_unknown_generator_is_refused_by_its_least_name():
+    """saturate and the positivity certificate read a query's meets
+    through one conversion, which names the least unknown generator."""
+    p = cantor_presentation(1)
+    meets = [frozenset({"z0"}), frozenset({"w", "q", "p"}), frozenset("o")]
+    for check in (saturate, check_positivity_certificate):
+        with pytest.raises(ParseError, match="^unknown generator 'o'$"):
+            check(p, meets)
 
 
 def test_directive_word_ends_at_any_whitespace():

@@ -5,7 +5,6 @@ import contextlib
 import io
 import json
 import re
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -325,25 +324,6 @@ def test_the_parser_reads_the_tokenizers_texts(text):
     first empty one included, and after it only empty texts (trailing
     whitespace gives a second), wherever _tokenize accepts the text."""
     assert_parser_reads_the_tokenizers_texts(text)
-
-
-def test_parse_builds_one_atom_per_distinct_proposition(monkeypatch):
-    """A Stone theory names each proposition in many axioms; the parser
-    builds one Atom per proposition and shares it among them."""
-    text = pretty_print(builtin("stone", lattice=boolean4()))
-    built = []
-
-    def counting_atom(*args):
-        built.append(args)
-        return Atom(*args)
-
-    monkeypatch.setattr(theories, "Atom", counting_atom)
-    ast = parse_theory(text)
-    occurrences = [a for ax in ast.axioms for a in chain(ax.lhs, *ax.rhs)]
-    assert len(occurrences) > 10 * len(ast.families)
-    assert len(built) == len({id(a) for a in occurrences}) == \
-        len(ast.families)
-    assert ast == oracle_parse_theory(text)
 
 
 # --- compilation ----------------------------------------------------------------
