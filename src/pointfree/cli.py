@@ -137,7 +137,7 @@ def cmd_frame(args, limits):
         verdict = presentations.check_positivity_certificate(p, meets,
                                                              limits)
         _emit({"certificate_accepted": verdict,
-               "candidates": sorted(presentations.meet_str(m) for m in meets)},
+               "candidates": sorted(set(map(presentations.meet_str, meets)))},
               args)
         return EXIT_OK
     if args.sub == "compact":
@@ -147,7 +147,7 @@ def cmd_frame(args, limits):
     frame = p.frame
     if args.sub == "elements":
         elems, edges = frame.elements(limits)
-        _emit({"count": len(elems), "elements": list(map(frame.name, elems)),
+        _emit({"count": len(elems), "elements": frame.names(elems),
                "hasse_edges": edges}, args)
         return EXIT_OK
     if args.sub == "points":

@@ -23,8 +23,8 @@ TOP_MEET = frozenset()
 RESERVED = frozenset({"bot", "top"})  # name ⊥ and ⊤, never a generator
 
 
-def meet_str(m):
-    return " & ".join(sorted(m)) or "top"
+def meet_str(m, ordered=False):  # ordered: m's names are sorted already
+    return " & ".join(m if ordered else sorted(m)) or "top"
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,21 @@ def find_models(p):
     return [meets[k] for k in set_bits(ok)]
 
 
-def _inside(q, g):
-    """The formal meets inside model q, in key layout: the empty meet at
-    bit 2^g - 1, doubled by a shift right for each generator of q."""
-    inside = 1 << (1 << g) - 1
-    for i in set_bits(q):
-        inside |= inside >> (1 << i)
-    return inside
+def _basis_name(ideal, without, rank, meet_names):
+    """The name of a C-ideal mask I in key layout: its basis, the members
+    with no proper sub-meet in I, in meet_key order.  The others are the
+    OR over i of (I & W_i) >> 2^i, W_i the meets without i (`without`);
+    each basis bit is read off, lowest first, as its meet_key rank."""
+    others = 0
+    for w, shift in without:
+        others |= (ideal & w) >> shift
+    basis, ranks = ideal & ~others, []
+    while basis:
+        low = basis & -basis
+        ranks.append(rank[low.bit_length() - 1])
+        basis ^= low
+    ranks.sort()
+    return "{" + ", ".join([meet_names[r] for r in ranks]) + "}"
 
 
 class PresentedFrame:
@@ -190,20 +198,43 @@ class PresentedFrame:
         # larger models first: j_P < j_Q exactly when Q is a proper subset
         # of P, so find_models' meet_key order reversed is a linear
         # extension of J
-        self.models = models = find_models(p)[::-1]
-        self._held = [_inside(q, len(gens)) for q in models]  # meets inside
+        self.models = find_models(p)[::-1]
         self.full = (1 << (1 << len(gens))) - 1  # every formal meet
         self._rank, self._without = _meet_table(len(gens))[2:]  # for names
-        self.top = (1 << len(models)) - 1
-        # holds[b]: the models holding the generator at mask bit b
-        self.holds = {b: sum(1 << k for k, q in enumerate(models) if q & b)
-                      for b in self.bit.values()}
+        self.top = (1 << len(self.models)) - 1
         self._names = {}  # the name of each up-set, kept once built
         self._counts = {}  # |D(J)| by limits, kept once counted
         self._masks = {}
-        # below[k]: the J-indices strictly below J[k], all less than k: the
-        # models containing model k, less k
-        self._below = [self.up(k) & ~(1 << k) for k in range(len(models))]
+
+    # holds, _held and _below are built on first use: points reads none
+    @functools.cached_property
+    def holds(self):
+        """holds[b]: the models holding the generator at mask bit b."""
+        return {b: sum(1 << k for k, q in enumerate(self.models) if q & b)
+                for b in self.bit.values()}
+
+    @functools.cached_property
+    def _held(self):
+        """The formal meets inside each model q, in key layout: the empty
+        meet at bit 2^g - 1, doubled by a shift right by 2^i, which is q's
+        own bit 1 << i, for each generator i of q."""
+        held, top_meet = [], 1 << (1 << len(self.generators)) - 1
+        for q in self.models:
+            inside = top_meet
+            while q:
+                low = q & -q
+                inside |= inside >> low
+                q ^= low
+            held.append(inside)
+        return held
+
+    @functools.cached_property
+    def _below(self):
+        """below[k]: the J-indices strictly below J[k], all less than k: the
+        models that properly contain model k, all larger."""
+        models = self.models
+        return [sum(1 << j for j in range(k) if q & ~models[j] == 0)
+                for k, q in enumerate(models)]
 
     @staticmethod
     def le(a, b):
@@ -237,10 +268,6 @@ class PresentedFrame:
             out |= held
         return out
 
-    def up(self, k):
-        """The models containing model k: the up-set of its join-prime."""
-        return self.models_of([self.models[k]])
-
     def mask(self, u):
         """The C-ideal of u as a mask in key layout, kept once built."""
         if u not in self._masks:
@@ -251,7 +278,8 @@ class PresentedFrame:
     @functools.cached_property
     def _meet_names(self):
         """The name of each formal meet in meet_key order."""
-        return [meet_str(c) for n in range(len(self.generators) + 1)
+        return [meet_str(c, ordered=True)  # combinations keep gens sorted
+                for n in range(len(self.generators) + 1)
                 for c in combinations(self.generators, n)]
 
     def members(self, u):
@@ -262,23 +290,21 @@ class PresentedFrame:
                          for b in set_bits(self.mask(u)))
 
     def name(self, u):
-        """The name of an up-set: the basis of its C-ideal I, the members
-        with no proper sub-meet in I, in meet_key order.  The others are
-        the OR over i of (I & W_i) >> 2^i, W_i the meets without i; each
-        basis bit is read off, lowest first, as its meet_key rank."""
+        """The name of an up-set: the basis of its C-ideal (_basis_name)."""
         if u not in self._names:
-            ideal = basis = self.mask(u)
-            for w, shift in self._without:
-                basis &= ~((ideal & w) >> shift)
-            rank, ranks = self._rank, []
-            while basis:
-                low = basis & -basis
-                ranks.append(rank[low.bit_length() - 1])
-                basis ^= low
-            ranks.sort()
-            self._names[u] = "{" + ", ".join(map(
-                self._meet_names.__getitem__, ranks)) + "}"
+            self._names[u] = _basis_name(self.mask(u), self._without,
+                                         self._rank, self._meet_names)
         return self._names[u]
+
+    def names(self, elems):
+        """[name(u) for u in elems] for elements that elements() listed,
+        named in one loop, each through the same _basis_name and memo."""
+        memo, masks, without = self._names, self._masks, self._without
+        rank, meet_names = self._rank, self._meet_names
+        for u in elems:
+            if u not in memo:
+                memo[u] = _basis_name(masks[u], without, rank, meet_names)
+        return [memo[u] for u in elems]
 
     @property
     def join_primes(self):
@@ -294,16 +320,20 @@ class PresentedFrame:
 
     def elements(self, limits=DEFAULT):
         """All elements in key order, and the Hasse edges u ⋖ v as index
-        pairs into them, sorted, once |D(J)| is within element_cap.
+        pairs into them, sorted, once |D(J)| is within element_cap: it is
+        counted only when 2^|J| is past the cap, as |D(J)| ≤ 2^|J|.
 
         Listed from the top down: dropping from v a model k none of whose
         proper submodels is in v leaves the element u below it, and the
         C-ideal of u is that of v less the formal meets inside model k."""
-        limits.check("frame elements", self.count_downsets(limits),
-                     "element_cap")
+        models = self.models
+        if 1 << len(models) > limits.element_cap:
+            limits.check("frame elements", self.count_downsets(limits),
+                         "element_cap")
         held = self._held
-        above = [sum(1 << k for k, b in enumerate(self._below) if b >> i & 1)
-                 for i in range(len(held))]  # J-indices strictly above i
+        # above[i]: the J-indices strictly above i, the models inside model i
+        above = [sum(1 << k for k in range(i + 1, len(models))
+                     if models[k] & ~q == 0) for i, q in enumerate(models)]
         masks, edges, stack = {self.top: self.full}, [], [self.top]
         while stack:
             v = w = stack.pop()
@@ -318,9 +348,9 @@ class PresentedFrame:
                         stack.append(u)
                     edges.append((u, v))
         self._masks.update(masks)
-        key = self.key
-        elems = sorted(masks, key=lambda e: key(masks[e]))
-        rank = {e: r for r, e in enumerate(elems)}
+        elems = [u for _, _, u in sorted([(m.bit_count(), -m, u)  # key(m), u
+                                        for u, m in masks.items()])]
+        rank = {u: r for r, u in enumerate(elems)}
         return elems, sorted([(rank[u], rank[v]) for u, v in edges])
 
     def points(self):
@@ -476,7 +506,7 @@ def presentation_text(p):
     @functools.cache
     def key(m):  # the meet_key of mask m, then its name
         names = tuple(p.generators[i] for i in set_bits(m))
-        return (len(names), names), meet_str(names)
+        return (len(names), names), meet_str(names, ordered=True)
     lines = ["gen " + " ".join(p.generators)] if p.generators else []
     for (_, lhs), _, rhs in sorted((key(lhs), len(rhs), sorted(map(key, rhs)))
                                    for lhs, rhs in p.rules):

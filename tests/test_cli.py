@@ -86,6 +86,19 @@ def test_frame_overt(capsys):
     assert code == 0 and payload["certificate_accepted"] is False
 
 
+@pytest.mark.parametrize("positive, candidates, accepted", [
+    ("top,z0,u0,z0", ["top", "u0", "z0"], True),
+    ("u0 & z0,z0&u0", ["u0 & z0"], False)], ids=["repeated", "respelled"])
+def test_overt_prints_each_candidate_once(capsys, positive, candidates,
+                                          accepted):
+    """The candidates printed are the set the certificate checks, sorted:
+    a meet given twice, or spelled two ways, is printed once."""
+    code, payload, _ = run_json(capsys, "frame", "overt", THY / "cantor1.pres",
+                                "--positive", positive)
+    assert code == 0 and payload == {"candidates": candidates,
+                                     "certificate_accepted": accepted}
+
+
 def test_frame_compact(capsys):
     code, payload, _ = run_json(capsys, "frame", "compact",
                                 THY / "cantor1.pres")
@@ -343,6 +356,42 @@ def test_hausdorff_counts_the_elements_and_checks_the_cap_once(capsys,
                                 THY / "surj.thy", "--truncate", "n=2,X=2")
     assert code == 0 and "hausdorff" in payload
     assert calls == {"count_downsets": 1, "carrier_cap": 1}
+
+
+FREE2_ELEMENTS = {"count": 6,
+                  "elements": ["{}", "{g & h}", "{g}", "{h}", "{g, h}",
+                               "{top}"],
+                  "hasse_edges": [[0, 1], [1, 2], [1, 3], [2, 4], [3, 4],
+                                  [4, 5]]}
+
+
+@pytest.mark.parametrize("cap, counts", [(5, 1), (10, 1), (16, 0)],
+                         ids=["below count", "between", "at 2^J"])
+def test_elements_counts_only_when_the_cap_can_bind(capsys, tmp_path,
+                                                    monkeypatch, cap,
+                                                    counts):
+    """free2.pres has |J| = 4 models and |D(J)| = 6 elements.  As |D(J)| ≤
+    2^|J|, `frame elements` counts D(J) only when 2^|J| = 16 is past
+    element_cap; the answer and the refusal are the same either way."""
+    calls = []
+    count_downsets = pointfree.presentations.count_downsets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count_downsets(*args, **kwargs)
+    monkeypatch.setattr(pointfree.presentations, "count_downsets", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"element_cap": cap}))
+    monkeypatch.setenv("POINTFREE_CONFIG", str(cfg))
+    parsed_input.cache_clear()
+    code, out, err = run(capsys, "frame", "elements", THY / "free2.pres",
+                         "--json")
+    if cap < 6:
+        assert (code, out, err) == (2, "", "error: frame elements has size "
+                                    "6, exceeding cap 5 (element_cap)\n")
+    else:
+        assert (code, json.loads(out), err) == (0, FREE2_ELEMENTS, "")
+    assert len(calls) == counts
 
 
 def test_stone_refuses_a_large_lattice_before_building_it(capsys, tmp_path):

@@ -218,8 +218,8 @@ def check_search_against_principal_scan(p):
         assert engine.points() == by_size(pts)
         assert bool(pts) == nontrivial == (engine.bottom != engine.top)
         assert all(below >> k == 0 for k, below in enumerate(engine._below))
-        assert engine.join_primes == list(map(engine.up,
-                                              range(len(engine.models))))
+        assert engine.join_primes == [engine.models_of([q])
+                                      for q in engine.models]
 
 
 @settings(max_examples=150, deadline=None)
@@ -336,6 +336,25 @@ def test_single_names_match_the_listed_names(p):
     fresh = PresentedFrame(p)
     assert [fresh.name(u) for u in elems] == want
     assert list(map(fresh.mask, elems)) == list(map(listed.mask, elems))
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_bulk_names_match_the_single_names(p):
+    """names() of the listed elements of a fresh frame, built in one loop,
+    is [name(u) for u in elems] on another fresh frame, which builds each
+    C-ideal mask alone, and both leave the same name memo; so is names()
+    on a fresh frame that has named one element before."""
+    assume(PresentedFrame(p).count_downsets() <= 512)
+    bulk, single, partial = (PresentedFrame(p) for _ in range(3))
+    elems, _ = bulk.elements()
+    want = [single.name(u) for u in elems]
+    assert bulk.names(elems) == want
+    assert bulk._names == single._names
+    assert bulk.names(elems) == want  # from the memo
+    partial.elements()
+    partial.name(elems[-1])
+    assert partial.names(elems) == want and partial._names == bulk._names
 
 
 @pytest.mark.parametrize("argv", [
