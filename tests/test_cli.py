@@ -372,7 +372,8 @@ def test_elements_counts_only_when_the_cap_can_bind(capsys, tmp_path,
                                                     counts):
     """free2.pres has |J| = 4 models and |D(J)| = 6 elements.  As |D(J)| ≤
     2^|J|, `frame elements` counts D(J) only when 2^|J| = 16 is past
-    element_cap; the answer and the refusal are the same either way."""
+    element_cap; the answer and the refusal are those of a listing that
+    always counts."""
     calls = []
     count_downsets = pointfree.presentations.count_downsets
 
